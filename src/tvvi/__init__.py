@@ -18,9 +18,21 @@ from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
 from .dynamics import (GDMap, Orbit, bifurcation_scan, classify_eta,
                        compose_map, iterate_orbit, newton_periodic_orbit,
                        orbit_stability, period3_search, star_scan)
-from .metrics import (CyclicRegretBound, AggregationTrackingBound, AdversarialLowerBound, ContractiveBound, AggregationRegretBound, ConstantTrackingBound, bound_check,
-                      dynamic_regret, quadratic_path_length, theoretical_bound,
-                      tracking_error, tracking_series)
+from .metrics import (
+    AdversarialLowerBound,
+    AggregationRegretBound,
+    AggregationTrackingBound,
+    ConstantTrackingBound,
+    ContractiveBound,
+    CyclicRegretBound,
+    bound_check,
+    dynamic_regret,
+    quadratic_path_length,
+    regret_series,
+    theoretical_bound,
+    tracking_error,
+    tracking_series,
+)
 from .scenarios import (Scenario, adversary_step, build_scenario,
                         periodic_quadratic, verify_scenario)
 
@@ -34,9 +46,19 @@ __all__ = [
     "MetaFixed", "MetaState", "Resolvent", "StepSchedule", "Trajectory",
     "cyclic_fb_step", "forward_step", "make_surrogate", "meta_step_adaptive",
     "meta_step_fixed", "resolvent_step", "run_tracker",
-    "CyclicRegretBound", "AggregationTrackingBound", "AdversarialLowerBound", "ContractiveBound", "AggregationRegretBound", "ConstantTrackingBound", "bound_check",
-    "dynamic_regret", "quadratic_path_length", "theoretical_bound",
-    "tracking_error", "tracking_series",
+    "AdversarialLowerBound",
+    "AggregationRegretBound",
+    "AggregationTrackingBound",
+    "ConstantTrackingBound",
+    "ContractiveBound",
+    "CyclicRegretBound",
+    "bound_check",
+    "dynamic_regret",
+    "quadratic_path_length",
+    "regret_series",
+    "theoretical_bound",
+    "tracking_error",
+    "tracking_series",
     "Scenario", "adversary_step", "build_scenario", "periodic_quadratic",
     "verify_scenario",
     "GDMap", "Orbit", "bifurcation_scan", "classify_eta", "compose_map",

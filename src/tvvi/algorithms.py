@@ -113,13 +113,14 @@ class CyclicFBState:
 
 
 def _cyclic_fb_step_g(state: CyclicFBState, domain: Domain, t: int,
-                      op_input: Operator) -> tuple:
-    """cyclic_fb_step that also returns the operator value at the play."""
+                      oracle) -> tuple:
+    """cyclic_fb_step that also returns the operator value at the play;
+    ``oracle(z)`` gives F(z): an :class:`Operator` or a caching wrapper."""
     n = state.slot_index(t)
     s = state.slot_steps[n] + 1
     play = state.slots[n]
     eta = state.schedule.at(s)
-    g = evaluate(op_input, play)
+    g = oracle(play)
     new_slot = project(domain, play - eta * g)
     slots = list(state.slots)
     steps = list(state.slot_steps)
@@ -224,7 +225,7 @@ def _losses(g: np.ndarray, base_plays: list, play: np.ndarray, mu: float) -> np.
 
 
 def meta_step_fixed(state: MetaState, domain: Domain, seq_op: Operator,
-                    params: dict) -> tuple:
+                    mu: float) -> tuple:
     """One round of the fixed-rate meta-algorithm.
 
     Plays the weighted combination of base plays, observes the operator
@@ -234,7 +235,6 @@ def meta_step_fixed(state: MetaState, domain: Domain, seq_op: Operator,
 
     Returns (play, g, new_state).
     """
-    mu = params["mu"]
     t = state.t
     base_plays = _base_plays(state)
     play = np.sum([p * z for p, z in zip(state.weights, base_plays)], axis=0)
@@ -250,7 +250,7 @@ def meta_step_fixed(state: MetaState, domain: Domain, seq_op: Operator,
 
 
 def meta_step_adaptive(state: MetaState, domain: Domain, seq_op: Operator,
-                       params: dict) -> tuple:
+                       mu: float) -> tuple:
     """One round of the adaptively-tuned meta-algorithm.
 
     Base learners receive the true operator (one evaluation per base,
@@ -262,7 +262,6 @@ def meta_step_adaptive(state: MetaState, domain: Domain, seq_op: Operator,
 
     Returns (play, g, new_state).
     """
-    mu = params["mu"]
     t = state.t
     K = state.K
     base_plays = _base_plays(state)
@@ -301,17 +300,7 @@ def meta_step_adaptive(state: MetaState, domain: Domain, seq_op: Operator,
         weights = _argmin_weights(cum_loss)
 
     # bases update with the true operator at their own slot values
-    bases = []
-    for b in state.bases:
-        n = b.slot_index(t)
-        s = b.slot_steps[n] + 1
-        slot = b.slots[n]
-        new_slot = project(domain, slot - b.schedule.at(s) * f(slot))
-        slots = list(b.slots)
-        steps = list(b.slot_steps)
-        slots[n] = new_slot
-        steps[n] = s
-        bases.append(replace(b, slots=slots, slot_steps=steps))
+    bases = [_cyclic_fb_step_g(b, domain, t, f)[2] for b in state.bases]
 
     new_state = replace(state, bases=bases, weights=weights, cum_loss=cum_loss,
                         cum_gap=cum_gap, t0_passed=t0_passed, t=t + 1,
@@ -329,7 +318,7 @@ class ContractiveForward:
 
 @dataclass(frozen=True)
 class Resolvent:
-    pass
+    """Exact resolvent steps; affine operators on unbounded domains only."""
 
 
 @dataclass(frozen=True)
@@ -395,7 +384,11 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
         meta = init_meta_adaptive(algo.K, z1, algo.lip)
     elif isinstance(algo, CyclicFB):
         fb = CyclicFBState.init(algo.period, z1, algo.schedule)
-    elif not isinstance(algo, (ContractiveForward, Resolvent)):
+    elif isinstance(algo, Resolvent):
+        if domain.bounded:
+            # the resolvent step solves z' + F(z') = z without projecting
+            raise ConfigurationError("resolvent requires an unbounded domain")
+    elif not isinstance(algo, ContractiveForward):
         raise ConfigurationError(f"unknown algorithm spec {algo!r}")
 
     z = z1
@@ -430,11 +423,9 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
 
         try:
             if isinstance(algo, MetaFixed):
-                play, g, meta = meta_step_fixed(
-                    meta, domain, op, {"mu": algo.mu, "D": algo.D, "G": algo.G})
+                play, g, meta = meta_step_fixed(meta, domain, op, algo.mu)
             elif isinstance(algo, MetaAdaptive):
-                play, g, meta = meta_step_adaptive(
-                    meta, domain, op, {"mu": algo.mu})
+                play, g, meta = meta_step_adaptive(meta, domain, op, algo.mu)
             elif isinstance(algo, CyclicFB):
                 play, g, fb = _cyclic_fb_step_g(fb, domain, t, op)
             elif isinstance(algo, ContractiveForward):

@@ -73,9 +73,10 @@ def _run_trajectory(cfg: ExperimentConfig, sc: Scenario) -> alg.Trajectory:
 def _track_rows(traj: alg.Trajectory, mu: float) -> list:
     have_sol = traj.solutions is not None
     is_meta = traj.weights is not None
+    if have_sol:
+        cum_track = metrics.tracking_series(traj)
+        cum_regret = metrics.regret_series(traj, traj.solutions, mu)
     rows = []
-    cum_track = 0.0
-    cum_regret = 0.0
     n_complete = len(traj.op_values)
     for i, z in enumerate(traj.plays):
         t = i + 1
@@ -84,12 +85,8 @@ def _track_rows(traj: alg.Trajectory, mu: float) -> list:
             if i < n_complete:
                 s = traj.solutions[i]
                 d = z - s
-                sq = float(np.dot(d, d))
-                cum_track += sq
-                cum_regret += float(np.dot(traj.op_values[i], d)) \
-                    - 0.5 * mu * sq
-                row.update(z_star=s, sq_dist=sq, cum_track=cum_track,
-                           cum_regret=cum_regret)
+                row.update(z_star=s, sq_dist=float(np.dot(d, d)),
+                           cum_track=cum_track[i], cum_regret=cum_regret[i])
             else:
                 row.update(z_star=math.nan, sq_dist=math.nan,
                            cum_track=math.nan, cum_regret=math.nan)

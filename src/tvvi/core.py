@@ -1,9 +1,12 @@
 """Domain geometry, operator evaluation and verification primitives.
 
-Everything here works with plain 1-D numpy arrays of shape ``(d,)``. All
-norms are Euclidean. Domains and operators are immutable after
-construction and safe to share across threads; the only mutable field is
-the diagnostic evaluation counter on :class:`Operator`.
+Points are plain 1-D numpy arrays of shape ``(d,)``. An operator's
+``fn`` acts on the last axis: it maps an array of shape ``(..., d)`` to
+the same shape, so one definition evaluates a single point ``(d,)`` or a
+block ``(n, d)`` of sampled points. All norms are Euclidean. Domains and
+operators are immutable after construction and safe to share across
+threads; the only mutable field is the diagnostic evaluation counter on
+:class:`Operator`.
 """
 
 from __future__ import annotations
@@ -127,10 +130,10 @@ class Operator:
     function whose gradient F is, when one exists (used for
     finite-difference verification).
 
-    ``evals`` counts calls to the operator and is the single mutable,
-    diagnostic-only field. ``batch_fn``, when present, evaluates a
-    whole (n, d) block of points at once; the sampled check_* routines
-    use it to stay fast at large sample counts.
+    ``fn`` acts on the last axis: it maps ``(..., d)`` to ``(..., d)``,
+    so the learners call it on one point and the sampled check_*
+    routines on a whole ``(n, d)`` block. ``evals`` counts evaluated
+    points and is the single mutable, diagnostic-only field.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -141,8 +144,8 @@ class Operator:
     solution: Optional[np.ndarray] = None
     affine: Optional[tuple] = None          # (A, b)
     potential: Optional[Callable[[np.ndarray], float]] = None
-    batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     evals: int = field(default=0, compare=False)
+    batch_fn = None     # not a field: read only by perfbench/tracer.py
 
     def __call__(self, p) -> np.ndarray:
         return evaluate(self, p)
@@ -151,8 +154,7 @@ class Operator:
     def from_affine(A, b, **kw) -> "Operator":
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = as_point(b)
-        return Operator(fn=lambda x: A @ x + b, dim=b.size, affine=(A, b),
-                        batch_fn=lambda X: X @ A.T + b, **kw)
+        return Operator(fn=lambda X: X @ A.T + b, dim=b.size, affine=(A, b), **kw)
 
 
 def evaluate(op: Operator, p) -> np.ndarray:
@@ -212,10 +214,13 @@ def _sample_points(domain: Domain, n: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _evaluate_block(op: Operator, pts: np.ndarray) -> np.ndarray:
-    if op.batch_fn is not None:
-        op.evals += len(pts)
-        return np.asarray(op.batch_fn(pts), dtype=float)
-    return np.array([evaluate(op, p) for p in pts])
+    """F at every row of the (n, d) block, in one call of ``op.fn``."""
+    op.evals += len(pts)
+    out = np.asarray(op.fn(pts), dtype=float)
+    if out.shape != pts.shape:
+        raise ValueError(f"operator returned shape {out.shape} for a block of "
+                         f"shape {pts.shape}; fn must act on the last axis")
+    return out
 
 
 def check_strong_monotone(op: Operator, mu: float, domain: Domain,

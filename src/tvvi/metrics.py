@@ -42,8 +42,8 @@ def quadratic_path_length(solutions) -> float:
     return float(sum(np.dot(a - b, a - b) for a, b in zip(pts[1:], pts[:-1])))
 
 
-def dynamic_regret(traj: Trajectory, comparators, mu: float = 0.0) -> float:
-    """Sum of <F_t(Z_t), Z_t - C_t> - (mu/2)||Z_t - C_t||^2.
+def regret_series(traj: Trajectory, comparators, mu: float = 0.0) -> np.ndarray:
+    """Partial sums of <F_t(Z_t), Z_t - C_t> - (mu/2)||Z_t - C_t||^2.
 
     Uses the operator values recorded along the run; mu = 0 reduces to
     the linearized regret.
@@ -51,11 +51,17 @@ def dynamic_regret(traj: Trajectory, comparators, mu: float = 0.0) -> float:
     n = len(traj.op_values)
     if len(comparators) < n:
         raise ValueError("comparator sequence shorter than trajectory")
-    total = 0.0
+    terms = []
     for g, z, c in zip(traj.op_values, traj.plays[:n], comparators):
         d = z - np.asarray(c, dtype=float)
-        total += float(np.dot(g, d)) - 0.5 * mu * float(np.dot(d, d))
-    return total
+        terms.append(float(np.dot(g, d)) - 0.5 * mu * float(np.dot(d, d)))
+    return np.cumsum(terms)
+
+
+def dynamic_regret(traj: Trajectory, comparators, mu: float = 0.0) -> float:
+    """Total dynamic regret: the last partial sum, 0.0 for no rounds."""
+    series = regret_series(traj, comparators, mu)
+    return float(series[-1]) if series.size else 0.0
 
 
 # ---------------------------------------------------------------------------

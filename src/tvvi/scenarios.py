@@ -19,27 +19,13 @@ import numpy as np
 
 from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
                    as_point, check_lipschitz, check_strong_monotone, evaluate,
-                   _sample_points)
+                   _evaluate_block, _sample_points)
 
 # Upper envelope of the scalar curvature factor of u -> log(1 + e^{u^2/2});
 # the true supremum is ~1.3008, so declared constants pass sampled checks.
 EXP_SMOOTHNESS = 1.31
 
 RSI_MU = 0.25
-
-
-def _logistic(u: float) -> float:
-    if u >= 0:
-        return 1.0 / (1.0 + math.exp(-u))
-    e = math.exp(u)
-    return e / (1.0 + e)
-
-
-def _log1pexp(q: float) -> float:
-    # log(1 + e^q) without overflow for large q >= 0
-    if q > 0:
-        return q + math.log1p(math.exp(-q))
-    return math.log1p(math.exp(q))
 
 
 @dataclass
@@ -198,19 +184,14 @@ def exp_quadratic_operator(A) -> Operator:
         raise ConfigurationError("exp_quadratic: matrices must be positive definite")
     dim = A.shape[0]
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        q = 0.5 * float(x @ (A @ x))
-        return _logistic(q) * (A @ x)
-
-    def batch_fn(X: np.ndarray) -> np.ndarray:
+    def fn(X: np.ndarray) -> np.ndarray:
         AX = X @ A.T
-        q = 0.5 * np.einsum("ij,ij->i", X, AX)      # q >= 0 for PD A
-        return (1.0 / (1.0 + np.exp(-q)))[:, None] * AX
+        q = 0.5 * np.einsum("...i,...i->...", X, AX)      # q >= 0 for PD A
+        return (1.0 / (1.0 + np.exp(-q)))[..., None] * AX
 
     op = Operator(fn=fn, dim=dim, mu=float(eigs[0]) / 2.0,
-                  lip=EXP_SMOOTHNESS * float(eigs[-1]), solution=np.zeros(dim),
-                  batch_fn=batch_fn)
-    op.potential = lambda x: _log1pexp(0.5 * float(x @ (A @ x)))
+                  lip=EXP_SMOOTHNESS * float(eigs[-1]), solution=np.zeros(dim))
+    op.potential = lambda x: float(np.logaddexp(0.0, 0.5 * float(x @ (A @ x))))
     return op
 
 
@@ -291,15 +272,11 @@ def build_kelly_auction(params: dict = None) -> Scenario:
     def make_op(t: int) -> Operator:
         entry, values = market(t)
 
-        def fn(x: np.ndarray) -> np.ndarray:
-            denom = entry + float(np.sum(x))
-            return 1.0 - values * (denom - x) / denom ** 2 + lam * x
-
-        def batch_fn(X: np.ndarray) -> np.ndarray:
-            denom = (entry + X.sum(axis=1))[:, None]
+        def fn(X: np.ndarray) -> np.ndarray:
+            denom = entry + X.sum(axis=-1, keepdims=True)
             return 1.0 - values * (denom - X) / denom ** 2 + lam * X
 
-        return Operator(fn=fn, dim=n, mu=lam, batch_fn=batch_fn)
+        return Operator(fn=fn, dim=n, mu=lam)
 
     domain = Domain.box(np.zeros(n), budgets)
     v_max = float(np.max(values0)) * (1.0 + p["value_amp"])
@@ -384,10 +361,13 @@ def build_streaming_regression(params: dict = None) -> Scenario:
 # Generalized linear model estimation
 
 def _glm_links(scale: float) -> dict:
+    """Link phi and its antiderivative psi, both elementwise on arrays.
+    The logistic link is written as scale * (sigma(u) - 1/2) =
+    (scale / 2) tanh(u / 2), which cannot overflow."""
     return {
         "identity": (lambda u: u, lambda u: 0.5 * u * u),
-        "scaled_logistic": (lambda u: scale * (_logistic(u) - 0.5),
-                            lambda u: scale * (_log1pexp(u) - 0.5 * u)),
+        "scaled_logistic": (lambda u: 0.5 * scale * np.tanh(0.5 * u),
+                            lambda u: scale * (np.logaddexp(0.0, u) - 0.5 * u)),
     }
 
 
@@ -414,7 +394,7 @@ def build_glm(params: dict = None) -> Scenario:
         n = int(p["n0"]) + int(p["growth"]) * (t - 1)
         A, _ = feats.upto(n)
         xi = stream.upto(n)[0][:, 0]        # one fixed noise draw per sample
-        b = np.array([phi(float(u)) for u in A @ z_star]) + float(p["noise"]) * xi
+        b = phi(A @ z_star) + float(p["noise"]) * xi
         return A, b
 
     def make_op(t: int) -> Operator:
@@ -427,22 +407,15 @@ def build_glm(params: dict = None) -> Scenario:
             op = Operator.from_affine(M, -(A.T @ b) / n,
                                       mu=float(eigs[0]), lip=float(eigs[-1]))
         else:
-            def fn(z: np.ndarray) -> np.ndarray:
-                pred = np.array([phi(float(u)) for u in A @ z])
-                return A.T @ (pred - b) / n + lam * z
-
-            def batch_fn(Z: np.ndarray) -> np.ndarray:
-                from scipy.special import expit
-                pred = float(p["scale"]) * (expit(Z @ A.T) - 0.5)
-                return (pred - b) @ A / n + lam * Z
+            def fn(Z: np.ndarray) -> np.ndarray:
+                return (phi(Z @ A.T) - b) @ A / n + lam * Z
 
             gram_top = float(np.linalg.eigvalsh(A.T @ A)[-1])
             op = Operator(fn=fn, dim=dim,
                           mu=lam if lam > 0 else None,
-                          lip=float(p["scale"]) / 4.0 * gram_top / n + lam,
-                          batch_fn=batch_fn)
+                          lip=float(p["scale"]) / 4.0 * gram_top / n + lam)
         op.potential = lambda z, A=A, b=b, n=n: (
-            sum(psi(float(u)) for u in A @ z) - float(b @ (A @ z))) / n \
+            float(np.sum(psi(A @ z))) - float(b @ (A @ z))) / n \
             + 0.5 * lam * float(z @ z)
         return op
 
@@ -468,19 +441,13 @@ def rsi_operator(a: float) -> Operator:
     point at the origin.
     """
 
-    def fn(z: np.ndarray) -> np.ndarray:
-        x, y = float(z[0]), float(z[1])
-        gx = 2.0 * x + math.sin(2.0 * x) * (3.0 + a * math.sin(y) ** 2)
-        gy = -2.0 * y - math.sin(2.0 * y) * (3.0 - a * math.sin(x) ** 2)
-        return np.array([gx, -gy])
-
-    def batch_fn(Z: np.ndarray) -> np.ndarray:
-        x, y = Z[:, 0], Z[:, 1]
+    def fn(Z: np.ndarray) -> np.ndarray:
+        x, y = Z[..., 0], Z[..., 1]
         gx = 2.0 * x + np.sin(2.0 * x) * (3.0 + a * np.sin(y) ** 2)
         gy = -2.0 * y - np.sin(2.0 * y) * (3.0 - a * np.sin(x) ** 2)
-        return np.c_[gx, -gy]
+        return np.stack([gx, -gy], axis=-1)
 
-    return Operator(fn=fn, dim=2, solution=np.zeros(2), batch_fn=batch_fn)
+    return Operator(fn=fn, dim=2, solution=np.zeros(2))
 
 
 def estimate_lipschitz(op: Operator, domain: Domain, lo: float = 0.1,
@@ -688,15 +655,11 @@ def rsi_grid_inequality(a: float, grid_n: int = 201, half: float = 10.0) -> floa
     """Minimum of <F(z), z> / ||z||^2 over the verification grid; the
     restricted secant inequality asks for at least 1/4."""
     xs = np.linspace(-half, half, grid_n)
-    worst = math.inf
-    op = rsi_operator(a)
-    for x in xs:
-        for y in xs:
-            if x == 0 and y == 0:
-                continue
-            g = evaluate(op, np.array([x, y]))
-            worst = min(worst, (g[0] * x + g[1] * y) / (x * x + y * y))
-    return worst
+    Z = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+    Z = Z[np.any(Z != 0, axis=1)]          # the ratio is undefined at 0
+    G = _evaluate_block(rsi_operator(a), Z)
+    x, y = Z[:, 0], Z[:, 1]
+    return np.min((G[:, 0] * x + G[:, 1] * y) / (x * x + y * y))
 
 
 def verify_scenario(sc: Scenario, n_samples: int = 10_000, seed: int = 0,

@@ -13,7 +13,7 @@ from tvvi.algorithms import (ContractiveForward, CyclicFB, CyclicFBState,
                              make_surrogate, meta_step_adaptive,
                              meta_step_fixed, mix_loss, resolvent_step,
                              run_tracker)
-from tvvi.core import ConfigurationError, Domain, Operator
+from tvvi.core import ConfigurationError, Domain, Operator, ProblemSequence
 from tvvi.scenarios import build_scenario, periodic_quadratic
 
 UNB1 = Domain.unbounded(1)
@@ -250,7 +250,7 @@ class TestMetaFixed:
         dom = box1()
         st = init_meta_fixed(1, [1.0], mu=1.0, D=4.0, G=3.0)
         op = affine_op([[1.0]], [-0.5])
-        play, _, st = meta_step_fixed(st, dom, op, {"mu": 1.0})
+        play, _, st = meta_step_fixed(st, dom, op, mu=1.0)
         assert play[0] == 1.0
         assert np.allclose(st.weights, [1.0])
 
@@ -259,7 +259,7 @@ class TestMetaFixed:
         st = init_meta_fixed(2, [1.0], mu=1.0, D=4.0, G=3.0)
         op = affine_op([[1.0]], [-0.5])
         # round 1: both bases play the shared start, losses coincide
-        _, _, st = meta_step_fixed(st, dom, op, {"mu": 1.0})
+        _, _, st = meta_step_fixed(st, dom, op, mu=1.0)
         assert np.allclose(st.weights, [0.5, 0.5], atol=1e-15)
 
     def test_weight_simplex_along_run(self):
@@ -276,7 +276,7 @@ class TestMetaFixed:
         st = init_meta_fixed(4, [1.0], mu=1.0, D=4.0, G=3.0)
         for t in range(1, 20):
             before = probe.evals
-            _, _, st = meta_step_fixed(st, dom, probe, {"mu": 1.0})
+            _, _, st = meta_step_fixed(st, dom, probe, mu=1.0)
             assert probe.evals - before == 1
 
     def test_requires_bounded_domain(self):
@@ -296,7 +296,7 @@ class TestMetaAdaptive:
         st.bases[1].slots[0] = np.array([-2.0])
         st.cum_loss = np.array([5.0, 1.0])
         zero_op = Operator(fn=lambda z: np.zeros(1), dim=1)
-        _, _, st = meta_step_adaptive(st, dom, zero_op, {"mu": 0.5})
+        _, _, st = meta_step_adaptive(st, dom, zero_op, mu=0.5)
         assert not st.t0_passed
         assert np.allclose(st.weights, [0.0, 1.0])
 
@@ -308,7 +308,7 @@ class TestMetaAdaptive:
             op = sc.seq.at(t)
             if st.t0_passed:
                 lams.append(math.log(3) / st.cum_gap)
-            _, _, st = meta_step_adaptive(st, sc.domain, op, {"mu": sc.mu})
+            _, _, st = meta_step_adaptive(st, sc.domain, op, mu=sc.mu)
         assert len(lams) > 2
         assert all(b <= a + 1e-15 for a, b in zip(lams, lams[1:]))
 
@@ -323,7 +323,7 @@ class TestMetaAdaptive:
             op = sc.seq.at(t)
             before = op.evals
             indicator = np.max(st.weights) == 1.0 or t == 1
-            _, _, st = meta_step_adaptive(st, sc.domain, op, {"mu": sc.mu})
+            _, _, st = meta_step_adaptive(st, sc.domain, op, mu=sc.mu)
             spent = op.evals - before
             if indicator or t == 1:
                 assert spent <= K
@@ -382,6 +382,13 @@ class TestRunTracker:
         assert traj.diverged
         assert np.linalg.norm(traj.plays[-1]) > 100.0
         assert len(traj.plays) < 500
+
+    def test_resolvent_rejects_bounded_domain(self):
+        # the resolvent step never projects: on the box [-0.1, 0.1] with
+        # F(x) = x - 5 the plays would run 0 -> 2.5 -> 3.75 -> 4.375
+        seq = ProblemSequence(at=lambda t: affine_op([[1.0]], [-5.0]), dim=1)
+        with pytest.raises(ConfigurationError, match="resolvent"):
+            run_tracker(seq, Resolvent(), Domain.box([-0.1], [0.1]), [0.0], 4)
 
     def test_resolvent_on_streaming(self):
         sc = build_scenario("streaming_regression", {"dim": 2, "seed": 4})

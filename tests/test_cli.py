@@ -237,6 +237,17 @@ dynamics.burn_in = 200
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "algorithm.eta" in capsys.readouterr().err
 
+    def test_resolvent_on_bounded_domain_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, """
+command = track
+scenario.name = lower_bound_adversary
+algorithm.kind = resolvent
+run.horizon = 5
+run.z1 = 0.0
+""")
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "resolvent" in capsys.readouterr().err
+
     def test_json_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL_TRACK)
         out = tmp_path / "t.json"

@@ -58,9 +58,9 @@ class TestProjection:
 
 def exp_quadratic_1d(a):
     def fn(x):
-        q = a * x[0] ** 2 / 2.0
+        q = a * x[..., 0] ** 2 / 2.0
         s = 1.0 / (1.0 + np.exp(-q))
-        return np.array([s * a * x[0]])
+        return (s * a * x[..., 0])[..., None]
     return Operator(fn=fn, dim=1)
 
 
@@ -144,6 +144,13 @@ class TestSampledChecks:
         f2 = exp_quadratic_1d(4.0)
         assert check_strong_monotone(f2, 2.0, dom, 2000, seed=4)
         assert check_lipschitz(f2, 5.24, dom, 2000, seed=4)
+
+    def test_row_only_fn_rejected(self):
+        # indexing x[0] reads the first row of a block, not a coordinate
+        op = Operator(fn=lambda x: np.array([2.0 * x[0]]), dim=1)
+        assert evaluate(op, [1.5])[0] == 3.0
+        with pytest.raises(ValueError, match="last axis"):
+            check_lipschitz(op, 2.0, Domain.unbounded(1), 50, seed=0)
 
     def test_deterministic_given_seed(self):
         op = exp_quadratic_1d(4.0)

@@ -156,12 +156,11 @@ class TestBatchEvaluation:
         rng = np.random.default_rng(77)
         for t in (1, 2):
             op = sc.seq.at(t)
-            if op.batch_fn is None:
-                pytest.skip("no batch path")
             pts = rng.uniform(-3, 3, (50, op.dim))
             if sc.domain.bounded:
                 pts = np.clip(pts, sc.domain.lower, sc.domain.upper)
-            batch = op.batch_fn(pts)
+            batch = op.fn(pts)
+            assert batch.shape == pts.shape
             for x, out in zip(pts, batch):
                 assert np.allclose(evaluate(op, x), out, atol=1e-12)
 
@@ -171,7 +170,8 @@ class TestBatchEvaluation:
         op = sc.seq.at(3)
         rng = np.random.default_rng(78)
         pts = rng.uniform(-2, 2, (30, 2))
-        batch = op.batch_fn(pts)
+        batch = op.fn(pts)
+        assert batch.shape == pts.shape
         for x, out in zip(pts, batch):
             assert np.allclose(evaluate(op, x), out, atol=1e-12)
 
