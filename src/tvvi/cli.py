@@ -2,7 +2,9 @@
 
 Every command reads one flat config file, runs deterministically given
 the seeds it names, and writes plot-ready CSV/JSON rows. Scan-type
-commands can fan out over processes with --threads (or TVVI_THREADS).
+commands step every step size or start as one vectorized block in one
+process; --threads (and TVVI_THREADS) is still accepted but changes
+nothing.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
     return rows, traj.diverged
 
 
-def _cmd_bifurcation(cfg: ExperimentConfig, threads: int) -> tuple:
+def _cmd_bifurcation(cfg: ExperimentConfig) -> tuple:
     sc = build_scenario(cfg.scenario or "chaos_1d", cfg.scenario_params)
     etas = dynamics.eta_grid(float(cfg.get("dynamics.eta_lo")),
                              float(cfg.get("dynamics.eta_hi")),
@@ -194,8 +196,7 @@ def _cmd_bifurcation(cfg: ExperimentConfig, threads: int) -> tuple:
         n_cells=int(cfg.get("dynamics.cells")),
         threshold=float(cfg.get("dynamics.threshold")),
         tol=float(cfg.get("dynamics.tol")),
-        max_period=int(cfg.get("dynamics.max_period")),
-        threads=threads)
+        max_period=int(cfg.get("dynamics.max_period")))
     rows = [{"eta": r.eta, "classification": str(r.classification),
              "cells": ";".join(str(c) for c in r.occupied_cells)}
             for r in result.rows]
@@ -245,7 +246,7 @@ _SEEDED_SCENARIOS = ("kelly_auction", "streaming_regression", "glm")
 
 
 def run_experiment(cfg: ExperimentConfig, out_path: str, fmt: str,
-                   threads: int = 1, fail_on_divergence: bool = False,
+                   fail_on_divergence: bool = False,
                    seed_override=None) -> int:
     """Dispatch one experiment and write its rows; returns the exit code."""
     if seed_override is not None and cfg.scenario in _SEEDED_SCENARIOS:
@@ -256,7 +257,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str, fmt: str,
     elif cfg.command == "bounds":
         rows, flagged = _cmd_bounds(cfg)
     elif cfg.command == "bifurcation":
-        rows, flagged = _cmd_bifurcation(cfg, threads)
+        rows, flagged = _cmd_bifurcation(cfg)
     elif cfg.command == "orbit":
         rows, flagged = _cmd_orbit(cfg)
     elif cfg.command == "star":
@@ -286,7 +287,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="seed override")
     parser.add_argument("--threads", type=int,
                         default=int(os.environ.get("TVVI_THREADS", "1")),
-                        help="worker processes for scan commands")
+                        help="accepted for compatibility; scans run as one "
+                             "vectorized block in one process")
     parser.add_argument("--fail-on-divergence", action="store_true",
                         help="exit nonzero when the run diverges")
     args = parser.parse_args(argv)
@@ -298,7 +300,7 @@ def main(argv=None) -> int:
         if out is None:
             raise ConfigError(["field 'output.path': required (or pass --out)"])
         fmt = args.format or cfg.get("output.format")
-        return run_experiment(cfg, out, fmt, threads=max(1, args.threads),
+        return run_experiment(cfg, out, fmt,
                               fail_on_divergence=args.fail_on_divergence,
                               seed_override=args.seed)
     except (ConfigError, ConfigurationError) as exc:

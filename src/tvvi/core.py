@@ -101,10 +101,14 @@ class Domain:
 
 
 def project(domain: Domain, p) -> np.ndarray:
-    """Euclidean projection onto the domain. Idempotent and nonexpansive."""
-    p = as_point(p)
-    if p.size != domain.dim:
-        raise ValueError(f"dimension mismatch: point {p.size}, domain {domain.dim}")
+    """Euclidean projection onto the domain, acting on the last axis: a
+    point ``(d,)`` or every row of a block ``(n, d)``. Idempotent and
+    nonexpansive."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
+    if p.shape[-1] != domain.dim:
+        raise ValueError(f"dimension mismatch: point {p.shape[-1]}, domain {domain.dim}")
     if domain.kind == "unbounded":
         return p
     if domain.kind in ("box", "interval"):
@@ -113,10 +117,13 @@ def project(domain: Domain, p) -> np.ndarray:
     # epsilon absorbs the rescaling roundoff so projecting twice is a
     # no-op bit for bit.
     v = p - domain.center
-    nv = np.linalg.norm(v)
-    if nv <= domain.radius * (1.0 + 8.0 * np.finfo(float).eps):
-        return p
-    return domain.center + (domain.radius / nv) * v
+    nv = np.sqrt(np.add.reduce(v * v, axis=-1))
+    inside = nv <= domain.radius * (1.0 + 8.0 * np.finfo(float).eps)
+    if p.ndim == 1:
+        return p if inside else domain.center + (domain.radius / nv) * v
+    inside = inside[..., None]
+    scale = domain.radius / np.where(inside, domain.radius, nv[..., None])
+    return np.where(inside, p, domain.center + scale * v)
 
 
 @dataclass
@@ -214,8 +221,10 @@ def _sample_points(domain: Domain, n: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _evaluate_block(op: Operator, pts: np.ndarray) -> np.ndarray:
-    """F at every row of the (n, d) block, in one call of ``op.fn``."""
-    op.evals += len(pts)
+    """F at every point of the last-axis array ``pts`` (a point ``(d,)``
+    or a block ``(n, d)``), in one call of ``op.fn``, counting each
+    point as one evaluation."""
+    op.evals += pts.size // op.dim
     out = np.asarray(op.fn(pts), dtype=float)
     if out.shape != pts.shape:
         raise ValueError(f"operator returned shape {out.shape} for a block of "

@@ -6,20 +6,22 @@ star-attractor scan.
 The composed map applies the period's step maps in time order: the
 round-1 map acts first, so the orbit of the composed map started at x0
 coincides with every k-th iterate of the per-step recursion started at
-x0. Newton and stability derivatives use central differences with
-h = 1e-6.
+x0. The map acts on the last axis, so scans step every step size (or
+every start) as one ``(n, d)`` block in one process; one orbit is the
+one-row case of the same code. Newton and stability derivatives use
+central differences with h = 1e-6.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .core import as_point, evaluate, project
+from .core import Domain, _evaluate_block, as_point, project
 from .scenarios import Scenario, build_scenario
 
 DIVERGENCE_THRESHOLD = 1000.0     # per the bifurcation protocol
@@ -30,15 +32,29 @@ _DERIV_H = 1e-6
 
 @dataclass
 class GDMap:
-    """One period of projected gradient steps, applied in time order."""
+    """One period of projected gradient steps, applied in time order.
 
-    step_maps: list                  # callables, round-1 map first
-    eta: float
+    Acts on the last axis: a point ``(d,)`` or a block ``(n, d)``. A
+    scalar ``eta`` steps every row alike; an ``(n, 1)`` column steps
+    row i with ``eta[i]``.
+    """
+
+    ops: list                        # operators, round-1 first
+    domain: Domain
+    eta: object                      # float, or an (n, 1) column
     dim: int
 
+    def _step(self, op, x: np.ndarray) -> np.ndarray:
+        return project(self.domain, x - self.eta * _evaluate_block(op, x))
+
+    @property
+    def step_maps(self) -> list:
+        """The per-round step maps, round-1 map first."""
+        return [partial(self._step, op) for op in self.ops]
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        for m in self.step_maps:
-            x = m(x)
+        for op in self.ops:
+            x = self._step(op, x)
         return x
 
     def power(self, x: np.ndarray, p: int) -> np.ndarray:
@@ -46,23 +62,62 @@ class GDMap:
             x = self(x)
         return x
 
+    def rows(self, keep) -> "GDMap":
+        """The map of the block rows selected by ``keep``."""
+        return self if np.ndim(self.eta) == 0 else replace(self, eta=self.eta[keep])
+
     @property
     def k(self) -> int:
-        return len(self.step_maps)
+        return len(self.ops)
 
 
-def compose_map(scenario: Scenario, eta: float) -> GDMap:
-    """Build the composed period map of a k-periodic scenario."""
+def compose_map(scenario: Scenario, eta) -> GDMap:
+    """Build the composed period map of a k-periodic scenario, for one
+    step size or for one step size per block row."""
     if scenario.period is None:
         raise ValueError("compose_map requires a periodic scenario")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    domain = scenario.domain
-    maps = []
-    for t in range(1, scenario.period + 1):
-        op = scenario.seq.at(t)
-        maps.append(lambda x, op=op, eta=eta: project(domain, x - eta * evaluate(op, x)))
-    return GDMap(step_maps=maps, eta=eta, dim=scenario.seq.dim)
+    etas = np.asarray(eta, dtype=float)
+    if etas.ndim > 1 or np.any(etas <= 0):
+        raise ValueError("eta must be positive (one value, or one per row)")
+    ops = [scenario.seq.at(t) for t in range(1, scenario.period + 1)]
+    return GDMap(ops=ops, domain=scenario.domain,
+                 eta=float(etas) if etas.ndim == 0 else etas[:, None],
+                 dim=scenario.seq.dim)
+
+
+def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
+             keep_from: int = 0) -> tuple:
+    """Step the ``(n, d)`` block ``x0`` through ``n_steps`` map periods.
+
+    Returns ``(points, diverged_at)``: ``points[s - keep_from, i]`` is row
+    i after s periods, for s from ``keep_from`` on, and ``diverged_at[i]``
+    is the period at which row i went non-finite or crossed
+    ``threshold`` in norm (-1 while bounded). A diverged row stops
+    there: its crossing point is kept (when s >= ``keep_from``) and its
+    later points are NaN.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    n, d = x0.shape
+    points = np.full((n_steps + 1 - keep_from, n, d), np.nan)
+    diverged_at = np.full(n, -1)
+    live = np.arange(n)
+    x = x0
+    if keep_from == 0:
+        points[0] = x0
+    for s in range(1, n_steps + 1):
+        if not live.size:
+            break
+        x = gd_map(x)
+        if s >= keep_from:
+            points[s - keep_from, live] = x
+        norms = np.linalg.norm(x, axis=-1)
+        out = ~(np.isfinite(norms) & (norms <= threshold))
+        if out.any():
+            diverged_at[live[out]] = s
+            keep = ~out
+            live, x, gd_map = live[keep], x[keep], gd_map.rows(keep)
+    return points, diverged_at
 
 
 @dataclass
@@ -78,21 +133,14 @@ class Orbit:
 
 def iterate_orbit(gd_map: GDMap, x0, n_steps: int,
                   threshold: float = DIVERGENCE_THRESHOLD) -> Orbit:
-    """Iterate the composed map, stopping early on divergence."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    x = as_point(x0)
-    points = [x]
-    for s in range(1, n_steps + 1):
-        try:
-            x = gd_map(x)
-        except FloatingPointError:
-            return Orbit(points=points + [np.full(gd_map.dim, np.inf)],
-                         diverged_at=len(points), threshold=threshold)
-        points.append(x)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > threshold:
-            return Orbit(points=points, diverged_at=s, threshold=threshold)
-    return Orbit(points=points, threshold=threshold)
+    """Iterate the composed map from one start, stopping on divergence."""
+    points, diverged_at = _iterate(gd_map, as_point(x0)[None, :], n_steps,
+                                   threshold)
+    s = int(diverged_at[0])
+    if s < 0:
+        return Orbit(points=list(points[:, 0]), threshold=threshold)
+    return Orbit(points=list(points[:s + 1, 0]), diverged_at=s,
+                 threshold=threshold)
 
 
 @dataclass(frozen=True)
@@ -119,15 +167,30 @@ def classify_orbit(orbit: Orbit, burn_in: int, tol: float = PERIOD_TOL,
                    max_period: int = MAX_PERIOD) -> Classification:
     if not orbit.bounded:
         return Classification("diverged")
-    tail = orbit.points[burn_in:]
-    last = tail[-1]
-    if max(float(np.linalg.norm(p - last)) for p in tail) < tol:
-        return Classification("converged")
-    arr = np.array(tail)
-    for p in range(2, max_period + 1):
-        if np.max(np.linalg.norm(arr[p:] - arr[:-p], axis=1)) < tol:
-            return Classification("periodic", period=p)
-    return Classification("bounded_aperiodic")
+    tail = np.array(orbit.points[burn_in:])[:, None, :]
+    return _classify_tails(tail, tol, max_period)[0]
+
+
+def _classify_tails(tails: np.ndarray, tol: float, max_period: int) -> list:
+    """Classify every bounded orbit of a ``(T, n, d)`` tail block: converged
+    when each tail point lies within ``tol`` of the last, else periodic
+    with the least p whose p-shift moves no point by ``tol`` or more,
+    else bounded_aperiodic. Shifts need p < T."""
+    out = [Classification("bounded_aperiodic")] * tails.shape[1]
+    spread = np.linalg.norm(tails - tails[-1], axis=-1).max(axis=0)
+    for i in np.flatnonzero(spread < tol):
+        out[i] = Classification("converged")
+    open_rows = np.flatnonzero(spread >= tol)
+    tails = tails[:, open_rows]
+    for p in range(2, min(max_period, len(tails) - 1) + 1):
+        if not open_rows.size:
+            break
+        shift = np.linalg.norm(tails[p:] - tails[:-p], axis=-1).max(axis=0)
+        hit = shift < tol
+        for i in open_rows[hit]:
+            out[i] = Classification("periodic", period=p)
+        open_rows, tails = open_rows[~hit], tails[:, ~hit]
+    return out
 
 
 @dataclass(frozen=True)
@@ -142,26 +205,15 @@ class ScanResult:
     rows: list
 
 
-def _cell_indices(points, lo: float, hi: float, n_cells: int) -> tuple:
-    idx = set()
+def _cell_indices(x: np.ndarray, lo: float, hi: float, n_cells: int) -> list:
+    """Occupied cells of [lo, hi] per column of the ``(T, n)`` coordinates."""
     width = (hi - lo) / n_cells
-    for p in points:
-        x = float(p[0])
-        if lo <= x <= hi:
-            idx.add(min(int((x - lo) / width), n_cells - 1))
-    return tuple(sorted(idx))
-
-
-def _scan_one(args) -> ScanRow:
-    (name, params, eta, x0, n_steps, burn_in, cell_lo, cell_hi,
-     n_cells, threshold, tol, max_period) = args
-    sc = build_scenario(name, params)
-    gd_map = compose_map(sc, eta)
-    orbit = iterate_orbit(gd_map, x0, n_steps, threshold)
-    cls = classify_orbit(orbit, min(burn_in, len(orbit.points) - 1), tol, max_period)
-    cells = () if not orbit.bounded else \
-        _cell_indices(orbit.points[burn_in:], cell_lo, cell_hi, n_cells)
-    return ScanRow(eta=eta, classification=cls, occupied_cells=cells)
+    inside = (x >= lo) & (x <= hi)
+    idx = np.minimum(((np.where(inside, x, lo) - lo) / width).astype(np.int64),
+                     n_cells - 1)
+    occupied = np.zeros((x.shape[1], n_cells), dtype=bool)
+    occupied[np.nonzero(inside)[1], idx[inside]] = True
+    return [tuple(np.flatnonzero(row).tolist()) for row in occupied]
 
 
 def eta_grid(lo: float, hi: float, n: int) -> list:
@@ -175,28 +227,33 @@ def bifurcation_scan(scenario: Scenario, x0, etas=None,
                      cell_lo: float = -10.0, cell_hi: float = 10.0,
                      n_cells: int = 1000,
                      threshold: float = DIVERGENCE_THRESHOLD,
-                     tol: float = PERIOD_TOL, max_period: int = MAX_PERIOD,
-                     threads: int = 1) -> ScanResult:
+                     tol: float = PERIOD_TOL,
+                     max_period: int = MAX_PERIOD) -> ScanResult:
     """Per-step-size orbit classification with accumulation-cell
     occupancy; defaults reproduce the full bifurcation protocol
     (3000 step sizes on (0, 8], 2000 steps, 1000 cells on [-10, 10],
     burn-in 1000, divergence threshold 1000, x0 = -0.1).
 
-    Rows are emitted in step-size order regardless of thread count.
+    Every step size is one row of one block stepped through the
+    scenario's composed map; only the post-burn-in tail is kept. Rows
+    are emitted in step-size order.
     """
+    if burn_in >= n_steps:
+        raise ValueError("burn_in must be smaller than n_steps")
     x0 = as_point(x0)
     if etas is None:
         etas = eta_grid(eta_lo, eta_hi, eta_n)
-    work = [(scenario.name, {k: v for k, v in scenario.params.items()
-                             if not k.startswith("_")},
-             float(e), x0, n_steps, burn_in, cell_lo, cell_hi, n_cells,
-             threshold, tol, max_period) for e in etas]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_scan_one, work, chunksize=32))
-    else:
-        rows = [_scan_one(w) for w in work]
-    return ScanResult(rows=rows)
+    etas = [float(e) for e in etas]
+    tails, diverged_at = _iterate(compose_map(scenario, etas),
+                                  np.tile(x0, (len(etas), 1)), n_steps,
+                                  threshold, keep_from=burn_in)
+    bounded = diverged_at < 0
+    tails = tails[:, bounded]
+    found = zip(_classify_tails(tails, tol, max_period),
+                _cell_indices(tails[..., 0], cell_lo, cell_hi, n_cells))
+    diverged = (Classification("diverged"), ())
+    return ScanResult(rows=[ScanRow(e, *(next(found) if b else diverged))
+                            for e, b in zip(etas, bounded)])
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +422,13 @@ def radial_containment_score(tail_points: np.ndarray, n_segment: int = 50,
     tree = cKDTree(tail_points)
     rng = np.random.default_rng(seed)
     m = min(max_scored, len(tail_points))
-    idx = rng.choice(len(tail_points), size=m, replace=False)
-    fractions = np.linspace(0.0, 1.0, n_segment)
-    good = 0
-    for i in idx:
-        x = tail_points[i]
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            good += 1
-            continue
-        segment = fractions[:, None] * x[None, :]
-        dists, _ = tree.query(segment)
-        if np.mean(dists <= eps_rel * nx) >= needed_fraction:
-            good += 1
-    return good / m
+    pts = tail_points[rng.choice(len(tail_points), size=m, replace=False)]
+    norms = np.linalg.norm(pts, axis=1)
+    # every scored point's segment, all queried at once
+    segments = np.linspace(0.0, 1.0, n_segment)[None, :, None] * pts[:, None, :]
+    dists, _ = tree.query(segments.reshape(-1, pts.shape[1]))
+    covered = np.mean(dists.reshape(m, n_segment) <= eps_rel * norms[:, None], axis=1)
+    return int(np.count_nonzero((norms == 0.0) | (covered >= needed_fraction))) / m
 
 
 def star_scan(eta: float, n_samples: int = 100, sample_half_width: float = 500.0,
@@ -392,23 +442,17 @@ def star_scan(eta: float, n_samples: int = 100, sample_half_width: float = 500.0
     from the wide start box overshoot the bifurcation threshold, so the
     default divergence cutoff is 1e6.
     """
-    sc = build_scenario("star_2d")
-    gd_map = compose_map(sc, eta)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-sample_half_width, sample_half_width, size=(n_samples, 2))
-    tails = []
+    points, diverged_at = _iterate(compose_map(build_scenario("star_2d"), eta),
+                                   starts, n_steps, threshold)
+    bounded = points[:, diverged_at < 0]                 # (n_steps + 1, n, 2)
+    n_bounded = bounded.shape[1]
     series_sum = np.zeros(n_steps + 1)
-    n_bounded = 0
-    for x0 in starts:
-        orbit = iterate_orbit(gd_map, x0, n_steps, threshold)
-        if not orbit.bounded:
-            continue
-        n_bounded += 1
-        pts = np.array(orbit.points)
-        series_sum += np.linalg.norm(pts, axis=1)
-        keep_from = int(len(pts) * (1.0 - tail_fraction))
-        tails.append(pts[keep_from:])
-    tail_points = np.vstack(tails) if tails else np.empty((0, 2))
+    for norms in np.linalg.norm(bounded, axis=-1).T:    # in start order
+        series_sum += norms
+    keep_from = int((n_steps + 1) * (1.0 - tail_fraction))
+    tail_points = bounded[keep_from:].transpose(1, 0, 2).reshape(-1, 2)
     avg = series_sum / n_bounded if n_bounded else np.full(n_steps + 1, np.inf)
     score = radial_containment_score(tail_points, **(score_kwargs or {})) \
         if n_bounded else 0.0

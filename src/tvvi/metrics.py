@@ -30,8 +30,10 @@ def tracking_series(traj: Trajectory) -> np.ndarray:
 
 
 def tracking_error(traj: Trajectory) -> float:
-    """Cumulative squared distance of the plays to the solutions."""
-    return float(tracking_series(traj)[-1])
+    """Cumulative squared distance of the plays to the solutions, 0.0 for
+    no recorded rounds."""
+    series = tracking_series(traj)
+    return float(series[-1]) if series.size else 0.0
 
 
 def quadratic_path_length(solutions) -> float:

@@ -185,8 +185,11 @@ def exp_quadratic_operator(A) -> Operator:
     dim = A.shape[0]
 
     def fn(X: np.ndarray) -> np.ndarray:
-        AX = X @ A.T
-        q = 0.5 * np.einsum("...i,...i->...", X, AX)      # q >= 0 for PD A
+        # An explicit last-axis product (einsum's own loops, no BLAS)
+        # rounds every row the same way whether X is one point or a
+        # block; X @ A.T does not (gemv vs gemm) when A is not diagonal.
+        AX = np.einsum("...j,ij->...i", X, A)
+        q = 0.5 * (X * AX).sum(axis=-1)                   # q >= 0 for PD A
         return (1.0 / (1.0 + np.exp(-q)))[..., None] * AX
 
     op = Operator(fn=fn, dim=dim, mu=float(eigs[0]) / 2.0,

@@ -43,6 +43,22 @@ class TestProjection:
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
             assert np.array_equal(project(domain, px), px)
 
+    @pytest.mark.parametrize("domain", [
+        Domain.box([-1, -2], [2, 1]),
+        Domain.ball([0.5, -0.5], 1.5),
+        Domain.interval(-3.0, 2.0),
+        Domain.unbounded(2),
+    ], ids=["box", "ball", "interval", "unbounded"])
+    def test_block_matches_rows(self, domain):
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-5, 5, (1000, domain.dim))
+        pts[0] = domain.center if domain.kind == "ball" else pts[0]
+        block = project(domain, pts)
+        assert block.shape == pts.shape
+        for x, px in zip(pts, block):
+            assert np.array_equal(project(domain, x), px)
+        assert np.array_equal(project(domain, block), block)
+
     def test_diameter(self):
         assert Domain.box([0, 0], [3, 4]).diameter == 5.0
         assert Domain.ball([0], 2.0).diameter == 4.0

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from tvvi.dynamics import (IntervalMapError, classify_eta, compose_map,
-                           eta_grid, iterate_orbit, newton_periodic_orbit,
-                           orbit_stability, period3_search,
-                           radial_containment_score, star_scan)
+from tvvi.core import Domain
+from tvvi.dynamics import (IntervalMapError, bifurcation_scan, classify_eta,
+                           classify_orbit, compose_map, eta_grid, iterate_orbit,
+                           newton_periodic_orbit, orbit_stability,
+                           period3_search, radial_containment_score, star_scan)
 from tvvi.scenarios import build_scenario, periodic_quadratic
 
 
@@ -46,6 +47,19 @@ class TestComposeMap:
         for _ in range(6):
             composed = m(composed)
         assert per_step[0] == composed[0]   # bitwise
+
+    def test_per_row_eta_matches_one_eta(self, chaos):
+        etas = [0.4, 2.0, 3.9, 6.1]
+        x = np.array([[-0.1], [0.3], [1.2], [-2.0]])
+        block = compose_map(chaos, etas).power(x, 5)
+        for eta, xi, out in zip(etas, x, block):
+            assert np.array_equal(compose_map(chaos, eta).power(xi, 5), out)
+
+    def test_block_counts_one_evaluation_per_row(self, chaos):
+        before = [op.evals for op in compose_map(chaos, 1.0).ops]
+        m = compose_map(chaos, [1.0, 2.0, 3.0])
+        m(np.zeros((3, 1)))
+        assert [op.evals - b for op, b in zip(m.ops, before)] == [3, 3]
 
     def test_requires_period(self):
         sc = build_scenario("quadratic_drift")
@@ -110,7 +124,6 @@ class TestClassification:
 
 class TestBifurcationScan:
     def test_converged_rows_collapse_to_adjacent_cells(self, chaos):
-        from tvvi.dynamics import bifurcation_scan
         result = bifurcation_scan(chaos, [-0.1], etas=[0.4, 7.6, 8.0],
                                   n_steps=1500, burn_in=1000)
         for row in result.rows:
@@ -122,11 +135,44 @@ class TestBifurcationScan:
             assert max(cells) - min(cells) <= 1
 
     def test_diverged_rows_have_no_cells(self, chaos):
-        from tvvi.dynamics import bifurcation_scan
         result = bifurcation_scan(chaos, [-0.1], etas=[2.0], n_steps=500,
                                   burn_in=100)
         assert result.rows[0].classification.kind == "diverged"
         assert result.rows[0].occupied_cells == ()
+
+    def test_rows_match_one_orbit_each(self, chaos):
+        # the reference: each step size alone through iterate_orbit
+        etas = eta_grid(0.0, 8.0, 40) + [3.9, 6.1]
+        result = bifurcation_scan(chaos, [-0.1], etas=etas, n_steps=1200,
+                                  burn_in=1000, n_cells=200)
+        width = 20.0 / 200
+        for eta, row in zip(etas, result.rows):
+            orbit = iterate_orbit(compose_map(chaos, eta), [-0.1], 1200)
+            assert row.eta == eta
+            assert row.classification == classify_orbit(orbit, 1000)
+            cells = set()
+            if orbit.bounded:
+                for p in orbit.points[1000:]:
+                    if -10.0 <= p[0] <= 10.0:
+                        cells.add(min(int((p[0] + 10.0) / width), 199))
+            assert row.occupied_cells == tuple(sorted(cells))
+
+    @pytest.mark.parametrize("domain", [None, Domain.interval(-1.0, 1.0)],
+                             ids=["unbounded", "interval"])
+    def test_steps_the_scenario_given(self, domain):
+        # a scenario outside the catalog is scanned as given
+        sc = periodic_quadratic([[0.5], [-0.5]], domain=domain)
+        result = bifurcation_scan(sc, [0.0], etas=[0.1, 1.0, 2.5], n_steps=300,
+                                  burn_in=200)
+        kinds = [r.classification.kind for r in result.rows]
+        # the composed map is x -> (1 - eta)^2 x - eta^2 / 2, fixed at
+        # -eta / (2 (2 - eta)) for eta < 2; the interval clips eta = 2.5
+        # to its end -1
+        assert kinds == ["converged", "converged",
+                         "diverged" if domain is None else "converged"]
+        expected = [-0.1 / 3.8, -0.5] + ([] if domain is None else [-1.0])
+        for row, x in zip(result.rows, expected):
+            assert row.occupied_cells == (int((x + 10.0) / 0.02),)
 
 
 class TestNewton:
@@ -213,6 +259,35 @@ class TestStarScan:
         res = star_scan(1.35, n_samples=60, n_steps=400, seed=0)
         assert res.n_diverged == 0
         assert res.radial_score > 0.8
+
+    def test_matches_one_orbit_per_start(self):
+        # the reference: each start alone through iterate_orbit
+        res = star_scan(1.35, n_samples=20, n_steps=300, seed=5)
+        m = compose_map(build_scenario("star_2d"), 1.35)
+        starts = np.random.default_rng(5).uniform(-500.0, 500.0, size=(20, 2))
+        tails, series = [], np.zeros(301)
+        for x0 in starts:
+            orbit = iterate_orbit(m, x0, 300, threshold=1e6)
+            assert orbit.bounded
+            pts = np.array(orbit.points)
+            series += np.linalg.norm(pts, axis=1)
+            tails.append(pts[150:])
+        assert np.array_equal(res.tail_points, np.vstack(tails))
+        assert np.array_equal(res.avg_norm_series, series / 20)
+
+    def test_radial_score_matches_per_point_loop(self):
+        from scipy.spatial import cKDTree
+        rng = np.random.default_rng(11)
+        pts = rng.standard_normal((3000, 2)) * rng.uniform(0.2, 1.0, (3000, 1))
+        tree = cKDTree(pts)
+        idx = np.random.default_rng(0).choice(3000, size=2000, replace=False)
+        fractions = np.linspace(0.0, 1.0, 50)
+        good = 0
+        for x in pts[idx]:
+            nx = float(np.linalg.norm(x))
+            dists, _ = tree.query(fractions[:, None] * x[None, :])
+            good += np.mean(dists <= 0.05 * nx) >= 0.9
+        assert radial_containment_score(pts) == good / 2000
 
     def test_radial_score_ring_is_low(self):
         # a thin annulus is far from star-shaped

@@ -50,6 +50,12 @@ class TestTrackingError:
         b = tracking_error(traj_1d(plays + shift, sols + shift))
         assert a == pytest.approx(b, rel=1e-12)
 
+    def test_zero_on_round_one_divergence(self):
+        sc = build_scenario("quadratic_drift")
+        traj = run_tracker(sc.seq, ContractiveForward(0.5), sc.domain, [1e7], 10)
+        assert traj.diverged_at == 1 and traj.solutions == []
+        assert tracking_error(traj) == 0.0
+
     def test_missing_solutions(self):
         t = traj_1d([1.0], None)
         with pytest.raises(ValueError):

@@ -164,6 +164,19 @@ class TestBatchEvaluation:
             for x, out in zip(pts, batch):
                 assert np.allclose(evaluate(op, x), out, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["chaos_1d", "star_2d"])
+    def test_exp_quadratic_rows_bitwise(self, name):
+        # the block scans rely on a row of a block evaluating exactly as
+        # the same point alone
+        sc = build_scenario(name)
+        rng = np.random.default_rng(3000)
+        for t in (1, 2):
+            op = sc.seq.at(t)
+            pts = rng.uniform(-10, 10, (3000, op.dim))
+            batch = op.fn(pts)
+            for x, out in zip(pts, batch):
+                assert np.array_equal(op.fn(x), out)
+
     def test_glm_logistic_batch_matches_scalar(self):
         sc = build_scenario("glm", {"dim": 2, "link": "scaled_logistic",
                                     "lam_reg": 0.1, "seed": 9})
