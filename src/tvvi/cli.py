@@ -3,15 +3,13 @@
 Every command reads one flat config file, runs deterministically given
 the seeds it names, and writes plot-ready CSV/JSON rows. Scan-type
 commands step every step size or start as one vectorized block in one
-process; --threads (and TVVI_THREADS) is still accepted but changes
-nothing.
+process; --threads is still accepted but changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -285,8 +283,7 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("csv", "json"),
                         help="output format (overrides output.format)")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("TVVI_THREADS", "1")),
+    parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; scans run as one "
                              "vectorized block in one process")
     parser.add_argument("--fail-on-divergence", action="store_true",

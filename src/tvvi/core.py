@@ -117,12 +117,9 @@ def project(domain: Domain, p) -> np.ndarray:
     # epsilon absorbs the rescaling roundoff so projecting twice is a
     # no-op bit for bit.
     v = p - domain.center
-    nv = np.sqrt(np.add.reduce(v * v, axis=-1))
+    nv = np.sqrt(np.add.reduce(v * v, axis=-1))[..., None]
     inside = nv <= domain.radius * (1.0 + 8.0 * np.finfo(float).eps)
-    if p.ndim == 1:
-        return p if inside else domain.center + (domain.radius / nv) * v
-    inside = inside[..., None]
-    scale = domain.radius / np.where(inside, domain.radius, nv[..., None])
+    scale = domain.radius / np.where(inside, domain.radius, nv)
     return np.where(inside, p, domain.center + scale * v)
 
 

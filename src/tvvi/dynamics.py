@@ -8,7 +8,11 @@ round-1 map acts first, so the orbit of the composed map started at x0
 coincides with every k-th iterate of the per-step recursion started at
 x0. The map acts on the last axis, so scans step every step size (or
 every start) as one ``(n, d)`` block in one process; one orbit is the
-one-row case of the same code. Newton and stability derivatives use
+one-row case of the same code. A scan row equals that step size or
+start run alone bit for bit when the operators' ``fn`` rounds a row the
+same alone and in a block, as the exp-quadratic catalog does; the
+``X @ A.T`` of ``Operator.from_affine`` may differ in the last bit for
+a non-diagonal ``A`` in d >= 2. Newton and stability derivatives use
 central differences with h = 1e-6.
 """
 
