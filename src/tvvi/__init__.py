@@ -7,11 +7,10 @@ convergence / periodicity / chaos phenomenology of fixed-step gradient
 descent on periodic problems.
 """
 
-from .algorithms import (ContractiveForward, CyclicFB, CyclicFBState,
-                         MetaAdaptive, MetaFixed, MetaState, Resolvent,
-                         StepSchedule, Trajectory, cyclic_fb_step,
-                         forward_step, make_surrogate, meta_step_adaptive,
-                         meta_step_fixed, resolvent_step, run_tracker)
+from .algorithms import (ContractiveForward, CyclicFB, CyclicFBLearner,
+                         MetaAdaptive, MetaFixed, MetaLearner, Resolvent,
+                         StepSchedule, Trajectory, forward_step,
+                         make_surrogate, resolvent_step, run_tracker)
 from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
                    analytic_solution, check_lipschitz, check_strong_monotone,
                    evaluate, project)
@@ -42,10 +41,9 @@ __all__ = [
     "ConfigurationError", "Domain", "Operator", "ProblemSequence",
     "analytic_solution", "check_lipschitz", "check_strong_monotone",
     "evaluate", "project",
-    "ContractiveForward", "CyclicFB", "CyclicFBState", "MetaAdaptive",
-    "MetaFixed", "MetaState", "Resolvent", "StepSchedule", "Trajectory",
-    "cyclic_fb_step", "forward_step", "make_surrogate", "meta_step_adaptive",
-    "meta_step_fixed", "resolvent_step", "run_tracker",
+    "ContractiveForward", "CyclicFB", "CyclicFBLearner", "MetaAdaptive",
+    "MetaFixed", "MetaLearner", "Resolvent", "StepSchedule", "Trajectory",
+    "forward_step", "make_surrogate", "resolvent_step", "run_tracker",
     "AdversarialLowerBound",
     "AggregationRegretBound",
     "AggregationTrackingBound",

@@ -1,7 +1,9 @@
 """Single-iterate contractive solvers, the cyclic forward-backward base
 learner, and the two expert-aggregation meta-algorithms.
 
-The online protocol throughout is: play first, observe second. The meta
+The online protocol throughout is: play first, observe second. Each
+algorithm spec's ``start(z1, domain)`` returns a learner with
+``play(t) -> z`` and ``observe(t, op) -> g``. The meta
 algorithms differ in feedback economy: the fixed-rate variant touches
 the true operator once per round and propagates an affine surrogate to
 its base learners, while the adaptive variant feeds every base learner
@@ -12,7 +14,7 @@ played point).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -79,65 +81,44 @@ def resolvent_step(op: Operator, z) -> np.ndarray:
     return out
 
 
-@dataclass
-class CyclicFBState:
-    """State of the cyclic forward-backward learner with period i.
+class CyclicFBLearner:
+    """The cyclic forward-backward learner with period i.
 
     One independent iterate per assumed phase, updated round-robin.
     ``literal_indexing`` selects the phase as (t mod i) + 1 instead of
     the default ((t-1) mod i) + 1 that makes round 1 touch slot 1.
     """
 
-    period: int
-    slots: list                      # i points
-    slot_steps: list                 # per-slot update counts
-    schedule: StepSchedule
-    literal_indexing: bool = False
-
-    @staticmethod
-    def init(period: int, z1, schedule: StepSchedule,
-             literal_indexing: bool = False) -> "CyclicFBState":
+    def __init__(self, period: int, z1, schedule: StepSchedule, domain: Domain,
+                 literal_indexing: bool = False):
         if period < 1:
             raise ValueError("period must be >= 1")
         z1 = as_point(z1)
-        return CyclicFBState(period=period,
-                             slots=[z1.copy() for _ in range(period)],
-                             slot_steps=[0] * period,
-                             schedule=schedule,
-                             literal_indexing=literal_indexing)
+        self.period = period
+        self.slots = [z1.copy() for _ in range(period)]
+        self.slot_steps = [0] * period          # per-slot update counts
+        self.schedule = schedule
+        self.domain = domain
+        self.literal_indexing = literal_indexing
 
     def slot_index(self, t: int) -> int:
         if self.literal_indexing:
             return t % self.period
         return (t - 1) % self.period
 
+    def play(self, t: int) -> np.ndarray:
+        return self.slots[self.slot_index(t)]
 
-def _cyclic_fb_step_g(state: CyclicFBState, domain: Domain, t: int,
-                      oracle) -> tuple:
-    """cyclic_fb_step that also returns the operator value at the play;
-    ``oracle(z)`` gives F(z): an :class:`Operator` or a caching wrapper."""
-    n = state.slot_index(t)
-    s = state.slot_steps[n] + 1
-    play = state.slots[n]
-    eta = state.schedule.at(s)
-    g = oracle(play)
-    new_slot = project(domain, play - eta * g)
-    slots = list(state.slots)
-    steps = list(state.slot_steps)
-    slots[n] = new_slot
-    steps[n] = s
-    return play, g, replace(state, slots=slots, slot_steps=steps)
-
-
-def cyclic_fb_step(state: CyclicFBState, domain: Domain, t: int,
-                   op_input: Operator) -> tuple:
-    """Play the current slot, then update it with the supplied operator.
-
-    ``op_input`` may be the true operator of round t or a surrogate.
-    Returns (play, new_state).
-    """
-    play, _, new_state = _cyclic_fb_step_g(state, domain, t, op_input)
-    return play, new_state
+    def observe(self, t: int, op) -> np.ndarray:
+        """Step the slot played at round t with ``op``, the true operator
+        or a surrogate (any callable z -> F(z)); returns F at the play."""
+        n = self.slot_index(t)
+        z = self.slots[n]
+        s = self.slot_steps[n] + 1
+        g = op(z)
+        self.slots[n] = project(self.domain, z - self.schedule.at(s) * g)
+        self.slot_steps[n] = s
+        return g
 
 
 def make_surrogate(g, z_t, mu: float) -> Operator:
@@ -172,51 +153,9 @@ def _argmin_weights(cum_loss: np.ndarray) -> np.ndarray:
     return mins / mins.sum()
 
 
-@dataclass
-class MetaState:
-    """State of the aggregation meta-algorithm over K base learners."""
-
-    bases: list                       # K CyclicFBState, periods 1..K
-    weights: np.ndarray               # p_t used for the current round
-    cum_loss: np.ndarray
-    lr_mode: str                      # "fixed" | "adaptive"
-    lam: Optional[float] = None       # fixed learning rate
-    cum_gap: float = 0.0              # sum of (lbar_s - m_s)_+ from T0 on
-    t0_passed: bool = False
-    t: int = 1                        # next round index
-    last_losses: Optional[np.ndarray] = field(default=None, compare=False)
-
-    @property
-    def K(self) -> int:
-        return len(self.bases)
-
-
 def fixed_learning_rate(mu: float, D: float, G: float) -> float:
     """The exp-concavity learning rate 1 / (4 mu (D + G/mu)^2)."""
     return 1.0 / (4.0 * mu * (D + G / mu) ** 2)
-
-
-def init_meta_fixed(K: int, z1, mu: float, D: float, G: float) -> MetaState:
-    if D is None or G is None:
-        raise ConfigurationError("meta_step_fixed requires D and G")
-    bases = [CyclicFBState.init(i, z1, StepSchedule.inverse_mu_t(mu))
-             for i in range(1, K + 1)]
-    return MetaState(bases=bases, weights=np.full(K, 1.0 / K),
-                     cum_loss=np.zeros(K), lr_mode="fixed",
-                     lam=fixed_learning_rate(mu, D, G))
-
-
-def init_meta_adaptive(K: int, z1, lip: float) -> MetaState:
-    if lip is None or lip <= 0:
-        raise ConfigurationError("meta_step_adaptive requires a Lipschitz constant")
-    bases = [CyclicFBState.init(i, z1, StepSchedule.constant(1.0 / lip))
-             for i in range(1, K + 1)]
-    return MetaState(bases=bases, weights=np.full(K, 1.0 / K),
-                     cum_loss=np.zeros(K), lr_mode="adaptive")
-
-
-def _base_plays(state: MetaState) -> list:
-    return [b.slots[b.slot_index(state.t)] for b in state.bases]
 
 
 def _losses(g: np.ndarray, base_plays: list, play: np.ndarray, mu: float) -> np.ndarray:
@@ -224,107 +163,132 @@ def _losses(g: np.ndarray, base_plays: list, play: np.ndarray, mu: float) -> np.
                      for zi in base_plays])
 
 
-def meta_step_fixed(state: MetaState, domain: Domain, seq_op: Operator,
-                    mu: float) -> tuple:
-    """One round of the fixed-rate meta-algorithm.
-
-    Plays the weighted combination of base plays, observes the operator
-    once at the played point, scores every base with the inner-product
-    loss, refreshes the exponential weights, and propagates the affine
-    surrogate to all base learners.
-
-    Returns (play, g, new_state).
-    """
-    t = state.t
-    base_plays = _base_plays(state)
-    play = np.sum([p * z for p, z in zip(state.weights, base_plays)], axis=0)
-    g = evaluate(seq_op, play)                      # the round's single evaluation
-    losses = _losses(g, base_plays, play, mu)
-    cum_loss = state.cum_loss + losses
-    weights = exp_weights(cum_loss, state.lam)
-    surrogate = make_surrogate(g, play, mu)
-    bases = [_cyclic_fb_step_g(b, domain, t, surrogate)[2] for b in state.bases]
-    new_state = replace(state, bases=bases, weights=weights,
-                        cum_loss=cum_loss, t=t + 1, last_losses=losses)
-    return play, g, new_state
-
-
-def meta_step_adaptive(state: MetaState, domain: Domain, seq_op: Operator,
-                       mu: float) -> tuple:
-    """One round of the adaptively-tuned meta-algorithm.
-
-    Base learners receive the true operator (one evaluation per base,
-    deduplicated when base plays coincide with the played point). The
-    learning rate stays effectively infinite (uniform weights over the
-    argmin set of cumulative loss) until the first round where the mix
-    loss drops below the played loss; afterwards it follows
-    lambda_t = log K / cum_gap.
-
-    Returns (play, g, new_state).
-    """
-    t = state.t
-    K = state.K
-    base_plays = _base_plays(state)
-    play = np.sum([p * z for p, z in zip(state.weights, base_plays)], axis=0)
-
+def _memoized(op: Operator):
+    """``op`` evaluated once per distinct point."""
     cache: dict = {}
 
     def f(z: np.ndarray) -> np.ndarray:
         key = z.tobytes()
         if key not in cache:
-            cache[key] = evaluate(seq_op, z)
+            cache[key] = evaluate(op, z)
         return cache[key]
 
-    g = f(play)
-    losses = _losses(g, base_plays, play, mu)
-    lbar = float(np.dot(g, play))
+    return f
 
-    if state.t0_passed:
-        lam_t = math.log(K) / state.cum_gap
-    else:
-        lam_t = math.inf
-    m_t = mix_loss(state.weights, losses, lam_t)
 
-    cum_gap = state.cum_gap
-    t0_passed = state.t0_passed
-    if t0_passed:
-        cum_gap += max(lbar - m_t, 0.0)
-    elif K > 1 and lbar > m_t + T0_TOL:
-        t0_passed = True                            # this round is T0
-        cum_gap += max(lbar - m_t, 0.0)
+class MetaLearner:
+    """Exponentially weighted aggregation of K cyclic learners with
+    periods 1..K, started at ``z1`` with a shared step schedule.
 
-    cum_loss = state.cum_loss + losses
-    if t0_passed:
-        weights = exp_weights(cum_loss, math.log(K) / cum_gap)
-    else:
-        weights = _argmin_weights(cum_loss)
+    Plays the weighted combination of the base plays, observes the
+    operator at the played point and scores every base with the
+    inner-product loss. The two meta-algorithms differ only in how
+    observe updates. With a fixed rate ``lam`` the bases get the affine
+    surrogate built from that one evaluation (Zhang, Lu & Zhou 2018), so
+    the true operator is touched once per round. Otherwise (``lam`` is
+    None) the bases get the true operator, one evaluation per distinct
+    point, and the rate is tuned: effectively infinite (uniform weights
+    over the argmin set of cumulative loss) until T0, the first round
+    whose mix loss drops below the played loss, and lambda_t =
+    log K / cum_gap afterwards.
+    """
 
-    # bases update with the true operator at their own slot values
-    bases = [_cyclic_fb_step_g(b, domain, t, f)[2] for b in state.bases]
+    def __init__(self, K: int, z1, schedule: StepSchedule, domain: Domain,
+                 mu: float, lam: Optional[float] = None):
+        self.bases = [CyclicFBLearner(i, z1, schedule, domain)
+                      for i in range(1, K + 1)]
+        self.mu = mu
+        self.lam = lam
+        self.weights = np.full(K, 1.0 / K)      # p_t for the current round
+        self.cum_loss = np.zeros(K)
+        self.cum_gap = 0.0                      # sum of (lbar_s - m_s)_+ from T0 on
+        self.t0_passed = False
 
-    new_state = replace(state, bases=bases, weights=weights, cum_loss=cum_loss,
-                        cum_gap=cum_gap, t0_passed=t0_passed, t=t + 1,
-                        last_losses=losses)
-    return play, g, new_state
+    def play(self, t: int) -> np.ndarray:
+        self.base_plays = [b.play(t) for b in self.bases]
+        self.z = np.sum([p * z for p, z in zip(self.weights, self.base_plays)],
+                        axis=0)
+        return self.z
+
+    def observe(self, t: int, op: Operator) -> np.ndarray:
+        f = _memoized(op)
+        g = f(self.z)
+        losses = _losses(g, self.base_plays, self.z, self.mu)
+        self.cum_loss = self.cum_loss + losses
+        if self.lam is not None:
+            self.weights = exp_weights(self.cum_loss, self.lam)
+            f = make_surrogate(g, self.z, self.mu)
+        else:
+            self._tune(g, losses)
+        for b in self.bases:
+            b.observe(t, f)
+        return g
+
+    def _tune(self, g: np.ndarray, losses: np.ndarray) -> None:
+        K = len(self.bases)
+        lbar = float(np.dot(g, self.z))
+        lam_t = math.log(K) / self.cum_gap if self.t0_passed else math.inf
+        m_t = mix_loss(self.weights, losses, lam_t)
+        if not self.t0_passed and K > 1 and lbar > m_t + T0_TOL:
+            self.t0_passed = True                   # this round is T0
+        if self.t0_passed:
+            self.cum_gap += max(lbar - m_t, 0.0)
+            self.weights = exp_weights(self.cum_loss, math.log(K) / self.cum_gap)
+        else:
+            self.weights = _argmin_weights(self.cum_loss)
+
+
+class _SingleIterate:
+    """One iterate z: play z, evaluate the operator there, then move z
+    by ``update(op, z, g)``."""
+
+    def __init__(self, z1, update):
+        self.z = as_point(z1)
+        self.update = update
+
+    def play(self, t: int) -> np.ndarray:
+        return self.z
+
+    def observe(self, t: int, op: Operator) -> np.ndarray:
+        g = evaluate(op, self.z)
+        self.z = self.update(op, self.z, g)
+        return g
 
 
 # ---------------------------------------------------------------------------
 # Online protocol driver
 
+# Each algorithm spec checks its constants against the domain in
+# ``start(z1, domain)`` and returns a learner with ``play(t) -> z`` and
+# ``observe(t, op) -> g``, which updates the learner in place.
+
 @dataclass(frozen=True)
 class ContractiveForward:
     eta: float
+
+    def start(self, z1, domain: Domain) -> _SingleIterate:
+        return _SingleIterate(
+            z1, lambda op, z, g: project(domain, z - self.eta * g))
 
 
 @dataclass(frozen=True)
 class Resolvent:
     """Exact resolvent steps; affine operators on unbounded domains only."""
 
+    def start(self, z1, domain: Domain) -> _SingleIterate:
+        if domain.bounded:
+            # the resolvent step solves z' + F(z') = z without projecting
+            raise ConfigurationError("resolvent requires an unbounded domain")
+        return _SingleIterate(z1, lambda op, z, g: resolvent_step(op, z))
+
 
 @dataclass(frozen=True)
 class CyclicFB:
     period: int
     schedule: StepSchedule
+
+    def start(self, z1, domain: Domain) -> CyclicFBLearner:
+        return CyclicFBLearner(self.period, z1, self.schedule, domain)
 
 
 @dataclass(frozen=True)
@@ -334,12 +298,26 @@ class MetaFixed:
     D: float
     G: float
 
+    def start(self, z1, domain: Domain) -> MetaLearner:
+        if not domain.bounded:
+            raise ConfigurationError("meta_step_fixed requires a bounded domain")
+        if self.D is None or self.G is None:
+            raise ConfigurationError("meta_step_fixed requires D and G")
+        return MetaLearner(self.K, z1, StepSchedule.inverse_mu_t(self.mu), domain,
+                           self.mu, lam=fixed_learning_rate(self.mu, self.D, self.G))
+
 
 @dataclass(frozen=True)
 class MetaAdaptive:
     K: int
     mu: float
     lip: float
+
+    def start(self, z1, domain: Domain) -> MetaLearner:
+        if self.lip is None or self.lip <= 0:
+            raise ConfigurationError("meta_step_adaptive requires a Lipschitz constant")
+        return MetaLearner(self.K, z1, StepSchedule.constant(1.0 / self.lip),
+                           domain, self.mu)
 
 
 @dataclass
@@ -367,73 +345,38 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
                 divergence_threshold: float = 1e6) -> Trajectory:
     """Run the online protocol for T rounds and record the trajectory.
 
-    The learner plays first and observes second; adaptive sequences see
-    the play before emitting their operator. The run truncates with a
-    divergence marker once a play exceeds the threshold in norm or
-    stops being finite.
+    Each round the learner plays, the sequence responds to the play with
+    the round's solution (None when unknown) and operator, and the
+    learner observes that operator. The run truncates with a divergence
+    marker once a play exceeds the threshold in norm or stops being
+    finite.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    z1 = as_point(z1)
-
-    if isinstance(algo, MetaFixed):
-        if not domain.bounded:
-            raise ConfigurationError("meta_step_fixed requires a bounded domain")
-        meta = init_meta_fixed(algo.K, z1, algo.mu, algo.D, algo.G)
-    elif isinstance(algo, MetaAdaptive):
-        meta = init_meta_adaptive(algo.K, z1, algo.lip)
-    elif isinstance(algo, CyclicFB):
-        fb = CyclicFBState.init(algo.period, z1, algo.schedule)
-    elif isinstance(algo, Resolvent):
-        if domain.bounded:
-            # the resolvent step solves z' + F(z') = z without projecting
-            raise ConfigurationError("resolvent requires an unbounded domain")
-    elif not isinstance(algo, ContractiveForward):
+    if not hasattr(algo, "start"):
         raise ConfigurationError(f"unknown algorithm spec {algo!r}")
+    learner = algo.start(as_point(z1), domain)
 
-    z = z1
     plays, op_values, solutions = [], [], []
     weights_hist, base_hist = [], []
-    have_solutions = seq.adaptive or seq.solution_at is not None
-    is_meta = isinstance(algo, (MetaFixed, MetaAdaptive))
+    # an adaptive sequence (no ``at``) names the solution in each response
+    have_solutions = seq.at is None or seq.solution_at is not None
+    is_meta = hasattr(learner, "bases")     # also record weights and base plays
     diverged_at = None
 
     for t in range(1, T + 1):
-        if is_meta:
-            round_weights = np.array(meta.weights)
-            round_bases = _base_plays(meta)
-            play = np.sum([p * b for p, b in zip(round_weights, round_bases)],
-                          axis=0)
-        elif isinstance(algo, CyclicFB):
-            play = fb.slots[fb.slot_index(t)]
-        else:
-            play = z
-
+        play = learner.play(t)
         if not np.all(np.isfinite(play)) or \
                 np.linalg.norm(play) > divergence_threshold:
             plays.append(play)
             diverged_at = t
             break
+        if is_meta:
+            round_weights, round_bases = learner.weights, learner.base_plays
 
-        if seq.adaptive:
-            z_star, op = seq.respond(t, play)
-        else:
-            op = seq.operator(t)
-            z_star = seq.solution_at(t) if seq.solution_at is not None else None
-
+        z_star, op = seq.respond(t, play)
         try:
-            if isinstance(algo, MetaFixed):
-                play, g, meta = meta_step_fixed(meta, domain, op, algo.mu)
-            elif isinstance(algo, MetaAdaptive):
-                play, g, meta = meta_step_adaptive(meta, domain, op, algo.mu)
-            elif isinstance(algo, CyclicFB):
-                play, g, fb = _cyclic_fb_step_g(fb, domain, t, op)
-            elif isinstance(algo, ContractiveForward):
-                g = evaluate(op, play)
-                z = project(domain, play - algo.eta * g)
-            else:
-                g = evaluate(op, play)
-                z = resolvent_step(op, play)
+            g = learner.observe(t, op)
         except FloatingPointError:
             plays.append(play)
             diverged_at = t
@@ -452,7 +395,7 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
         op_values=op_values,
         solutions=solutions if have_solutions else None,
         per_base_plays=[list(per_base) for per_base in zip(*base_hist)]
-        if is_meta and base_hist else None,
+        if base_hist else None,
         weights=weights_hist if is_meta else None,
         diverged_at=diverged_at,
     )

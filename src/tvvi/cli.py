@@ -117,11 +117,19 @@ def _derive_contraction(cfg: ExperimentConfig, sc: Scenario) -> float:
     raise ConfigurationError("bound.c required: contraction factor not derivable")
 
 
+def _constant(cfg: ExperimentConfig, key: str, fallback):
+    """The bound constant ``key`` from the config, else the scenario's."""
+    value = cfg.get(key, fallback)
+    if value is None:
+        raise ConfigurationError(f"field {key!r}: required, the scenario "
+                                 "does not define it")
+    return value
+
+
 def _build_bound_spec(cfg: ExperimentConfig, sc: Scenario,
                       traj: alg.Trajectory):
     kind = cfg.values["bound.kind"]
     T = len(traj.op_values)
-    mu = cfg.get("bound.mu", sc.mu)
     if kind == "contractive":
         sols = traj.solutions
         if sols is None:
@@ -132,16 +140,14 @@ def _build_bound_spec(cfg: ExperimentConfig, sc: Scenario,
     if kind == "cyclic_regret":
         G = cfg.get("bound.g") or max(float(np.linalg.norm(g))
                                       for g in traj.op_values)
-        return metrics.CyclicRegretBound(k=int(cfg.get("bound.k", sc.period)), G=float(G),
-                            mu=float(mu), T=T)
+        return metrics.CyclicRegretBound(k=int(_constant(cfg, "bound.k", sc.period)),
+                            G=float(G), mu=float(_constant(cfg, "bound.mu", sc.mu)), T=T)
     if kind in ("aggregation_regret", "aggregation_tracking"):
-        G = cfg.get("bound.g", sc.gbound)
-        D = cfg.get("bound.d", sc.diameter)
-        if G is None or D is None:
-            raise ConfigurationError(f"{kind} needs bound.g and bound.d")
         cls = metrics.AggregationRegretBound if kind == "aggregation_regret" else metrics.AggregationTrackingBound
-        return cls(G=float(G), mu=float(mu), D=float(D),
-                   k=int(cfg.get("bound.k", sc.period)),
+        return cls(G=float(_constant(cfg, "bound.g", sc.gbound)),
+                   mu=float(_constant(cfg, "bound.mu", sc.mu)),
+                   D=float(_constant(cfg, "bound.d", sc.diameter)),
+                   k=int(_constant(cfg, "bound.k", sc.period)),
                    K=int(cfg.get("bound.big_k", cfg.get("algorithm.k", 1))), T=T)
     if kind == "constant_tracking":
         kappa = cfg.get("bound.kappa")
@@ -160,7 +166,8 @@ def _build_bound_spec(cfg: ExperimentConfig, sc: Scenario,
                             k=int(cfg.get("bound.k", sc.period or 1)),
                             K=int(cfg.get("bound.big_k", cfg.get("algorithm.k", 1))))
     if kind == "adversarial_lb":
-        return metrics.AdversarialLowerBound(D=float(cfg.get("bound.d", sc.diameter)), T=T)
+        return metrics.AdversarialLowerBound(
+            D=float(_constant(cfg, "bound.d", sc.diameter)), T=T)
     raise ConfigurationError(f"unknown bound kind {kind!r}")
 
 
@@ -248,7 +255,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str, fmt: str,
                    seed_override=None) -> int:
     """Dispatch one experiment and write its rows; returns the exit code."""
     if seed_override is not None and cfg.scenario in _SEEDED_SCENARIOS:
-        cfg.scenario_params.setdefault("seed", int(seed_override))
+        cfg.scenario_params["seed"] = int(seed_override)
 
     if cfg.command == "track":
         rows, flagged = _cmd_track(cfg)

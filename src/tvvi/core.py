@@ -113,12 +113,14 @@ def project(domain: Domain, p) -> np.ndarray:
         return p
     if domain.kind in ("box", "interval"):
         return np.clip(p, domain.lower, domain.upper)
-    # ball: radial rescale; the center projects to itself. The relative
-    # epsilon absorbs the rescaling roundoff so projecting twice is a
-    # no-op bit for bit.
+    # ball: radial rescale; the center projects to itself. The slack, a
+    # few ulps of the radius plus the center's norm, absorbs the roundoff
+    # of rescaling and of adding the center back, so projecting twice is
+    # a no-op bit for bit.
     v = p - domain.center
     nv = np.sqrt(np.add.reduce(v * v, axis=-1))[..., None]
-    inside = nv <= domain.radius * (1.0 + 8.0 * np.finfo(float).eps)
+    slack = 8.0 * np.finfo(float).eps * (domain.radius + np.linalg.norm(domain.center))
+    inside = nv <= domain.radius + slack
     scale = domain.radius / np.where(inside, domain.radius, nv)
     return np.where(inside, p, domain.center + scale * v)
 
@@ -264,20 +266,26 @@ def check_lipschitz(op: Operator, lip: float, domain: Domain,
 class ProblemSequence:
     """A time-indexed family of operators, optionally periodic.
 
-    ``at(t)`` is pure for scripted sequences (t is 1-based). Adaptive
-    sequences (the lower-bound adversary) are stateful instead: the
-    operator for round t is produced by ``respond(t, play)`` after
-    seeing the learner's play, and ``at`` must not be used.
+    ``respond(t, play) -> (z_star or None, op)`` is the one entry point of
+    the online protocol (t is 1-based). Scripted sequences give a pure
+    ``at(t)`` and, when known, ``solution_at(t)``; their default
+    ``respond`` ignores the play and reads both at call time. Adaptive
+    sequences (the lower-bound adversary) have no ``at`` and pass their
+    own stateful ``respond``, which sees the play before choosing the
+    operator.
     """
 
     at: Optional[Callable[[int], Operator]]
     dim: int
     period: Optional[int] = None
     solution_at: Optional[Callable[[int], np.ndarray]] = None
-    adaptive: bool = False
-    respond: Optional[Callable[[int, np.ndarray], tuple]] = None
+    respond: Optional[Callable[[int, np.ndarray], tuple]] = field(
+        default=None, repr=False, compare=False)
 
-    def operator(self, t: int) -> Operator:
-        if self.adaptive:
-            raise ConfigurationError("adaptive sequence requires respond(t, play)")
-        return self.at(t)
+    def __post_init__(self):
+        if self.respond is None:
+            self.respond = self._scripted_respond
+
+    def _scripted_respond(self, t: int, play) -> tuple:
+        op = self.at(t)
+        return (None if self.solution_at is None else self.solution_at(t)), op

@@ -351,17 +351,18 @@ def period3_search(gd_map: GDMap, lo: float, hi: float, n_grid: int = 4000,
         return []
 
     check = np.linspace(lo, hi, interval_check_n)
-    for u in check:
-        v = float(gd_map(np.array([u]))[0])
-        if not lo <= v <= hi:
-            raise IntervalMapError(
-                f"map sends {u:.6g} to {v:.6g}, outside [{lo}, {hi}]")
+    mapped = gd_map(check[:, None])[:, 0]
+    outside = np.flatnonzero(~((lo <= mapped) & (mapped <= hi)))
+    if outside.size:
+        u, v = check[outside[0]], mapped[outside[0]]
+        raise IntervalMapError(
+            f"map sends {u:.6g} to {v:.6g}, outside [{lo}, {hi}]")
 
     def g(u: float) -> float:
         return u - float(gd_map.power(np.array([u]), 3)[0])
 
     grid = np.linspace(lo, hi, n_grid)
-    vals = np.array([g(u) for u in grid])
+    vals = grid - gd_map.power(grid[:, None], 3)[:, 0]
     roots = []
     for i in range(n_grid - 1):
         a, b = float(grid[i]), float(grid[i + 1])

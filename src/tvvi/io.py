@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 from typing import Iterable
 
 import numpy as np
@@ -54,7 +55,10 @@ def _json_value(v):
 
 
 def emit_rows(rows: Iterable[dict], fmt: str, path: str) -> None:
-    """Write homogeneous rows as CSV or JSON."""
+    """Write homogeneous rows as CSV or JSON.
+
+    The rows go to a temporary file next to ``path`` that then replaces
+    it, so a failed write leaves an existing ``path`` as it was."""
     rows = list(rows)
     if rows:
         header = list(rows[0].keys())
@@ -63,26 +67,31 @@ def emit_rows(rows: Iterable[dict], fmt: str, path: str) -> None:
                 raise ValueError("rows must share one schema")
     else:
         header = []
+    if fmt == "csv":
+        buf = io.StringIO()
+        buf.write(SCHEMA_LINE + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for r in rows:
+            writer.writerow([format_value(v) for v in r.values()])
+        data = buf.getvalue()
+    elif fmt == "json":
+        data = json.dumps(
+            {"schema": "v1",
+             "rows": [{k: _json_value(v) for k, v in r.items()} for r in rows]},
+            indent=None, separators=(",", ":")) + "\n"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        if fmt == "csv":
-            buf = io.StringIO()
-            buf.write(SCHEMA_LINE + "\n")
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(header)
-            for r in rows:
-                writer.writerow([format_value(v) for v in r.values()])
-            data = buf.getvalue()
-        elif fmt == "json":
-            data = json.dumps(
-                {"schema": "v1",
-                 "rows": [{k: _json_value(v) for k, v in r.items()} for r in rows]},
-                indent=None, separators=(",", ":")) + "\n"
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(data)
+        os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"failed writing {path!r}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def parse_value(text: str):

@@ -565,7 +565,7 @@ def build_lower_bound_adversary(params: dict = None) -> Scenario:
     def respond(t: int, play) -> tuple:
         return adversary_step(state, play)
 
-    seq = ProblemSequence(at=None, dim=1, adaptive=True, respond=respond)
+    seq = ProblemSequence(at=None, dim=1, respond=respond)
     return Scenario(name="lower_bound_adversary", seq=seq,
                     domain=Domain.interval(-1.0, 1.0), mu=1.0, lip=1.0,
                     initial_solution=np.array([z0]), params=p)
@@ -685,7 +685,7 @@ def verify_scenario(sc: Scenario, n_samples: int = 10_000, seed: int = 0,
             add("rsi_inequality", f"a={a} min_factor={m:.4f}", m >= RSI_MU)
 
     ops = []
-    if sc.seq.adaptive:
+    if sc.seq.at is None:
         state = AdversaryState(prev=0.0)
         ops = [adversary_step(state, np.array([0.3]))[1]]
     else:

@@ -6,12 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from tvvi.algorithms import (ContractiveForward, CyclicFB, CyclicFBState,
+from tvvi.algorithms import (ContractiveForward, CyclicFB, CyclicFBLearner,
                              MetaAdaptive, MetaFixed, Resolvent, StepSchedule,
-                             cyclic_fb_step, exp_weights, fixed_learning_rate,
-                             forward_step, init_meta_adaptive, init_meta_fixed,
-                             make_surrogate, meta_step_adaptive,
-                             meta_step_fixed, mix_loss, resolvent_step,
+                             exp_weights, fixed_learning_rate, forward_step,
+                             make_surrogate, mix_loss, resolvent_step,
                              run_tracker)
 from tvvi.core import ConfigurationError, Domain, Operator, ProblemSequence
 from tvvi.scenarios import build_scenario, periodic_quadratic
@@ -108,39 +106,42 @@ class TestResolventStep:
 
 class TestCyclicFB:
     def test_slot_selection(self):
-        st = CyclicFBState.init(2, [0.0], StepSchedule.constant(0.1))
+        st = CyclicFB(2, StepSchedule.constant(0.1)).start([0.0], UNB1)
         assert st.slot_index(1) == 0
         assert st.slot_index(2) == 1
         assert st.slot_index(3) == 0
 
     def test_literal_indexing_variant(self):
-        st = CyclicFBState.init(2, [0.0], StepSchedule.constant(0.1),
-                                literal_indexing=True)
+        st = CyclicFBLearner(2, [0.0], StepSchedule.constant(0.1), UNB1,
+                             literal_indexing=True)
         assert st.slot_index(1) == 1
         assert st.slot_index(2) == 0
 
     def test_slot_update_counts(self):
         op = affine_op([[1.0]], [0.0])
-        st = CyclicFBState.init(2, [1.0], StepSchedule.constant(0.1))
+        st = CyclicFB(2, StepSchedule.constant(0.1)).start([1.0], UNB1)
         for t in range(1, 5):
-            _, st = cyclic_fb_step(st, UNB1, t, op)
+            st.play(t)
+            st.observe(t, op)
         assert st.slot_steps == [2, 2]
 
     def test_single_period_hits_center(self):
         # i = 1, eta_s = 1/s: the first update lands exactly on c
         c = 0.8
         op = affine_op([[1.0]], [-c])
-        st = CyclicFBState.init(1, [5.0], StepSchedule.inverse_mu_t(1.0))
-        _, st = cyclic_fb_step(st, UNB1, 1, op)
+        st = CyclicFB(1, StepSchedule.inverse_mu_t(1.0)).start([5.0], UNB1)
+        st.play(1)
+        st.observe(1, op)
         assert st.slots[0][0] == pytest.approx(c, abs=1e-12)
 
     def test_reduces_to_ogd(self):
         # period 1 with eta_t = 1/(mu t) is online gradient descent
         ops = [affine_op([[1.0]], [-c]) for c in (1.0, -2.0, 0.5)]
-        st = CyclicFBState.init(1, [0.0], StepSchedule.inverse_mu_t(1.0))
+        st = CyclicFB(1, StepSchedule.inverse_mu_t(1.0)).start([0.0], UNB1)
         x = 0.0
         for t, op in enumerate(ops, start=1):
-            play, st = cyclic_fb_step(st, UNB1, t, op)
+            play = st.play(t)
+            st.observe(t, op)
             assert play[0] == pytest.approx(x, abs=1e-12)
             x = x - (1.0 / t) * (x - float(-op.affine[1][0]))
 
@@ -248,18 +249,20 @@ class TestMetaFixed:
 
     def test_single_base_equals_base_play(self):
         dom = box1()
-        st = init_meta_fixed(1, [1.0], mu=1.0, D=4.0, G=3.0)
+        st = MetaFixed(K=1, mu=1.0, D=4.0, G=3.0).start([1.0], dom)
         op = affine_op([[1.0]], [-0.5])
-        play, _, st = meta_step_fixed(st, dom, op, mu=1.0)
+        play = st.play(1)
+        st.observe(1, op)
         assert play[0] == 1.0
         assert np.allclose(st.weights, [1.0])
 
     def test_symmetric_bases_stay_uniform(self):
         dom = box1()
-        st = init_meta_fixed(2, [1.0], mu=1.0, D=4.0, G=3.0)
+        st = MetaFixed(K=2, mu=1.0, D=4.0, G=3.0).start([1.0], dom)
         op = affine_op([[1.0]], [-0.5])
         # round 1: both bases play the shared start, losses coincide
-        _, _, st = meta_step_fixed(st, dom, op, mu=1.0)
+        st.play(1)
+        st.observe(1, op)
         assert np.allclose(st.weights, [0.5, 0.5], atol=1e-15)
 
     def test_weight_simplex_along_run(self):
@@ -273,10 +276,11 @@ class TestMetaFixed:
     def test_one_evaluation_per_round(self):
         dom = box1()
         probe = affine_op([[1.0]], [-0.5])
-        st = init_meta_fixed(4, [1.0], mu=1.0, D=4.0, G=3.0)
+        st = MetaFixed(K=4, mu=1.0, D=4.0, G=3.0).start([1.0], dom)
         for t in range(1, 20):
             before = probe.evals
-            _, _, st = meta_step_fixed(st, dom, probe, mu=1.0)
+            st.play(t)
+            st.observe(t, probe)
             assert probe.evals - before == 1
 
     def test_requires_bounded_domain(self):
@@ -291,24 +295,26 @@ class TestMetaAdaptive:
         # a round with lbar <= min loss and a unique cumulative argmin
         # must produce an indicator weight vector
         dom = Domain.unbounded(1)
-        st = init_meta_adaptive(2, [1.0], lip=2.0)
+        st = MetaAdaptive(K=2, mu=0.5, lip=2.0).start([1.0], dom)
         st.bases[0].slots[0] = np.array([2.0])
         st.bases[1].slots[0] = np.array([-2.0])
         st.cum_loss = np.array([5.0, 1.0])
         zero_op = Operator(fn=lambda z: np.zeros(1), dim=1)
-        _, _, st = meta_step_adaptive(st, dom, zero_op, mu=0.5)
+        st.play(1)
+        st.observe(1, zero_op)
         assert not st.t0_passed
         assert np.allclose(st.weights, [0.0, 1.0])
 
     def test_lambda_nonincreasing_after_t0(self):
         sc = periodic_quadratic([[1.0], [-1.0]])
-        st = init_meta_adaptive(3, [2.0], lip=sc.lip)
+        st = MetaAdaptive(K=3, mu=sc.mu, lip=sc.lip).start([2.0], sc.domain)
         lams = []
         for t in range(1, 300):
             op = sc.seq.at(t)
             if st.t0_passed:
                 lams.append(math.log(3) / st.cum_gap)
-            _, _, st = meta_step_adaptive(st, sc.domain, op, mu=sc.mu)
+            st.play(t)
+            st.observe(t, op)
         assert len(lams) > 2
         assert all(b <= a + 1e-15 for a, b in zip(lams, lams[1:]))
 
@@ -318,12 +324,13 @@ class TestMetaAdaptive:
         # argmin indicator, giving exactly K distinct points
         sc = periodic_quadratic([[1.0], [-1.0]])
         K = 3
-        st = init_meta_adaptive(K, [2.0], lip=sc.lip)
+        st = MetaAdaptive(K=K, mu=sc.mu, lip=sc.lip).start([2.0], sc.domain)
         for t in range(1, 60):
             op = sc.seq.at(t)
             before = op.evals
             indicator = np.max(st.weights) == 1.0 or t == 1
-            _, _, st = meta_step_adaptive(st, sc.domain, op, mu=sc.mu)
+            st.play(t)
+            st.observe(t, op)
             spent = op.evals - before
             if indicator or t == 1:
                 assert spent <= K

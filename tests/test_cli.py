@@ -108,6 +108,16 @@ class TestEmitRows:
         with pytest.raises(ValueError):
             emit_rows([{"a": 1}, {"b": 2}], "csv", str(tmp_path / "x.csv"))
 
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        emit_rows([{"x": 1.0}], "csv", str(path))
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded, so the write fails midway
+        with pytest.raises(UnicodeEncodeError):
+            emit_rows([{"x": 2.0}, {"x": "\ud800"}], "csv", str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
@@ -247,6 +257,46 @@ run.z1 = 0.0
 """)
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "resolvent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, given, field", [
+        ("cyclic_regret", "", "bound.k"),
+        ("aggregation_tracking", "bound.g = 1.0\nbound.d = 4.0", "bound.k"),
+        ("adversarial_lb", "", "bound.d")],
+        ids=["cyclic_regret", "aggregation_tracking", "adversarial_lb"])
+    def test_bound_constant_missing_exit_code(self, tmp_path, capsys, kind,
+                                              given, field):
+        # quadratic_drift is aperiodic on an unbounded domain: no k, no D
+        cfg = write_cfg(tmp_path, f"""
+command = bounds
+scenario.name = quadratic_drift
+algorithm.kind = forward
+algorithm.eta = 0.25
+run.horizon = 20
+run.z1 = 1.0
+bound.kind = {kind}
+{given}
+""")
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_seed_flag_overrides_scenario_seed(self, tmp_path):
+        cfg = write_cfg(tmp_path, """
+command = track
+scenario.name = streaming_regression
+scenario.seed = 3
+algorithm.kind = resolvent
+run.horizon = 20
+run.z1 = 1.0,1.0,1.0
+""")
+        outs = {}
+        for seed in (3, 7, 9):
+            out = tmp_path / f"s{seed}.csv"
+            assert main(["--config", cfg, "--out", str(out), "--seed", str(seed)]) == 0
+            outs[seed] = out.read_bytes()
+        assert outs[7] != outs[9]
+        plain = tmp_path / "plain.csv"
+        assert main(["--config", cfg, "--out", str(plain)]) == 0
+        assert plain.read_bytes() == outs[3]
 
     def test_json_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL_TRACK)

@@ -244,6 +244,15 @@ class TestPeriodThree:
         with pytest.raises(IntervalMapError):
             period3_search(compose_map(chaos, 2.0), -2.5, 2.5)
 
+    def test_interval_error_names_first_escape(self, chaos):
+        # 0 is fixed, so the first escaping grid point is an interior one
+        m = compose_map(chaos, 2.0)
+        check = np.linspace(0.0, 2.5, 10_000)
+        first = next(u for u in check if not 0.0 <= m(np.array([u]))[0] <= 2.5)
+        assert first > 0.0
+        with pytest.raises(IntervalMapError, match=f"map sends {first:.6g} to"):
+            period3_search(m, 0.0, 2.5)
+
 
 class TestStarScan:
     def test_converged_low_eta(self):

@@ -1,0 +1,124 @@
+"""Property tests of the invariants the tracking proofs rely on:
+projections are idempotent and nonexpansive, exponential weights stay on
+the simplex, and emitted rows read back unchanged."""
+
+import math
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tvvi.algorithms import exp_weights
+from tvvi.core import Domain, project
+from tvvi.io import DIVERGED_TOKEN, emit_rows, read_rows
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=150)
+
+coord = st.floats(-100.0, 100.0)
+
+
+def vectors(d):
+    return st.lists(coord, min_size=d, max_size=d).map(np.array)
+
+
+@st.composite
+def domains(draw):
+    kind = draw(st.sampled_from(["unbounded", "box", "ball", "interval"]))
+    if kind == "interval":
+        lo, hi = sorted(draw(st.lists(coord, min_size=2, max_size=2)))
+        return Domain.interval(lo, hi)
+    d = draw(st.integers(1, 4))
+    if kind == "unbounded":
+        return Domain.unbounded(d)
+    if kind == "box":
+        a, b = draw(vectors(d)), draw(vectors(d))
+        return Domain.box(np.minimum(a, b), np.maximum(a, b))
+    return Domain.ball(draw(vectors(d)), draw(st.floats(1e-3, 100.0)))
+
+
+@st.composite
+def domain_and_block(draw):
+    dom = draw(domains())
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(vectors(dom.dim), min_size=n, max_size=n))
+    return dom, np.array(rows)
+
+
+@PROPERTY
+@given(domain_and_block())
+def test_project_idempotent_on_point_and_block(case):
+    dom, X = case
+    P = project(dom, X)
+    assert P.shape == X.shape
+    np.testing.assert_array_equal(project(dom, P), P)
+    for x, p in zip(X, P):
+        np.testing.assert_array_equal(project(dom, x), p)
+        np.testing.assert_array_equal(project(dom, p), p)
+        assert dom.contains(p, tol=1e-9)
+
+
+@PROPERTY
+@given(domain_and_block())
+def test_project_nonexpansive_on_point_and_block(case):
+    dom, X = case
+    points = [project(dom, x) for x in X]
+    for P in (points, project(dom, X)):
+        for i in range(len(X)):
+            for j in range(i):
+                assert np.linalg.norm(P[i] - P[j]) <= \
+                    np.linalg.norm(X[i] - X[j]) * (1 + 1e-12) + 1e-12
+
+
+losses = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8).map(np.array)
+
+
+@PROPERTY
+@given(losses, st.floats(1e-3, 10.0), st.floats(-1e3, 1e3))
+def test_exp_weights_simplex_and_shift_invariance(cum_loss, lam, shift):
+    w = exp_weights(cum_loss, lam)
+    assert np.all(w >= 0)
+    assert abs(w.sum() - 1.0) <= 1e-12
+    assert w[np.argmin(cum_loss)] == w.max()
+    assert np.max(np.abs(exp_weights(cum_loss + shift, lam) - w)) <= 1e-9
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+# words that no reader takes for a number, a boolean or the divergence token
+words = st.text(alphabet="bcdghjkmpqsuwxyz_", min_size=1, max_size=8)
+row = st.tuples(st.integers(-10 ** 9, 10 ** 9), any_float, words, st.booleans(),
+               st.lists(any_float, min_size=2, max_size=4)).map(
+    lambda v: dict(zip(("t", "x", "label", "flag", "z"), v)))
+
+
+def expected(v, fmt):
+    if isinstance(v, float):
+        return v if math.isfinite(v) else DIVERGED_TOKEN
+    if isinstance(v, list):       # CSV reads a diverged vector entry as nan
+        return [u if math.isfinite(u) else
+                (math.nan if fmt == "csv" else DIVERGED_TOKEN) for u in v]
+    return v
+
+
+def same(a, b):
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+@PROPERTY
+@given(st.lists(row, max_size=5), st.sampled_from(["csv", "json"]))
+def test_rows_round_trip(rows, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"rows.{fmt}")
+        emit_rows([dict(r, z=np.array(r["z"])) for r in rows], fmt, path)
+        back = read_rows(path)
+    assert len(back) == len(rows)
+    for r, b in zip(rows, back):
+        assert list(b) == list(r)
+        for k, v in r.items():
+            assert same(expected(v, fmt), b[k]), (k, v, b[k])
