@@ -1,14 +1,20 @@
 """Single-iterate contractive solvers, the cyclic forward-backward base
-learner, and the two expert-aggregation meta-algorithms.
+learners, and the two expert-aggregation meta-algorithms.
 
 The online protocol throughout is: play first, observe second. Each
 algorithm spec's ``start(z1, domain)`` returns a learner with
-``play(t) -> z`` and ``observe(t, op) -> g``. The meta
-algorithms differ in feedback economy: the fixed-rate variant touches
-the true operator once per round and propagates an affine surrogate to
-its base learners, while the adaptive variant feeds every base learner
-the true operator (one evaluation per base, plus the observation at the
-played point).
+``play(t) -> z`` and ``observe(t, op) -> g``.
+
+Cyclic learners live in a slot bank (``CyclicFBLearner``): the slots of
+every base in one flat ``(sum of periods, d)`` array, so a round of K
+bases is one gather of the K active slots, one block forward step with
+one projection, and one scatter back. ``CyclicFB`` runs a bank of one
+period; the meta-algorithms run one bank of periods 1..K and differ in
+feedback economy: the fixed-rate variant touches the true operator once
+per round and hands the bases the affine surrogate built from that one
+value, while the adaptive variant evaluates the true operator at the
+distinct points among the play and the K active slots, in one block
+call.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
-                   as_point, evaluate, project)
+                   _evaluate_block, as_point, evaluate, project)
 
 # Ties in the pre-warmup argmin weight rule are resolved uniformly over
 # all losses within this tolerance of the minimum.
@@ -47,7 +53,8 @@ class StepSchedule:
             raise ValueError("mu must be positive")
         return StepSchedule("inverse_mu_t", float(mu))
 
-    def at(self, s: int) -> float:
+    def at(self, s):
+        """The step size of update s (an int or an array of them)."""
         if self.kind == "constant":
             return self.value
         return 1.0 / (self.value * s)
@@ -82,43 +89,84 @@ def resolvent_step(op: Operator, z) -> np.ndarray:
 
 
 class CyclicFBLearner:
-    """The cyclic forward-backward learner with period i.
+    """A bank of cyclic forward-backward learners, one per entry of
+    ``periods``, with all their slots in one flat ``(sum(periods), d)``
+    array.
 
-    One independent iterate per assumed phase, updated round-robin.
+    The learner with period i keeps one independent iterate (slot) per
+    assumed phase and updates them round-robin: base b owns rows
+    ``offsets[b]`` to ``offsets[b] + periods[b] - 1`` of ``slots``, and
+    ``slot_steps`` counts each slot's updates. Every round touches one
+    slot per base: ``gather(t)`` returns the ``(K, d)`` block of active
+    slots and ``step(t, Z, G)`` moves the block by one projected forward
+    step, each row with its own slot's step size, and scatters it back.
+    A bank of one period is the learner ``CyclicFB`` runs, with ``play``
+    and ``observe``; ``MetaLearner`` drives a bank of periods 1..K.
     ``literal_indexing`` selects the phase as (t mod i) + 1 instead of
     the default ((t-1) mod i) + 1 that makes round 1 touch slot 1.
     """
 
-    def __init__(self, period: int, z1, schedule: StepSchedule, domain: Domain,
+    def __init__(self, periods, z1, schedule: StepSchedule, domain: Domain,
                  literal_indexing: bool = False):
-        if period < 1:
+        self.periods = np.atleast_1d(np.asarray(periods, dtype=np.int64))
+        if self.periods.size == 0 or np.any(self.periods < 1):
             raise ValueError("period must be >= 1")
-        z1 = as_point(z1)
-        self.period = period
-        self.slots = [z1.copy() for _ in range(period)]
-        self.slot_steps = [0] * period          # per-slot update counts
+        self.offsets = np.cumsum(self.periods) - self.periods
+        self.slots = np.tile(as_point(z1), (int(self.periods.sum()), 1))
+        self.slot_steps = np.zeros(len(self.slots), dtype=np.int64)
         self.schedule = schedule
         self.domain = domain
         self.literal_indexing = literal_indexing
 
-    def slot_index(self, t: int) -> int:
-        if self.literal_indexing:
-            return t % self.period
-        return (t - 1) % self.period
+    def slot_index(self, t: int) -> np.ndarray:
+        """The row in ``slots`` of each base's slot at round t."""
+        phase = t if self.literal_indexing else t - 1
+        return self.offsets + phase % self.periods
 
-    def play(self, t: int) -> np.ndarray:
+    def gather(self, t: int) -> np.ndarray:
+        """A copy of the active slots at round t, one row per base."""
         return self.slots[self.slot_index(t)]
 
-    def observe(self, t: int, op) -> np.ndarray:
-        """Step the slot played at round t with ``op``, the true operator
-        or a surrogate (any callable z -> F(z)); returns F at the play."""
+    def step(self, t: int, Z: np.ndarray, G: np.ndarray) -> None:
+        """Update the active slots ``Z`` of round t with feedback ``G``,
+        row by row: project(z - eta_s g) with s the slot's update count."""
         n = self.slot_index(t)
-        z = self.slots[n]
         s = self.slot_steps[n] + 1
-        g = op(z)
-        self.slots[n] = project(self.domain, z - self.schedule.at(s) * g)
+        self.slots[n] = project(self.domain, Z - self.schedule.at(s[:, None]) * G)
         self.slot_steps[n] = s
-        return g
+
+    def play(self, t: int) -> np.ndarray:
+        """The first base's active slot: a one-period bank's play."""
+        return self.gather(t)[0]
+
+    def observe(self, t: int, op: Operator) -> np.ndarray:
+        """Step the active slots with ``op`` evaluated there in one block
+        call; returns F at the play."""
+        Z = self.gather(t)
+        G = _evaluate_finite(op, Z)
+        self.step(t, Z, G)
+        return G[0]
+
+
+def _evaluate_finite(op: Operator, pts: np.ndarray) -> np.ndarray:
+    """F at every row of ``pts`` in one block call; like ``evaluate``,
+    a NaN marks an invalid operator/point pair."""
+    out = _evaluate_block(op, pts)
+    if np.isnan(out).any():
+        raise FloatingPointError("operator returned NaN; invalid operator/point pair")
+    return out
+
+
+def _evaluate_distinct(op: Operator, z: np.ndarray, Z: np.ndarray) -> tuple:
+    """F at the play ``z`` and at every row of ``Z`` from one block call
+    on the distinct points, in first-seen order, each counted once."""
+    P = np.concatenate([z[None], Z])
+    index: dict = {}
+    rows = [index.setdefault(p.tobytes(), len(index)) for p in P]
+    pts = np.empty((len(index), P.shape[1]))
+    pts[rows] = P               # a repeated row has the same bytes
+    F = _evaluate_finite(op, pts)[rows]
+    return F[0], F[1:]
 
 
 def make_surrogate(g, z_t, mu: float) -> Operator:
@@ -158,45 +206,34 @@ def fixed_learning_rate(mu: float, D: float, G: float) -> float:
     return 1.0 / (4.0 * mu * (D + G / mu) ** 2)
 
 
-def _losses(g: np.ndarray, base_plays: list, play: np.ndarray, mu: float) -> np.ndarray:
-    return np.array([float(np.dot(g, zi)) + 0.5 * mu * float(np.dot(zi - play, zi - play))
-                     for zi in base_plays])
-
-
-def _memoized(op: Operator):
-    """``op`` evaluated once per distinct point."""
-    cache: dict = {}
-
-    def f(z: np.ndarray) -> np.ndarray:
-        key = z.tobytes()
-        if key not in cache:
-            cache[key] = evaluate(op, z)
-        return cache[key]
-
-    return f
+def _losses(g: np.ndarray, Z: np.ndarray, play: np.ndarray, mu: float) -> np.ndarray:
+    """Each base's loss <g, z_i> + (mu/2)||z_i - play||^2, one row of Z
+    per base."""
+    D = Z - play
+    return Z @ g + 0.5 * mu * (D * D).sum(axis=-1)
 
 
 class MetaLearner:
     """Exponentially weighted aggregation of K cyclic learners with
     periods 1..K, started at ``z1`` with a shared step schedule.
 
-    Plays the weighted combination of the base plays, observes the
-    operator at the played point and scores every base with the
-    inner-product loss. The two meta-algorithms differ only in how
-    observe updates. With a fixed rate ``lam`` the bases get the affine
-    surrogate built from that one evaluation (Zhang, Lu & Zhou 2018), so
-    the true operator is touched once per round. Otherwise (``lam`` is
-    None) the bases get the true operator, one evaluation per distinct
-    point, and the rate is tuned: effectively infinite (uniform weights
-    over the argmin set of cumulative loss) until T0, the first round
-    whose mix loss drops below the played loss, and lambda_t =
-    log K / cum_gap afterwards.
+    The K bases are one ``CyclicFBLearner`` bank. Each round plays the
+    weighted combination of the active slots, observes the operator at
+    the played point, scores every base with the inner-product loss and
+    steps all active slots as one block. The two meta-algorithms differ
+    only in the block's feedback. With a fixed rate ``lam`` the bases get
+    the affine surrogate built from that one evaluation (Zhang, Lu & Zhou
+    2018), so the true operator is touched once per round. Otherwise
+    (``lam`` is None) the bases get the true operator, evaluated in one
+    block call once per distinct point, and the rate is tuned:
+    effectively infinite (uniform weights over the argmin set of
+    cumulative loss) until T0, the first round whose mix loss drops below
+    the played loss, and lambda_t = log K / cum_gap afterwards.
     """
 
     def __init__(self, K: int, z1, schedule: StepSchedule, domain: Domain,
                  mu: float, lam: Optional[float] = None):
-        self.bases = [CyclicFBLearner(i, z1, schedule, domain)
-                      for i in range(1, K + 1)]
+        self.bank = CyclicFBLearner(np.arange(1, K + 1), z1, schedule, domain)
         self.mu = mu
         self.lam = lam
         self.weights = np.full(K, 1.0 / K)      # p_t for the current round
@@ -205,27 +242,28 @@ class MetaLearner:
         self.t0_passed = False
 
     def play(self, t: int) -> np.ndarray:
-        self.base_plays = [b.play(t) for b in self.bases]
-        self.z = np.sum([p * z for p, z in zip(self.weights, self.base_plays)],
-                        axis=0)
+        self.base_plays = self.bank.gather(t)   # (K, d): one row per base
+        self.z = (self.weights[:, None] * self.base_plays).sum(axis=0)
         return self.z
 
     def observe(self, t: int, op: Operator) -> np.ndarray:
-        f = _memoized(op)
-        g = f(self.z)
-        losses = _losses(g, self.base_plays, self.z, self.mu)
+        Z = self.base_plays
+        if self.lam is not None:
+            g = evaluate(op, self.z)
+            G = make_surrogate(g, self.z, self.mu).fn(Z)
+        else:
+            g, G = _evaluate_distinct(op, self.z, Z)
+        losses = _losses(g, Z, self.z, self.mu)
         self.cum_loss = self.cum_loss + losses
         if self.lam is not None:
             self.weights = exp_weights(self.cum_loss, self.lam)
-            f = make_surrogate(g, self.z, self.mu)
         else:
             self._tune(g, losses)
-        for b in self.bases:
-            b.observe(t, f)
+        self.bank.step(t, Z, G)
         return g
 
     def _tune(self, g: np.ndarray, losses: np.ndarray) -> None:
-        K = len(self.bases)
+        K = len(self.weights)
         lbar = float(np.dot(g, self.z))
         lam_t = math.log(K) / self.cum_gap if self.t0_passed else math.inf
         m_t = mix_loss(self.weights, losses, lam_t)
@@ -328,7 +366,8 @@ class Trajectory:
     plays: list
     op_values: list
     solutions: Optional[list] = None
-    per_base_plays: Optional[list] = None    # K lists, one per base learner
+    # (K, T, d): per_base_plays[i][t] is base i's play in round t + 1
+    per_base_plays: Optional[np.ndarray] = None
     weights: Optional[list] = None           # per round, length-K vector
     diverged_at: Optional[int] = None        # 1-based round, None if bounded
 
@@ -361,7 +400,7 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
     weights_hist, base_hist = [], []
     # an adaptive sequence (no ``at``) names the solution in each response
     have_solutions = seq.at is None or seq.solution_at is not None
-    is_meta = hasattr(learner, "bases")     # also record weights and base plays
+    is_meta = hasattr(learner, "bank")      # also record weights and base plays
     diverged_at = None
 
     for t in range(1, T + 1):
@@ -371,7 +410,7 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
             plays.append(play)
             diverged_at = t
             break
-        if is_meta:
+        if is_meta:     # the weights and the (K, d) block of base plays
             round_weights, round_bases = learner.weights, learner.base_plays
 
         z_star, op = seq.respond(t, play)
@@ -394,8 +433,7 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
         plays=plays,
         op_values=op_values,
         solutions=solutions if have_solutions else None,
-        per_base_plays=[list(per_base) for per_base in zip(*base_hist)]
-        if base_hist else None,
+        per_base_plays=np.stack(base_hist, axis=1) if base_hist else None,
         weights=weights_hist if is_meta else None,
         diverged_at=diverged_at,
     )

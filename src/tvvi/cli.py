@@ -4,6 +4,12 @@ Every command reads one flat config file, runs deterministically given
 the seeds it names, and writes plot-ready CSV/JSON rows. Scan-type
 commands step every step size or start as one vectorized block in one
 process; --threads is still accepted but changes nothing.
+
+Exit status: 0 on success; 1 for a diverged run (with
+--fail-on-divergence or run.fail_on_divergence) or a failed
+verification; 2 for an invalid config or a file that cannot be read or
+written; 3 for an unexpected exception, a defect in the program, whose
+traceback goes to standard error.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 
 import numpy as np
 
@@ -24,6 +31,7 @@ from .scenarios import Scenario, build_scenario, verify_scenario
 EXIT_OK = 0
 EXIT_DIVERGED = 1
 EXIT_CONFIG = 2
+EXIT_INTERNAL = 3       # an unexpected exception: a defect, not an input error
 
 
 def _build_algorithm(cfg: ExperimentConfig, sc: Scenario):
@@ -136,10 +144,11 @@ def _build_bound_spec(cfg: ExperimentConfig, sc: Scenario,
             raise ConfigurationError("contractive needs recorded solutions")
         return metrics.ContractiveBound(C=_derive_contraction(cfg, sc),
                             path=metrics.quadratic_path_length(sols),
-                            init_dist=float(np.linalg.norm(traj.plays[0] - sols[0])))
+                            init_dist=float(np.linalg.norm(traj.plays[0] - sols[0]))
+                            if sols else math.nan)
     if kind == "cyclic_regret":
-        G = cfg.get("bound.g") or max(float(np.linalg.norm(g))
-                                      for g in traj.op_values)
+        G = cfg.get("bound.g") or max((float(np.linalg.norm(g))
+                                       for g in traj.op_values), default=math.nan)
         return metrics.CyclicRegretBound(k=int(_constant(cfg, "bound.k", sc.period)),
                             G=float(G), mu=float(_constant(cfg, "bound.mu", sc.mu)), T=T)
     if kind in ("aggregation_regret", "aggregation_tracking"):
@@ -160,8 +169,8 @@ def _build_bound_spec(cfg: ExperimentConfig, sc: Scenario,
             if traj.solutions is None:
                 raise ConfigurationError("constant_tracking needs bound.d0")
             k = sc.period or 1
-            D0 = max(float(np.linalg.norm(traj.plays[0] - s))
-                     for s in traj.solutions[:k])
+            D0 = max((float(np.linalg.norm(traj.plays[0] - s))
+                      for s in traj.solutions[:k]), default=math.nan)
         return metrics.ConstantTrackingBound(D0=float(D0), kappa=float(kappa),
                             k=int(cfg.get("bound.k", sc.period or 1)),
                             K=int(cfg.get("bound.big_k", cfg.get("algorithm.k", 1))))
@@ -176,7 +185,10 @@ def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
     traj = _run_trajectory(cfg, sc)
     spec = _build_bound_spec(cfg, sc, traj)
     which = cfg.get("bound.which")
-    check = metrics.bound_check(traj, spec, which, mu=cfg.get("bound.mu", sc.mu))
+    if traj.op_values:
+        check = metrics.bound_check(traj, spec, which, mu=cfg.get("bound.mu", sc.mu))
+    else:       # diverged in round 1: no round to measure or to bound
+        check = metrics.BoundCheck(holds=False, measured=math.nan, bound=math.nan)
     rows = [{"kind": cfg.values["bound.kind"], "which": which,
              "measured": check.measured, "bound": check.bound,
              "holds": check.holds}]
@@ -315,6 +327,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

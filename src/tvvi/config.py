@@ -224,6 +224,8 @@ def _validate(cfg: ExperimentConfig) -> list:
             errors.append("field 'run.z1': required")
         positive("algorithm.eta")
         positive("algorithm.mu")
+        positive("algorithm.period")
+        positive("algorithm.k")
         positive("run.horizon")
         positive("run.divergence_threshold")
 

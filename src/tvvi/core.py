@@ -137,9 +137,10 @@ class Operator:
     finite-difference verification).
 
     ``fn`` acts on the last axis: it maps ``(..., d)`` to ``(..., d)``,
-    so the learners call it on one point and the sampled check_*
-    routines on a whole ``(n, d)`` block. ``evals`` counts evaluated
-    points and is the single mutable, diagnostic-only field.
+    so one definition serves a learner's single point, a slot bank's
+    block of active slots and the sampled check_* routines' whole
+    ``(n, d)`` block. ``evals`` counts evaluated points and is the
+    single mutable, diagnostic-only field.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]

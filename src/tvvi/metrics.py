@@ -37,9 +37,8 @@ def tracking_error(traj: Trajectory) -> float:
 
 
 def quadratic_path_length(solutions) -> float:
-    """Sum of squared consecutive solution displacements."""
-    if len(solutions) < 2:
-        raise ValueError("need at least two solutions")
+    """Sum of squared consecutive solution displacements, 0.0 for fewer
+    than two solutions."""
     pts = [np.asarray(s, dtype=float) for s in solutions]
     return float(sum(np.dot(a - b, a - b) for a, b in zip(pts[1:], pts[:-1])))
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from tvvi.algorithms import (ContractiveForward, CyclicFB, CyclicFBLearner,
-                             MetaAdaptive, MetaFixed, Resolvent, StepSchedule,
-                             exp_weights, fixed_learning_rate, forward_step,
-                             make_surrogate, mix_loss, resolvent_step,
-                             run_tracker)
-from tvvi.core import ConfigurationError, Domain, Operator, ProblemSequence
+                             MetaAdaptive, MetaFixed, MetaLearner, Resolvent,
+                             StepSchedule, exp_weights, fixed_learning_rate,
+                             forward_step, make_surrogate, mix_loss,
+                             resolvent_step, run_tracker)
+from tvvi.core import (ConfigurationError, Domain, Operator, ProblemSequence,
+                       evaluate, project)
 from tvvi.scenarios import build_scenario, periodic_quadratic
 
 UNB1 = Domain.unbounded(1)
@@ -123,7 +124,7 @@ class TestCyclicFB:
         for t in range(1, 5):
             st.play(t)
             st.observe(t, op)
-        assert st.slot_steps == [2, 2]
+        assert st.slot_steps.tolist() == [2, 2]
 
     def test_single_period_hits_center(self):
         # i = 1, eta_s = 1/s: the first update lands exactly on c
@@ -296,10 +297,10 @@ class TestMetaAdaptive:
         # must produce an indicator weight vector
         dom = Domain.unbounded(1)
         st = MetaAdaptive(K=2, mu=0.5, lip=2.0).start([1.0], dom)
-        st.bases[0].slots[0] = np.array([2.0])
-        st.bases[1].slots[0] = np.array([-2.0])
+        # round 1 plays each base's first slot
+        st.bank.slots[st.bank.offsets] = [[2.0], [-2.0]]
         st.cum_loss = np.array([5.0, 1.0])
-        zero_op = Operator(fn=lambda z: np.zeros(1), dim=1)
+        zero_op = Operator(fn=np.zeros_like, dim=1)
         st.play(1)
         st.observe(1, zero_op)
         assert not st.t0_passed
@@ -358,6 +359,136 @@ class TestMetaAdaptive:
             combo = sum(w * traj.per_base_plays[i][t]
                         for i, w in enumerate(traj.weights[t]))
             assert np.allclose(combo, traj.plays[t], atol=1e-12)
+
+
+class PerSlotCyclic:
+    """Reference cyclic learner with period i: a list of i slots, each
+    with its own update count, stepped one point at a time by any
+    callable feedback z -> F(z)."""
+
+    def __init__(self, period, z1, schedule, domain):
+        self.slots = [np.array(z1, dtype=float) for _ in range(period)]
+        self.steps = [0] * period
+        self.schedule, self.domain = schedule, domain
+
+    def play(self, t):
+        return self.slots[(t - 1) % len(self.slots)]
+
+    def observe(self, t, f):
+        n = (t - 1) % len(self.slots)
+        self.steps[n] += 1
+        z = self.slots[n]
+        self.slots[n] = project(self.domain,
+                                z - self.schedule.at(self.steps[n]) * f(z))
+
+
+class PerBaseMeta:
+    """Reference meta-algorithm: K separate per-slot cyclic learners
+    stepped one by one, the true operator evaluated point by point
+    through a cache (once per distinct point), and a ``make_surrogate``
+    per round for the fixed rate ``lam``."""
+
+    def __init__(self, K, z1, schedule, domain, mu, lam=None):
+        self.bases = [PerSlotCyclic(i, z1, schedule, domain)
+                      for i in range(1, K + 1)]
+        self.mu, self.lam = mu, lam
+        self.weights = np.full(K, 1.0 / K)
+        self.cum_loss = np.zeros(K)
+        self.cum_gap = 0.0
+        self.t0_passed = False
+
+    def play(self, t):
+        self.base_plays = [b.play(t) for b in self.bases]
+        self.z = np.sum([p * z for p, z in zip(self.weights, self.base_plays)],
+                        axis=0)
+        return self.z
+
+    def observe(self, t, op):
+        cache = {}
+
+        def f(x):
+            if x.tobytes() not in cache:
+                cache[x.tobytes()] = evaluate(op, x)
+            return cache[x.tobytes()]
+
+        mu, z = self.mu, self.z
+        g = f(z)
+        losses = np.array([float(np.dot(g, zi)) + 0.5 * mu * float(np.dot(zi - z, zi - z))
+                           for zi in self.base_plays])
+        self.cum_loss = self.cum_loss + losses
+        K = len(self.bases)
+        if self.lam is not None:
+            self.weights = exp_weights(self.cum_loss, self.lam)
+            feedback = make_surrogate(g, z, mu)
+        else:
+            lbar = float(np.dot(g, z))
+            lam_t = math.log(K) / self.cum_gap if self.t0_passed else math.inf
+            m_t = mix_loss(self.weights, losses, lam_t)
+            if not self.t0_passed and K > 1 and lbar > m_t + 1e-12:
+                self.t0_passed = True
+            if self.t0_passed:
+                self.cum_gap += max(lbar - m_t, 0.0)
+                self.weights = exp_weights(self.cum_loss, math.log(K) / self.cum_gap)
+            else:
+                mins = self.cum_loss <= self.cum_loss.min() + 1e-12
+                self.weights = mins / mins.sum()
+            feedback = f
+        for b in self.bases:
+            b.observe(t, feedback)
+        return g
+
+
+class TestSlotBank:
+    """The meta-algorithms' one slot bank against the per-base reference."""
+
+    A = np.array([[2.0, 0.6], [0.6, 1.0]])
+    CENTERS = [[0.5, -0.3], [-0.6, 0.2], [0.1, 0.7]]
+    DOMAINS = {"box": (Domain.box([-1.0, -1.0], [1.0, 1.0]), [0.9, -0.9]),
+               "unbounded": (Domain.unbounded(2), [3.0, -2.0])}
+
+    def learners(self, variant, K, domain, z1):
+        sc = periodic_quadratic(self.CENTERS, matrix=self.A, domain=domain)
+        if variant == "fixed":
+            schedule = StepSchedule.inverse_mu_t(sc.mu)
+            lam = fixed_learning_rate(sc.mu, 4.0, 5.0)
+        else:
+            schedule, lam = StepSchedule.constant(1.0 / sc.lip), None
+        return sc, [MetaLearner(K, z1, schedule, domain, sc.mu, lam),
+                    PerBaseMeta(K, z1, schedule, domain, sc.mu, lam)]
+
+    @pytest.mark.parametrize("domain", ["box", "unbounded"])
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    @pytest.mark.parametrize("variant", ["fixed", "adaptive"])
+    def test_matches_per_base_reference(self, variant, K, domain):
+        sc, (bank, ref) = self.learners(variant, K, *self.DOMAINS[domain])
+        for t in range(1, 121):
+            plays, values, spent = [], [], []
+            for learner in (bank, ref):
+                op = sc.seq.at(t)
+                plays.append(learner.play(t))
+                values.append(learner.observe(t, op))
+                spent.append(op.evals)
+            np.testing.assert_allclose(plays[0], plays[1], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(values[0], values[1], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(bank.weights, ref.weights, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(bank.base_plays, ref.base_plays,
+                                       rtol=1e-12, atol=1e-12)
+            assert spent[0] == spent[1]
+            assert bank.t0_passed == ref.t0_passed
+
+    @pytest.mark.parametrize("variant", ["fixed", "adaptive"])
+    def test_one_operator_call_per_round(self, variant):
+        # every base's feedback comes from a single call of the true fn
+        dom, z1 = self.DOMAINS["box"]
+        sc, (bank, _) = self.learners(variant, 16, dom, z1)
+        for t in range(1, 41):
+            op = sc.seq.at(t)
+            calls = []
+            fn = op.fn
+            op.fn = lambda X: calls.append(X.shape) or fn(X)
+            bank.play(t)
+            bank.observe(t, op)
+            assert len(calls) == 1
 
 
 class TestRunTracker:

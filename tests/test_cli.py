@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from tvvi import cli
 from tvvi.cli import main
 from tvvi.config import ConfigError, parse_config
-from tvvi.io import emit_rows, read_rows
+from tvvi.io import DIVERGED_TOKEN, emit_rows, read_rows
 
 MINIMAL_TRACK = """
 command = track
@@ -43,6 +44,13 @@ class TestParseConfig:
     def test_negative_eta_names_field(self):
         with pytest.raises(ConfigError, match="algorithm.eta"):
             parse_config(MINIMAL_TRACK.replace("eta = 1.0", "eta = -1"))
+
+    @pytest.mark.parametrize("kind, key", [("cyclic_fb", "algorithm.period"),
+                                           ("meta_adaptive", "algorithm.k")])
+    def test_zero_period_or_k_names_field(self, kind, key):
+        text = MINIMAL_TRACK.replace("kind = forward", f"kind = {kind}")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text + f"{key} = 0\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="run.bogus"):
@@ -278,6 +286,62 @@ bound.kind = {kind}
 """)
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, given", [
+        ("cyclic_regret", ""), ("contractive", "bound.c = 0.5")],
+        ids=["cyclic_regret", "contractive"])
+    def test_bounds_after_round_one_divergence(self, tmp_path, kind, given):
+        # the start is past the divergence threshold: no round completes,
+        # so there is nothing to measure and no operator value to bound
+        cfg = write_cfg(tmp_path, f"""
+command = bounds
+scenario.name = periodic_1d
+algorithm.kind = forward
+algorithm.eta = 0.5
+run.horizon = 10
+run.z1 = 1e7
+bound.kind = {kind}
+{given}
+""")
+        out = tmp_path / "b.csv"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        row = read_rows(str(out))[0]
+        assert row["measured"] == DIVERGED_TOKEN       # NaN
+        assert row["bound"] == DIVERGED_TOKEN
+        assert row["holds"] is False
+        assert main(["--config", cfg, "--out", str(out),
+                     "--fail-on-divergence"]) == 1
+
+    def test_contractive_bound_after_one_round(self, tmp_path):
+        # round 2 plays -3 * 5e5, past the threshold: one solution recorded
+        cfg = write_cfg(tmp_path, """
+command = bounds
+scenario.name = periodic_1d
+algorithm.kind = forward
+algorithm.eta = 0.5
+run.horizon = 10
+run.z1 = 5e5
+bound.kind = contractive
+bound.c = 0.5
+""")
+        out = tmp_path / "b.csv"
+        assert main(["--config", cfg, "--out", str(out),
+                     "--fail-on-divergence"]) == 1
+        row = read_rows(str(out))[0]
+        assert row["measured"] == pytest.approx(2.5e11)
+        assert row["bound"] == pytest.approx(2.5e11 / 0.5)
+        assert row["holds"] is True
+
+    def test_unexpected_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "_cmd_track", fail)
+        cfg = write_cfg(tmp_path, MINIMAL_TRACK)
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "RuntimeError: injected fault" in err
 
     def test_seed_flag_overrides_scenario_seed(self, tmp_path):
         cfg = write_cfg(tmp_path, """

@@ -1,6 +1,7 @@
 """Property tests of the invariants the tracking proofs rely on:
-projections are idempotent and nonexpansive, exponential weights stay on
-the simplex, and emitted rows read back unchanged."""
+projections are idempotent and nonexpansive, forward and resolvent steps
+contract by their factors, exponential weights stay on the simplex, and
+emitted rows read back unchanged."""
 
 import math
 import os
@@ -10,8 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvvi.algorithms import exp_weights
-from tvvi.core import Domain, project
+from tvvi.algorithms import exp_weights, forward_step, resolvent_step
+from tvvi.core import Domain, Operator, project
 from tvvi.io import DIVERGED_TOKEN, emit_rows, read_rows
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -70,6 +71,44 @@ def test_project_nonexpansive_on_point_and_block(case):
             for j in range(i):
                 assert np.linalg.norm(P[i] - P[j]) <= \
                     np.linalg.norm(X[i] - X[j]) * (1 + 1e-12) + 1e-12
+
+
+@st.composite
+def strongly_monotone_affine(draw):
+    """F(x) = A x + b with A = Q diag(eigs) Q^T + c (S - S^T): an SPD part
+    plus a skew part (none when c = 0). Returns F, its modulus mu (the
+    least eigenvalue of the SPD part), its Lipschitz constant L = ||A||
+    and two points in [-10, 10]^d."""
+    d = draw(st.integers(1, 4))
+    eigs = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    S = rng.standard_normal((d, d))
+    A = Q @ np.diag(eigs) @ Q.T + draw(st.floats(0.0, 5.0)) * (S - S.T)
+    box = st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d).map(np.array)
+    op = Operator.from_affine(A, draw(box))
+    return op, float(eigs.min()), float(np.linalg.norm(A, 2)), draw(box), draw(box)
+
+
+@PROPERTY
+@given(strongly_monotone_affine())
+def test_forward_step_contracts(case):
+    # eta = mu / L^2 contracts distances by sqrt(1 - (mu/L)^2)
+    op, mu, L, z, w = case
+    dom = Domain.unbounded(op.dim)
+    eta = mu / L ** 2
+    factor = math.sqrt(1.0 - (mu / L) ** 2)
+    step = np.linalg.norm(forward_step(op, dom, z, eta) - forward_step(op, dom, w, eta))
+    assert step <= factor * np.linalg.norm(z - w) + 1e-12
+
+
+@PROPERTY
+@given(strongly_monotone_affine())
+def test_resolvent_step_contracts(case):
+    # the resolvent of a mu-strongly monotone F contracts by 1/(1 + mu)
+    op, mu, _, z, w = case
+    step = np.linalg.norm(resolvent_step(op, z) - resolvent_step(op, w))
+    assert step <= np.linalg.norm(z - w) / (1.0 + mu) + 1e-12
 
 
 losses = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8).map(np.array)
