@@ -24,7 +24,7 @@ import numpy as np
 from . import algorithms as alg
 from . import dynamics, metrics
 from .config import ConfigError, ExperimentConfig, parse_config
-from .core import ConfigurationError, as_point
+from .core import ConfigurationError
 from .io import emit_rows
 from .scenarios import Scenario, build_scenario, verify_scenario
 
@@ -35,47 +35,38 @@ EXIT_INTERNAL = 3       # an unexpected exception: a defect, not an input error
 
 
 def _build_algorithm(cfg: ExperimentConfig, sc: Scenario):
-    kind = cfg.values["algorithm.kind"]
+    kind = cfg.get("algorithm.kind")
     mu = cfg.get("algorithm.mu", sc.mu)
     if kind == "forward":
-        return alg.ContractiveForward(eta=float(cfg.require("algorithm.eta")))
+        return alg.ContractiveForward(eta=cfg.get("algorithm.eta"))
     if kind == "resolvent":
         return alg.Resolvent()
     if kind == "cyclic_fb":
-        period = int(cfg.require("algorithm.period"))
-        sched_kind = cfg.get("algorithm.schedule", "inverse_mu")
-        if sched_kind == "constant":
-            schedule = alg.StepSchedule.constant(float(cfg.require("algorithm.eta")))
-        elif sched_kind == "inverse_mu":
-            if mu is None:
-                raise ConfigurationError("cyclic_fb needs algorithm.mu or scenario mu")
-            schedule = alg.StepSchedule.inverse_mu_t(float(mu))
+        if cfg.get("algorithm.schedule") == "constant":
+            schedule = alg.StepSchedule.constant(cfg.get("algorithm.eta"))
+        elif mu is None:
+            raise ConfigurationError("cyclic_fb needs algorithm.mu or scenario mu")
         else:
-            raise ConfigurationError(f"unknown schedule {sched_kind!r}")
-        return alg.CyclicFB(period=period, schedule=schedule)
+            schedule = alg.StepSchedule.inverse_mu_t(float(mu))
+        return alg.CyclicFB(period=cfg.get("algorithm.period"), schedule=schedule)
     if kind == "meta_fixed":
         D = cfg.get("algorithm.d", sc.diameter)
         G = cfg.get("algorithm.g", sc.gbound)
         if mu is None or D is None or G is None:
             raise ConfigurationError("meta_fixed needs mu, D and G")
-        return alg.MetaFixed(K=int(cfg.require("algorithm.k")),
-                             mu=float(mu), D=float(D), G=float(G))
-    if kind == "meta_adaptive":
-        lip = cfg.get("algorithm.lip", sc.lip)
-        if mu is None or lip is None:
-            raise ConfigurationError("meta_adaptive needs mu and a Lipschitz constant")
-        return alg.MetaAdaptive(K=int(cfg.require("algorithm.k")),
-                                mu=float(mu), lip=float(lip))
-    raise ConfigurationError(f"unknown algorithm {kind!r}")
+        return alg.MetaFixed(K=cfg.get("algorithm.k"), mu=float(mu),
+                             D=float(D), G=float(G))
+    lip = cfg.get("algorithm.lip", sc.lip)      # meta_adaptive
+    if mu is None or lip is None:
+        raise ConfigurationError("meta_adaptive needs mu and a Lipschitz constant")
+    return alg.MetaAdaptive(K=cfg.get("algorithm.k"), mu=float(mu), lip=float(lip))
 
 
 def _run_trajectory(cfg: ExperimentConfig, sc: Scenario) -> alg.Trajectory:
     algo = _build_algorithm(cfg, sc)
-    z1 = as_point(cfg.require("run.z1"))
-    T = int(cfg.require("run.horizon"))
-    threshold = float(cfg.get("run.divergence_threshold"))
-    return alg.run_tracker(sc.seq, algo, sc.domain, z1, T,
-                           divergence_threshold=threshold)
+    return alg.run_tracker(sc.seq, algo, sc.domain, cfg.get("run.z1"),
+                           cfg.get("run.horizon"),
+                           divergence_threshold=cfg.get("run.divergence_threshold"))
 
 
 def _track_rows(traj: alg.Trajectory, mu: float) -> list:
@@ -114,13 +105,12 @@ def _cmd_track(cfg: ExperimentConfig) -> tuple:
 def _derive_contraction(cfg: ExperimentConfig, sc: Scenario) -> float:
     c = cfg.get("bound.c")
     if c is not None:
-        return float(c)
-    kind = cfg.values["algorithm.kind"]
+        return c
+    kind = cfg.get("algorithm.kind")
     if kind == "resolvent" and sc.mu is not None:
         return 1.0 / (1.0 + sc.mu)
     if kind == "forward" and sc.mu is not None and sc.lip is not None:
-        eta = float(cfg.get("algorithm.eta"))
-        if abs(eta - sc.mu / sc.lip ** 2) <= 1e-12:
+        if abs(cfg.get("algorithm.eta") - sc.mu / sc.lip ** 2) <= 1e-12:
             return math.sqrt(max(0.0, 1.0 - (sc.mu / sc.lip) ** 2))
     raise ConfigurationError("bound.c required: contraction factor not derivable")
 
@@ -136,7 +126,7 @@ def _constant(cfg: ExperimentConfig, key: str, fallback):
 
 def _build_bound_spec(cfg: ExperimentConfig, sc: Scenario,
                       traj: alg.Trajectory):
-    kind = cfg.values["bound.kind"]
+    kind = cfg.get("bound.kind")
     T = len(traj.op_values)
     if kind == "contractive":
         sols = traj.solutions
@@ -149,15 +139,15 @@ def _build_bound_spec(cfg: ExperimentConfig, sc: Scenario,
     if kind == "cyclic_regret":
         G = cfg.get("bound.g") or max((float(np.linalg.norm(g))
                                        for g in traj.op_values), default=math.nan)
-        return metrics.CyclicRegretBound(k=int(_constant(cfg, "bound.k", sc.period)),
-                            G=float(G), mu=float(_constant(cfg, "bound.mu", sc.mu)), T=T)
+        return metrics.CyclicRegretBound(k=_constant(cfg, "bound.k", sc.period),
+                            G=G, mu=float(_constant(cfg, "bound.mu", sc.mu)), T=T)
     if kind in ("aggregation_regret", "aggregation_tracking"):
         cls = metrics.AggregationRegretBound if kind == "aggregation_regret" else metrics.AggregationTrackingBound
         return cls(G=float(_constant(cfg, "bound.g", sc.gbound)),
                    mu=float(_constant(cfg, "bound.mu", sc.mu)),
                    D=float(_constant(cfg, "bound.d", sc.diameter)),
-                   k=int(_constant(cfg, "bound.k", sc.period)),
-                   K=int(cfg.get("bound.big_k", cfg.get("algorithm.k", 1))), T=T)
+                   k=_constant(cfg, "bound.k", sc.period),
+                   K=cfg.get("bound.big_k", cfg.get("algorithm.k", 1)), T=T)
     if kind == "constant_tracking":
         kappa = cfg.get("bound.kappa")
         if kappa is None:
@@ -171,13 +161,11 @@ def _build_bound_spec(cfg: ExperimentConfig, sc: Scenario,
             k = sc.period or 1
             D0 = max((float(np.linalg.norm(traj.plays[0] - s))
                       for s in traj.solutions[:k]), default=math.nan)
-        return metrics.ConstantTrackingBound(D0=float(D0), kappa=float(kappa),
-                            k=int(cfg.get("bound.k", sc.period or 1)),
-                            K=int(cfg.get("bound.big_k", cfg.get("algorithm.k", 1))))
-    if kind == "adversarial_lb":
-        return metrics.AdversarialLowerBound(
-            D=float(_constant(cfg, "bound.d", sc.diameter)), T=T)
-    raise ConfigurationError(f"unknown bound kind {kind!r}")
+        return metrics.ConstantTrackingBound(D0=D0, kappa=kappa,
+                            k=cfg.get("bound.k", sc.period or 1),
+                            K=cfg.get("bound.big_k", cfg.get("algorithm.k", 1)))
+    return metrics.AdversarialLowerBound(       # adversarial_lb
+        D=float(_constant(cfg, "bound.d", sc.diameter)), T=T)
 
 
 def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
@@ -189,7 +177,7 @@ def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
         check = metrics.bound_check(traj, spec, which, mu=cfg.get("bound.mu", sc.mu))
     else:       # diverged in round 1: no round to measure or to bound
         check = metrics.BoundCheck(holds=False, measured=math.nan, bound=math.nan)
-    rows = [{"kind": cfg.values["bound.kind"], "which": which,
+    rows = [{"kind": cfg.get("bound.kind"), "which": which,
              "measured": check.measured, "bound": check.bound,
              "holds": check.holds}]
     return rows, traj.diverged
@@ -197,23 +185,17 @@ def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
 
 def _cmd_bifurcation(cfg: ExperimentConfig) -> tuple:
     sc = build_scenario(cfg.scenario or "chaos_1d", cfg.scenario_params)
-    etas = dynamics.eta_grid(float(cfg.get("dynamics.eta_lo")),
-                             float(cfg.get("dynamics.eta_hi")),
-                             int(cfg.get("dynamics.eta_n")))
+    etas = dynamics.eta_grid(cfg.get("dynamics.eta_lo"), cfg.get("dynamics.eta_hi"),
+                             cfg.get("dynamics.eta_n"))
     extra = cfg.get("dynamics.extra_etas")
     if extra is not None:
-        extra = extra if isinstance(extra, list) else [extra]
-        etas = sorted(set(etas) | {float(e) for e in extra})
+        etas = sorted(set(etas) | set(extra))
     result = dynamics.bifurcation_scan(
-        sc, as_point(cfg.get("dynamics.x0")), etas=etas,
-        n_steps=int(cfg.get("dynamics.steps")),
-        burn_in=int(cfg.get("dynamics.burn_in")),
-        cell_lo=float(cfg.get("dynamics.cell_lo")),
-        cell_hi=float(cfg.get("dynamics.cell_hi")),
-        n_cells=int(cfg.get("dynamics.cells")),
-        threshold=float(cfg.get("dynamics.threshold")),
-        tol=float(cfg.get("dynamics.tol")),
-        max_period=int(cfg.get("dynamics.max_period")))
+        sc, cfg.get("dynamics.x0"), etas=etas,
+        n_steps=cfg.get("dynamics.steps"), burn_in=cfg.get("dynamics.burn_in"),
+        cell_lo=cfg.get("dynamics.cell_lo"), cell_hi=cfg.get("dynamics.cell_hi"),
+        n_cells=cfg.get("dynamics.cells"), threshold=cfg.get("dynamics.threshold"),
+        tol=cfg.get("dynamics.tol"), max_period=cfg.get("dynamics.max_period"))
     rows = [{"eta": r.eta, "classification": str(r.classification),
              "cells": ";".join(str(c) for c in r.occupied_cells)}
             for r in result.rows]
@@ -223,24 +205,22 @@ def _cmd_bifurcation(cfg: ExperimentConfig) -> tuple:
 
 def _cmd_orbit(cfg: ExperimentConfig) -> tuple:
     sc = build_scenario(cfg.scenario or "chaos_1d", cfg.scenario_params)
-    gd_map = dynamics.compose_map(sc, float(cfg.require("dynamics.eta")))
-    orbit = dynamics.iterate_orbit(gd_map, as_point(cfg.get("dynamics.x0")),
-                                   int(cfg.get("dynamics.steps")),
-                                   float(cfg.get("dynamics.threshold")))
+    gd_map = dynamics.compose_map(sc, cfg.get("dynamics.eta"))
+    orbit = dynamics.iterate_orbit(gd_map, cfg.get("dynamics.x0"),
+                                   cfg.get("dynamics.steps"),
+                                   cfg.get("dynamics.threshold"))
     rows = [{"t": i, "x": p, "norm": float(np.linalg.norm(p))}
             for i, p in enumerate(orbit.points)]
     return rows, not orbit.bounded
 
 
 def _cmd_star(cfg: ExperimentConfig, seed_override) -> tuple:
-    seed = seed_override if seed_override is not None else int(cfg.get("star.seed"))
+    seed = seed_override if seed_override is not None else cfg.get("star.seed")
     res = dynamics.star_scan(
-        eta=float(cfg.require("star.eta")),
-        n_samples=int(cfg.get("star.samples")),
-        sample_half_width=float(cfg.get("star.box")),
-        n_steps=int(cfg.get("star.steps")),
-        tail_fraction=float(cfg.get("star.tail_fraction")),
-        seed=seed, threshold=float(cfg.get("star.threshold")))
+        eta=cfg.get("star.eta"), n_samples=cfg.get("star.samples"),
+        sample_half_width=cfg.get("star.box"), n_steps=cfg.get("star.steps"),
+        tail_fraction=cfg.get("star.tail_fraction"),
+        seed=seed, threshold=cfg.get("star.threshold"))
     if cfg.get("star.output") == "tail":
         rows = [{"i": i, "x0": float(p[0]), "x1": float(p[1])}
                 for i, p in enumerate(res.tail_points)]
@@ -253,9 +233,9 @@ def _cmd_star(cfg: ExperimentConfig, seed_override) -> tuple:
 
 def _cmd_verify(cfg: ExperimentConfig, seed_override) -> tuple:
     sc = build_scenario(cfg.scenario, cfg.scenario_params)
-    seed = seed_override if seed_override is not None else int(cfg.get("verify.seed"))
-    rows = verify_scenario(sc, n_samples=int(cfg.get("verify.samples")),
-                           seed=seed, n_fd=int(cfg.get("verify.fd_points")))
+    seed = seed_override if seed_override is not None else cfg.get("verify.seed")
+    rows = verify_scenario(sc, n_samples=cfg.get("verify.samples"),
+                           seed=seed, n_fd=cfg.get("verify.fd_points"))
     return rows, any(not r["passed"] for r in rows)
 
 

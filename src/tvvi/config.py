@@ -1,16 +1,22 @@
 """Flat key-value experiment configuration.
 
 The format is line-oriented ``section.key = value`` with ``#`` comments,
-chosen for diff-friendly experiment provenance. Values parse as
+chosen for diff-friendly experiment provenance. ``FIELDS`` defines every
+key outside ``scenario.*``: its type, default, bound and the commands
+that accept it. Integer fields take integer literals, float fields
+finite numbers, vector fields comma-separated finite floats, and string
+fields keep their raw text. Unknown keys, mistyped values and values out
+of bounds are rejected with field-level errors before any computation
+runs. ``scenario.*`` values, which the scenario builders check, parse as
 booleans, integers, floats, comma vectors, semicolon-row matrices, or
-strings; ``|`` separates a list of matrices. Unknown keys are rejected
-with field-level errors before any computation runs.
+strings; ``|`` separates a list of matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class ConfigError(ValueError):
@@ -21,12 +27,14 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+_BOOLEANS = {"true": True, "yes": True, "on": True,
+             "false": False, "no": False, "off": False}
+
+
 def parse_scalar(text: str):
     low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
+    if low in _BOOLEANS:
+        return _BOOLEANS[low]
     try:
         return int(text)
     except ValueError:
@@ -55,62 +63,124 @@ ALGORITHMS = ("forward", "resolvent", "cyclic_fb", "meta_fixed", "meta_adaptive"
 BOUND_KINDS = ("contractive", "cyclic_regret", "aggregation_regret",
                "aggregation_tracking", "constant_tracking", "adversarial_lb")
 
-# keys allowed per command, besides "command" and "scenario.*"
-_RUN_KEYS = {"run.horizon", "run.z1", "run.seed", "run.divergence_threshold",
-             "run.fail_on_divergence"}
-_ALGO_KEYS = {"algorithm.kind", "algorithm.eta", "algorithm.period",
-              "algorithm.schedule", "algorithm.mu", "algorithm.k",
-              "algorithm.d", "algorithm.g", "algorithm.lip"}
-_OUT_KEYS = {"output.path", "output.format"}
 
-ALLOWED_KEYS = {
-    "track": _RUN_KEYS | _ALGO_KEYS | _OUT_KEYS,
-    "bounds": _RUN_KEYS | _ALGO_KEYS | _OUT_KEYS | {
-        "bound.kind", "bound.which", "bound.c", "bound.g", "bound.mu",
-        "bound.d", "bound.k", "bound.big_k", "bound.d0", "bound.kappa"},
-    "bifurcation": _OUT_KEYS | {
-        "dynamics.eta_lo", "dynamics.eta_hi", "dynamics.eta_n",
-        "dynamics.extra_etas", "dynamics.steps", "dynamics.burn_in",
-        "dynamics.x0", "dynamics.cell_lo", "dynamics.cell_hi",
-        "dynamics.cells", "dynamics.threshold", "dynamics.tol",
-        "dynamics.max_period"},
-    "orbit": _OUT_KEYS | {
-        "dynamics.eta", "dynamics.x0", "dynamics.steps", "dynamics.threshold"},
-    "star": _OUT_KEYS | {
-        "star.eta", "star.samples", "star.steps", "star.box",
-        "star.tail_fraction", "star.seed", "star.threshold", "star.output"},
-    "verify": _OUT_KEYS | {"verify.samples", "verify.fd_points", "verify.seed"},
+class Spec(NamedTuple):
+    """One config key. ``type`` is int, float, bool, str, list (a vector
+    of floats) or a tuple of the allowed strings; ``bound`` is a
+    (rule, predicate) pair checked on the value, or on each coordinate
+    of a vector."""
+    type: object
+    default: object
+    bound: Optional[tuple]
+    commands: tuple
+
+
+_POSITIVE = ("must be positive", lambda x: x > 0)
+_NONNEGATIVE = ("must be nonnegative", lambda x: x >= 0)
+_OPEN_UNIT = ("must be in (0, 1)", lambda x: 0 < x < 1)
+_FRACTION = ("must be in (0, 1]", lambda x: 0 < x <= 1)
+_AT_LEAST_ONE = ("must be at least 1", lambda x: x >= 1)
+_NONEMPTY = ("must not be empty", bool)
+
+_TRACKING = ("track", "bounds")
+_SCAN = ("bifurcation",)
+_MAPS = ("bifurcation", "orbit")
+
+FIELDS = {
+    "run.horizon": Spec(int, None, _POSITIVE, _TRACKING),
+    "run.z1": Spec(list, None, None, _TRACKING),
+    "run.divergence_threshold": Spec(float, 1e6, _POSITIVE, _TRACKING),
+    "run.fail_on_divergence": Spec(bool, False, None, _TRACKING),
+    "algorithm.kind": Spec(ALGORITHMS, None, None, _TRACKING),
+    "algorithm.eta": Spec(float, None, _POSITIVE, _TRACKING),
+    "algorithm.period": Spec(int, None, _POSITIVE, _TRACKING),
+    "algorithm.schedule": Spec(("inverse_mu", "constant"), "inverse_mu", None, _TRACKING),
+    "algorithm.mu": Spec(float, None, _POSITIVE, _TRACKING),
+    "algorithm.k": Spec(int, None, _POSITIVE, _TRACKING),
+    "algorithm.d": Spec(float, None, _POSITIVE, _TRACKING),
+    "algorithm.g": Spec(float, None, _POSITIVE, _TRACKING),
+    "algorithm.lip": Spec(float, None, _POSITIVE, _TRACKING),
+    "output.path": Spec(str, None, _NONEMPTY, COMMANDS),
+    "output.format": Spec(("csv", "json"), "csv", None, COMMANDS),
+    "bound.kind": Spec(BOUND_KINDS, None, None, ("bounds",)),
+    "bound.which": Spec(("tracking", "regret"), "tracking", None, ("bounds",)),
+    "bound.c": Spec(float, None, _OPEN_UNIT, ("bounds",)),
+    "bound.g": Spec(float, None, _POSITIVE, ("bounds",)),
+    "bound.mu": Spec(float, None, _POSITIVE, ("bounds",)),
+    "bound.d": Spec(float, None, _POSITIVE, ("bounds",)),
+    "bound.k": Spec(int, None, _POSITIVE, ("bounds",)),
+    "bound.big_k": Spec(int, None, _POSITIVE, ("bounds",)),
+    "bound.d0": Spec(float, None, _NONNEGATIVE, ("bounds",)),
+    "bound.kappa": Spec(float, None, _AT_LEAST_ONE, ("bounds",)),
+    "dynamics.eta_lo": Spec(float, 0.0, _NONNEGATIVE, _SCAN),
+    "dynamics.eta_hi": Spec(float, 8.0, _POSITIVE, _SCAN),
+    "dynamics.eta_n": Spec(int, 3000, _POSITIVE, _SCAN),
+    "dynamics.extra_etas": Spec(list, None, _POSITIVE, _SCAN),
+    "dynamics.steps": Spec(int, 2000, _POSITIVE, _MAPS),
+    "dynamics.burn_in": Spec(int, 1000, _NONNEGATIVE, _SCAN),
+    "dynamics.x0": Spec(list, -0.1, None, _MAPS),
+    "dynamics.cell_lo": Spec(float, -10.0, None, _SCAN),
+    "dynamics.cell_hi": Spec(float, 10.0, None, _SCAN),
+    "dynamics.cells": Spec(int, 1000, _POSITIVE, _SCAN),
+    "dynamics.threshold": Spec(float, 1000.0, _POSITIVE, _MAPS),
+    "dynamics.tol": Spec(float, 1e-8, _POSITIVE, _SCAN),
+    "dynamics.max_period": Spec(int, 64, _POSITIVE, _SCAN),
+    "dynamics.eta": Spec(float, None, _POSITIVE, ("orbit",)),
+    "star.eta": Spec(float, None, _POSITIVE, ("star",)),
+    "star.samples": Spec(int, 100, _POSITIVE, ("star",)),
+    "star.steps": Spec(int, 500, _POSITIVE, ("star",)),
+    "star.box": Spec(float, 500.0, _POSITIVE, ("star",)),
+    "star.tail_fraction": Spec(float, 0.5, _FRACTION, ("star",)),
+    "star.seed": Spec(int, 0, _NONNEGATIVE, ("star",)),
+    "star.threshold": Spec(float, 1e6, _POSITIVE, ("star",)),
+    "star.output": Spec(("series", "tail"), "series", None, ("star",)),
+    "verify.samples": Spec(int, 10000, _POSITIVE, ("verify",)),
+    "verify.fd_points": Spec(int, 100, _POSITIVE, ("verify",)),
+    "verify.seed": Spec(int, 0, _NONNEGATIVE, ("verify",)),
 }
 
-DEFAULTS = {
-    "run.seed": 0,
-    "run.divergence_threshold": 1e6,
-    "run.fail_on_divergence": False,
-    "output.format": "csv",
-    "dynamics.eta_lo": 0.0,
-    "dynamics.eta_hi": 8.0,
-    "dynamics.eta_n": 3000,
-    "dynamics.steps": 2000,
-    "dynamics.burn_in": 1000,
-    "dynamics.x0": -0.1,
-    "dynamics.cell_lo": -10.0,
-    "dynamics.cell_hi": 10.0,
-    "dynamics.cells": 1000,
-    "dynamics.threshold": 1000.0,
-    "dynamics.tol": 1e-8,
-    "dynamics.max_period": 64,
-    "star.samples": 100,
-    "star.steps": 500,
-    "star.box": 500.0,
-    "star.tail_fraction": 0.5,
-    "star.seed": 0,
-    "star.threshold": 1e6,
-    "star.output": "series",
-    "bound.which": "tracking",
-    "verify.samples": 10000,
-    "verify.fd_points": 100,
-    "verify.seed": 0,
+# fields without a default that a command, or an algorithm kind, needs
+_REQUIRED = {
+    "track": ("scenario.name", "algorithm.kind", "run.horizon", "run.z1"),
+    "bounds": ("scenario.name", "algorithm.kind", "run.horizon", "run.z1",
+               "bound.kind"),
+    "bifurcation": (),
+    "orbit": ("dynamics.eta",),
+    "star": ("star.eta",),
+    "verify": ("scenario.name",),
 }
+_REQUIRED_BY_KIND = {
+    "forward": ("algorithm.eta",),
+    "cyclic_fb": ("algorithm.period",),
+    "meta_fixed": ("algorithm.k",),
+    "meta_adaptive": ("algorithm.k",),
+}
+
+
+_NUMBER_RULES = {int: "must be an integer", float: "must be a finite number",
+                 list: "must be finite numbers separated by commas"}
+
+
+def _coerce(kind, text: str):
+    """``text`` as a value of type ``kind``; raises ValueError naming the
+    type rule it breaks."""
+    if kind in _NUMBER_RULES:
+        try:
+            if kind is int:
+                return int(text)
+            xs = [float(u) for u in text.split(",")]
+            if all(map(math.isfinite, xs)) and (kind is list or len(xs) == 1):
+                return xs if kind is list else xs[0]
+        except ValueError:
+            pass
+        raise ValueError(_NUMBER_RULES[kind])
+    if kind is bool:
+        if text.lower() not in _BOOLEANS:
+            raise ValueError("must be true or false")
+        return _BOOLEANS[text.lower()]
+    if isinstance(kind, tuple) and text not in kind:
+        raise ValueError(f"must be one of {', '.join(kind)}")
+    return text
 
 
 @dataclass
@@ -121,17 +191,12 @@ class ExperimentConfig:
     values: dict = field(default_factory=dict)
 
     def get(self, key: str, default=None):
+        """The typed value of ``key``, else its table default, else
+        ``default``."""
         if key in self.values:
             return self.values[key]
-        if key in DEFAULTS:
-            return DEFAULTS[key]
-        return default
-
-    def require(self, key: str):
-        v = self.get(key)
-        if v is None:
-            raise ConfigError([f"field {key!r}: required"])
-        return v
+        value = FIELDS[key].default
+        return default if value is None else value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -163,114 +228,51 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
 
-    scenario = None
-    scenario_params = {}
-    values = {}
-    allowed = ALLOWED_KEYS[command]
+    cfg = ExperimentConfig(command=command, scenario=pairs.pop("scenario.name", None))
     for key, raw in pairs.items():
-        if key == "scenario.name":
-            scenario = raw
-            continue
         if key.startswith("scenario."):
-            scenario_params[key[len("scenario."):]] = parse_value(raw)
+            cfg.scenario_params[key[len("scenario."):]] = parse_value(raw)
             continue
-        if key not in allowed:
+        spec = FIELDS.get(key)
+        if spec is None or command not in spec.commands:
             errors.append(f"field {key!r}: unknown key for command {command!r}")
             continue
-        values[key] = parse_value(raw)
-
-    cfg = ExperimentConfig(command=command, scenario=scenario,
-                           scenario_params=scenario_params, values=values)
-    errors.extend(_validate(cfg))
+        try:
+            value = _coerce(spec.type, raw)
+        except ValueError as exc:
+            errors.append(f"field {key!r}: {exc}, got {raw!r}")
+            continue
+        if spec.bound is not None:
+            rule, holds = spec.bound
+            if not all(map(holds, value if isinstance(value, list) else [value])):
+                errors.append(f"field {key!r}: {rule}, got {raw!r}")
+                continue
+        cfg.values[key] = value
+    if errors:
+        raise ConfigError(errors)
+    errors = _cross_check(cfg)
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
-def _validate(cfg: ExperimentConfig) -> list:
+def _cross_check(cfg: ExperimentConfig) -> list:
+    """The rules that tie a field to the command, the algorithm kind or
+    another field."""
     errors = []
-    v = cfg.values
-
-    def positive(key):
-        x = cfg.get(key)
-        if x is not None and (not isinstance(x, (int, float)) or x <= 0):
-            errors.append(f"field {key!r}: must be positive, got {x!r}")
-
-    def nonneg_int(key):
-        x = cfg.get(key)
-        if x is not None and (not isinstance(x, int) or x < 0):
-            errors.append(f"field {key!r}: must be a nonnegative integer")
-
-    if cfg.command in ("track", "bounds", "verify") or \
-            (cfg.command in ("bifurcation", "orbit") and cfg.scenario is None):
-        if cfg.scenario is None and cfg.command in ("track", "bounds", "verify"):
-            errors.append("field 'scenario.name': required")
-
-    if cfg.command in ("track", "bounds"):
-        kind = v.get("algorithm.kind")
-        if kind is None:
-            errors.append("field 'algorithm.kind': required")
-        elif kind not in ALGORITHMS:
-            errors.append(f"field 'algorithm.kind': unknown algorithm {kind!r}")
-        if kind == "forward" and cfg.get("algorithm.eta") is None:
-            errors.append("field 'algorithm.eta': required for forward")
-        if kind == "cyclic_fb" and cfg.get("algorithm.period") is None:
-            errors.append("field 'algorithm.period': required for cyclic_fb")
-        if kind in ("meta_fixed", "meta_adaptive") and cfg.get("algorithm.k") is None:
-            errors.append("field 'algorithm.k': required for meta algorithms")
-        if cfg.get("run.horizon") is None:
-            errors.append("field 'run.horizon': required")
-        if cfg.get("run.z1") is None:
-            errors.append("field 'run.z1': required")
-        positive("algorithm.eta")
-        positive("algorithm.mu")
-        positive("algorithm.period")
-        positive("algorithm.k")
-        positive("run.horizon")
-        positive("run.divergence_threshold")
-
-    if cfg.command == "bounds":
-        kind = v.get("bound.kind")
-        if kind is None:
-            errors.append("field 'bound.kind': required")
-        elif kind not in BOUND_KINDS:
-            errors.append(f"field 'bound.kind': unknown bound {kind!r}")
-        which = cfg.get("bound.which")
-        if which not in ("tracking", "regret"):
-            errors.append("field 'bound.which': must be tracking or regret")
+    kind = cfg.get("algorithm.kind")
+    needs = [(key, "") for key in _REQUIRED[cfg.command]]
+    needs += [(key, f" for {kind}") for key in _REQUIRED_BY_KIND.get(kind, ())]
+    if kind == "cyclic_fb" and cfg.get("algorithm.schedule") == "constant":
+        needs.append(("algorithm.eta", " for a constant schedule"))
+    for key, reason in needs:
+        if (cfg.scenario if key == "scenario.name" else cfg.get(key)) is None:
+            errors.append(f"field {key!r}: required{reason}")
 
     if cfg.command == "bifurcation":
-        positive("dynamics.eta_n")
-        positive("dynamics.steps")
-        positive("dynamics.threshold")
-        nonneg_int("dynamics.burn_in")
-        steps, burn = cfg.get("dynamics.steps"), cfg.get("dynamics.burn_in")
-        if isinstance(steps, int) and isinstance(burn, int) and burn >= steps:
-            errors.append("field 'dynamics.burn_in': must be below dynamics.steps")
-
-    if cfg.command == "orbit":
-        if cfg.get("dynamics.eta") is None:
-            errors.append("field 'dynamics.eta': required")
-        positive("dynamics.eta")
-        positive("dynamics.steps")
-
-    if cfg.command == "star":
-        if cfg.get("star.eta") is None:
-            errors.append("field 'star.eta': required")
-        positive("star.eta")
-        positive("star.samples")
-        positive("star.steps")
-        tf = cfg.get("star.tail_fraction")
-        if not (isinstance(tf, (int, float)) and 0 < tf <= 1):
-            errors.append("field 'star.tail_fraction': must be in (0, 1]")
-        if cfg.get("star.output") not in ("series", "tail"):
-            errors.append("field 'star.output': must be series or tail")
-
-    if cfg.command == "verify":
-        positive("verify.samples")
-        positive("verify.fd_points")
-
-    fmt = cfg.get("output.format")
-    if fmt not in ("csv", "json"):
-        errors.append("field 'output.format': must be csv or json")
+        for lo, hi in (("dynamics.burn_in", "dynamics.steps"),
+                       ("dynamics.eta_lo", "dynamics.eta_hi"),
+                       ("dynamics.cell_lo", "dynamics.cell_hi")):
+            if cfg.get(lo) >= cfg.get(hi):
+                errors.append(f"field {lo!r}: must be below {hi}")
     return errors

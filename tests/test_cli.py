@@ -1,13 +1,16 @@
 """End-to-end tests for config parsing, row emission, and the CLI."""
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tvvi import cli
 from tvvi.cli import main
-from tvvi.config import ConfigError, parse_config
+from tvvi.config import FIELDS, ConfigError, parse_config
 from tvvi.io import DIVERGED_TOKEN, emit_rows, read_rows
 
 MINIMAL_TRACK = """
@@ -17,6 +20,21 @@ algorithm.kind = forward
 algorithm.eta = 1.0
 run.horizon = 10
 run.z1 = 3.0
+"""
+
+SMALL_SCAN = """
+command = bifurcation
+scenario.name = chaos_1d
+dynamics.eta_n = 5
+dynamics.steps = 20
+dynamics.burn_in = 10
+"""
+SMALL_STAR = "command = star\nstar.eta = 0.4\nstar.samples = 3\nstar.steps = 10\n"
+SMALL_VERIFY = """
+command = verify
+scenario.name = chaos_1d
+verify.samples = 5
+verify.fd_points = 3
 """
 
 
@@ -71,6 +89,32 @@ class TestParseConfig:
         cfg = parse_config("command = orbit\nscenario.name = chaos_1d\n"
                            "dynamics.eta = 0.4\ndynamics.x0 = 0.1,0.2\n")
         assert cfg.get("dynamics.x0") == [0.1, 0.2]
+
+    def test_float_field_accepts_int_literal(self):
+        cfg = parse_config(MINIMAL_TRACK.replace("eta = 1.0", "eta = 1"))
+        assert cfg.get("algorithm.eta") == 1.0
+        assert isinstance(cfg.get("algorithm.eta"), float)
+
+    def test_run_seed_is_unknown_key(self):
+        with pytest.raises(ConfigError, match="'run.seed': unknown key"):
+            parse_config(MINIMAL_TRACK + "run.seed = 3\n")
+
+    def test_constant_schedule_requires_eta(self):
+        text = MINIMAL_TRACK.replace("kind = forward", "kind = cyclic_fb")
+        text = text.replace("algorithm.eta = 1.0\n", "")
+        with pytest.raises(ConfigError, match="algorithm.eta"):
+            parse_config(text + "algorithm.period = 2\nalgorithm.schedule = constant\n")
+
+    def test_cli_reads_exactly_the_table_keys(self):
+        # every key the CLI reads is defined in the table, and every key
+        # the table defines is read somewhere: no dead or undefined key
+        sections = {key.split(".")[0] for key in FIELDS}
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        read = {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and re.fullmatch(r"[a-z]+\.[a-z0-9_]+", node.value)
+                and node.value.split(".")[0] in sections}
+        assert read == set(FIELDS)
 
 
 class TestEmitRows:
@@ -254,6 +298,51 @@ dynamics.burn_in = 200
         cfg = write_cfg(tmp_path, MINIMAL_TRACK.replace("eta = 1.0", "eta = -1"))
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "algorithm.eta" in capsys.readouterr().err
+
+    def test_string_field_path_with_comma(self, tmp_path):
+        out = tmp_path / "a,b.csv"
+        cfg = write_cfg(tmp_path, MINIMAL_TRACK + f"output.path = {out}\n")
+        assert main(["--config", cfg]) == 0
+        assert read_rows(str(out))[0]["t"] == 1
+
+    @pytest.mark.parametrize("text, field", [
+        (MINIMAL_TRACK.replace("eta = 1.0", "eta = nan"), "algorithm.eta"),
+        (MINIMAL_TRACK.replace("eta = 1.0", "eta = inf"), "algorithm.eta"),
+        (MINIMAL_TRACK.replace("eta = 1.0", "eta = true"), "algorithm.eta"),
+        (SMALL_SCAN + "dynamics.threshold = nan\n", "dynamics.threshold"),
+        (MINIMAL_TRACK.replace("horizon = 10", "horizon = 2.5"), "run.horizon"),
+        (MINIMAL_TRACK.replace("horizon = 10", "horizon = true"), "run.horizon")],
+        ids=["eta_nan", "eta_inf", "eta_true", "threshold_nan", "horizon_2.5",
+             "horizon_true"])
+    def test_mistyped_number_exit_code(self, tmp_path, capsys, text, field):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, field", [
+        (SMALL_SCAN + "dynamics.cells = 0\n", "dynamics.cells"),
+        (SMALL_STAR + "star.seed = -1\n", "star.seed"),
+        (SMALL_VERIFY + "verify.seed = -3\n", "verify.seed"),
+        (SMALL_STAR + "star.box = -5\n", "star.box"),
+        (SMALL_SCAN + "dynamics.x0 = abc\n", "dynamics.x0"),
+        (SMALL_SCAN + "dynamics.extra_etas = -1\n", "dynamics.extra_etas"),
+        (SMALL_SCAN + "dynamics.eta_lo = -4\n", "dynamics.eta_lo"),
+        (SMALL_SCAN + "dynamics.eta_lo = 9\n", "dynamics.eta_lo"),
+        (SMALL_SCAN + "dynamics.cell_lo = 2\ndynamics.cell_hi = 1\n",
+         "dynamics.cell_lo"),
+        (MINIMAL_TRACK.replace("track", "bounds")
+         + "bound.kind = contractive\nbound.c = 1.5\n", "bound.c"),
+        (MINIMAL_TRACK.replace("track", "bounds")
+         + "bound.kind = constant_tracking\nbound.kappa = 0.5\n", "bound.kappa"),
+        (MINIMAL_TRACK + "output.path =\n", "output.path")],
+        ids=["cells_0", "star_seed_-1", "verify_seed_-3", "star_box_-5", "x0_abc",
+             "extra_etas_-1", "eta_lo_-4", "eta_lo_above_eta_hi",
+             "cell_lo_above_cell_hi", "bound_c_1.5", "bound_kappa_0.5",
+             "empty_path"])
+    def test_out_of_bounds_exit_code(self, tmp_path, capsys, text, field):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert field in capsys.readouterr().err
 
     def test_resolvent_on_bounded_domain_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """
