@@ -338,9 +338,10 @@ class MetaFixed:
 
     def start(self, z1, domain: Domain) -> MetaLearner:
         if not domain.bounded:
-            raise ConfigurationError("meta_step_fixed requires a bounded domain")
+            raise ConfigurationError("meta_fixed requires a bounded domain")
         if self.D is None or self.G is None:
-            raise ConfigurationError("meta_step_fixed requires D and G")
+            raise ConfigurationError("meta_fixed requires D and G "
+                                     "(algorithm.d, algorithm.g)")
         return MetaLearner(self.K, z1, StepSchedule.inverse_mu_t(self.mu), domain,
                            self.mu, lam=fixed_learning_rate(self.mu, self.D, self.G))
 
@@ -353,7 +354,8 @@ class MetaAdaptive:
 
     def start(self, z1, domain: Domain) -> MetaLearner:
         if self.lip is None or self.lip <= 0:
-            raise ConfigurationError("meta_step_adaptive requires a Lipschitz constant")
+            raise ConfigurationError("meta_adaptive requires a positive Lipschitz "
+                                     "constant (algorithm.lip)")
         return MetaLearner(self.K, z1, StepSchedule.constant(1.0 / self.lip),
                            domain, self.mu)
 

@@ -23,10 +23,11 @@ import numpy as np
 
 from . import algorithms as alg
 from . import dynamics, metrics
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import (FIELDS, ConfigError, ExperimentConfig, _field_value,
+                     _vector_field, parse_config)
 from .core import ConfigurationError
 from .io import emit_rows
-from .scenarios import Scenario, build_scenario, verify_scenario
+from .scenarios import PARAMS, Scenario, build_scenario, verify_scenario
 
 EXIT_OK = 0
 EXIT_DIVERGED = 1
@@ -64,8 +65,8 @@ def _build_algorithm(cfg: ExperimentConfig, sc: Scenario):
 
 def _run_trajectory(cfg: ExperimentConfig, sc: Scenario) -> alg.Trajectory:
     algo = _build_algorithm(cfg, sc)
-    return alg.run_tracker(sc.seq, algo, sc.domain, cfg.get("run.z1"),
-                           cfg.get("run.horizon"),
+    z1 = _vector_field("run.z1", cfg.get("run.z1"), sc.seq.dim)
+    return alg.run_tracker(sc.seq, algo, sc.domain, z1, cfg.get("run.horizon"),
                            divergence_threshold=cfg.get("run.divergence_threshold"))
 
 
@@ -191,7 +192,8 @@ def _cmd_bifurcation(cfg: ExperimentConfig) -> tuple:
     if extra is not None:
         etas = sorted(set(etas) | set(extra))
     result = dynamics.bifurcation_scan(
-        sc, cfg.get("dynamics.x0"), etas=etas,
+        sc, _vector_field("dynamics.x0", cfg.get("dynamics.x0"), sc.seq.dim),
+        etas=etas,
         n_steps=cfg.get("dynamics.steps"), burn_in=cfg.get("dynamics.burn_in"),
         cell_lo=cfg.get("dynamics.cell_lo"), cell_hi=cfg.get("dynamics.cell_hi"),
         n_cells=cfg.get("dynamics.cells"), threshold=cfg.get("dynamics.threshold"),
@@ -206,21 +208,20 @@ def _cmd_bifurcation(cfg: ExperimentConfig) -> tuple:
 def _cmd_orbit(cfg: ExperimentConfig) -> tuple:
     sc = build_scenario(cfg.scenario or "chaos_1d", cfg.scenario_params)
     gd_map = dynamics.compose_map(sc, cfg.get("dynamics.eta"))
-    orbit = dynamics.iterate_orbit(gd_map, cfg.get("dynamics.x0"),
-                                   cfg.get("dynamics.steps"),
+    x0 = _vector_field("dynamics.x0", cfg.get("dynamics.x0"), sc.seq.dim)
+    orbit = dynamics.iterate_orbit(gd_map, x0, cfg.get("dynamics.steps"),
                                    cfg.get("dynamics.threshold"))
     rows = [{"t": i, "x": p, "norm": float(np.linalg.norm(p))}
             for i, p in enumerate(orbit.points)]
     return rows, not orbit.bounded
 
 
-def _cmd_star(cfg: ExperimentConfig, seed_override) -> tuple:
-    seed = seed_override if seed_override is not None else cfg.get("star.seed")
+def _cmd_star(cfg: ExperimentConfig) -> tuple:
     res = dynamics.star_scan(
         eta=cfg.get("star.eta"), n_samples=cfg.get("star.samples"),
         sample_half_width=cfg.get("star.box"), n_steps=cfg.get("star.steps"),
         tail_fraction=cfg.get("star.tail_fraction"),
-        seed=seed, threshold=cfg.get("star.threshold"))
+        seed=cfg.get("star.seed"), threshold=cfg.get("star.threshold"))
     if cfg.get("star.output") == "tail":
         rows = [{"i": i, "x0": float(p[0]), "x1": float(p[1])}
                 for i, p in enumerate(res.tail_points)]
@@ -231,38 +232,30 @@ def _cmd_star(cfg: ExperimentConfig, seed_override) -> tuple:
     return rows, res.all_diverged
 
 
-def _cmd_verify(cfg: ExperimentConfig, seed_override) -> tuple:
+def _cmd_verify(cfg: ExperimentConfig) -> tuple:
     sc = build_scenario(cfg.scenario, cfg.scenario_params)
-    seed = seed_override if seed_override is not None else cfg.get("verify.seed")
     rows = verify_scenario(sc, n_samples=cfg.get("verify.samples"),
-                           seed=seed, n_fd=cfg.get("verify.fd_points"))
+                           seed=cfg.get("verify.seed"), n_fd=cfg.get("verify.fd_points"))
     return rows, any(not r["passed"] for r in rows)
-
-
-_SEEDED_SCENARIOS = ("kelly_auction", "streaming_regression", "glm")
 
 
 def run_experiment(cfg: ExperimentConfig, out_path: str, fmt: str,
                    fail_on_divergence: bool = False,
                    seed_override=None) -> int:
-    """Dispatch one experiment and write its rows; returns the exit code."""
-    if seed_override is not None and cfg.scenario in _SEEDED_SCENARIOS:
-        cfg.scenario_params["seed"] = int(seed_override)
+    """Dispatch one experiment and write its rows; returns the exit code.
+    ``seed_override`` (``--seed``) replaces every seed the run reads."""
+    if seed_override is not None:
+        seed = _field_value("--seed", FIELDS["star.seed"], seed_override)
+        cfg.values.update({"star.seed": seed, "verify.seed": seed})
+        if "seed" in PARAMS.get(cfg.scenario, {}):
+            cfg.scenario_params["seed"] = seed
 
-    if cfg.command == "track":
-        rows, flagged = _cmd_track(cfg)
-    elif cfg.command == "bounds":
-        rows, flagged = _cmd_bounds(cfg)
-    elif cfg.command == "bifurcation":
-        rows, flagged = _cmd_bifurcation(cfg)
-    elif cfg.command == "orbit":
-        rows, flagged = _cmd_orbit(cfg)
-    elif cfg.command == "star":
-        rows, flagged = _cmd_star(cfg, seed_override)
-    elif cfg.command == "verify":
-        rows, flagged = _cmd_verify(cfg, seed_override)
-    else:
+    commands = {"track": _cmd_track, "bounds": _cmd_bounds, "orbit": _cmd_orbit,
+                "bifurcation": _cmd_bifurcation, "star": _cmd_star,
+                "verify": _cmd_verify}
+    if cfg.command not in commands:
         raise ConfigError([f"field 'command': unknown command {cfg.command!r}"])
+    rows, flagged = commands[cfg.command](cfg)
 
     emit_rows(rows, fmt, out_path)
     if cfg.command == "verify":

@@ -2,14 +2,14 @@
 
 The format is line-oriented ``section.key = value`` with ``#`` comments,
 chosen for diff-friendly experiment provenance. ``FIELDS`` defines every
-key outside ``scenario.*``: its type, default, bound and the commands
-that accept it. Integer fields take integer literals, float fields
-finite numbers, vector fields comma-separated finite floats, and string
-fields keep their raw text. Unknown keys, mistyped values and values out
-of bounds are rejected with field-level errors before any computation
-runs. ``scenario.*`` values, which the scenario builders check, parse as
-booleans, integers, floats, comma vectors, semicolon-row matrices, or
-strings; ``|`` separates a list of matrices.
+key outside ``scenario.*``, and ``scenarios.PARAMS`` every scenario's
+keys: type, default, bound (and for ``FIELDS`` the commands that accept
+it). Integer fields take integer literals, float fields finite numbers,
+vector fields comma-separated finite floats, matrix fields such vectors
+as rows separated by ``;``, lists of matrices ``|`` between matrices,
+and string fields keep their raw text. Unknown keys, mistyped values and
+values out of bounds are rejected with field-level errors before any
+computation runs.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
+
+import numpy as np
+
+from .core import ConfigurationError, as_point
 
 
 class ConfigError(ValueError):
@@ -31,31 +35,6 @@ _BOOLEANS = {"true": True, "yes": True, "on": True,
              "false": False, "no": False, "off": False}
 
 
-def parse_scalar(text: str):
-    low = text.lower()
-    if low in _BOOLEANS:
-        return _BOOLEANS[low]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def parse_value(text: str):
-    text = text.strip()
-    if "|" in text:
-        return [parse_value(part) for part in text.split("|")]
-    if ";" in text:
-        return [[float(u) for u in row.split(",")] for row in text.split(";")]
-    if "," in text:
-        return [float(u) for u in text.split(",")]
-    return parse_scalar(text)
-
-
 COMMANDS = ("track", "bounds", "bifurcation", "orbit", "star", "verify")
 
 ALGORITHMS = ("forward", "resolvent", "cyclic_fb", "meta_fixed", "meta_adaptive")
@@ -64,15 +43,18 @@ BOUND_KINDS = ("contractive", "cyclic_regret", "aggregation_regret",
                "aggregation_tracking", "constant_tracking", "adversarial_lb")
 
 
+MATRIX, MATRICES = "matrix", "matrices"
+
+
 class Spec(NamedTuple):
     """One config key. ``type`` is int, float, bool, str, list (a vector
-    of floats) or a tuple of the allowed strings; ``bound`` is a
-    (rule, predicate) pair checked on the value, or on each coordinate
-    of a vector."""
+    of floats), MATRIX, MATRICES or a tuple of the allowed strings;
+    ``bound`` is a (rule, predicate) pair checked on the value, or on
+    each coordinate of a vector."""
     type: object
     default: object
-    bound: Optional[tuple]
-    commands: tuple
+    bound: Optional[tuple] = None
+    commands: tuple = ()
 
 
 _POSITIVE = ("must be positive", lambda x: x > 0)
@@ -158,7 +140,9 @@ _REQUIRED_BY_KIND = {
 
 
 _NUMBER_RULES = {int: "must be an integer", float: "must be a finite number",
-                 list: "must be finite numbers separated by commas"}
+                 list: "must be finite numbers separated by commas",
+                 MATRIX: "must be rows of equal length separated by ';'",
+                 MATRICES: "must be matrices separated by '|'"}
 
 
 def _coerce(kind, text: str):
@@ -168,9 +152,16 @@ def _coerce(kind, text: str):
         try:
             if kind is int:
                 return int(text)
-            xs = [float(u) for u in text.split(",")]
-            if all(map(math.isfinite, xs)) and (kind is list or len(xs) == 1):
-                return xs if kind is list else xs[0]
+            if kind == MATRICES:
+                return [_coerce(MATRIX, m) for m in text.split("|")]
+            if kind == MATRIX:
+                rows = [_coerce(list, row) for row in text.split(";")]
+                if len({len(row) for row in rows}) == 1:
+                    return rows
+            else:
+                xs = [float(u) for u in text.split(",")]
+                if all(map(math.isfinite, xs)) and (kind is list or len(xs) == 1):
+                    return xs if kind is list else xs[0]
         except ValueError:
             pass
         raise ValueError(_NUMBER_RULES[kind])
@@ -181,6 +172,29 @@ def _coerce(kind, text: str):
     if isinstance(kind, tuple) and text not in kind:
         raise ValueError(f"must be one of {', '.join(kind)}")
     return text
+
+
+def _field_value(key: str, spec: Spec, raw):
+    """Field ``key``'s value: text typed by ``spec.type`` (other values as
+    they are), checked against ``spec.bound`` on each coordinate; raises
+    ConfigurationError naming the field and the rule it breaks."""
+    try:
+        value = _coerce(spec.type, raw) if isinstance(raw, str) else raw
+    except ValueError as exc:
+        raise ConfigurationError(f"field {key!r}: {exc}, got {raw!r}") from None
+    if spec.bound is not None and not all(map(spec.bound[1], np.ravel(value))):
+        raise ConfigurationError(f"field {key!r}: {spec.bound[0]}, got {raw!r}")
+    return value
+
+
+def _vector_field(key: str, value, dim: int) -> np.ndarray:
+    """Field ``key``'s ``value`` as a vector of length ``dim``, the
+    scenario's dimension, which is known only once it is built."""
+    x = as_point(value)
+    if x.size != dim:
+        raise ConfigurationError(f"field {key!r}: must have length {dim}, the "
+                                 f"scenario's dimension, got {x.size}")
+    return x
 
 
 @dataclass
@@ -230,24 +244,17 @@ def parse_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig(command=command, scenario=pairs.pop("scenario.name", None))
     for key, raw in pairs.items():
-        if key.startswith("scenario."):
-            cfg.scenario_params[key[len("scenario."):]] = parse_value(raw)
+        if key.startswith("scenario."):     # typed by build_scenario
+            cfg.scenario_params[key[len("scenario."):]] = raw
             continue
         spec = FIELDS.get(key)
         if spec is None or command not in spec.commands:
             errors.append(f"field {key!r}: unknown key for command {command!r}")
             continue
         try:
-            value = _coerce(spec.type, raw)
-        except ValueError as exc:
-            errors.append(f"field {key!r}: {exc}, got {raw!r}")
-            continue
-        if spec.bound is not None:
-            rule, holds = spec.bound
-            if not all(map(holds, value if isinstance(value, list) else [value])):
-                errors.append(f"field {key!r}: {rule}, got {raw!r}")
-                continue
-        cfg.values[key] = value
+            cfg.values[key] = _field_value(key, spec, raw)
+        except ConfigurationError as exc:
+            errors.append(str(exc))
     if errors:
         raise ConfigError(errors)
     errors = _cross_check(cfg)

@@ -129,8 +129,8 @@ def project(domain: Domain, p) -> np.ndarray:
 class Operator:
     """A continuous map F: R^d -> R^d with optional analytic metadata.
 
-    ``mu``/``lip``/``gbound`` mirror the strong-monotonicity, Lipschitz
-    and sup-norm constants when known. ``affine`` stores ``(A, b)`` for
+    ``mu``/``lip`` mirror the strong-monotonicity and Lipschitz
+    constants when known. ``affine`` stores ``(A, b)`` for
     operators of the form ``F(x) = A x + b``, enabling exact resolvent
     steps and closed-form solutions. ``potential`` is the scalar
     function whose gradient F is, when one exists (used for
@@ -147,7 +147,6 @@ class Operator:
     dim: int
     mu: Optional[float] = None
     lip: Optional[float] = None
-    gbound: Optional[float] = None
     solution: Optional[np.ndarray] = None
     affine: Optional[tuple] = None          # (A, b)
     potential: Optional[Callable[[np.ndarray], float]] = None
@@ -265,7 +264,7 @@ def check_lipschitz(op: Operator, lip: float, domain: Domain,
 
 @dataclass
 class ProblemSequence:
-    """A time-indexed family of operators, optionally periodic.
+    """A time-indexed family of operators.
 
     ``respond(t, play) -> (z_star or None, op)`` is the one entry point of
     the online protocol (t is 1-based). Scripted sequences give a pure
@@ -278,7 +277,6 @@ class ProblemSequence:
 
     at: Optional[Callable[[int], Operator]]
     dim: int
-    period: Optional[int] = None
     solution_at: Optional[Callable[[int], np.ndarray]] = None
     respond: Optional[Callable[[int, np.ndarray], tuple]] = field(
         default=None, repr=False, compare=False)

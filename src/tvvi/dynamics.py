@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Domain, _evaluate_block, as_point, project
+from .core import ConfigurationError, Domain, _evaluate_block, as_point, project
 from .scenarios import Scenario, build_scenario
 
 DIVERGENCE_THRESHOLD = 1000.0     # per the bifurcation protocol
@@ -79,7 +79,8 @@ def compose_map(scenario: Scenario, eta) -> GDMap:
     """Build the composed period map of a k-periodic scenario, for one
     step size or for one step size per block row."""
     if scenario.period is None:
-        raise ValueError("compose_map requires a periodic scenario")
+        raise ConfigurationError(f"field 'scenario.name': {scenario.name!r} is not "
+                                 "periodic, and a composed map needs a period")
     etas = np.asarray(eta, dtype=float)
     if etas.ndim > 1 or np.any(etas <= 0):
         raise ValueError("eta must be positive (one value, or one per row)")

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
+from .config import (MATRICES, MATRIX, Spec, _AT_LEAST_ONE, _NONNEGATIVE,
+                     _POSITIVE, _field_value, _vector_field)
 from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
                    as_point, check_lipschitz, check_strong_monotone, evaluate,
                    _evaluate_block, _sample_points)
@@ -51,40 +53,28 @@ class Scenario:
         return [self.seq.at(t) for t in range(1, k + 1)]
 
 
-def _validate_params(name: str, params: dict, allowed: dict) -> dict:
-    """Merge user params over defaults, rejecting unknown keys."""
-    params = dict(params or {})
-    for key in params:
-        if key not in allowed:
-            raise ConfigurationError(f"scenario {name!r}: unknown parameter {key!r}")
-    merged = dict(allowed)
-    merged.update(params)
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # Drifting quadratics (tightness construction and tame test instances)
 
-def build_quadratic_drift(params: dict = None) -> Scenario:
+def build_quadratic_drift(p: dict) -> Scenario:
     """Quadratic potentials (x - c_t)^T A (x - c_t) / 2 whose minimizers
     drift by -b * t^{-decay} per step; decay 0 is the arithmetic
-    progression of the tightness construction.
+    progression of the tightness construction. A one-number c1 or b
+    applies to every coordinate.
     """
-    p = _validate_params("quadratic_drift", params, {
-        "dim": 1, "c1": 0.0, "b": 0.1, "decay": 0.0, "matrix": None,
-    })
-    dim = int(p["dim"])
-    c1 = as_point(p["c1"]) if np.ndim(p["c1"]) else np.full(dim, float(p["c1"]))
-    b = as_point(p["b"]) if np.ndim(p["b"]) else np.full(dim, float(p["b"]))
-    if c1.size != dim or b.size != dim:
-        raise ConfigurationError("quadratic_drift: c1/b dimension mismatch")
-    decay = float(p["decay"])
+    dim, decay = p["dim"], p["decay"]
+    try:
+        c1, b = np.full(dim, as_point(p["c1"])), np.full(dim, as_point(p["b"]))
+    except ValueError:
+        raise ConfigurationError("field 'scenario.c1': c1 and b must have one "
+                                 "or scenario.dim coordinates") from None
     A = np.eye(dim) if p["matrix"] is None else np.atleast_2d(np.asarray(p["matrix"], float))
-    if not np.allclose(A, A.T):
-        raise ConfigurationError("quadratic_drift: matrix must be symmetric")
+    if A.shape != (dim, dim) or not np.allclose(A, A.T):
+        raise ConfigurationError("field 'scenario.matrix': must be symmetric, "
+                                 "scenario.dim x scenario.dim")
     eigs = np.linalg.eigvalsh(A)
     if eigs[0] <= 0:
-        raise ConfigurationError("quadratic_drift: matrix must be positive definite")
+        raise ConfigurationError("field 'scenario.matrix': must be positive definite")
 
     # cached prefix sums of the drift magnitudes s^{-decay}
     prefix = [0.0]
@@ -102,7 +92,7 @@ def build_quadratic_drift(params: dict = None) -> Scenario:
         op.potential = lambda x, c=c: 0.5 * float((x - c) @ (A @ (x - c)))
         return op
 
-    seq = ProblemSequence(at=make_op, dim=dim, period=None, solution_at=center)
+    seq = ProblemSequence(at=make_op, dim=dim, solution_at=center)
     return Scenario(name="quadratic_drift", seq=seq, domain=Domain.unbounded(dim),
                     mu=float(eigs[0]), lip=float(eigs[-1]), params=p)
 
@@ -130,7 +120,7 @@ def periodic_quadratic(centers, matrix=None, domain: Domain = None) -> Scenario:
         op.potential = lambda x, c=c: 0.5 * float((x - c) @ (A @ (x - c)))
         return op
 
-    seq = ProblemSequence(at=make_op, dim=dim, period=k,
+    seq = ProblemSequence(at=make_op, dim=dim,
                           solution_at=lambda t: centers[(t - 1) % k])
     gbound = None
     if domain.bounded:
@@ -156,10 +146,9 @@ def _box_corners(domain: Domain) -> list:
 # ---------------------------------------------------------------------------
 # The 1-D alternating quadratic pair (single-step tuning example)
 
-def build_periodic_1d(params: dict = None) -> Scenario:
+def build_periodic_1d(p: dict) -> Scenario:
     """Alternating gradients 8x (odd rounds) and x (even rounds) with the
     constant solution 0."""
-    _validate_params("periodic_1d", params, {})
 
     def make_op(t: int) -> Operator:
         a = 8.0 if t % 2 == 1 else 1.0
@@ -167,8 +156,7 @@ def build_periodic_1d(params: dict = None) -> Scenario:
         op.potential = lambda x, a=a: 0.5 * a * float(x[0]) ** 2
         return op
 
-    seq = ProblemSequence(at=make_op, dim=1, period=2,
-                          solution_at=lambda t: np.zeros(1))
+    seq = ProblemSequence(at=make_op, dim=1, solution_at=lambda t: np.zeros(1))
     return Scenario(name="periodic_1d", seq=seq, domain=Domain.unbounded(1),
                     mu=1.0, lip=8.0, period=2)
 
@@ -198,37 +186,32 @@ def exp_quadratic_operator(A) -> Operator:
     return op
 
 
-def build_exp_quadratic(params: dict = None) -> Scenario:
-    p = _validate_params("exp_quadratic", params, {"matrices": [[[1.0]]]})
+def build_exp_quadratic(p: dict) -> Scenario:
     mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in p["matrices"]]
     k = len(mats)
     dim = mats[0].shape[0]
+    if any(m.shape != (dim, dim) for m in mats):
+        raise ConfigurationError("field 'scenario.matrices': must be square, of one size")
     ops = [exp_quadratic_operator(m) for m in mats]
 
-    seq = ProblemSequence(at=lambda t: ops[(t - 1) % k], dim=dim, period=k,
+    seq = ProblemSequence(at=lambda t: ops[(t - 1) % k], dim=dim,
                           solution_at=lambda t: np.zeros(dim))
     return Scenario(name="exp_quadratic", seq=seq, domain=Domain.unbounded(dim),
                     mu=min(op.mu for op in ops), lip=max(op.lip for op in ops),
                     period=k, params=p)
 
 
-def build_chaos_1d(params: dict = None) -> Scenario:
+def build_chaos_1d(p: dict) -> Scenario:
     """The 2-periodic scalar pair A = 0.25 (odd rounds) and A = 4."""
-    _validate_params("chaos_1d", params, {})
-    sc = build_exp_quadratic({"matrices": [[[0.25]], [[4.0]]]})
-    sc.name = "chaos_1d"
-    sc.params = {}
-    return sc
+    return replace(build_exp_quadratic({"matrices": [[[0.25]], [[4.0]]]}),
+                   name="chaos_1d", params={})
 
 
-def build_star_2d(params: dict = None) -> Scenario:
+def build_star_2d(p: dict) -> Scenario:
     """The 2-periodic planar pair with star-shaped limit sets."""
-    _validate_params("star_2d", params, {})
-    sc = build_exp_quadratic({"matrices": [[[0.75, 0.0], [0.0, 5.0]],
-                                           [[5.0, 1.0], [1.0, 0.75]]]})
-    sc.name = "star_2d"
-    sc.params = {}
-    return sc
+    return replace(build_exp_quadratic({"matrices": [[[0.75, 0.0], [0.0, 5.0]],
+                                                     [[5.0, 1.0], [1.0, 0.75]]]}),
+                   name="star_2d", params={})
 
 
 # ---------------------------------------------------------------------------
@@ -240,31 +223,18 @@ def kelly_utility(x: np.ndarray, i: int, values: np.ndarray, entry: float) -> fl
     return float(values[i]) * share - float(x[i])
 
 
-def build_kelly_auction(params: dict = None) -> Scenario:
+def build_kelly_auction(p: dict) -> Scenario:
     """n bidders on a good with sinusoidal seasonal price and values.
 
     The quadratic regularizer lam_reg makes the (monotone)
     pseudo-gradient strongly monotone with mu = lam_reg.
     """
-    p = _validate_params("kelly_auction", params, {
-        "n": 3, "budgets": None, "values": None, "entry": 1.0,
-        "entry_amp": 0.5, "value_amp": 0.25, "period": 50,
-        "lam_reg": 0.1, "G": None, "seed": 0,
-    })
-    n = int(p["n"])
-    if n < 2:
-        raise ConfigurationError("kelly_auction: n must be >= 2")
-    budgets = as_point(p["budgets"]) if p["budgets"] is not None else np.ones(n)
-    values0 = as_point(p["values"]) if p["values"] is not None else np.full(n, 2.0)
-    if budgets.size != n or values0.size != n:
-        raise ConfigurationError("kelly_auction: budgets/values must have length n")
-    if not (0 <= p["entry_amp"] < 1):
-        raise ConfigurationError("kelly_auction: entry_amp must be in [0, 1)")
-    k = int(p["period"])
-    lam = float(p["lam_reg"])
-    if lam <= 0:
-        raise ConfigurationError("kelly_auction: lam_reg must be positive")
-    rng = np.random.default_rng(int(p["seed"]))
+    n, k, lam = p["n"], p["period"], p["lam_reg"]
+    budgets = np.ones(n) if p["budgets"] is None else \
+        _vector_field("scenario.budgets", p["budgets"], n)
+    values0 = np.full(n, 2.0) if p["values"] is None else \
+        _vector_field("scenario.values", p["values"], n)
+    rng = np.random.default_rng(p["seed"])
     phases = rng.uniform(0, 2 * math.pi, size=n)
 
     def market(t: int) -> tuple:
@@ -285,9 +255,8 @@ def build_kelly_auction(params: dict = None) -> Scenario:
     v_max = float(np.max(values0)) * (1.0 + p["value_amp"])
     entry_min = p["entry"] * (1.0 - p["entry_amp"])
     # coarse sup-norm bound: |F_i| <= 1 + v_max/entry_min + lam * b_i
-    gbound = p["G"] if p["G"] is not None else \
-        math.sqrt(n) * (1.0 + v_max / entry_min + lam * float(np.max(budgets)))
-    seq = ProblemSequence(at=make_op, dim=n, period=k)
+    gbound = math.sqrt(n) * (1.0 + v_max / entry_min + lam * float(np.max(budgets)))
+    seq = ProblemSequence(at=make_op, dim=n)
     sc = Scenario(name="kelly_auction", seq=seq, domain=domain, mu=lam,
                   gbound=float(gbound), period=k, params=p)
     sc.params["_market"] = market
@@ -319,23 +288,17 @@ class _GaussianStream:
         return self.rows[:n], self.targets[:n]
 
 
-def build_streaming_regression(params: dict = None) -> Scenario:
+def build_streaming_regression(p: dict) -> Scenario:
     """f_t(x) = ||A_t x - b_t||^2 + lam ||x||^2 over a growing i.i.d.
     Gaussian stream; n_t grows linearly in t."""
-    p = _validate_params("streaming_regression", params, {
-        "dim": 3, "n0": 5, "growth": 2, "noise": 0.1, "lam_reg": 1.0,
-        "seed": 0, "w_star": None,
-    })
-    dim = int(p["dim"])
-    lam = float(p["lam_reg"])
-    if lam <= 0:
-        raise ConfigurationError("streaming_regression: lam_reg must be positive")
-    rng = np.random.default_rng(int(p["seed"]))
-    w_star = as_point(p["w_star"]) if p["w_star"] is not None else rng.standard_normal(dim)
-    stream = _GaussianStream(dim, float(p["noise"]), int(p["seed"]) + 1, w_star)
+    dim, lam = p["dim"], p["lam_reg"]
+    rng = np.random.default_rng(p["seed"])
+    w_star = rng.standard_normal(dim) if p["w_star"] is None else \
+        _vector_field("scenario.w_star", p["w_star"], dim)
+    stream = _GaussianStream(dim, p["noise"], p["seed"] + 1, w_star)
 
     def n_at(t: int) -> int:
-        return int(p["n0"]) + int(p["growth"]) * (t - 1)
+        return p["n0"] + p["growth"] * (t - 1)
 
     def gram(t: int) -> tuple:
         A, b = stream.upto(n_at(t))
@@ -374,30 +337,23 @@ def _glm_links(scale: float) -> dict:
     }
 
 
-def build_glm(params: dict = None) -> Scenario:
+def build_glm(p: dict) -> Scenario:
     """Streaming GLM operator (1/n_t) sum_i a_i (phi(<Z, a_i>) - b_i),
     optionally regularized by lam_reg * Z."""
-    p = _validate_params("glm", params, {
-        "dim": 2, "n0": 20, "growth": 5, "link": "identity", "scale": 4.0,
-        "lam_reg": 0.0, "noise": 0.1, "seed": 0, "z_star": None,
-    })
-    dim = int(p["dim"])
-    lam = float(p["lam_reg"])
-    links = _glm_links(float(p["scale"]))
-    if p["link"] not in links:
-        raise ConfigurationError(f"glm: unknown link {p['link']!r}")
-    phi, psi = links[p["link"]]
-    rng = np.random.default_rng(int(p["seed"]))
-    z_star = as_point(p["z_star"]) if p["z_star"] is not None else rng.standard_normal(dim)
+    dim, lam = p["dim"], p["lam_reg"]
+    phi, psi = _glm_links(p["scale"])[p["link"]]
+    rng = np.random.default_rng(p["seed"])
+    z_star = rng.standard_normal(dim) if p["z_star"] is None else \
+        _vector_field("scenario.z_star", p["z_star"], dim)
 
-    stream = _GaussianStream(1, 1.0, int(p["seed"]) + 1, np.ones(1))
-    feats = _GaussianStream(dim, 0.0, int(p["seed"]) + 2, np.zeros(dim))
+    stream = _GaussianStream(1, 1.0, p["seed"] + 1, np.ones(1))
+    feats = _GaussianStream(dim, 0.0, p["seed"] + 2, np.zeros(dim))
 
     def data(t: int) -> tuple:
-        n = int(p["n0"]) + int(p["growth"]) * (t - 1)
+        n = p["n0"] + p["growth"] * (t - 1)
         A, _ = feats.upto(n)
         xi = stream.upto(n)[0][:, 0]        # one fixed noise draw per sample
-        b = phi(A @ z_star) + float(p["noise"]) * xi
+        b = phi(A @ z_star) + p["noise"] * xi
         return A, b
 
     def make_op(t: int) -> Operator:
@@ -416,7 +372,7 @@ def build_glm(params: dict = None) -> Scenario:
             gram_top = float(np.linalg.eigvalsh(A.T @ A)[-1])
             op = Operator(fn=fn, dim=dim,
                           mu=lam if lam > 0 else None,
-                          lip=float(p["scale"]) / 4.0 * gram_top / n + lam)
+                          lip=p["scale"] / 4.0 * gram_top / n + lam)
         op.potential = lambda z, A=A, b=b, n=n: (
             float(np.sum(psi(A @ z))) - float(b @ (A @ z))) / n \
             + 0.5 * lam * float(z @ z)
@@ -453,67 +409,47 @@ def rsi_operator(a: float) -> Operator:
     return Operator(fn=fn, dim=2, solution=np.zeros(2))
 
 
-def estimate_lipschitz(op: Operator, domain: Domain, lo: float = 0.1,
-                       hi: float = 16.0, n_samples: int = 400, seed: int = 0,
-                       tol: float = 0.01) -> float:
-    """Smallest sampled Lipschitz constant, located by bisection.
-
-    Pair sampling underestimates the true supremum; prefer a Jacobian
-    grid bound when the derivatives are available.
-    """
-    if not check_lipschitz(op, hi, domain, n_samples, seed):
-        raise ConfigurationError("estimate_lipschitz: upper bracket too small")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if check_lipschitz(op, mid, domain, n_samples, seed):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def rsi_lipschitz(a: float, grid_n: int = 501) -> float:
-    """Grid supremum of the pseudo-gradient's Jacobian spectral norm.
+def rsi_lipschitz(a_values, grid_n: int = 501) -> float:
+    """Grid supremum of the pseudo-gradient's Jacobian spectral norm over
+    the coupling(s) ``a_values``, each distinct one evaluated once.
 
     All Jacobian entries are pi-periodic in both coordinates, so the
     grid over [0, pi]^2 captures the global supremum; the analytic
     envelope is |J| <= 2 + 2(3 + a) <= 10 plus unit off-diagonals.
     """
     u = np.linspace(0.0, math.pi, grid_n)
-    x, y = np.meshgrid(u, u)
-    j11 = 2.0 + 2.0 * np.cos(2 * x) * (3.0 + a * np.sin(y) ** 2)
-    j12 = a * np.sin(2 * x) * np.sin(2 * y)
-    j21 = -a * np.sin(2 * x) * np.sin(2 * y)
-    j22 = 2.0 + 2.0 * np.cos(2 * y) * (3.0 - a * np.sin(x) ** 2)
-    # largest singular value of [[j11, j12], [j21, j22]] via J^T J
-    p = j11 ** 2 + j21 ** 2
-    q = j12 ** 2 + j22 ** 2
-    r = j11 * j12 + j21 * j22
-    top = 0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * r ** 2))
-    return float(np.sqrt(top.max())) * 1.005     # grid-resolution headroom
+    x, y = u[None, :], u[:, None]          # the meshgrid axes, broadcast
+    cos_2x, cos_2y, sin_2x, sin_2y = (f(2 * v) for f in (np.cos, np.sin) for v in (x, y))
+    sin2_x, sin2_y = np.sin(x) ** 2, np.sin(y) ** 2
+    tops = []
+    for a in set(np.atleast_1d(a_values).tolist()):
+        j11 = 2.0 + 2.0 * cos_2x * (3.0 + a * sin2_y)
+        j12 = a * sin_2x * sin_2y
+        j21 = -a * sin_2x * sin_2y
+        j22 = 2.0 + 2.0 * cos_2y * (3.0 - a * sin2_x)
+        # largest singular value of [[j11, j12], [j21, j22]] via J^T J
+        p = j11 ** 2 + j21 ** 2
+        q = j12 ** 2 + j22 ** 2
+        r = j11 * j12 + j21 * j22
+        tops.append(0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * r ** 2)).max())
+    return float(np.sqrt(max(tops))) * 1.005     # grid-resolution headroom
 
 
-def build_rsi_game(params: dict = None) -> Scenario:
+def build_rsi_game(p: dict) -> Scenario:
     """Time-varying coupling a_t in [0, 1] cycling through a fixed
     schedule; the saddle point stays at the origin."""
-    p = _validate_params("rsi_game", params, {
-        "a_values": (0.0, 0.5, 1.0, 0.5), "estimate_lip": True,
-    })
-    a_values = [float(a) for a in p["a_values"]]
-    for a in a_values:
-        if not 0.0 <= a <= 1.0:
-            raise ConfigurationError("rsi_game: a_values must lie in [0, 1]")
+    a_values = p["a_values"]
     k = len(a_values)
     ops = [rsi_operator(a) for a in a_values]
     domain = Domain.unbounded(2)
 
     lip = None
     if p["estimate_lip"]:
-        lip = max(rsi_lipschitz(a) for a in a_values)
+        lip = rsi_lipschitz(a_values)
         for op in ops:
             op.lip = lip
 
-    seq = ProblemSequence(at=lambda t: ops[(t - 1) % k], dim=2, period=k,
+    seq = ProblemSequence(at=lambda t: ops[(t - 1) % k], dim=2,
                           solution_at=lambda t: np.zeros(2))
     return Scenario(name="rsi_game", seq=seq, domain=domain, mu=RSI_MU,
                     lip=lip, period=k, params=p)
@@ -555,12 +491,8 @@ def adversary_step(state: AdversaryState, play) -> tuple:
     return sol, op
 
 
-def build_lower_bound_adversary(params: dict = None) -> Scenario:
-    p = _validate_params("lower_bound_adversary", params, {"z0": 0.0})
-    z0 = float(p["z0"])
-    if z0 not in (-1.0, 0.0, 1.0):
-        raise ConfigurationError("lower_bound_adversary: z0 must be in {-1, 0, 1}")
-    state = AdversaryState(prev=z0)
+def build_lower_bound_adversary(p: dict) -> Scenario:
+    state = AdversaryState(prev=p["z0"])
 
     def respond(t: int, play) -> tuple:
         return adversary_step(state, play)
@@ -568,7 +500,7 @@ def build_lower_bound_adversary(params: dict = None) -> Scenario:
     seq = ProblemSequence(at=None, dim=1, respond=respond)
     return Scenario(name="lower_bound_adversary", seq=seq,
                     domain=Domain.interval(-1.0, 1.0), mu=1.0, lip=1.0,
-                    initial_solution=np.array([z0]), params=p)
+                    initial_solution=np.array([p["z0"]]), params=p)
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +520,55 @@ BUILDERS: dict = {
 }
 
 
+# every builder's parameters: type, default and bound, as in config.FIELDS
+PARAMS: dict = {
+    "quadratic_drift": {
+        "dim": Spec(int, 1, _AT_LEAST_ONE), "c1": Spec(list, 0.0),
+        "b": Spec(list, 0.1), "decay": Spec(float, 0.0), "matrix": Spec(MATRIX, None)},
+    "periodic_1d": {}, "chaos_1d": {}, "star_2d": {},
+    "exp_quadratic": {"matrices": Spec(MATRICES, [[[1.0]]])},
+    "kelly_auction": {
+        "n": Spec(int, 3, ("must be at least 2", lambda x: x >= 2)),
+        "budgets": Spec(list, None, _POSITIVE), "values": Spec(list, None, _POSITIVE),
+        "entry": Spec(float, 1.0, _POSITIVE),
+        "entry_amp": Spec(float, 0.5, ("must be in [0, 1)", lambda x: 0 <= x < 1)),
+        "value_amp": Spec(float, 0.25, _NONNEGATIVE), "period": Spec(int, 50, _POSITIVE),
+        "lam_reg": Spec(float, 0.1, _POSITIVE), "seed": Spec(int, 0, _NONNEGATIVE)},
+    "streaming_regression": {
+        "dim": Spec(int, 3, _AT_LEAST_ONE), "n0": Spec(int, 5, _NONNEGATIVE),
+        "growth": Spec(int, 2, _NONNEGATIVE), "noise": Spec(float, 0.1, _NONNEGATIVE),
+        "lam_reg": Spec(float, 1.0, _POSITIVE), "seed": Spec(int, 0, _NONNEGATIVE),
+        "w_star": Spec(list, None)},
+    "glm": {
+        "dim": Spec(int, 2, _AT_LEAST_ONE), "n0": Spec(int, 20, _POSITIVE),
+        "growth": Spec(int, 5, _NONNEGATIVE),
+        "link": Spec(("identity", "scaled_logistic"), "identity"),
+        "scale": Spec(float, 4.0, _POSITIVE), "lam_reg": Spec(float, 0.0, _NONNEGATIVE),
+        "noise": Spec(float, 0.1, _NONNEGATIVE), "seed": Spec(int, 0, _NONNEGATIVE),
+        "z_star": Spec(list, None)},
+    "rsi_game": {
+        "a_values": Spec(list, (0.0, 0.5, 1.0, 0.5), ("must be in [0, 1]",
+                                                       lambda x: 0 <= x <= 1)),
+        "estimate_lip": Spec(bool, True)},
+    "lower_bound_adversary": {
+        "z0": Spec(float, 0.0, ("must be -1, 0 or 1", lambda x: x in (-1, 0, 1)))},
+}
+
+
 def build_scenario(name: str, params: dict = None) -> Scenario:
+    """Build catalog scenario ``name`` from ``params``: config text or
+    Python values, each typed and bounded by ``PARAMS[name]`` and merged
+    over its defaults. Raises ConfigurationError naming the field."""
     if name not in BUILDERS:
-        raise ConfigurationError(f"unknown scenario {name!r}")
-    return BUILDERS[name](params)
+        raise ConfigurationError(f"field 'scenario.name': unknown scenario {name!r}")
+    table = PARAMS[name]
+    p = {key: spec.default for key, spec in table.items()}
+    for key, raw in (params or {}).items():
+        if key not in table:
+            raise ConfigurationError(f"field 'scenario.{key}': unknown parameter "
+                                     f"of scenario {name!r}")
+        p[key] = _field_value(f"scenario.{key}", table[key], raw)
+    return BUILDERS[name](p)
 
 
 def finite_difference_gradient(potential: Callable, x: np.ndarray,
@@ -684,7 +661,6 @@ def verify_scenario(sc: Scenario, n_samples: int = 10_000, seed: int = 0,
             m = rsi_grid_inequality(a, grid_n=101)
             add("rsi_inequality", f"a={a} min_factor={m:.4f}", m >= RSI_MU)
 
-    ops = []
     if sc.seq.at is None:
         state = AdversaryState(prev=0.0)
         ops = [adversary_step(state, np.array([0.3]))[1]]

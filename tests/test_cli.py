@@ -10,8 +10,9 @@ import pytest
 
 from tvvi import cli
 from tvvi.cli import main
-from tvvi.config import FIELDS, ConfigError, parse_config
+from tvvi.config import FIELDS, MATRICES, MATRIX, ConfigError, _coerce, parse_config
 from tvvi.io import DIVERGED_TOKEN, emit_rows, read_rows
+from tvvi.scenarios import PARAMS
 
 MINIMAL_TRACK = """
 command = track
@@ -104,6 +105,21 @@ class TestParseConfig:
         text = text.replace("algorithm.eta = 1.0\n", "")
         with pytest.raises(ConfigError, match="algorithm.eta"):
             parse_config(text + "algorithm.period = 2\nalgorithm.schedule = constant\n")
+
+    def test_scenario_values_kept_as_text(self):
+        # scenario.* values are typed by build_scenario against PARAMS
+        cfg = parse_config(SMALL_VERIFY + "scenario.dim = 2.5\n")
+        assert cfg.scenario_params == {"dim": "2.5"}
+
+    def test_matrix_kinds(self):
+        assert _coerce(MATRIX, "1,0;0,2") == [[1.0, 0.0], [0.0, 2.0]]
+        assert _coerce(MATRIX, "4") == [[4.0]]
+        assert _coerce(MATRICES, "0.25|4") == [[[0.25]], [[4.0]]]
+        assert _coerce(MATRICES, "1,0;0,2") == [[[1.0, 0.0], [0.0, 2.0]]]
+        for kind, text in ((MATRIX, "1,2;3"), (MATRIX, "1,nan"), (MATRIX, ""),
+                           (MATRICES, "1|"), (MATRICES, "1,2;3|4")):
+            with pytest.raises(ValueError, match="must be"):
+                _coerce(kind, text)
 
     def test_cli_reads_exactly_the_table_keys(self):
         # every key the CLI reads is defined in the table, and every key
@@ -465,3 +481,99 @@ run.z1 = 1.0,1.0,1.0
         main(["--config", cfg, "--out", str(out1)])
         main(["--config", cfg, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# a value that breaks each bound rule used by scenarios.PARAMS
+_BREAKS_RULE = {"must be positive": "0", "must be nonnegative": "-1",
+                "must be at least 1": "0", "must be at least 2": "1",
+                "must be in [0, 1)": "1", "must be in [0, 1]": "1.5",
+                "must be -1, 0 or 1": "0.5"}
+_BOUNDED_PARAMS = [(name, key, spec.bound[0]) for name, table in PARAMS.items()
+                   for key, spec in table.items() if spec.bound is not None]
+
+
+class TestScenarioParams:
+    @pytest.mark.parametrize("name, key, rule", _BOUNDED_PARAMS,
+                             ids=[f"{n}.{k}" for n, k, _ in _BOUNDED_PARAMS])
+    def test_out_of_bound_param_exit_code(self, tmp_path, capsys, name, key, rule):
+        cfg = write_cfg(tmp_path, f"command = verify\nscenario.name = {name}\n"
+                                  f"scenario.{key} = {_BREAKS_RULE[rule]}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario.{key}" in err and rule in err
+
+    # dim = 0, period = 0, seed = -1 and n0 = 0 are cases of the
+    # out-of-bound test above
+    @pytest.mark.parametrize("name, given, field", [
+        ("quadratic_drift", "scenario.dim = 2.5", "scenario.dim"),
+        ("rsi_game", "scenario.a_values =", "scenario.a_values"),
+        ("streaming_regression", "scenario.growth = -5", "scenario.growth"),
+        ("streaming_regression", "scenario.lam_reg = nan", "scenario.lam_reg"),
+        ("glm", "scenario.link = probit", "scenario.link"),
+        ("rsi_game", "scenario.estimate_lip = 0", "scenario.estimate_lip"),
+        ("kelly_auction", "scenario.budgets = 1,1", "scenario.budgets"),
+        ("glm", "scenario.z_star = 1,2,3", "scenario.z_star"),
+        ("quadratic_drift", "scenario.dim = 3\nscenario.c1 = 1,2", "scenario.c1"),
+        ("quadratic_drift", "scenario.dim = 2\nscenario.matrix = 1,0,0;0,1,0;0,0,1",
+         "scenario.matrix"),
+        ("exp_quadratic", "scenario.matrices = 1,0;0,1|1", "scenario.matrices"),
+        ("chaos_1d", "scenario.bogus = 1", "scenario.bogus")],
+        ids=["drift_dim_2.5", "rsi_a_values_empty", "stream_growth_-5",
+             "stream_lam_reg_nan", "glm_link_probit",
+             "rsi_estimate_lip_0", "kelly_budgets_length", "glm_z_star_length",
+             "drift_c1_length", "drift_matrix_shape", "exp_matrices_sizes",
+             "unknown_param"])
+    def test_bad_scenario_value_exit_code(self, tmp_path, capsys, name, given, field):
+        cfg = write_cfg(tmp_path, f"{SMALL_VERIFY.replace('chaos_1d', name)}{given}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_rsi_single_coupling_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_VERIFY.replace("chaos_1d", "rsi_game")
+                        + "scenario.a_values = 0.5\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+
+    def test_one_number_c1_broadcasts_to_dim(self, tmp_path):
+        cfg = write_cfg(tmp_path, MINIMAL_TRACK.replace("periodic_1d", "quadratic_drift")
+                        .replace("z1 = 3.0", "z1 = 1,1,1")
+                        + "scenario.dim = 3\nscenario.c1 = 0.5\n")
+        out = tmp_path / "x.csv"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        assert read_rows(str(out))[0]["z_star"] == [0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize("text, field", [
+        ("command = bounds\nscenario.name = kelly_auction\nalgorithm.kind = meta_fixed\n"
+         "algorithm.k = 2\nrun.horizon = 3\nrun.z1 = 0.1,0.1,0.1,0.1\n"
+         "bound.kind = aggregation_regret\n", "run.z1"),
+        ("command = orbit\nscenario.name = chaos_1d\ndynamics.eta = 0.4\n"
+         "dynamics.x0 = 0.1,0.2\n", "dynamics.x0"),
+        (SMALL_SCAN + "dynamics.x0 = 0.1,0.2\n", "dynamics.x0"),
+        ("command = orbit\nscenario.name = star_2d\ndynamics.eta = 0.4\n",
+         "dynamics.x0"),
+        (SMALL_SCAN.replace("chaos_1d", "quadratic_drift"), "scenario.name"),
+        ("command = orbit\nscenario.name = quadratic_drift\ndynamics.eta = 0.4\n",
+         "scenario.name")],
+        ids=["kelly_z1_length", "orbit_x0_length", "bifurcation_x0_length",
+             "orbit_default_x0_2d", "bifurcation_aperiodic", "orbit_aperiodic"])
+    def test_scenario_dependent_exit_code(self, tmp_path, capsys, text, field):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [SMALL_STAR, SMALL_VERIFY], ids=["star", "verify"])
+    def test_negative_seed_flag_exit_code(self, tmp_path, capsys, text):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv"),
+                     "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [(SMALL_STAR, "star.seed"),
+                                           (SMALL_VERIFY, "verify.seed")],
+                             ids=["star", "verify"])
+    def test_seed_flag_overrides_command_seed(self, tmp_path, text, key):
+        cfg = write_cfg(tmp_path, text + f"{key} = 5\n")
+        flagged, plain = tmp_path / "f.csv", tmp_path / "p.csv"
+        assert main(["--config", cfg, "--out", str(flagged), "--seed", "2"]) == 0
+        cfg2 = write_cfg(tmp_path, text + f"{key} = 2\n", name="two.cfg")
+        assert main(["--config", cfg2, "--out", str(plain)]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()

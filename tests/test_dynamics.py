@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tvvi.core import Domain
+from tvvi.core import ConfigurationError, Domain
 from tvvi.dynamics import (IntervalMapError, bifurcation_scan, classify_eta,
                            classify_orbit, compose_map, eta_grid, iterate_orbit,
                            newton_periodic_orbit, orbit_stability,
@@ -63,7 +63,7 @@ class TestComposeMap:
 
     def test_requires_period(self):
         sc = build_scenario("quadratic_drift")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="scenario.name"):
             compose_map(sc, 0.5)
 
 

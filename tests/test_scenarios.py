@@ -1,12 +1,17 @@
 """Tests for the scenario catalog and the lower-bound adversary."""
 
+import ast
+import inspect
+import math
+
 import numpy as np
 import pytest
 
 from tvvi.algorithms import ContractiveForward, run_tracker
 from tvvi.core import ConfigurationError, evaluate
 from tvvi.metrics import quadratic_path_length, tracking_error
-from tvvi.scenarios import (AdversaryState, adversary_step, build_scenario,
+from tvvi.scenarios import (BUILDERS, PARAMS, AdversaryState, adversary_step,
+                            build_scenario,
                             rsi_grid_inequality, rsi_lipschitz,
                             verify_scenario)
 
@@ -19,6 +24,42 @@ class TestCatalog:
     def test_unknown_param_named(self):
         with pytest.raises(ConfigurationError, match="bogus"):
             build_scenario("quadratic_drift", {"bogus": 1})
+
+    def test_builders_read_exactly_the_table_keys(self):
+        # every parameter a builder reads is in its PARAMS table, and every
+        # table entry is read: no dead or undefined scenario key
+        assert set(BUILDERS) == set(PARAMS)
+        for name, builder in BUILDERS.items():
+            tree = ast.parse(inspect.getsource(builder))
+            read = {node.slice.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Subscript)
+                    and isinstance(node.value, ast.Name) and node.value.id == "p"
+                    and isinstance(node.slice, ast.Constant)}
+            assert read == set(PARAMS[name]), name
+
+    @pytest.mark.parametrize("name, params, field", [
+        ("kelly_auction", {"lam_reg": 0.0}, "scenario.lam_reg"),
+        ("kelly_auction", {"n": 1}, "scenario.n"),
+        ("rsi_game", {"a_values": [0.5, 1.5]}, "scenario.a_values"),
+        ("lower_bound_adversary", {"z0": 0.5}, "scenario.z0"),
+        ("streaming_regression", {"lam_reg": math.nan}, "scenario.lam_reg"),
+        ("glm", {"link": "probit"}, "scenario.link"),
+        ("glm", {"dim": "0"}, "scenario.dim")],
+        ids=["kelly_lam_reg", "kelly_n", "rsi_a_values", "adversary_z0",
+             "stream_lam_reg_nan", "glm_link", "glm_dim_text"])
+    def test_python_values_get_the_table_bounds(self, name, params, field):
+        with pytest.raises(ConfigurationError, match=field):
+            build_scenario(name, params)
+
+    def test_text_and_python_values_build_alike(self):
+        text = build_scenario("quadratic_drift", {"dim": "2", "c1": "0.5",
+                                                  "matrix": "2,0;0,3"})
+        values = build_scenario("quadratic_drift", {"dim": 2, "c1": 0.5,
+                                                    "matrix": [[2, 0], [0, 3]]})
+        for t in (1, 7):
+            assert np.array_equal(text.seq.solution_at(t), values.seq.solution_at(t))
+        assert np.array_equal(text.seq.solution_at(1), [0.5, 0.5])
+        assert text.mu == values.mu == 2.0
 
     def test_chaos_components(self):
         sc = build_scenario("chaos_1d")
@@ -96,6 +137,25 @@ class TestCatalog:
     def test_rsi_lipschitz_envelope(self):
         # analytic envelope: |J| <= 10 plus unit off-diagonal coupling
         assert rsi_lipschitz(1.0) <= 10.5
+
+    def test_rsi_lipschitz_matches_per_coupling_grid(self):
+        # shared trig tables keep the operation order of a grid built for
+        # one coupling at a time, so the constant is the same bit for bit
+        def one(a, grid_n=501):
+            u = np.linspace(0.0, math.pi, grid_n)
+            x, y = np.meshgrid(u, u)
+            j11 = 2.0 + 2.0 * np.cos(2 * x) * (3.0 + a * np.sin(y) ** 2)
+            j12 = a * np.sin(2 * x) * np.sin(2 * y)
+            j21 = -a * np.sin(2 * x) * np.sin(2 * y)
+            j22 = 2.0 + 2.0 * np.cos(2 * y) * (3.0 - a * np.sin(x) ** 2)
+            p, q = j11 ** 2 + j21 ** 2, j12 ** 2 + j22 ** 2
+            r = j11 * j12 + j21 * j22
+            top = 0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * r ** 2))
+            return float(np.sqrt(top.max())) * 1.005
+
+        couplings = [0.0, 0.3, 0.5, 0.77, 1.0]
+        assert rsi_lipschitz(couplings) == max(one(a) for a in couplings)
+        assert rsi_lipschitz(0.3) == one(0.3)
 
 
 class TestAdversary:
