@@ -75,7 +75,7 @@ def resolvent_step(op: Operator, z) -> np.ndarray:
     F). The returned point satisfies the residual to 1e-10.
     """
     if op.affine is None:
-        raise ConfigurationError("resolvent_step requires an affine operator")
+        raise ConfigurationError("field 'algorithm.kind': resolvent needs affine operators")
     A, b = op.affine
     z = as_point(z)
     try:
@@ -316,7 +316,7 @@ class Resolvent:
     def start(self, z1, domain: Domain) -> _SingleIterate:
         if domain.bounded:
             # the resolvent step solves z' + F(z') = z without projecting
-            raise ConfigurationError("resolvent requires an unbounded domain")
+            raise ConfigurationError("field 'algorithm.kind': resolvent needs an unbounded domain")
         return _SingleIterate(z1, lambda op, z, g: resolvent_step(op, z))
 
 
@@ -338,9 +338,9 @@ class MetaFixed:
 
     def start(self, z1, domain: Domain) -> MetaLearner:
         if not domain.bounded:
-            raise ConfigurationError("meta_fixed requires a bounded domain")
+            raise ConfigurationError("field 'algorithm.kind': meta_fixed needs a bounded domain")
         if self.D is None or self.G is None:
-            raise ConfigurationError("meta_fixed requires D and G "
+            raise ConfigurationError("field 'algorithm.d': meta_fixed needs D and G "
                                      "(algorithm.d, algorithm.g)")
         return MetaLearner(self.K, z1, StepSchedule.inverse_mu_t(self.mu), domain,
                            self.mu, lam=fixed_learning_rate(self.mu, self.D, self.G))
@@ -354,8 +354,8 @@ class MetaAdaptive:
 
     def start(self, z1, domain: Domain) -> MetaLearner:
         if self.lip is None or self.lip <= 0:
-            raise ConfigurationError("meta_adaptive requires a positive Lipschitz "
-                                     "constant (algorithm.lip)")
+            raise ConfigurationError("field 'algorithm.lip': meta_adaptive needs a "
+                                     "positive Lipschitz constant")
         return MetaLearner(self.K, z1, StepSchedule.constant(1.0 / self.lip),
                            domain, self.mu)
 

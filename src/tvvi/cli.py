@@ -37,7 +37,6 @@ EXIT_INTERNAL = 3       # an unexpected exception: a defect, not an input error
 
 def _build_algorithm(cfg: ExperimentConfig, sc: Scenario):
     kind = cfg.get("algorithm.kind")
-    mu = cfg.get("algorithm.mu", sc.mu)
     if kind == "forward":
         return alg.ContractiveForward(eta=cfg.get("algorithm.eta"))
     if kind == "resolvent":
@@ -45,22 +44,17 @@ def _build_algorithm(cfg: ExperimentConfig, sc: Scenario):
     if kind == "cyclic_fb":
         if cfg.get("algorithm.schedule") == "constant":
             schedule = alg.StepSchedule.constant(cfg.get("algorithm.eta"))
-        elif mu is None:
-            raise ConfigurationError("cyclic_fb needs algorithm.mu or scenario mu")
         else:
-            schedule = alg.StepSchedule.inverse_mu_t(float(mu))
+            schedule = alg.StepSchedule.inverse_mu_t(
+                float(_constant(cfg, "algorithm.mu", sc.mu)))
         return alg.CyclicFB(period=cfg.get("algorithm.period"), schedule=schedule)
+    mu = float(_constant(cfg, "algorithm.mu", sc.mu))
     if kind == "meta_fixed":
-        D = cfg.get("algorithm.d", sc.diameter)
-        G = cfg.get("algorithm.g", sc.gbound)
-        if mu is None or D is None or G is None:
-            raise ConfigurationError("meta_fixed needs mu, D and G")
-        return alg.MetaFixed(K=cfg.get("algorithm.k"), mu=float(mu),
-                             D=float(D), G=float(G))
-    lip = cfg.get("algorithm.lip", sc.lip)      # meta_adaptive
-    if mu is None or lip is None:
-        raise ConfigurationError("meta_adaptive needs mu and a Lipschitz constant")
-    return alg.MetaAdaptive(K=cfg.get("algorithm.k"), mu=float(mu), lip=float(lip))
+        return alg.MetaFixed(K=cfg.get("algorithm.k"), mu=mu,
+                             D=float(_constant(cfg, "algorithm.d", sc.diameter)),
+                             G=float(_constant(cfg, "algorithm.g", sc.gbound)))
+    return alg.MetaAdaptive(K=cfg.get("algorithm.k"), mu=mu,     # meta_adaptive
+                            lip=float(_constant(cfg, "algorithm.lip", sc.lip)))
 
 
 def _run_trajectory(cfg: ExperimentConfig, sc: Scenario) -> alg.Trajectory:
@@ -113,7 +107,8 @@ def _derive_contraction(cfg: ExperimentConfig, sc: Scenario) -> float:
     if kind == "forward" and sc.mu is not None and sc.lip is not None:
         if abs(cfg.get("algorithm.eta") - sc.mu / sc.lip ** 2) <= 1e-12:
             return math.sqrt(max(0.0, 1.0 - (sc.mu / sc.lip) ** 2))
-    raise ConfigurationError("bound.c required: contraction factor not derivable")
+    raise ConfigurationError("field 'bound.c': required, the contraction factor "
+                             f"of {kind} is not derivable on this scenario")
 
 
 def _constant(cfg: ExperimentConfig, key: str, fallback):
@@ -131,8 +126,6 @@ def _build_bound_spec(cfg: ExperimentConfig, sc: Scenario,
     T = len(traj.op_values)
     if kind == "contractive":
         sols = traj.solutions
-        if sols is None:
-            raise ConfigurationError("contractive needs recorded solutions")
         return metrics.ContractiveBound(C=_derive_contraction(cfg, sc),
                             path=metrics.quadratic_path_length(sols),
                             init_dist=float(np.linalg.norm(traj.plays[0] - sols[0]))
@@ -153,12 +146,11 @@ def _build_bound_spec(cfg: ExperimentConfig, sc: Scenario,
         kappa = cfg.get("bound.kappa")
         if kappa is None:
             if sc.lip is None or sc.mu is None:
-                raise ConfigurationError("constant_tracking needs bound.kappa")
+                raise ConfigurationError("field 'bound.kappa': required, the "
+                                         "scenario does not define mu and L")
             kappa = sc.lip / sc.mu
         D0 = cfg.get("bound.d0")
         if D0 is None:
-            if traj.solutions is None:
-                raise ConfigurationError("constant_tracking needs bound.d0")
             k = sc.period or 1
             D0 = max((float(np.linalg.norm(traj.plays[0] - s))
                       for s in traj.solutions[:k]), default=math.nan)
@@ -172,6 +164,9 @@ def _build_bound_spec(cfg: ExperimentConfig, sc: Scenario,
 def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
     sc = build_scenario(cfg.scenario, cfg.scenario_params)
     traj = _run_trajectory(cfg, sc)
+    if traj.solutions is None:
+        raise ConfigurationError(f"field 'scenario.name': bounds are measured against "
+                                 f"the solutions, which {sc.name} does not define")
     spec = _build_bound_spec(cfg, sc, traj)
     which = cfg.get("bound.which")
     if traj.op_values:

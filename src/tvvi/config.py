@@ -174,12 +174,55 @@ def _coerce(kind, text: str):
     return text
 
 
+def _is_number(x) -> bool:
+    return (isinstance(x, (int, float, np.integer, np.floating))
+            and not isinstance(x, bool) and math.isfinite(x))
+
+
+def _is_sequence_of(is_item, x) -> bool:
+    """Whether ``x`` is a non-empty list, tuple or array of items."""
+    return (isinstance(x, (list, tuple)) or isinstance(x, np.ndarray) and x.ndim > 0) \
+        and len(x) > 0 and all(map(is_item, x))
+
+
+def _is_matrix(x) -> bool:
+    return (_is_sequence_of(lambda row: _is_sequence_of(_is_number, row), x)
+            and len({len(row) for row in x}) == 1)
+
+
+_PYTHON_TYPES = {
+    bool: ("must be true or false", lambda x: isinstance(x, (bool, np.bool_))),
+    int: ("must be an integer", lambda x: isinstance(x, (int, np.integer))
+          and not isinstance(x, bool)),
+    float: ("must be a finite number", _is_number),
+    list: ("must be a finite number or a non-empty vector of them",
+           lambda x: _is_number(x) or _is_sequence_of(_is_number, x)),
+    MATRIX: ("must be a non-empty matrix of finite numbers, rows of equal length",
+             _is_matrix),
+    MATRICES: ("must be a non-empty list of matrices",
+               lambda x: _is_sequence_of(_is_matrix, x)),
+}
+
+
+def _python_value(kind, value):
+    """``value``, a Python value rather than text, if it has type
+    ``kind``; raises ValueError naming the type rule it breaks."""
+    rule, ok = _PYTHON_TYPES.get(kind, (None, None))
+    if ok is None:          # a string field takes only text
+        rule = f"must be one of {', '.join(kind)}" if isinstance(kind, tuple) \
+            else "must be text"
+    if ok is None or not ok(value):
+        raise ValueError(rule)
+    return value
+
+
 def _field_value(key: str, spec: Spec, raw):
-    """Field ``key``'s value: text typed by ``spec.type`` (other values as
-    they are), checked against ``spec.bound`` on each coordinate; raises
-    ConfigurationError naming the field and the rule it breaks."""
+    """Field ``key``'s value: text typed by ``spec.type``, or a Python
+    value checked against it and kept as it is, then checked against
+    ``spec.bound`` on each coordinate; raises ConfigurationError naming
+    the field and the rule it breaks."""
     try:
-        value = _coerce(spec.type, raw) if isinstance(raw, str) else raw
+        value = (_coerce if isinstance(raw, str) else _python_value)(spec.type, raw)
     except ValueError as exc:
         raise ConfigurationError(f"field {key!r}: {exc}, got {raw!r}") from None
     if spec.bound is not None and not all(map(spec.bound[1], np.ravel(value))):

@@ -169,7 +169,7 @@ def exp_quadratic_operator(A) -> Operator:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     eigs = np.linalg.eigvalsh(A)
     if eigs[0] <= 0:
-        raise ConfigurationError("exp_quadratic: matrices must be positive definite")
+        raise ConfigurationError("field 'scenario.matrices': must be positive definite")
     dim = A.shape[0]
 
     def fn(X: np.ndarray) -> np.ndarray:
@@ -264,67 +264,94 @@ def build_kelly_auction(p: dict) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Streaming least squares
+# Streaming data: least squares and GLM estimation
 
-class _GaussianStream:
-    """Deterministic growing data stream; rows are generated once and
-    cached so access is pure in t."""
+STREAM_BLOCK = 64       # rows drawn at a time
 
-    def __init__(self, dim: int, noise: float, seed: int, w_star: np.ndarray):
-        self.dim = dim
-        self.noise = noise
-        self.rng = np.random.default_rng(seed)
-        self.w_star = w_star
-        self.rows = np.empty((0, dim))
-        self.targets = np.empty(0)
+
+def _gaussian_blocks(seed: int, dim: int):
+    """Endless (features, noise) pairs of STREAM_BLOCK standard normal
+    rows; each block draws its features, then its noise."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield rng.standard_normal((STREAM_BLOCK, dim)), rng.standard_normal(STREAM_BLOCK)
+
+
+class _DataStream:
+    """Rows A and targets b of a deterministic growing data stream.
+
+    ``blocks`` yields (rows, targets) STREAM_BLOCK rows at a time and is
+    read in order, so row i depends only on the seed and i, never on
+    which rows were asked for first. Rows live in a buffer that doubles
+    its capacity. Prefix sums of A^T A and A^T b over whole blocks give
+    the sums over the first n rows at O(STREAM_BLOCK d^2) cost, a
+    function of n alone.
+    """
+
+    def __init__(self, blocks, dim: int):
+        self._blocks = blocks
+        self._rows = np.empty((STREAM_BLOCK, dim))
+        self._targets = np.empty(STREAM_BLOCK)
+        self._size = 0
+        self._gram = [np.zeros((dim, dim))]
+        self._moment = [np.zeros(dim)]
 
     def upto(self, n: int) -> tuple:
-        while len(self.rows) < n:
-            grow = max(n - len(self.rows), 64)
-            a = self.rng.standard_normal((grow, self.dim))
-            b = a @ self.w_star + self.noise * self.rng.standard_normal(grow)
-            self.rows = np.vstack([self.rows, a])
-            self.targets = np.concatenate([self.targets, b])
-        return self.rows[:n], self.targets[:n]
+        """The first n rows and targets."""
+        while self._size < n:
+            a, b = next(self._blocks)
+            if self._size == len(self._rows):
+                self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+                self._targets = np.concatenate([self._targets, np.empty_like(self._targets)])
+            end = self._size + STREAM_BLOCK
+            self._rows[self._size:end], self._targets[self._size:end] = a, b
+            self._gram.append(self._gram[-1] + a.T @ a)
+            self._moment.append(self._moment[-1] + a.T @ b)
+            self._size = end
+        return self._rows[:n], self._targets[:n]
+
+    def sums(self, n: int) -> tuple:
+        """A^T A and A^T b over the first n rows."""
+        A, b = self.upto(n)
+        k = n // STREAM_BLOCK
+        R, r = A[k * STREAM_BLOCK:], b[k * STREAM_BLOCK:]
+        return self._gram[k] + R.T @ R, self._moment[k] + R.T @ r
 
 
 def build_streaming_regression(p: dict) -> Scenario:
     """f_t(x) = ||A_t x - b_t||^2 + lam ||x||^2 over a growing i.i.d.
     Gaussian stream; n_t grows linearly in t."""
-    dim, lam = p["dim"], p["lam_reg"]
+    dim, lam, noise = p["dim"], p["lam_reg"], p["noise"]
     rng = np.random.default_rng(p["seed"])
     w_star = rng.standard_normal(dim) if p["w_star"] is None else \
         _vector_field("scenario.w_star", p["w_star"], dim)
-    stream = _GaussianStream(dim, p["noise"], p["seed"] + 1, w_star)
+    stream = _DataStream(((a, a @ w_star + noise * e)
+                          for a, e in _gaussian_blocks(p["seed"] + 1, dim)), dim)
+    ridge = lam * np.eye(dim)
+    latest = {}     # t -> (G + ridge, A^T b, solution, A, b) of the latest round
 
-    def n_at(t: int) -> int:
-        return p["n0"] + p["growth"] * (t - 1)
-
-    def gram(t: int) -> tuple:
-        A, b = stream.upto(n_at(t))
-        return A.T @ A, A.T @ b, A, b
+    def round_data(t: int) -> tuple:
+        if t not in latest:
+            n = p["n0"] + p["growth"] * (t - 1)
+            G, h = stream.sums(n)
+            G = G + ridge
+            latest.clear()
+            latest[t] = (G, h, np.linalg.solve(G, h)) + stream.upto(n)
+        return latest[t]
 
     def make_op(t: int) -> Operator:
-        G, h, A, b = gram(t)
-        M = 2.0 * (G + lam * np.eye(dim))
+        G, h, solution, A, b = round_data(t)
+        M = 2.0 * G
         eigs = np.linalg.eigvalsh(M)
-        op = Operator.from_affine(M, -2.0 * h, mu=float(eigs[0]), lip=float(eigs[-1]))
-        op.solution = np.linalg.solve(G + lam * np.eye(dim), h)
-        op.potential = lambda x, A=A, b=b: float(np.sum((A @ x - b) ** 2)
-                                                 + lam * np.dot(x, x))
+        op = Operator.from_affine(M, -2.0 * h, mu=float(eigs[0]), lip=float(eigs[-1]),
+                                  solution=solution)
+        op.potential = lambda x: float(np.sum((A @ x - b) ** 2) + lam * np.dot(x, x))
         return op
 
-    def solution_at(t: int) -> np.ndarray:
-        G, h, _, _ = gram(t)
-        return np.linalg.solve(G + lam * np.eye(dim), h)
-
-    seq = ProblemSequence(at=make_op, dim=dim, solution_at=solution_at)
+    seq = ProblemSequence(at=make_op, dim=dim, solution_at=lambda t: round_data(t)[2])
     return Scenario(name="streaming_regression", seq=seq,
                     domain=Domain.unbounded(dim), mu=2.0 * lam, params=p)
 
-
-# ---------------------------------------------------------------------------
-# Generalized linear model estimation
 
 def _glm_links(scale: float) -> dict:
     """Link phi and its antiderivative psi, both elementwise on arrays.
@@ -340,41 +367,34 @@ def _glm_links(scale: float) -> dict:
 def build_glm(p: dict) -> Scenario:
     """Streaming GLM operator (1/n_t) sum_i a_i (phi(<Z, a_i>) - b_i),
     optionally regularized by lam_reg * Z."""
-    dim, lam = p["dim"], p["lam_reg"]
+    dim, lam, noise = p["dim"], p["lam_reg"], p["noise"]
     phi, psi = _glm_links(p["scale"])[p["link"]]
     rng = np.random.default_rng(p["seed"])
     z_star = rng.standard_normal(dim) if p["z_star"] is None else \
         _vector_field("scenario.z_star", p["z_star"], dim)
-
-    stream = _GaussianStream(1, 1.0, p["seed"] + 1, np.ones(1))
-    feats = _GaussianStream(dim, 0.0, p["seed"] + 2, np.zeros(dim))
-
-    def data(t: int) -> tuple:
-        n = p["n0"] + p["growth"] * (t - 1)
-        A, _ = feats.upto(n)
-        xi = stream.upto(n)[0][:, 0]        # one fixed noise draw per sample
-        b = phi(A @ z_star) + p["noise"] * xi
-        return A, b
+    # one fixed noise draw per sample: the rows of a second, scalar stream
+    stream = _DataStream(((a, phi(a @ z_star) + noise * xi[:, 0])
+                          for (a, _), (xi, _) in zip(_gaussian_blocks(p["seed"] + 2, dim),
+                                                     _gaussian_blocks(p["seed"] + 1, 1))),
+                         dim)
+    ridge = lam * np.eye(dim)
 
     def make_op(t: int) -> Operator:
-        A, b = data(t)
-        n = len(b)
+        n = p["n0"] + p["growth"] * (t - 1)
+        A, b = stream.upto(n)
+        G, h = stream.sums(n)
 
         if p["link"] == "identity":
-            M = A.T @ A / n + lam * np.eye(dim)
+            M = G / n + ridge
             eigs = np.linalg.eigvalsh(M)
-            op = Operator.from_affine(M, -(A.T @ b) / n,
-                                      mu=float(eigs[0]), lip=float(eigs[-1]))
+            op = Operator.from_affine(M, -h / n, mu=float(eigs[0]), lip=float(eigs[-1]))
         else:
             def fn(Z: np.ndarray) -> np.ndarray:
                 return (phi(Z @ A.T) - b) @ A / n + lam * Z
 
-            gram_top = float(np.linalg.eigvalsh(A.T @ A)[-1])
-            op = Operator(fn=fn, dim=dim,
-                          mu=lam if lam > 0 else None,
-                          lip=p["scale"] / 4.0 * gram_top / n + lam)
-        op.potential = lambda z, A=A, b=b, n=n: (
-            float(np.sum(psi(A @ z))) - float(b @ (A @ z))) / n \
+            op = Operator(fn=fn, dim=dim, mu=lam if lam > 0 else None,
+                          lip=p["scale"] / 4.0 * float(np.linalg.eigvalsh(G)[-1]) / n + lam)
+        op.potential = lambda z: (float(np.sum(psi(A @ z))) - float(b @ (A @ z))) / n \
             + 0.5 * lam * float(z @ z)
         return op
 

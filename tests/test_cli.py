@@ -392,6 +392,40 @@ bound.kind = {kind}
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert field in capsys.readouterr().err
 
+    # cases the config fuzzer (test_config_fuzz.py) found: an exit 3 for a
+    # bounds run on a scenario without solutions, and exit-2 messages
+    # that named no field
+    @pytest.mark.parametrize("scenario, algorithm, given, field", [
+        ("kelly_auction", "meta_fixed\nalgorithm.k = 2",
+         "bound.kind = aggregation_tracking", "scenario.name"),
+        ("kelly_auction", "cyclic_fb\nalgorithm.period = 2",
+         "bound.kind = contractive", "scenario.name"),
+        ("streaming_regression", "meta_fixed\nalgorithm.k = 2", "", "algorithm.d"),
+        ("kelly_auction", "meta_adaptive\nalgorithm.k = 2", "", "algorithm.lip"),
+        ("glm", "cyclic_fb\nalgorithm.period = 2", "", "algorithm.mu"),
+        ("exp_quadratic", "resolvent", "", "algorithm.kind"),
+        ("streaming_regression", "meta_fixed\nalgorithm.k = 2\nalgorithm.d = 1\n"
+         "algorithm.g = 1", "", "algorithm.kind"),
+        ("periodic_1d", "meta_adaptive\nalgorithm.k = 2",
+         "bound.kind = contractive", "bound.c"),
+        ("streaming_regression", "forward\nalgorithm.eta = 0.1",
+         "bound.kind = constant_tracking", "bound.kappa"),
+        ("exp_quadratic", "forward\nalgorithm.eta = 0.1",
+         "scenario.matrices = 0", "scenario.matrices")],
+        ids=["bounds_without_solutions", "contractive_without_solutions",
+             "meta_fixed_no_d", "meta_adaptive_no_lip", "cyclic_fb_no_mu",
+             "resolvent_not_affine", "meta_fixed_unbounded", "contraction_unknown",
+             "constant_tracking_no_kappa", "matrices_not_positive_definite"])
+    def test_unusable_combination_names_field(self, tmp_path, capsys, scenario,
+                                              algorithm, given, field):
+        command = "bounds" if "bound.kind" in given else "track"
+        dim = {"periodic_1d": 1, "exp_quadratic": 1, "glm": 2}.get(scenario, 3)
+        cfg = write_cfg(tmp_path, f"command = {command}\nscenario.name = {scenario}\n"
+                                  f"algorithm.kind = {algorithm}\nrun.horizon = 5\n"
+                                  f"run.z1 = {','.join(['0.5'] * dim)}\n{given}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind, given", [
         ("cyclic_regret", ""), ("contractive", "bound.c = 0.5")],
         ids=["cyclic_regret", "contractive"])

@@ -44,9 +44,19 @@ class TestCatalog:
         ("lower_bound_adversary", {"z0": 0.5}, "scenario.z0"),
         ("streaming_regression", {"lam_reg": math.nan}, "scenario.lam_reg"),
         ("glm", {"link": "probit"}, "scenario.link"),
-        ("glm", {"dim": "0"}, "scenario.dim")],
+        ("glm", {"dim": "0"}, "scenario.dim"),
+        ("quadratic_drift", {"dim": 2.5}, "scenario.dim"),
+        ("kelly_auction", {"seed": 1.5}, "scenario.seed"),
+        ("rsi_game", {"a_values": []}, "scenario.a_values"),
+        ("streaming_regression", {"growth": 1.5}, "scenario.growth"),
+        ("glm", {"dim": True}, "scenario.dim"),
+        ("quadratic_drift", {"c1": [math.inf]}, "scenario.c1"),
+        ("exp_quadratic", {"matrices": [[[1.0, 0.0], [0.0]]]}, "scenario.matrices"),
+        ("glm", {"link": 1}, "scenario.link")],
         ids=["kelly_lam_reg", "kelly_n", "rsi_a_values", "adversary_z0",
-             "stream_lam_reg_nan", "glm_link", "glm_dim_text"])
+             "stream_lam_reg_nan", "glm_link", "glm_dim_text", "drift_dim_float",
+             "kelly_seed_float", "rsi_a_values_empty", "stream_growth_float",
+             "glm_dim_bool", "drift_c1_inf", "exp_matrix_ragged", "glm_link_number"])
     def test_python_values_get_the_table_bounds(self, name, params, field):
         with pytest.raises(ConfigurationError, match=field):
             build_scenario(name, params)
@@ -204,6 +214,102 @@ class TestAdversary:
         path = quadratic_path_length([sc.initial_solution] + list(traj.solutions))
         assert path == float(T)
         assert tracking_error(traj) >= 0.25 * path
+
+
+def _gaussian_rows(seed, dim, n):
+    """The first n (features, noise) rows of a stream: whole 64-row
+    blocks, each drawing its features, then its noise."""
+    rng = np.random.default_rng(seed)
+    blocks = [(rng.standard_normal((64, dim)), rng.standard_normal(64))
+              for _ in range(n // 64 + 1)]
+    return (np.concatenate([a for a, _ in blocks])[:n],
+            np.concatenate([e for _, e in blocks])[:n])
+
+
+def _close(x, ref):
+    return np.linalg.norm(np.asarray(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+ROUNDS = (1, 2, 30, 31, 32, 33, 500)
+
+
+class TestStreams:
+    """The stream scenarios sum A^T A and A^T b over blocks; the sums must
+    match a from-scratch reference, whatever order rounds come in."""
+
+    def test_streaming_regression_matches_from_scratch_sums(self):
+        # defaults n0 = 5, growth = 2: n_t = 63 and 65 at t = 30 and 31
+        sc = build_scenario("streaming_regression", {"seed": 3})
+        w_star = np.random.default_rng(3).standard_normal(3)
+        for t in ROUNDS:
+            op = sc.seq.at(t)
+            A, e = _gaussian_rows(4, 3, 5 + 2 * (t - 1))
+            b = A @ w_star + 0.1 * e
+            G, h = A.T @ A + np.eye(3), A.T @ b
+            M, c = op.affine
+            eigs = np.linalg.eigvalsh(2.0 * G)
+            assert _close(M, 2.0 * G) and _close(c, -2.0 * h)
+            assert _close(op.solution, np.linalg.solve(G, h))
+            assert _close([op.mu, op.lip], [eigs[0], eigs[-1]])
+            assert sc.seq.solution_at(t) is op.solution
+
+    @pytest.mark.parametrize("link", ["identity", "scaled_logistic"])
+    def test_glm_matches_from_scratch_sums(self, link):
+        # n0 = 2, growth = 2: n_t = 62, 64 and 66 at t = 31, 32 and 33
+        sc = build_scenario("glm", {"link": link, "seed": 5, "n0": 2, "growth": 2,
+                                    "lam_reg": 0.1, "noise": 0.2})
+        phi = (lambda u: u) if link == "identity" else (lambda u: 2.0 * np.tanh(0.5 * u))
+        z_star = np.random.default_rng(5).standard_normal(2)
+        Z = np.random.default_rng(0).uniform(-2, 2, (4, 2))
+        for t in ROUNDS:
+            op = sc.seq.at(t)
+            n = 2 + 2 * (t - 1)
+            A, xi = _gaussian_rows(7, 2, n)[0], _gaussian_rows(6, 1, n)[0][:, 0]
+            b = phi(A @ z_star) + 0.2 * xi
+            if link == "identity":
+                M = A.T @ A / n + 0.1 * np.eye(2)
+                eigs = np.linalg.eigvalsh(M)
+                assert _close(op.affine[0], M) and _close(op.affine[1], -(A.T @ b) / n)
+                assert _close([op.mu, op.lip], [eigs[0], eigs[-1]])
+            else:
+                assert _close(op.lip, np.linalg.eigvalsh(A.T @ A)[-1] / n + 0.1)
+                assert _close(op.fn(Z), (phi(Z @ A.T) - b) @ A / n + 0.1 * Z)
+            assert op.solution is None
+
+    @pytest.mark.parametrize("name, params", [
+        ("streaming_regression", {"seed": 3}),
+        ("glm", {"link": "identity", "seed": 5, "n0": 2, "growth": 2}),
+        ("glm", {"link": "scaled_logistic", "seed": 5, "n0": 2, "growth": 2})],
+        ids=["stream", "glm_identity", "glm_logistic"])
+    def test_rounds_bit_identical_in_any_order(self, name, params):
+        def values(order):
+            sc = build_scenario(name, params)
+            out = {}
+            for t in order:
+                op = sc.seq.at(t)
+                out[t] = [op.mu, op.lip, op.fn(np.linspace(-1.0, 1.0, op.dim))]
+                if op.affine is not None:
+                    out[t] += [*op.affine, op.solution]
+            return out
+
+        shuffled = list(ROUNDS)
+        np.random.default_rng(1).shuffle(shuffled)
+        in_order, out_of_order = values(ROUNDS), values(shuffled)
+        for t in ROUNDS:
+            for x, y in zip(in_order[t], out_of_order[t]):
+                assert np.array_equal(x, y), (t, x, y)
+
+    def test_solution_independent_of_earlier_requests(self):
+        ahead, direct = (build_scenario("streaming_regression", {"seed": 3})
+                         for _ in range(2))
+        for t in range(1, 200):
+            ahead.seq.solution_at(t)
+        assert np.array_equal(ahead.seq.solution_at(200), direct.seq.solution_at(200))
+
+        ahead, direct = (build_scenario("glm", {"seed": 3}) for _ in range(2))
+        for t in range(1, 49):
+            ahead.seq.at(t)
+        assert np.array_equal(ahead.seq.at(49).affine[1], direct.seq.at(49).affine[1])
 
 
 class TestBatchEvaluation:
