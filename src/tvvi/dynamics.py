@@ -411,29 +411,141 @@ class StarScanResult:
         return self.n_diverged == self.n_samples
 
 
+# Most (query, tail point) candidate pairs tested in one numpy block:
+# bounds the working memory of the grid query.
+_PAIR_CHUNK = 1 << 16
+
+
+def _grid_level(points: np.ndarray, queries: np.ndarray,
+                radii: np.ndarray) -> np.ndarray:
+    """Fixed-radius query for radii within a factor of two of each other.
+
+    True where ``sqrt(dx*dx + dy*dy) <= radii[i]`` for some point. Cell
+    (i, j) is [i h, (i+1) h) x [j h, (j+1) h) with h = min(radii) / 2,
+    so a point in a query's own cell lies within h * sqrt(2) ~ 0.71 r and
+    covers it with no distance computed. Any other query tests the points
+    in the row strips of cells spanning [q - r, q + r]: the 3 x 3 cells
+    around its own cell first, then, if none was near enough, all of
+    them. With the cells keyed row-major, each strip is one
+    ``searchsorted`` range of the sorted points.
+    """
+    h = 0.5 * radii.min()
+    # reach exceeds r by far more than the rounding of q - r and q + r,
+    # so no candidate's cell falls outside the strips
+    reach = (radii + 2.0 ** -40 * (np.abs(queries).sum(axis=1) + radii))[:, None]
+    lo, hi = queries - reach, queries + reach
+    if max(-lo.min(), hi.max()) / h >= 2.0 ** 30:
+        raise ValueError("eps_rel is too small for the grid query: "
+                         "more than 2**31 cells a side")
+    points = points[np.all((points >= lo.min(axis=0)) & (points <= hi.max(axis=0)),
+                           axis=1)]
+    covered = np.zeros(len(queries), dtype=bool)
+    if len(points) == 0:
+        return covered
+
+    def cell(x):
+        return np.floor(x / h).astype(np.int64)
+
+    cell_lo = cell(lo)
+    corner = cell_lo.min(axis=0)
+    cell_lo -= corner
+    cell_hi, own, cells = cell(hi) - corner, cell(queries) - corner, cell(points) - corner
+    width = int(cell_hi[:, 0].max()) + 1
+    keys = cells[:, 1] * width + cells[:, 0]
+    order = np.argsort(keys, kind="stable")
+    keys, points = keys[order], points[order]
+
+    own_keys = own[:, 1] * width + own[:, 0]
+    at = np.minimum(np.searchsorted(keys, own_keys), len(keys) - 1)
+    covered[keys[at] == own_keys] = True
+
+    for window in (1, None):
+        rest = np.flatnonzero(~covered)
+        c_lo, c_hi = cell_lo[rest], cell_hi[rest]
+        if window:
+            c_lo = np.maximum(c_lo, own[rest] - window)
+            c_hi = np.minimum(c_hi, own[rest] + window)
+        n_rows = c_hi[:, 1] - c_lo[:, 1] + 1
+        per_batch = max(1, _PAIR_CHUNK // int(n_rows.max(initial=1)))
+        for b in range(0, len(rest), per_batch):
+            # one (query, row strip) entry per row each query spans
+            rows = n_rows[b:b + per_batch]
+            s = np.repeat(np.arange(b, b + len(rows)), rows)
+            first = np.cumsum(rows) - rows
+            row = c_lo[s, 1] + np.arange(len(s)) - np.repeat(first, rows)
+            start = np.searchsorted(keys, row * width + c_lo[s, 0])
+            count = np.searchsorted(keys, row * width + c_hi[s, 0], side="right") - start
+            q = rest[s]
+            ends = np.cumsum(count)
+            # candidate pairs in chunks: pair k is the (k - first)-th point
+            # of the strip whose cumulative count passes k
+            for c in range(0, int(ends[-1]), _PAIR_CHUNK):
+                pair = np.arange(c, min(c + _PAIR_CHUNK, int(ends[-1])))
+                strip = np.searchsorted(ends, pair, side="right")
+                p = points[start[strip] + pair - (ends[strip] - count[strip])]
+                qi = q[strip]
+                dx = queries[qi, 0] - p[:, 0]
+                dy = queries[qi, 1] - p[:, 1]
+                covered[qi[np.sqrt(dx * dx + dy * dy) <= radii[qi]]] = True
+    return covered
+
+
+def _grid_covered(points: np.ndarray, queries: np.ndarray,
+                  radii: np.ndarray) -> np.ndarray:
+    """True where some of the planar ``points`` lies within ``radii[i] > 0``
+    of ``queries[i]``, distances taken as ``sqrt(dx*dx + dy*dy)``.
+
+    Queries are grouped into power-of-two levels of their radius, and
+    each level is answered on a uniform grid sized to it (Bentley,
+    Stanat & Williams 1977), since one grid for radii spanning decades
+    is either too coarse for the small ones or too fine for the large.
+    """
+    covered = np.zeros(len(queries), dtype=bool)
+    level = np.frexp(radii)[1]
+    order = np.argsort(level, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(level[order])) + 1):
+        if len(idx):                  # empty only when there are no queries
+            covered[idx] = _grid_level(points, queries[idx], radii[idx])
+    return covered
+
+
 def radial_containment_score(tail_points: np.ndarray, n_segment: int = 50,
                              needed_fraction: float = 0.9,
                              eps_rel: float = 0.05, max_scored: int = 2000,
                              seed: int = 0) -> float:
-    """Fraction of tail points whose segment to the origin is covered.
+    """Fraction of planar tail points whose segment to the origin is covered.
 
-    A point counts when at least ``needed_fraction`` of ``n_segment``
-    equispaced points on [0, x] lie within ``eps_rel * ||x||`` of some
-    tail point. Scored on a seeded subsample when the tail is large.
+    A point x counts when it is the origin, or when at least
+    ``needed_fraction`` of ``n_segment`` equispaced points on [0, x] lie
+    within ``eps_rel * ||x||`` of some tail point, a fixed-radius query
+    answered on uniform grids (``_grid_covered``). Scored on a seeded
+    subsample when the tail is large. ``tail_points`` must be ``(m, 2)``
+    and finite and ``eps_rel`` positive, else ``ValueError``; so does an
+    ``eps_rel`` below about 4e-9, for which a grid would need more than
+    2**31 cells a side.
     """
-    from scipy.spatial import cKDTree
-
+    tail_points = np.asarray(tail_points, dtype=float)
+    if tail_points.ndim != 2 or tail_points.shape[1] != 2:
+        raise ValueError(f"tail_points must be (m, 2), got {tail_points.shape}")
+    if not np.isfinite(tail_points).all():
+        raise ValueError("tail_points must be finite")
+    if not eps_rel > 0:
+        raise ValueError(f"eps_rel must be positive, got {eps_rel}")
     if len(tail_points) == 0:
         return 0.0
-    tree = cKDTree(tail_points)
     rng = np.random.default_rng(seed)
     m = min(max_scored, len(tail_points))
     pts = tail_points[rng.choice(len(tail_points), size=m, replace=False)]
     norms = np.linalg.norm(pts, axis=1)
     # every scored point's segment, all queried at once
-    segments = np.linspace(0.0, 1.0, n_segment)[None, :, None] * pts[:, None, :]
-    dists, _ = tree.query(segments.reshape(-1, pts.shape[1]))
-    covered = np.mean(dists.reshape(m, n_segment) <= eps_rel * norms[:, None], axis=1)
+    segments = (np.linspace(0.0, 1.0, n_segment)[None, :, None]
+                * pts[:, None, :]).reshape(-1, 2)
+    radii = np.repeat(eps_rel * norms, n_segment)
+    hit = np.zeros(len(radii), dtype=bool)
+    # radius 0 only at a scored origin, which counts anyway
+    scored = radii > 0
+    hit[scored] = _grid_covered(tail_points, segments[scored], radii[scored])
+    covered = np.mean(hit.reshape(m, n_segment), axis=1)
     return int(np.count_nonzero((norms == 0.0) | (covered >= needed_fraction))) / m
 
 

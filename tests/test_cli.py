@@ -2,7 +2,10 @@
 
 import ast
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +299,23 @@ star.steps = 100
         rows = read_rows(str(out))
         assert rows[-1]["avg_norm"] < 1e-3
         assert rows[0]["n_diverged"] == 0
+
+    def test_star_command_imports_no_scipy(self, tmp_path):
+        # the star score is numpy only; a fresh interpreter shows what a
+        # whole star run imports
+        cfg = write_cfg(tmp_path, "command = star\nstar.eta = 1.35\n"
+                                  "star.samples = 5\nstar.steps = 60\n")
+        out = str(tmp_path / "star.csv")
+        code = ("import sys\nfrom tvvi.cli import main\n"
+                f"assert main(['--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        assert 0.0 < read_rows(out)[0]["radial_score"] <= 1.0
 
     def test_bifurcation_command_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path, """

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tvvi import dynamics
 from tvvi.core import ConfigurationError, Domain
-from tvvi.dynamics import (IntervalMapError, bifurcation_scan, classify_eta,
-                           classify_orbit, compose_map, eta_grid, iterate_orbit,
-                           newton_periodic_orbit, orbit_stability,
+from tvvi.dynamics import (IntervalMapError, _grid_covered, bifurcation_scan,
+                           classify_eta, classify_orbit, compose_map, eta_grid,
+                           iterate_orbit, newton_periodic_orbit, orbit_stability,
                            period3_search, radial_containment_score, star_scan)
 from tvvi.scenarios import build_scenario, periodic_quadratic
 
@@ -14,6 +17,33 @@ from tvvi.scenarios import build_scenario, periodic_quadratic
 @pytest.fixture(scope="module")
 def chaos():
     return build_scenario("chaos_1d")
+
+
+@pytest.fixture(scope="module")
+def ring():
+    # a thin annulus is far from star-shaped
+    theta = np.random.default_rng(0).uniform(0, 2 * np.pi, 2000)
+    return np.c_[np.cos(theta), np.sin(theta)]
+
+
+@pytest.fixture(scope="module")
+def spokes():
+    # dense radial spokes are star-shaped by construction
+    angles = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+    radii = np.linspace(0.0, 1.0, 1000)
+    return np.vstack([np.c_[r * np.cos(angles), r * np.sin(angles)] for r in radii])
+
+
+def brute_covered(points, queries, radii):
+    """The fixed-radius reference: the distance from each query to its
+    nearest point, against the query's radius (the root of the least
+    square is the least root, bit for bit)."""
+    dx = queries[:, None, 0] - points[None, :, 0]
+    dy = queries[:, None, 1] - points[None, :, 1]
+    dx *= dx                            # dx*dx + dy*dy, in place
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx.min(axis=1)) <= radii
 
 
 class TestComposeMap:
@@ -285,30 +315,98 @@ class TestStarScan:
         assert np.array_equal(res.avg_norm_series, series / 20)
 
     def test_radial_score_matches_per_point_loop(self):
-        from scipy.spatial import cKDTree
         rng = np.random.default_rng(11)
         pts = rng.standard_normal((3000, 2)) * rng.uniform(0.2, 1.0, (3000, 1))
-        tree = cKDTree(pts)
         idx = np.random.default_rng(0).choice(3000, size=2000, replace=False)
         fractions = np.linspace(0.0, 1.0, 50)
         good = 0
         for x in pts[idx]:
             nx = float(np.linalg.norm(x))
-            dists, _ = tree.query(fractions[:, None] * x[None, :])
-            good += np.mean(dists <= 0.05 * nx) >= 0.9
+            hits = brute_covered(pts, fractions[:, None] * x[None, :], 0.05 * nx)
+            good += np.mean(hits) >= 0.9
         assert radial_containment_score(pts) == good / 2000
 
-    def test_radial_score_ring_is_low(self):
-        # a thin annulus is far from star-shaped
-        rng = np.random.default_rng(0)
-        theta = rng.uniform(0, 2 * np.pi, 2000)
-        pts = np.c_[np.cos(theta), np.sin(theta)]
-        assert radial_containment_score(pts) < 0.2
+    def test_radial_score_ring_is_low(self, ring):
+        assert radial_containment_score(ring) < 0.2
 
-    def test_radial_score_spokes_are_high(self):
-        # dense radial spokes are star-shaped by construction
-        angles = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        radii = np.linspace(0.0, 1.0, 1000)
-        pts = np.vstack([np.c_[r * np.cos(angles), r * np.sin(angles)]
-                         for r in radii])
-        assert radial_containment_score(pts) > 0.95
+    def test_radial_score_spokes_are_high(self, spokes):
+        assert radial_containment_score(spokes) > 0.95
+
+    def test_radial_score_is_chunk_independent(self, monkeypatch, ring, spokes):
+        # a 7-pair chunk splits strips and queries at every boundary
+        tail = star_scan(1.35, n_samples=10, n_steps=200, seed=0).tail_points
+        clouds = [(tail, {"max_scored": 300}), (ring, {"max_scored": 150}),
+                  (spokes, {"max_scored": 150})]
+        before = [radial_containment_score(pts, **kw) for pts, kw in clouds]
+        monkeypatch.setattr(dynamics, "_PAIR_CHUNK", 7)
+        assert [radial_containment_score(pts, **kw) for pts, kw in clouds] == before
+
+    def test_radial_score_all_at_origin(self):
+        # a converged scan: every radius is 0 and every point counts
+        assert radial_containment_score(np.zeros((40, 2))) == 1.0
+
+    @pytest.mark.parametrize("pts, kw", [
+        (np.zeros((5, 3)), {}),
+        (np.zeros(5), {}),
+        (np.array([[0.0, 1.0], [np.nan, 0.0]]), {}),
+        (np.ones((5, 2)), {"eps_rel": 0.0}),
+        (np.ones((5, 2)), {"eps_rel": 1e-12}),
+    ], ids=["m_by_3", "flat", "nan", "eps_0", "eps_tiny"])
+    def test_radial_score_rejects(self, pts, kw):
+        with pytest.raises(ValueError):
+            radial_containment_score(pts, **kw)
+
+
+@st.composite
+def planar_clouds(draw):
+    """Small planar clouds: dyadic lattice points, half of them on an
+    axis so that radii and cell sides are dyadic too and points fall
+    exactly on cell boundaries; norms spanning four decades; or all at
+    the origin. Some points are repeated."""
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["lattice", "decades", "origin"]))
+    if kind == "origin":
+        pts = np.zeros((n, 2))
+    elif kind == "lattice":
+        ij = draw(st.lists(st.tuples(st.integers(-16, 16), st.integers(-16, 16),
+                                     st.booleans()), min_size=n, max_size=n))
+        pts = np.array([(i, 0 if on_axis else j) for i, j, on_axis in ij], dtype=float)
+        pts *= 2.0 ** -draw(st.integers(0, 6))
+    else:
+        angle = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n)))
+        mag = 10.0 ** np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+        pts = np.c_[mag * np.cos(angle), mag * np.sin(angle)]
+    return np.vstack([pts, pts[:draw(st.integers(0, n))]])
+
+
+class TestGridQuery:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(pts=planar_clouds(), eps=st.sampled_from([1e-3, 0.05, 0.25, 1.0, 4.0]))
+    def test_grid_coverage_equals_brute_force(self, pts, eps):
+        norms = np.linalg.norm(pts, axis=1)
+        r = eps * norms
+        fractions = np.linspace(0.0, 1.0, 9)
+        segments = (fractions[None, :, None] * pts[:, None, :]).reshape(-1, 2)
+        # the score's segment queries, and each point moved by its own
+        # radius r along each axis (distance r, at the edge of the
+        # strips) and by 0.72 r along each diagonal (distance 1.02 r,
+        # inside a cell of side 0.75 r)
+        offsets = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                   [0.72, 0.72], [-0.72, 0.72], [0.72, -0.72], [-0.72, -0.72]]
+        queries = np.vstack([segments] + [pts + r[:, None] * np.array(e) for e in offsets])
+        radii = np.concatenate([np.repeat(r, 9), np.tile(r, len(offsets))])
+        keep = radii > 0
+        assert np.array_equal(_grid_covered(pts, queries[keep], radii[keep]),
+                              brute_covered(pts, queries[keep], radii[keep]))
+        hits = brute_covered(pts, segments, np.repeat(r, 9)).reshape(-1, 9)
+        good = (norms == 0) | (hits.mean(axis=1) >= 0.9)
+        assert radial_containment_score(pts, n_segment=9, eps_rel=eps) == \
+            np.count_nonzero(good) / len(pts)
+
+    def test_point_just_below_a_cell_edge(self):
+        # q - r rounds up onto the cell edge at 0.5 while the point lies
+        # one ulp below it; q - p still rounds to exactly r
+        p = np.array([[np.nextafter(0.5, 0.0), 0.0]])
+        q, r = np.array([[1.5, 0.0]]), np.array([1.0])
+        assert brute_covered(p, q, r)[0]
+        assert _grid_covered(p, q, r)[0]
