@@ -17,21 +17,11 @@ from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
 from .dynamics import (GDMap, Orbit, bifurcation_scan, classify_eta,
                        compose_map, iterate_orbit, newton_periodic_orbit,
                        orbit_stability, period3_search, star_scan)
-from .metrics import (
-    AdversarialLowerBound,
-    AggregationRegretBound,
-    AggregationTrackingBound,
-    ConstantTrackingBound,
-    ContractiveBound,
-    CyclicRegretBound,
-    bound_check,
-    dynamic_regret,
-    quadratic_path_length,
-    regret_series,
-    theoretical_bound,
-    tracking_error,
-    tracking_series,
-)
+from .metrics import (adversarial_lower_bound, aggregation_regret_bound,
+                      aggregation_tracking_bound, constant_tracking_bound,
+                      contractive_bound, cyclic_regret_bound, dynamic_regret,
+                      quadratic_path_length, regret_series, tracking_error,
+                      tracking_series)
 from .scenarios import (Scenario, adversary_step, build_scenario,
                         periodic_quadratic, verify_scenario)
 
@@ -44,18 +34,10 @@ __all__ = [
     "ContractiveForward", "CyclicFB", "CyclicFBLearner", "MetaAdaptive",
     "MetaFixed", "MetaLearner", "Resolvent", "StepSchedule", "Trajectory",
     "forward_step", "make_surrogate", "resolvent_step", "run_tracker",
-    "AdversarialLowerBound",
-    "AggregationRegretBound",
-    "AggregationTrackingBound",
-    "ConstantTrackingBound",
-    "ContractiveBound",
-    "CyclicRegretBound",
-    "bound_check",
-    "dynamic_regret",
-    "quadratic_path_length",
-    "regret_series",
-    "theoretical_bound",
-    "tracking_error",
+    "adversarial_lower_bound", "aggregation_regret_bound",
+    "aggregation_tracking_bound", "constant_tracking_bound",
+    "contractive_bound", "cyclic_regret_bound", "dynamic_regret",
+    "quadratic_path_length", "regret_series", "tracking_error",
     "tracking_series",
     "Scenario", "adversary_step", "build_scenario", "periodic_quadratic",
     "verify_scenario",

@@ -39,9 +39,10 @@ def as_point(x) -> np.ndarray:
 class Domain:
     """A closed convex subset of R^d with an exact Euclidean projection.
 
-    Supported kinds: ``unbounded``, ``box`` (componentwise bounds),
-    ``ball`` (center + radius) and ``interval`` (1-D box). ``diameter``
-    is set exactly for the bounded kinds and is ``None`` otherwise.
+    Supported kinds: ``unbounded``, ``box`` (componentwise bounds) and
+    ``ball`` (center + radius); :meth:`interval` builds a 1-D box.
+    ``diameter`` is set exactly for the bounded kinds and is ``None``
+    otherwise.
     """
 
     kind: str
@@ -73,11 +74,7 @@ class Domain:
 
     @staticmethod
     def interval(lo: float, hi: float) -> "Domain":
-        return Domain.box([lo], [hi])._replace_kind("interval")
-
-    def _replace_kind(self, kind: str) -> "Domain":
-        return Domain(kind=kind, dim=self.dim, lower=self.lower,
-                      upper=self.upper, center=self.center, radius=self.radius)
+        return Domain.box([lo], [hi])
 
     @property
     def bounded(self) -> bool:
@@ -87,7 +84,7 @@ class Domain:
     def diameter(self) -> Optional[float]:
         if self.kind == "unbounded":
             return None
-        if self.kind in ("box", "interval"):
+        if self.kind == "box":
             return float(np.linalg.norm(self.upper - self.lower))
         return 2.0 * self.radius
 
@@ -95,7 +92,7 @@ class Domain:
         p = as_point(p)
         if self.kind == "unbounded":
             return True
-        if self.kind in ("box", "interval"):
+        if self.kind == "box":
             return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
         return bool(np.linalg.norm(p - self.center) <= self.radius + tol)
 
@@ -111,7 +108,7 @@ def project(domain: Domain, p) -> np.ndarray:
         raise ValueError(f"dimension mismatch: point {p.shape[-1]}, domain {domain.dim}")
     if domain.kind == "unbounded":
         return p
-    if domain.kind in ("box", "interval"):
+    if domain.kind == "box":
         return np.clip(p, domain.lower, domain.upper)
     # ball: radial rescale; the center projects to itself. The slack, a
     # few ulps of the radius plus the center's norm, absorbs the roundoff
@@ -199,7 +196,7 @@ def analytic_solution(op: Operator, domain: Domain) -> Optional[np.ndarray]:
 def _sample_points(domain: Domain, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples in the sampling box intersected with the domain."""
     half = SAMPLING_BOX_HALF_WIDTH
-    if domain.kind in ("box", "interval"):
+    if domain.kind == "box":
         lo = np.maximum(domain.lower, -half)
         hi = np.minimum(domain.upper, half)
         return rng.uniform(lo, hi, size=(n, domain.dim))

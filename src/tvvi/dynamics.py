@@ -520,9 +520,9 @@ def radial_containment_score(tail_points: np.ndarray, n_segment: int = 50,
     within ``eps_rel * ||x||`` of some tail point, a fixed-radius query
     answered on uniform grids (``_grid_covered``). Scored on a seeded
     subsample when the tail is large. ``tail_points`` must be ``(m, 2)``
-    and finite and ``eps_rel`` positive, else ``ValueError``; so does an
-    ``eps_rel`` below about 4e-9, for which a grid would need more than
-    2**31 cells a side.
+    and finite, ``eps_rel`` positive and ``n_segment`` and ``max_scored``
+    at least 1, else ``ValueError``; so does an ``eps_rel`` below about
+    4e-9, for which a grid would need more than 2**31 cells a side.
     """
     tail_points = np.asarray(tail_points, dtype=float)
     if tail_points.ndim != 2 or tail_points.shape[1] != 2:
@@ -531,6 +531,9 @@ def radial_containment_score(tail_points: np.ndarray, n_segment: int = 50,
         raise ValueError("tail_points must be finite")
     if not eps_rel > 0:
         raise ValueError(f"eps_rel must be positive, got {eps_rel}")
+    for name, value in (("n_segment", n_segment), ("max_scored", max_scored)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     if len(tail_points) == 0:
         return 0.0
     rng = np.random.default_rng(seed)

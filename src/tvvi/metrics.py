@@ -1,22 +1,18 @@
-"""Tracking error, path length, dynamic regret, and closed-form bound
-evaluators for empirical-vs-theoretical comparisons.
+"""Tracking error, path length, dynamic regret, and the closed-form
+bounds they are compared with.
 
-All functions are pure over immutable trajectories. Lower-bound kinds
-invert the comparison in :func:`bound_check` (measured must exceed the
-bound) so one operation serves both directions.
+All functions are pure over immutable trajectories. Each bound is one
+function of the constants its guarantee names; every bound is an upper
+bound on the measured quantity except :func:`adversarial_lower_bound`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .algorithms import Trajectory
-
-_CHECK_TOL = 1e-9
 
 
 def tracking_series(traj: Trajectory) -> np.ndarray:
@@ -66,123 +62,44 @@ def dynamic_regret(traj: Trajectory, comparators, mu: float = 0.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form bound evaluators
+# Closed-form bounds
 
-@dataclass(frozen=True)
-class ContractiveBound:
-    """Tracking of a C-contractive algorithm on a drifting sequence."""
-    C: float
-    path: float            # quadratic path length of the solutions
-    init_dist: float       # ||Z_1 - Z*_1||
+def contractive_bound(C: float, path: float, init_dist: float) -> float:
+    """Tracking of a C-contractive algorithm: ``path`` is the quadratic
+    path length of the solutions, ``init_dist`` is ||Z_1 - Z*_1||."""
+    if not 0.0 < C < 1.0:
+        raise ValueError("contraction factor must be in (0, 1)")
+    return path / (1.0 - C) ** 2 + init_dist ** 2 / (1.0 - C)
 
 
-@dataclass(frozen=True)
-class CyclicRegretBound:
+def cyclic_regret_bound(k: int, G: float, mu: float, T: int) -> float:
     """Dynamic regret of the correctly-tuned cyclic learner."""
-    k: int
-    G: float
-    mu: float
-    T: int
+    return k * G ** 2 / (2.0 * mu) * (math.log(T / k) + 1.0)
 
 
-@dataclass(frozen=True)
-class AggregationRegretBound:
+def aggregation_regret_bound(G: float, mu: float, D: float, k: int, K: int,
+                             T: int) -> float:
     """Dynamic regret of the fixed-rate aggregation algorithm."""
-    G: float
-    mu: float
-    D: float
-    k: int
-    K: int
-    T: int
+    return (G + mu * D) ** 2 / (2.0 * mu) * (
+        k * math.log(T / k) + k + 8.0 * math.log(K))
 
 
-@dataclass(frozen=True)
-class AggregationTrackingBound:
+def aggregation_tracking_bound(G: float, mu: float, D: float, k: int, K: int,
+                               T: int) -> float:
     """Tracking of the fixed-rate aggregation algorithm."""
-    G: float
-    mu: float
-    D: float
-    k: int
-    K: int
-    T: int
+    return (G + mu * D) ** 2 / mu ** 2 * (
+        k * math.log(T / k) + k + 8.0 * math.log(K))
 
 
-@dataclass(frozen=True)
-class ConstantTrackingBound:
+def constant_tracking_bound(D0: float, kappa: float, k: int, K: int) -> float:
     """Constant tracking of the adaptively-tuned aggregation algorithm."""
-    D0: float
-    kappa: float
-    k: int
-    K: int
+    if kappa < 1.0:
+        raise ValueError("condition number must be >= 1")
+    return 4.0 * D0 ** 2 * (2.0 + kappa) * (
+        2.0 * (2.0 * kappa ** 2 + 1.0) * (2.0 + kappa) * math.log(K)
+        + (2.0 * kappa + 1.0) * kappa * k + 1.0)
 
 
-@dataclass(frozen=True)
-class AdversarialLowerBound:
-    """Adversarial lower bound on tracking (inverted comparison)."""
-    D: float
-    T: int
-
-
-LOWER_BOUND_KINDS = (AdversarialLowerBound,)
-
-
-def theoretical_bound(spec) -> float:
-    """Evaluate the closed-form bound for the given spec."""
-    if isinstance(spec, ContractiveBound):
-        if not 0.0 < spec.C < 1.0:
-            raise ValueError("contraction factor must be in (0, 1)")
-        return spec.path / (1.0 - spec.C) ** 2 + spec.init_dist ** 2 / (1.0 - spec.C)
-    if isinstance(spec, CyclicRegretBound):
-        return spec.k * spec.G ** 2 / (2.0 * spec.mu) * (math.log(spec.T / spec.k) + 1.0)
-    if isinstance(spec, AggregationRegretBound):
-        return (spec.G + spec.mu * spec.D) ** 2 / (2.0 * spec.mu) * (
-            spec.k * math.log(spec.T / spec.k) + spec.k + 8.0 * math.log(spec.K))
-    if isinstance(spec, AggregationTrackingBound):
-        return (spec.G + spec.mu * spec.D) ** 2 / spec.mu ** 2 * (
-            spec.k * math.log(spec.T / spec.k) + spec.k + 8.0 * math.log(spec.K))
-    if isinstance(spec, ConstantTrackingBound):
-        kap = spec.kappa
-        if kap < 1.0:
-            raise ValueError("condition number must be >= 1")
-        return 4.0 * spec.D0 ** 2 * (2.0 + kap) * (
-            2.0 * (2.0 * kap ** 2 + 1.0) * (2.0 + kap) * math.log(spec.K)
-            + (2.0 * kap + 1.0) * kap * spec.k + 1.0)
-    if isinstance(spec, AdversarialLowerBound):
-        return spec.D ** 2 * spec.T / 16.0
-    raise TypeError(f"unknown bound spec {spec!r}")
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    holds: bool
-    measured: float
-    bound: float
-
-
-def bound_check(traj: Trajectory, spec, which: str = "tracking",
-                mu: Optional[float] = None, comparators=None) -> BoundCheck:
-    """Compare a measured quantity against a bound spec's closed-form value.
-
-    ``which`` selects the tracking error or the dynamic regret (against
-    the recorded solutions unless comparators are given). Upper-bound
-    kinds hold when measured <= bound; lower-bound kinds when
-    measured >= bound.
-    """
-    if which == "tracking":
-        measured = tracking_error(traj)
-    elif which == "regret":
-        if comparators is None:
-            comparators = traj.solutions
-        if comparators is None:
-            raise ValueError("regret check needs comparators or solutions")
-        if mu is None:
-            mu = getattr(spec, "mu", 0.0)
-        measured = dynamic_regret(traj, comparators, mu)
-    else:
-        raise ValueError(f"unknown measurement {which!r}")
-    bound = theoretical_bound(spec)
-    if isinstance(spec, LOWER_BOUND_KINDS):
-        holds = measured >= bound - _CHECK_TOL
-    else:
-        holds = measured <= bound + _CHECK_TOL
-    return BoundCheck(holds=holds, measured=measured, bound=bound)
+def adversarial_lower_bound(D: float, T: int) -> float:
+    """Adversarial lower bound on tracking: measured must reach it."""
+    return D ** 2 * T / 16.0

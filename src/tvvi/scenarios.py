@@ -133,7 +133,7 @@ def periodic_quadratic(centers, matrix=None, domain: Domain = None) -> Scenario:
 
 
 def _box_corners(domain: Domain) -> list:
-    if domain.kind not in ("box", "interval"):
+    if domain.kind != "box":
         raise ConfigurationError("corner enumeration needs a box domain")
     dim = domain.dim
     corners = []

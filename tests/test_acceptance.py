@@ -20,9 +20,9 @@ from tvvi.core import Domain, Operator
 from tvvi.dynamics import (bifurcation_scan, classify_eta, compose_map,
                            eta_grid, iterate_orbit, newton_periodic_orbit,
                            orbit_stability, period3_search, star_scan)
-from tvvi.metrics import (CyclicRegretBound, AdversarialLowerBound, ContractiveBound, AggregationRegretBound, ConstantTrackingBound, dynamic_regret,
-                          quadratic_path_length, theoretical_bound,
-                          tracking_error, tracking_series)
+from tvvi.metrics import (aggregation_regret_bound, constant_tracking_bound,
+                          contractive_bound, cyclic_regret_bound, dynamic_regret,
+                          quadratic_path_length, tracking_error, tracking_series)
 from tvvi.scenarios import (RSI_MU, build_scenario, periodic_quadratic,
                             verify_scenario)
 
@@ -68,10 +68,10 @@ def test_criterion_02_contractive_upper_bound():
         z1 = rng.uniform(-2, 2, d)
         traj = run_tracker(sc.seq, ContractiveForward(mu / L ** 2),
                            sc.domain, z1, T)
-        spec = ContractiveBound(C=math.sqrt(1.0 - (mu / L) ** 2),
-                    path=quadratic_path_length(traj.solutions),
-                    init_dist=float(np.linalg.norm(z1 - traj.solutions[0])))
-        if tracking_error(traj) > theoretical_bound(spec) + 1e-9:
+        bound = contractive_bound(C=math.sqrt(1.0 - (mu / L) ** 2),
+                                  path=quadratic_path_length(traj.solutions),
+                                  init_dist=float(np.linalg.norm(z1 - traj.solutions[0])))
+        if tracking_error(traj) > bound + 1e-9:
             violations += 1
     report(2, violations == 0, f"{violations} violations over 20 tame runs, T={T}")
 
@@ -89,7 +89,7 @@ def test_criterion_03_cyclic_fb_regret_bound():
         algo = CyclicFB(2, StepSchedule.inverse_mu_t(sc.mu))
         traj = run_tracker(sc.seq, algo, sc.domain, z1, T)
         g_emp = max(float(np.linalg.norm(g)) for g in traj.op_values)
-        bound = theoretical_bound(CyclicRegretBound(k=2, G=g_emp, mu=sc.mu, T=T))
+        bound = cyclic_regret_bound(k=2, G=g_emp, mu=sc.mu, T=T)
         if dynamic_regret(traj, traj.solutions, sc.mu) > bound + 1e-9:
             violations += 1
     report(3, violations == 0,
@@ -103,8 +103,8 @@ def test_criterion_04_meta_fixed_logarithmic():
     algo = MetaFixed(K=K, mu=sc.mu, D=sc.diameter, G=sc.gbound)
     traj = run_tracker(sc.seq, algo, dom, [1.5], 2 * T)
     reg = dynamic_regret(prefix(traj, T), traj.solutions[:T], sc.mu)
-    bound = theoretical_bound(AggregationRegretBound(G=sc.gbound, mu=sc.mu, D=sc.diameter,
-                                   k=2, K=K, T=T))
+    bound = aggregation_regret_bound(G=sc.gbound, mu=sc.mu, D=sc.diameter,
+                                     k=2, K=K, T=T)
     series = tracking_series(traj)
     growth = series[2 * T - 1] - series[T - 1]
     cap = 2 * (sc.gbound + sc.mu * sc.diameter) ** 2 / sc.mu ** 2 \
@@ -121,7 +121,7 @@ def test_criterion_05_meta_adaptive_constant():
     traj = run_tracker(sc.seq, algo, sc.domain, [3.0], T)
     series = tracking_series(traj)
     d0 = max(abs(3.0 - 1.0), abs(3.0 + 1.0))
-    bound = theoretical_bound(ConstantTrackingBound(D0=d0, kappa=sc.lip / sc.mu, k=2, K=K))
+    bound = constant_tracking_bound(D0=d0, kappa=sc.lip / sc.mu, k=2, K=K)
     plateau = series[T - 1] - series[T // 2 - 1]
     ok = series[-1] <= bound + 1e-9 and plateau <= 1e-6
     report(5, ok, f"tracking {series[-1]:.3f} <= {bound:.1f}; "

@@ -391,21 +391,24 @@ run.z1 = 0.0
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "resolvent" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind, given, field", [
-        ("cyclic_regret", "", "bound.k"),
-        ("aggregation_tracking", "bound.g = 1.0\nbound.d = 4.0", "bound.k"),
-        ("adversarial_lb", "", "bound.d")],
-        ids=["cyclic_regret", "aggregation_tracking", "adversarial_lb"])
+    @pytest.mark.parametrize("kind, given, field, start", [
+        ("cyclic_regret", "", "bound.k", "algorithm.eta = 0.25\nrun.z1 = 1.0"),
+        ("aggregation_tracking", "bound.g = 1.0\nbound.d = 4.0", "bound.k",
+         "algorithm.eta = 0.25\nrun.z1 = 1.0"),
+        ("adversarial_lb", "", "bound.d", "algorithm.eta = 0.25\nrun.z1 = 1.0"),
+        # diverges in round 1: no formula runs, the constants are still read
+        ("cyclic_regret", "", "bound.k", "algorithm.eta = 0.5\nrun.z1 = 1e7")],
+        ids=["cyclic_regret", "aggregation_tracking", "adversarial_lb",
+             "cyclic_regret_round_one_divergence"])
     def test_bound_constant_missing_exit_code(self, tmp_path, capsys, kind,
-                                              given, field):
+                                              given, field, start):
         # quadratic_drift is aperiodic on an unbounded domain: no k, no D
         cfg = write_cfg(tmp_path, f"""
 command = bounds
 scenario.name = quadratic_drift
 algorithm.kind = forward
-algorithm.eta = 0.25
+{start}
 run.horizon = 20
-run.z1 = 1.0
 bound.kind = {kind}
 {given}
 """)

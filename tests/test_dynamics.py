@@ -351,9 +351,13 @@ class TestStarScan:
         (np.array([[0.0, 1.0], [np.nan, 0.0]]), {}),
         (np.ones((5, 2)), {"eps_rel": 0.0}),
         (np.ones((5, 2)), {"eps_rel": 1e-12}),
-    ], ids=["m_by_3", "flat", "nan", "eps_0", "eps_tiny"])
+        (np.ones((5, 2)), {"max_scored": 0}),
+        (np.ones((5, 2)), {"n_segment": 0}),
+    ], ids=["m_by_3", "flat", "nan", "eps_0", "eps_tiny", "max_scored_0",
+            "n_segment_0"])
     def test_radial_score_rejects(self, pts, kw):
-        with pytest.raises(ValueError):
+        # a rejected keyword is named in the message
+        with pytest.raises(ValueError, match=next(iter(kw), None)):
             radial_containment_score(pts, **kw)
 
 

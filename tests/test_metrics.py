@@ -1,4 +1,4 @@
-"""Tests for tracking/regret metrics and the closed-form bound evaluators."""
+"""Tests for tracking/regret metrics and the closed-form bounds."""
 
 import math
 
@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from tvvi.algorithms import ContractiveForward, Trajectory, run_tracker
-from tvvi.metrics import (BoundCheck, CyclicRegretBound, AggregationTrackingBound, AdversarialLowerBound, ContractiveBound, AggregationRegretBound, ConstantTrackingBound,
-                          bound_check, dynamic_regret, quadratic_path_length,
-                          theoretical_bound, tracking_error, tracking_series)
+from tvvi.metrics import (adversarial_lower_bound, aggregation_regret_bound,
+                          aggregation_tracking_bound, constant_tracking_bound,
+                          contractive_bound, cyclic_regret_bound, dynamic_regret,
+                          quadratic_path_length, tracking_error, tracking_series)
 from tvvi.scenarios import build_scenario, periodic_quadratic
 
 
@@ -102,18 +103,18 @@ class TestDynamicRegret:
 
 class TestTheoreticalBounds:
     def test_contractive_arithmetic(self):
-        assert theoretical_bound(ContractiveBound(C=0.5, path=1.0, init_dist=0.0)) == 4.0
+        assert contractive_bound(C=0.5, path=1.0, init_dist=0.0) == 4.0
 
     def test_contractive_invalid_contraction(self):
         with pytest.raises(ValueError):
-            theoretical_bound(ContractiveBound(C=1.0, path=1.0, init_dist=0.0))
+            contractive_bound(C=1.0, path=1.0, init_dist=0.0)
 
     def test_cyclic_regret_arithmetic(self):
-        got = theoretical_bound(CyclicRegretBound(k=2, G=1.0, mu=1.0, T=100))
+        got = cyclic_regret_bound(k=2, G=1.0, mu=1.0, T=100)
         assert got == pytest.approx(1.0 * (math.log(50.0) + 1.0), rel=1e-12)
 
     def test_aggregation_regret_arithmetic(self):
-        got = theoretical_bound(AggregationRegretBound(G=1.0, mu=1.0, D=1.0, k=2, K=4, T=100))
+        got = aggregation_regret_bound(G=1.0, mu=1.0, D=1.0, k=2, K=4, T=100)
         expected = 2.0 * (2.0 * math.log(50.0) + 2.0 + 8.0 * math.log(4.0))
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(41.83, abs=0.01)
@@ -121,45 +122,39 @@ class TestTheoreticalBounds:
     def test_tracking_bound_is_scaled_regret_bound(self):
         # the tracking variant equals (2/mu) times the regret variant
         mu = 2.0
-        a = theoretical_bound(AggregationRegretBound(G=1.0, mu=mu, D=1.0,
-                                                     k=2, K=4, T=100))
-        b = theoretical_bound(AggregationTrackingBound(G=1.0, mu=mu, D=1.0,
-                                                       k=2, K=4, T=100))
+        a = aggregation_regret_bound(G=1.0, mu=mu, D=1.0, k=2, K=4, T=100)
+        b = aggregation_tracking_bound(G=1.0, mu=mu, D=1.0, k=2, K=4, T=100)
         assert b == pytest.approx(2.0 / mu * a, rel=1e-12)
 
     def test_constant_tracking_arithmetic(self):
         # log K = 0 leaves 4 * D0^2 * (2 + kappa) * ((2k+1)k*k_period + 1)
-        got = theoretical_bound(ConstantTrackingBound(D0=1.0, kappa=1.0, k=1, K=1))
+        got = constant_tracking_bound(D0=1.0, kappa=1.0, k=1, K=1)
         assert got == pytest.approx(4.0 * 3.0 * (3.0 + 1.0), rel=1e-12)
 
     def test_adversarial_lb(self):
-        assert theoretical_bound(AdversarialLowerBound(D=2.0, T=1000)) == 250.0
+        assert adversarial_lower_bound(D=2.0, T=1000) == 250.0
 
 
-class TestBoundCheck:
+class TestBoundComparison:
+    """The comparisons the ``bounds`` command makes, with its 1e-9 slack."""
+
     def test_upper_bound_holds(self):
         sc = build_scenario("quadratic_drift", {"b": 0.05})
         traj = run_tracker(sc.seq, ContractiveForward(0.5), sc.domain, [1.0], 200)
-        spec = ContractiveBound(C=0.5, path=quadratic_path_length(traj.solutions),
-                    init_dist=abs(1.0 - traj.solutions[0][0]))
-        chk = bound_check(traj, spec, "tracking")
-        assert isinstance(chk, BoundCheck)
-        assert chk.holds
-        assert chk.measured <= chk.bound + 1e-9
+        bound = contractive_bound(C=0.5, path=quadratic_path_length(traj.solutions),
+                                  init_dist=abs(1.0 - traj.solutions[0][0]))
+        assert tracking_error(traj) <= bound + 1e-9
 
     def test_lower_bound_inverted(self):
-        # lower-bound kinds hold when measured >= bound
+        # a lower bound holds when measured >= bound
         t = traj_1d([1.0] * 4, [0.0] * 4)
-        spec = AdversarialLowerBound(D=2.0, T=4)     # bound = 1
-        chk = bound_check(t, spec, "tracking")
-        assert chk.bound == 1.0
-        assert chk.measured == 4.0
-        assert chk.holds
-        spec_big = AdversarialLowerBound(D=4.0, T=4)  # bound = 4T/... = 16*4/16 = 4
-        chk2 = bound_check(t, spec_big, "tracking")
-        assert chk2.holds  # equality case
-        spec_fail = AdversarialLowerBound(D=5.0, T=4)
-        assert not bound_check(t, spec_fail, "tracking").holds
+        measured = tracking_error(t)
+        assert measured == 4.0
+        assert adversarial_lower_bound(D=2.0, T=4) == 1.0
+        assert measured >= adversarial_lower_bound(D=2.0, T=4) - 1e-9
+        # D = 4: the bound 16 * 4 / 16 = 4 equals measured, and holds
+        assert measured >= adversarial_lower_bound(D=4.0, T=4) - 1e-9
+        assert not measured >= adversarial_lower_bound(D=5.0, T=4) - 1e-9
 
 
 class TestTightnessConstruction:
