@@ -20,8 +20,8 @@ from .dynamics import (GDMap, Orbit, bifurcation_scan, classify_eta,
 from .metrics import (adversarial_lower_bound, aggregation_regret_bound,
                       aggregation_tracking_bound, constant_tracking_bound,
                       contractive_bound, cyclic_regret_bound, dynamic_regret,
-                      quadratic_path_length, regret_series, tracking_error,
-                      tracking_series)
+                      quadratic_path_length, regret_series, squared_distances,
+                      tracking_error, tracking_series)
 from .scenarios import (Scenario, adversary_step, build_scenario,
                         periodic_quadratic, verify_scenario)
 
@@ -37,8 +37,8 @@ __all__ = [
     "adversarial_lower_bound", "aggregation_regret_bound",
     "aggregation_tracking_bound", "constant_tracking_bound",
     "contractive_bound", "cyclic_regret_bound", "dynamic_regret",
-    "quadratic_path_length", "regret_series", "tracking_error",
-    "tracking_series",
+    "quadratic_path_length", "regret_series", "squared_distances",
+    "tracking_error", "tracking_series",
     "Scenario", "adversary_step", "build_scenario", "periodic_quadratic",
     "verify_scenario",
     "GDMap", "Orbit", "bifurcation_scan", "classify_eta", "compose_map",

@@ -15,6 +15,12 @@ per round and hands the bases the affine surrogate built from that one
 value, while the adaptive variant evaluates the true operator at the
 distinct points among the play and the K active slots, in one block
 call.
+
+``run_tracker`` drives a learner for T rounds and returns a
+``Trajectory`` of arrays: plays, operator values and solutions as
+``(T, d)`` arrays, and for the meta-algorithms the weights as a
+``(T, K)`` array and the base plays, each preallocated for T rounds and
+sliced to the rounds run.
 """
 
 from __future__ import annotations
@@ -94,20 +100,19 @@ class CyclicFBLearner:
     array.
 
     The learner with period i keeps one independent iterate (slot) per
-    assumed phase and updates them round-robin: base b owns rows
+    assumed phase and updates them round-robin, phase ((t-1) mod i) + 1
+    at round t, so round 1 touches slot 1: base b owns rows
     ``offsets[b]`` to ``offsets[b] + periods[b] - 1`` of ``slots``, and
     ``slot_steps`` counts each slot's updates. Every round touches one
-    slot per base: ``gather(t)`` returns the ``(K, d)`` block of active
-    slots and ``step(t, Z, G)`` moves the block by one projected forward
-    step, each row with its own slot's step size, and scatters it back.
-    A bank of one period is the learner ``CyclicFB`` runs, with ``play``
-    and ``observe``; ``MetaLearner`` drives a bank of periods 1..K.
-    ``literal_indexing`` selects the phase as (t mod i) + 1 instead of
-    the default ((t-1) mod i) + 1 that makes round 1 touch slot 1.
+    slot per base: ``slot_index(t)`` names the rows, ``slots[n]`` is the
+    ``(K, d)`` block of active slots and ``step(n, Z, G)`` moves the
+    block by one projected forward step, each row with its own slot's
+    step size, and scatters it back. A bank of one period is the learner
+    ``CyclicFB`` runs, with ``play`` and ``observe``; ``MetaLearner``
+    drives a bank of periods 1..K.
     """
 
-    def __init__(self, periods, z1, schedule: StepSchedule, domain: Domain,
-                 literal_indexing: bool = False):
+    def __init__(self, periods, z1, schedule: StepSchedule, domain: Domain):
         self.periods = np.atleast_1d(np.asarray(periods, dtype=np.int64))
         if self.periods.size == 0 or np.any(self.periods < 1):
             raise ValueError("period must be >= 1")
@@ -116,35 +121,30 @@ class CyclicFBLearner:
         self.slot_steps = np.zeros(len(self.slots), dtype=np.int64)
         self.schedule = schedule
         self.domain = domain
-        self.literal_indexing = literal_indexing
 
     def slot_index(self, t: int) -> np.ndarray:
         """The row in ``slots`` of each base's slot at round t."""
-        phase = t if self.literal_indexing else t - 1
-        return self.offsets + phase % self.periods
+        return self.offsets + (t - 1) % self.periods
 
-    def gather(self, t: int) -> np.ndarray:
-        """A copy of the active slots at round t, one row per base."""
-        return self.slots[self.slot_index(t)]
-
-    def step(self, t: int, Z: np.ndarray, G: np.ndarray) -> None:
-        """Update the active slots ``Z`` of round t with feedback ``G``,
-        row by row: project(z - eta_s g) with s the slot's update count."""
-        n = self.slot_index(t)
+    def step(self, n: np.ndarray, Z: np.ndarray, G: np.ndarray) -> None:
+        """Update the active slots ``Z`` (rows ``n`` of ``slots``) with
+        feedback ``G``, row by row: project(z - eta_s g) with s the
+        slot's update count."""
         s = self.slot_steps[n] + 1
         self.slots[n] = project(self.domain, Z - self.schedule.at(s[:, None]) * G)
         self.slot_steps[n] = s
 
     def play(self, t: int) -> np.ndarray:
         """The first base's active slot: a one-period bank's play."""
-        return self.gather(t)[0]
+        self.active = self.slot_index(t)
+        self.active_slots = self.slots[self.active]     # a copy: (K, d)
+        return self.active_slots[0]
 
     def observe(self, t: int, op: Operator) -> np.ndarray:
-        """Step the active slots with ``op`` evaluated there in one block
-        call; returns F at the play."""
-        Z = self.gather(t)
-        G = _evaluate_finite(op, Z)
-        self.step(t, Z, G)
+        """Step the slots ``play(t)`` made active with ``op`` evaluated
+        there in one block call; returns F at the play."""
+        G = _evaluate_finite(op, self.active_slots)
+        self.step(self.active, self.active_slots, G)
         return G[0]
 
 
@@ -157,14 +157,21 @@ def _evaluate_finite(op: Operator, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _distinct_rows(P: np.ndarray) -> tuple:
+    """The byte-distinct rows of ``P`` in first-seen order, and for each
+    row of ``P`` its index among them. Rows compare as int64 words, so
+    0.0 and -0.0 are distinct and a NaN matches only its own bytes."""
+    W = P.T.copy().view(np.int64)       # (d, n): each coordinate contiguous
+    same = np.logical_and.reduce(W[:, :, None] == W[:, None, :], axis=0)
+    first = same.argmax(axis=1) == np.arange(len(P))        # first occurrences
+    # each row matches exactly one first occurrence
+    return P[first], same[:, first].argmax(axis=1)
+
+
 def _evaluate_distinct(op: Operator, z: np.ndarray, Z: np.ndarray) -> tuple:
     """F at the play ``z`` and at every row of ``Z`` from one block call
     on the distinct points, in first-seen order, each counted once."""
-    P = np.concatenate([z[None], Z])
-    index: dict = {}
-    rows = [index.setdefault(p.tobytes(), len(index)) for p in P]
-    pts = np.empty((len(index), P.shape[1]))
-    pts[rows] = P               # a repeated row has the same bytes
+    pts, rows = _distinct_rows(np.concatenate([z[None], Z]))
     F = _evaluate_finite(op, pts)[rows]
     return F[0], F[1:]
 
@@ -193,7 +200,7 @@ def mix_loss(p: np.ndarray, losses: np.ndarray, lam: float) -> float:
         return float(np.min(losses[p > 0]))
     a = -lam * np.asarray(losses, dtype=float)
     m = a.max()
-    return float(-(m + np.log(np.sum(p * np.exp(a - m)))) / lam)
+    return float(-(m + np.log((p * np.exp(a - m)).sum())) / lam)
 
 
 def _argmin_weights(cum_loss: np.ndarray) -> np.ndarray:
@@ -242,7 +249,8 @@ class MetaLearner:
         self.t0_passed = False
 
     def play(self, t: int) -> np.ndarray:
-        self.base_plays = self.bank.gather(t)   # (K, d): one row per base
+        self.active = self.bank.slot_index(t)
+        self.base_plays = self.bank.slots[self.active]  # (K, d): one row per base
         self.z = (self.weights[:, None] * self.base_plays).sum(axis=0)
         return self.z
 
@@ -259,7 +267,7 @@ class MetaLearner:
             self.weights = exp_weights(self.cum_loss, self.lam)
         else:
             self._tune(g, losses)
-        self.bank.step(t, Z, G)
+        self.bank.step(self.active, Z, G)
         return g
 
     def _tune(self, g: np.ndarray, losses: np.ndarray) -> None:
@@ -362,15 +370,22 @@ class MetaAdaptive:
 
 @dataclass
 class Trajectory:
-    """Record of one online run: plays, observed operator values, and
-    the solutions/weights/base plays when available."""
+    """Record of one online run, as arrays with one row per round.
 
-    plays: list
-    op_values: list
-    solutions: Optional[list] = None
-    # (K, T, d): per_base_plays[i][t] is base i's play in round t + 1
+    ``plays`` is ``(n, d)``: every round played, including a diverging
+    last one. ``op_values`` and ``solutions`` are ``(m, d)`` over the m
+    completed rounds (m = n, or n - 1 after a divergence); ``solutions``
+    is None when the sequence names none. A meta-algorithm's run also
+    has ``weights`` ``(m, K)``, the weights each round played with, and
+    ``per_base_plays`` ``(K, m, d)``, where ``per_base_plays[i][t]`` is
+    base i's play in round t + 1.
+    """
+
+    plays: np.ndarray
+    op_values: np.ndarray
+    solutions: Optional[np.ndarray] = None
     per_base_plays: Optional[np.ndarray] = None
-    weights: Optional[list] = None           # per round, length-K vector
+    weights: Optional[np.ndarray] = None
     diverged_at: Optional[int] = None        # 1-based round, None if bounded
 
     @property
@@ -390,52 +405,53 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
     the round's solution (None when unknown) and operator, and the
     learner observes that operator. The run truncates with a divergence
     marker once a play exceeds the threshold in norm or stops being
-    finite.
+    finite. Every round writes into arrays preallocated for T rounds,
+    which the trajectory returns sliced to the rounds run.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     if not hasattr(algo, "start"):
         raise ConfigurationError(f"unknown algorithm spec {algo!r}")
-    learner = algo.start(as_point(z1), domain)
+    z1 = as_point(z1)
+    learner = algo.start(z1, domain)
 
-    plays, op_values, solutions = [], [], []
-    weights_hist, base_hist = [], []
+    d = z1.size
+    plays, op_values = np.empty((T, d)), np.empty((T, d))
     # an adaptive sequence (no ``at``) names the solution in each response
     have_solutions = seq.at is None or seq.solution_at is not None
+    solutions = np.empty((T, d)) if have_solutions else None
     is_meta = hasattr(learner, "bank")      # also record weights and base plays
-    diverged_at = None
+    if is_meta:
+        K = len(learner.weights)
+        weights, base_plays = np.empty((T, K)), np.empty((T, K, d))
+    # an infinite threshold still stops a play that is not finite
+    limit = min(divergence_threshold, np.finfo(float).max)
+    n, diverged_at = T, None            # rounds completed, divergence round
 
     for t in range(1, T + 1):
-        play = learner.play(t)
-        if not np.all(np.isfinite(play)) or \
-                np.linalg.norm(play) > divergence_threshold:
-            plays.append(play)
-            diverged_at = t
+        i = t - 1
+        plays[i] = play = learner.play(t)
+        # np.linalg.norm's arithmetic; NaN and inf fail the comparison
+        if not math.sqrt(play.dot(play)) <= limit:
+            n, diverged_at = i, t
             break
         if is_meta:     # the weights and the (K, d) block of base plays
-            round_weights, round_bases = learner.weights, learner.base_plays
+            weights[i], base_plays[i] = learner.weights, learner.base_plays
 
         z_star, op = seq.respond(t, play)
         try:
-            g = learner.observe(t, op)
+            op_values[i] = learner.observe(t, op)
         except FloatingPointError:
-            plays.append(play)
-            diverged_at = t
+            n, diverged_at = i, t
             break
-
-        plays.append(play)
-        op_values.append(g)
         if have_solutions:
-            solutions.append(as_point(z_star))
-        if is_meta:
-            weights_hist.append(round_weights)
-            base_hist.append(round_bases)
+            solutions[i] = z_star
 
     return Trajectory(
-        plays=plays,
-        op_values=op_values,
-        solutions=solutions if have_solutions else None,
-        per_base_plays=np.stack(base_hist, axis=1) if base_hist else None,
-        weights=weights_hist if is_meta else None,
+        plays=plays[:diverged_at or T],
+        op_values=op_values[:n],
+        solutions=solutions[:n] if have_solutions else None,
+        per_base_plays=base_plays[:n].transpose(1, 0, 2) if is_meta else None,
+        weights=weights[:n] if is_meta else None,
         diverged_at=diverged_at,
     )

@@ -68,28 +68,23 @@ def _run_trajectory(cfg: ExperimentConfig, sc: Scenario) -> alg.Trajectory:
 
 
 def _track_rows(traj: alg.Trajectory, mu: float) -> list:
-    have_sol = traj.solutions is not None
-    is_meta = traj.weights is not None
-    if have_sol:
-        cum_track = metrics.tracking_series(traj)
-        cum_regret = metrics.regret_series(traj, traj.solutions, mu)
-    rows = []
-    n_complete = len(traj.op_values)
-    for i, z in enumerate(traj.plays):
-        t = i + 1
-        row = {"t": t, "z": z}
-        if have_sol:
-            if i < n_complete:
-                s = traj.solutions[i]
-                d = z - s
-                row.update(z_star=s, sq_dist=float(np.dot(d, d)),
-                           cum_track=cum_track[i], cum_regret=cum_regret[i])
-            else:
-                row.update(z_star=math.nan, sq_dist=math.nan,
-                           cum_track=math.nan, cum_regret=math.nan)
-        if is_meta:
-            row["weights"] = traj.weights[i] if i < len(traj.weights) else math.nan
-        rows.append(row)
+    """One row per round played; a diverging last round gets NaN for
+    every value it did not complete."""
+    rows = [{"t": t, "z": z} for t, z in enumerate(traj.plays, start=1)]
+    if traj.solutions is not None:
+        sq = metrics.squared_distances(traj)
+        columns = zip(traj.solutions, sq.tolist(), np.cumsum(sq).tolist(),
+                      metrics.regret_series(traj, traj.solutions, mu).tolist())
+        for row, (s, q, track, regret) in zip(rows, columns):
+            row.update(z_star=s, sq_dist=q, cum_track=track, cum_regret=regret)
+        for row in rows[len(sq):]:
+            row.update(z_star=math.nan, sq_dist=math.nan,
+                       cum_track=math.nan, cum_regret=math.nan)
+    if traj.weights is not None:
+        for row, w in zip(rows, traj.weights):
+            row["weights"] = w
+        for row in rows[len(traj.weights):]:
+            row["weights"] = math.nan
     return rows
 
 
@@ -136,7 +131,7 @@ def _build_bound(cfg: ExperimentConfig, sc: Scenario,
         return partial(metrics.contractive_bound, C=_derive_contraction(cfg, sc),
                        path=metrics.quadratic_path_length(sols),
                        init_dist=float(np.linalg.norm(traj.plays[0] - sols[0]))
-                       if sols else math.nan)
+                       if len(sols) else math.nan)
     if kind == "cyclic_regret":
         G = cfg.get("bound.g") or max((float(np.linalg.norm(g))
                                        for g in traj.op_values), default=math.nan)
@@ -179,7 +174,7 @@ def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
     kind, which = cfg.get("bound.kind"), cfg.get("bound.which")
     measured = bound = math.nan
     holds = False       # diverged in round 1: no round to measure or to bound
-    if traj.op_values:
+    if len(traj.op_values):
         if which == "tracking":
             measured = metrics.tracking_error(traj)
         else:

@@ -11,6 +11,7 @@ threads; the only mutable field is the diagnostic evaluation counter on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -21,6 +22,7 @@ import numpy as np
 SAMPLING_BOX_HALF_WIDTH = 10.0
 
 _ZERO_TOL = 1e-9
+_FLOAT = np.dtype(float)
 
 
 class ConfigurationError(ValueError):
@@ -28,7 +30,10 @@ class ConfigurationError(ValueError):
 
 
 def as_point(x) -> np.ndarray:
-    """Coerce scalars / lists to a float vector of shape (d,)."""
+    """Coerce scalars / lists to a float vector of shape (d,); a float
+    vector is returned as it is."""
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT:
+        return x
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.ndim != 1:
         raise ValueError(f"point must be a vector, got shape {arr.shape}")
@@ -109,7 +114,7 @@ def project(domain: Domain, p) -> np.ndarray:
     if domain.kind == "unbounded":
         return p
     if domain.kind == "box":
-        return np.clip(p, domain.lower, domain.upper)
+        return p.clip(domain.lower, domain.upper)
     # ball: radial rescale; the center projects to itself. The slack, a
     # few ulps of the radius plus the center's norm, absorbs the roundoff
     # of rescaling and of adding the center back, so projecting twice is
@@ -167,7 +172,8 @@ def evaluate(op: Operator, p) -> np.ndarray:
         raise ValueError(f"dimension mismatch: point {p.size}, operator {op.dim}")
     op.evals += 1
     out = as_point(op.fn(p))
-    if np.any(np.isnan(out)):
+    # the sum of squares is NaN exactly when some coordinate is NaN
+    if math.isnan(out.dot(out)):
         raise FloatingPointError("operator returned NaN; invalid operator/point pair")
     return out
 

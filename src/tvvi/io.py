@@ -35,7 +35,10 @@ def format_value(v) -> str:
     if isinstance(v, (float, np.floating)):
         return _fmt_float(float(v))
     if isinstance(v, (list, tuple, np.ndarray)):
-        return ";".join(_fmt_float(float(u)) for u in np.asarray(v).ravel())
+        flat = np.asarray(v).ravel().astype(float, copy=False).tolist()
+        if all(map(math.isfinite, flat)):
+            return ";".join(map("%.17g".__mod__, flat))
+        return ";".join(map(_fmt_float, flat))
     return str(v)
 
 

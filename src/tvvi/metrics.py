@@ -1,7 +1,9 @@
 """Tracking error, path length, dynamic regret, and the closed-form
 bounds they are compared with.
 
-All functions are pure over immutable trajectories. Each bound is one
+All functions are pure over immutable trajectories, and each metric is
+one vectorized pass over the trajectory's arrays whose per-round terms
+round exactly as a per-round ``np.dot`` loop does. Each bound is one
 function of the constants its guarantee names; every bound is an upper
 bound on the measured quantity except :func:`adversarial_lower_bound`.
 """
@@ -15,14 +17,33 @@ import numpy as np
 from .algorithms import Trajectory
 
 
-def tracking_series(traj: Trajectory) -> np.ndarray:
-    """Partial sums of the squared distances ||Z_t - Z*_t||^2."""
+def _rows(x) -> np.ndarray:
+    """A trajectory field or a point sequence as a float array with one
+    row per round; a sequence of scalars becomes one column."""
+    a = np.asarray(x, dtype=float)
+    return a[:, None] if a.ndim == 1 else a
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """<A_i, B_i> for every row i of two ``(n, d)`` arrays, each rounded
+    as ``np.dot(A_i, B_i)`` rounds it: a stack of 1 x d by d x 1
+    products, which numpy computes with the same dot kernel (an einsum
+    or an elementwise product summed along the rows rounds differently)."""
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def squared_distances(traj: Trajectory) -> np.ndarray:
+    """||Z_t - Z*_t||^2 for every round with a recorded solution."""
     if traj.solutions is None:
         raise ValueError("trajectory has no recorded solutions")
-    n = len(traj.solutions)
-    sq = [float(np.dot(p - s, p - s))
-          for p, s in zip(traj.plays[:n], traj.solutions)]
-    return np.cumsum(sq)
+    S = _rows(traj.solutions)
+    D = _rows(traj.plays)[:len(S)] - S
+    return _row_dots(D, D)
+
+
+def tracking_series(traj: Trajectory) -> np.ndarray:
+    """Partial sums of the squared distances ||Z_t - Z*_t||^2."""
+    return np.cumsum(squared_distances(traj))
 
 
 def tracking_error(traj: Trajectory) -> float:
@@ -34,9 +55,10 @@ def tracking_error(traj: Trajectory) -> float:
 
 def quadratic_path_length(solutions) -> float:
     """Sum of squared consecutive solution displacements, 0.0 for fewer
-    than two solutions."""
-    pts = [np.asarray(s, dtype=float) for s in solutions]
-    return float(sum(np.dot(a - b, a - b) for a, b in zip(pts[1:], pts[:-1])))
+    than two solutions. The sum runs in round order."""
+    S = _rows(solutions)
+    D = S[1:] - S[:-1]
+    return float(np.cumsum(_row_dots(D, D))[-1]) if len(D) else 0.0
 
 
 def regret_series(traj: Trajectory, comparators, mu: float = 0.0) -> np.ndarray:
@@ -45,14 +67,13 @@ def regret_series(traj: Trajectory, comparators, mu: float = 0.0) -> np.ndarray:
     Uses the operator values recorded along the run; mu = 0 reduces to
     the linearized regret.
     """
-    n = len(traj.op_values)
-    if len(comparators) < n:
+    G = _rows(traj.op_values)
+    C = _rows(comparators)
+    n = len(G)
+    if len(C) < n:
         raise ValueError("comparator sequence shorter than trajectory")
-    terms = []
-    for g, z, c in zip(traj.op_values, traj.plays[:n], comparators):
-        d = z - np.asarray(c, dtype=float)
-        terms.append(float(np.dot(g, d)) - 0.5 * mu * float(np.dot(d, d)))
-    return np.cumsum(terms)
+    D = _rows(traj.plays)[:n] - C[:n]
+    return np.cumsum(_row_dots(G, D) - 0.5 * mu * _row_dots(D, D))
 
 
 def dynamic_regret(traj: Trajectory, comparators, mu: float = 0.0) -> float:
@@ -66,9 +87,10 @@ def dynamic_regret(traj: Trajectory, comparators, mu: float = 0.0) -> float:
 
 def contractive_bound(C: float, path: float, init_dist: float) -> float:
     """Tracking of a C-contractive algorithm: ``path`` is the quadratic
-    path length of the solutions, ``init_dist`` is ||Z_1 - Z*_1||."""
-    if not 0.0 < C < 1.0:
-        raise ValueError("contraction factor must be in (0, 1)")
+    path length of the solutions, ``init_dist`` is ||Z_1 - Z*_1||. C = 0
+    is a one-step contraction, bounded by path + init_dist^2."""
+    if not 0.0 <= C < 1.0:
+        raise ValueError("contraction factor must be in [0, 1)")
     return path / (1.0 - C) ** 2 + init_dist ** 2 / (1.0 - C)
 
 

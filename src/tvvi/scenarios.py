@@ -76,21 +76,26 @@ def build_quadratic_drift(p: dict) -> Scenario:
     if eigs[0] <= 0:
         raise ConfigurationError("field 'scenario.matrix': must be positive definite")
 
-    # cached prefix sums of the drift magnitudes s^{-decay}
+    # cached prefix sums of the drift magnitudes s^{-decay}, and the
+    # latest round's center, which ``at`` and ``solution_at`` both read
     prefix = [0.0]
+    latest = [0, None]
+    neg_A, mu, lip = -A, float(eigs[0]), float(eigs[-1])
 
     def center(t: int) -> np.ndarray:
-        while len(prefix) < t:
-            s = len(prefix)
-            prefix.append(prefix[-1] + s ** (-decay))
-        return c1 - b * prefix[t - 1]
+        if latest[0] != t:
+            while len(prefix) < t:
+                s = len(prefix)
+                prefix.append(prefix[-1] + s ** (-decay))
+            latest[:] = t, c1 - b * prefix[t - 1]
+        return latest[1]
 
     def make_op(t: int) -> Operator:
         c = center(t)
-        op = Operator.from_affine(A, -A @ c, mu=float(eigs[0]), lip=float(eigs[-1]),
-                                  solution=c)
-        op.potential = lambda x, c=c: 0.5 * float((x - c) @ (A @ (x - c)))
-        return op
+        shift = neg_A @ c
+        return Operator(fn=lambda X: X @ A.T + shift, dim=dim, mu=mu, lip=lip,
+                        solution=c, affine=(A, shift),
+                        potential=lambda x: 0.5 * float((x - c) @ (A @ (x - c))))
 
     seq = ProblemSequence(at=make_op, dim=dim, solution_at=center)
     return Scenario(name="quadratic_drift", seq=seq, domain=Domain.unbounded(dim),
@@ -150,13 +155,14 @@ def build_periodic_1d(p: dict) -> Scenario:
     """Alternating gradients 8x (odd rounds) and x (even rounds) with the
     constant solution 0."""
 
-    def make_op(t: int) -> Operator:
-        a = 8.0 if t % 2 == 1 else 1.0
+    def make_op(a: float) -> Operator:
         op = Operator.from_affine([[a]], [0.0], mu=a, lip=a, solution=[0.0])
-        op.potential = lambda x, a=a: 0.5 * a * float(x[0]) ** 2
+        op.potential = lambda x: 0.5 * a * float(x[0]) ** 2
         return op
 
-    seq = ProblemSequence(at=make_op, dim=1, solution_at=lambda t: np.zeros(1))
+    ops = (make_op(1.0), make_op(8.0))      # even rounds, odd rounds
+    seq = ProblemSequence(at=lambda t: ops[t % 2], dim=1,
+                          solution_at=lambda t: np.zeros(1))
     return Scenario(name="periodic_1d", seq=seq, domain=Domain.unbounded(1),
                     mu=1.0, lip=8.0, period=2)
 
@@ -422,9 +428,11 @@ def rsi_operator(a: float) -> Operator:
 
     def fn(Z: np.ndarray) -> np.ndarray:
         x, y = Z[..., 0], Z[..., 1]
-        gx = 2.0 * x + np.sin(2.0 * x) * (3.0 + a * np.sin(y) ** 2)
+        out = np.empty(Z.shape)
+        out[..., 0] = 2.0 * x + np.sin(2.0 * x) * (3.0 + a * np.sin(y) ** 2)
         gy = -2.0 * y - np.sin(2.0 * y) * (3.0 - a * np.sin(x) ** 2)
-        return np.stack([gx, -gy], axis=-1)
+        out[..., 1] = -gy
+        return out
 
     return Operator(fn=fn, dim=2, solution=np.zeros(2))
 
@@ -478,9 +486,23 @@ def build_rsi_game(p: dict) -> Scenario:
 # ---------------------------------------------------------------------------
 # Lower-bound adversary
 
+def _adversary_operators() -> dict:
+    """The quadratic x - z* for each solution z* the adversary picks,
+    keyed by ``z_star.hex()``: the mirrored case analysis picks -0.0,
+    whose operator adds +0.0 where the one of 0.0 adds -0.0."""
+    ops = {}
+    for z_star in (-1.0, -0.0, 0.0, 1.0):
+        op = Operator.from_affine([[1.0]], [-z_star], mu=1.0, lip=1.0,
+                                  solution=np.array([z_star]))
+        op.potential = lambda x, z_star=z_star: 0.5 * float(x[0] - z_star) ** 2
+        ops[z_star.hex()] = op
+    return ops
+
+
 @dataclass
 class AdversaryState:
     prev: float = 0.0      # Z*_{t-1}, initialized to Z*_0
+    ops: dict = field(default_factory=_adversary_operators, repr=False)
 
 
 def _adversary_positive(play: float, prev: float) -> float:
@@ -491,7 +513,8 @@ def _adversary_positive(play: float, prev: float) -> float:
 
 def adversary_step(state: AdversaryState, play) -> tuple:
     """One adversary response: pick the new solution far from the play,
-    then emit the quadratic operator x - Z*_t with that minimizer.
+    then emit the quadratic operator x - Z*_t with that minimizer, one of
+    those the state built once.
 
     Plays are clamped to [-1, 1] with a warning. Negative plays use the
     sign-mirrored case analysis. Returns (solution, operator).
@@ -505,10 +528,8 @@ def adversary_step(state: AdversaryState, play) -> tuple:
     else:
         z_star = -_adversary_positive(-play, state.prev)
     state.prev = z_star
-    sol = np.array([z_star])
-    op = Operator.from_affine([[1.0]], [-z_star], mu=1.0, lip=1.0, solution=sol)
-    op.potential = lambda x: 0.5 * float(x[0] - z_star) ** 2
-    return sol, op
+    op = state.ops[z_star.hex()]
+    return op.solution, op
 
 
 def build_lower_bound_adversary(p: dict) -> Scenario:

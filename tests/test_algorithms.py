@@ -8,9 +8,9 @@ import pytest
 
 from tvvi.algorithms import (ContractiveForward, CyclicFB, CyclicFBLearner,
                              MetaAdaptive, MetaFixed, MetaLearner, Resolvent,
-                             StepSchedule, exp_weights, fixed_learning_rate,
-                             forward_step, make_surrogate, mix_loss,
-                             resolvent_step, run_tracker)
+                             StepSchedule, _evaluate_distinct, exp_weights,
+                             fixed_learning_rate, forward_step, make_surrogate,
+                             mix_loss, resolvent_step, run_tracker)
 from tvvi.core import (ConfigurationError, Domain, Operator, ProblemSequence,
                        evaluate, project)
 from tvvi.scenarios import build_scenario, periodic_quadratic
@@ -111,12 +111,6 @@ class TestCyclicFB:
         assert st.slot_index(1) == 0
         assert st.slot_index(2) == 1
         assert st.slot_index(3) == 0
-
-    def test_literal_indexing_variant(self):
-        st = CyclicFBLearner(2, [0.0], StepSchedule.constant(0.1), UNB1,
-                             literal_indexing=True)
-        assert st.slot_index(1) == 1
-        assert st.slot_index(2) == 0
 
     def test_slot_update_counts(self):
         op = affine_op([[1.0]], [0.0])
@@ -361,6 +355,65 @@ class TestMetaAdaptive:
             assert np.allclose(combo, traj.plays[t], atol=1e-12)
 
 
+def dict_dedupe(P):
+    """The distinct rows of P by their bytes, in first-seen order, and
+    each row's index among them: the dict the vectorized dedupe replaced."""
+    index = {}
+    rows = [index.setdefault(p.tobytes(), len(index)) for p in P]
+    pts = np.empty((len(index), P.shape[1]))
+    pts[rows] = P
+    return pts, rows
+
+
+class TestDistinctEvaluation:
+    """The adaptive meta-algorithm's one block call on the distinct
+    points, against the bytes-keyed dict dedupe."""
+
+    def block(self, rng, K, d):
+        # a repeat of the play, 0.0 next to -0.0 and, at larger K, more
+        # repeats, one differing from a zero row only in a sign
+        z = rng.standard_normal(d)
+        Z = rng.standard_normal((K, d))
+        Z[1] = z
+        Z[2], Z[3] = 0.0, -0.0
+        if K > 4:
+            Z[K // 2], Z[-1], Z[-2] = Z[0], Z[2], Z[3]
+            Z[-3] = Z[2]
+            Z[-3, 0] = -0.0
+        return z, Z
+
+    @pytest.mark.parametrize("K", [4, 64])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_dict_dedupe(self, K, d):
+        rng = np.random.default_rng(K + d)
+        z, Z = self.block(rng, K, d)
+        pts, rows = dict_dedupe(np.concatenate([z[None], Z]))
+        blocks = []
+
+        def fn(X):
+            blocks.append(X.copy())
+            return np.sin(X) + X ** 2
+
+        op = Operator(fn=fn, dim=d)
+        g, G = _evaluate_distinct(op, z, Z)
+        assert len(blocks) == 1
+        assert blocks[0].tobytes() == pts.tobytes()     # same points, same order
+        F = fn(pts)[rows]
+        assert g.tobytes() == F[0].tobytes()
+        assert G.tobytes() == F[1:].tobytes()
+        assert op.evals == len(pts) < K + 1
+        assert rows[3] != rows[4]           # 0.0 and -0.0 are distinct points
+
+    def test_all_equal_and_all_distinct(self):
+        op = Operator(fn=lambda X: 2.0 * X, dim=2)
+        z = np.array([0.5, -1.0])
+        g, G = _evaluate_distinct(op, z, np.tile(z, (4, 1)))
+        assert op.evals == 1 and np.array_equal(G, np.tile(2.0 * z, (4, 1)))
+        Z = np.arange(8.0).reshape(4, 2)
+        _evaluate_distinct(op, z, Z)
+        assert op.evals == 1 + 5
+
+
 class PerSlotCyclic:
     """Reference cyclic learner with period i: a list of i slots, each
     with its own update count, stepped one point at a time by any
@@ -520,6 +573,30 @@ class TestRunTracker:
         assert traj.diverged
         assert np.linalg.norm(traj.plays[-1]) > 100.0
         assert len(traj.plays) < 500
+
+    def test_trajectory_arrays(self):
+        sc = build_scenario("rsi_game")
+        T, K = 30, 4
+        traj = run_tracker(sc.seq, MetaAdaptive(K=K, mu=sc.mu, lip=sc.lip),
+                           sc.domain, [1.0, -1.0], T)
+        assert traj.plays.shape == traj.op_values.shape == traj.solutions.shape \
+            == (T, 2)
+        assert traj.weights.shape == (T, K)
+        assert traj.per_base_plays.shape == (K, T, 2)
+        forward = run_tracker(sc.seq, ContractiveForward(0.1), sc.domain, [1.0, -1.0], T)
+        assert forward.plays.shape == (T, 2)
+        assert forward.weights is None and forward.per_base_plays is None
+
+    @pytest.mark.parametrize("threshold", [1e6, math.inf])
+    def test_nonfinite_play_diverges(self, threshold):
+        # F = inf moves round 2's play to -inf, which no threshold admits
+        seq = ProblemSequence(
+            at=lambda t: Operator(fn=lambda X: np.full_like(X, math.inf), dim=1), dim=1)
+        traj = run_tracker(seq, ContractiveForward(0.5), UNB1, [1.0], 10,
+                           divergence_threshold=threshold)
+        assert traj.diverged_at == 2
+        assert traj.plays.shape == (2, 1) and traj.op_values.shape == (1, 1)
+        assert traj.plays[-1, 0] == -math.inf
 
     def test_resolvent_rejects_bounded_domain(self):
         # the resolvent step never projects: on the box [-0.1, 0.1] with

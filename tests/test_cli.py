@@ -494,6 +494,26 @@ bound.c = 0.5
         assert row["bound"] == pytest.approx(2.5e11 / 0.5)
         assert row["holds"] is True
 
+    @pytest.mark.parametrize("T", [1, 50, 500])
+    def test_contractive_bound_with_zero_contraction(self, tmp_path, T):
+        # forward at eta = mu / L^2 = 1 on identity quadratics derives
+        # C = sqrt(1 - (mu/L)^2) = 0: each step lands on the solution
+        cfg = write_cfg(tmp_path, f"""
+command = bounds
+scenario.name = quadratic_drift
+algorithm.kind = forward
+algorithm.eta = 1
+run.horizon = {T}
+run.z1 = 0.5
+bound.kind = contractive
+""")
+        out = tmp_path / "b.csv"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        row = read_rows(str(out))[0]
+        # path + init_dist^2, with the 0.25 of the start 0.5 from Z*_1 = 0
+        assert row["bound"] == pytest.approx(0.25 + 0.01 * (T - 1), rel=1e-12)
+        assert row["holds"] is True
+
     def test_unexpected_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def fail(cfg):
             raise RuntimeError("injected fault")

@@ -9,7 +9,8 @@ from tvvi.algorithms import ContractiveForward, Trajectory, run_tracker
 from tvvi.metrics import (adversarial_lower_bound, aggregation_regret_bound,
                           aggregation_tracking_bound, constant_tracking_bound,
                           contractive_bound, cyclic_regret_bound, dynamic_regret,
-                          quadratic_path_length, tracking_error, tracking_series)
+                          quadratic_path_length, regret_series, squared_distances,
+                          tracking_error, tracking_series)
 from tvvi.scenarios import build_scenario, periodic_quadratic
 
 
@@ -54,7 +55,7 @@ class TestTrackingError:
     def test_zero_on_round_one_divergence(self):
         sc = build_scenario("quadratic_drift")
         traj = run_tracker(sc.seq, ContractiveForward(0.5), sc.domain, [1e7], 10)
-        assert traj.diverged_at == 1 and traj.solutions == []
+        assert traj.diverged_at == 1 and len(traj.solutions) == 0
         assert tracking_error(traj) == 0.0
 
     def test_missing_solutions(self):
@@ -101,6 +102,69 @@ class TestDynamicRegret:
             assert reg >= 0.5 * sc.mu * tracking_error(traj) - 1e-9
 
 
+def per_row_reference(plays, op_values, sols, mu):
+    """The metrics as one np.dot per round, summed in round order: the
+    per-row loops the batched metrics replace."""
+    n = len(sols)
+    sq = [float(np.dot(p - s, p - s)) for p, s in zip(plays[:n], sols)]
+    terms = []
+    for g, z, c in zip(op_values, plays[:n], sols):
+        d = z - c
+        terms.append(float(np.dot(g, d)) - 0.5 * mu * float(np.dot(d, d)))
+    path = float(sum(np.dot(a - b, a - b) for a, b in zip(sols[1:], sols[:-1])))
+    return np.array(sq), np.cumsum(sq), np.cumsum(terms), path
+
+
+def random_trajectory(rng, d, T, diverged):
+    """Plays, operator values and solutions over four decades of scale;
+    a diverged run has one more play than completed rounds, and that
+    play is not finite."""
+    extra = int(diverged)
+    scale = 10.0 ** rng.uniform(-2, 2, (T, 1))
+    plays = rng.standard_normal((T + extra, d)) * np.vstack([scale, np.ones((extra, 1))])
+    if diverged:
+        plays[-1, 0] = math.inf
+    op_values = rng.standard_normal((T, d)) * scale
+    sols = rng.standard_normal((T, d)) * scale
+    return Trajectory(plays=plays, op_values=op_values, solutions=sols,
+                      diverged_at=T + 1 if diverged else None)
+
+
+class TestBatchedMetrics:
+    """The array metrics round every row as the per-row np.dot loop did:
+    equal bit for bit, not merely close."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
+    @pytest.mark.parametrize("diverged", [False, True], ids=["complete", "diverged"])
+    def test_equal_to_per_row_loop(self, d, diverged):
+        rng = np.random.default_rng(100 * d + diverged)
+        traj = random_trajectory(rng, d, 2000, diverged)
+        mu = 0.37
+        sq, track, regret, path = per_row_reference(
+            traj.plays, traj.op_values, traj.solutions, mu)
+        assert np.array_equal(squared_distances(traj), sq)
+        assert np.array_equal(tracking_series(traj), track)
+        assert np.array_equal(regret_series(traj, traj.solutions, mu), regret)
+        assert quadratic_path_length(traj.solutions) == path
+        # the same rounds given as lists of points
+        listed = Trajectory(plays=list(traj.plays), op_values=list(traj.op_values),
+                            solutions=list(traj.solutions))
+        assert np.array_equal(tracking_series(listed), track)
+        assert np.array_equal(regret_series(listed, list(traj.solutions), mu), regret)
+        assert quadratic_path_length(list(traj.solutions)) == path
+
+    def test_truncated_run_from_the_tracker(self):
+        # round 2 plays -3 * 5e5, past the threshold: one completed round
+        sc = build_scenario("periodic_1d")
+        traj = run_tracker(sc.seq, ContractiveForward(0.5), sc.domain, [5e5], 10)
+        assert traj.plays.shape == (2, 1) and traj.solutions.shape == (1, 1)
+        sq, track, regret, path = per_row_reference(
+            traj.plays, traj.op_values, traj.solutions, sc.mu)
+        assert np.array_equal(tracking_series(traj), track)
+        assert np.array_equal(regret_series(traj, traj.solutions, sc.mu), regret)
+        assert quadratic_path_length(traj.solutions) == path == 0.0
+
+
 class TestTheoreticalBounds:
     def test_contractive_arithmetic(self):
         assert contractive_bound(C=0.5, path=1.0, init_dist=0.0) == 4.0
@@ -108,6 +172,12 @@ class TestTheoreticalBounds:
     def test_contractive_invalid_contraction(self):
         with pytest.raises(ValueError):
             contractive_bound(C=1.0, path=1.0, init_dist=0.0)
+
+    def test_contractive_zero_contraction(self):
+        # a one-step contraction: path + init_dist^2
+        assert contractive_bound(C=0.0, path=1.5, init_dist=2.0) == 5.5
+        with pytest.raises(ValueError):
+            contractive_bound(C=-0.1, path=1.0, init_dist=0.0)
 
     def test_cyclic_regret_arithmetic(self):
         got = cyclic_regret_bound(k=2, G=1.0, mu=1.0, T=100)
