@@ -134,9 +134,9 @@ class Operator:
     ``mu``/``lip`` mirror the strong-monotonicity and Lipschitz
     constants when known. ``affine`` stores ``(A, b)`` for
     operators of the form ``F(x) = A x + b``, enabling exact resolvent
-    steps and closed-form solutions. ``potential`` is the scalar
-    function whose gradient F is, when one exists (used for
-    finite-difference verification).
+    steps and closed-form solutions. ``potential`` is the function whose
+    gradient F is, when one exists (used for finite-difference
+    verification); it maps ``(..., d)`` to ``(...)``.
 
     ``fn`` acts on the last axis: it maps ``(..., d)`` to ``(..., d)``,
     so one definition serves a learner's single point, a slot bank's
@@ -151,7 +151,7 @@ class Operator:
     lip: Optional[float] = None
     solution: Optional[np.ndarray] = None
     affine: Optional[tuple] = None          # (A, b)
-    potential: Optional[Callable[[np.ndarray], float]] = None
+    potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     evals: int = field(default=0, compare=False)
     batch_fn = None     # not a field: read only by perfbench/tracer.py
 
@@ -234,35 +234,47 @@ def _evaluate_block(op: Operator, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_strong_monotone(op: Operator, mu: float, domain: Domain,
-                          n_samples: int = 1000, seed: int = 0) -> bool:
-    """Sampled test of <F(z)-F(z'), z-z'> >= mu ||z-z'||^2.
+def check_constants(op: Operator, mu: Optional[float], lip: Optional[float],
+                    domain: Domain, n_samples: int = 1000, seed: int = 0) -> tuple:
+    """Sampled tests of <F(z)-F(z'), z-z'> >= mu ||z-z'||^2 and of
+    ||F(z)-F(z')|| <= lip ||z-z'|| on one set of pairs, F evaluated once
+    per block; returns (strong monotonicity holds, Lipschitz holds), a
+    ``None`` for a constant not given.
 
     Deterministic given the seed; pairs are drawn uniformly from the
     sampling box intersected with the domain.
     """
-    if mu < 0:
+    if mu is not None and mu < 0:
         raise ValueError("mu must be nonnegative")
+    if lip is not None and lip < 0:
+        raise ValueError("lip must be nonnegative")
+    if mu is None and lip is None:
+        return None, None
     rng = np.random.default_rng(seed)
     zs = _sample_points(domain, n_samples, rng)
     ws = _sample_points(domain, n_samples, rng)
     diff = zs - ws
     fdiff = _evaluate_block(op, zs) - _evaluate_block(op, ws)
-    lhs = np.einsum("ij,ij->i", fdiff, diff)
-    return bool(np.all(lhs >= mu * np.einsum("ij,ij->i", diff, diff) - _ZERO_TOL))
+    monotone = lipschitz = None
+    if mu is not None:
+        lhs = np.einsum("ij,ij->i", fdiff, diff)
+        monotone = bool(np.all(lhs >= mu * np.einsum("ij,ij->i", diff, diff) - _ZERO_TOL))
+    if lip is not None:
+        lhs = np.linalg.norm(fdiff, axis=1)
+        lipschitz = bool(np.all(lhs <= lip * np.linalg.norm(diff, axis=1) + _ZERO_TOL))
+    return monotone, lipschitz
+
+
+def check_strong_monotone(op: Operator, mu: float, domain: Domain,
+                          n_samples: int = 1000, seed: int = 0) -> bool:
+    """Sampled test of <F(z)-F(z'), z-z'> >= mu ||z-z'||^2."""
+    return check_constants(op, mu, None, domain, n_samples, seed)[0]
 
 
 def check_lipschitz(op: Operator, lip: float, domain: Domain,
                     n_samples: int = 1000, seed: int = 0) -> bool:
     """Sampled test of ||F(z)-F(z')|| <= lip ||z-z'||."""
-    if lip < 0:
-        raise ValueError("lip must be nonnegative")
-    rng = np.random.default_rng(seed)
-    zs = _sample_points(domain, n_samples, rng)
-    ws = _sample_points(domain, n_samples, rng)
-    lhs = np.linalg.norm(_evaluate_block(op, zs) - _evaluate_block(op, ws), axis=1)
-    rhs = lip * np.linalg.norm(zs - ws, axis=1) + _ZERO_TOL
-    return bool(np.all(lhs <= rhs))
+    return check_constants(op, None, lip, domain, n_samples, seed)[1]
 
 
 @dataclass

@@ -605,6 +605,17 @@ class TestScenarioParams:
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["track", "verify"])
+    def test_asymmetric_matrices_exit_code(self, tmp_path, capsys, command):
+        # eigvalsh reads one triangle: 1,3;0,1 would pass as the identity
+        text = MINIMAL_TRACK.replace("periodic_1d", "exp_quadratic") \
+            if command == "track" else SMALL_VERIFY.replace("chaos_1d", "exp_quadratic")
+        cfg = write_cfg(tmp_path, text + "scenario.matrices = 1,3;0,1\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "scenario.matrices" in err and "symmetric" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_rsi_single_coupling_runs(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_VERIFY.replace("chaos_1d", "rsi_game")
                         + "scenario.a_values = 0.5\n")

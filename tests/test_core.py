@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from tvvi.core import (Domain, Operator, analytic_solution, check_lipschitz,
-                       check_strong_monotone, evaluate, project)
+from tvvi.core import (Domain, Operator, analytic_solution, check_constants,
+                       check_lipschitz, check_strong_monotone, evaluate, project)
 
 
 class TestProjection:
@@ -167,6 +167,20 @@ class TestSampledChecks:
         assert evaluate(op, [1.5])[0] == 3.0
         with pytest.raises(ValueError, match="last axis"):
             check_lipschitz(op, 2.0, Domain.unbounded(1), 50, seed=0)
+
+    @pytest.mark.parametrize("mu, lip", [(0.75, 2.25), (0.85, 2.1), (None, 2.25),
+                                         (0.75, None)])
+    def test_both_constants_from_one_evaluation(self, mu, lip):
+        # eigenvalues (3 -+ sqrt 2) / 2 = 0.79, 2.21: the second pair fails
+        op = Operator.from_affine([[2.0, 0.5], [0.5, 1.0]], [1.0, -1.0])
+        dom = Domain.unbounded(2)
+        got = check_constants(op, mu, lip, dom, 400, seed=6)
+        assert op.evals == 800
+        assert got == (None if mu is None else check_strong_monotone(op, mu, dom, 400, seed=6),
+                       None if lip is None else check_lipschitz(op, lip, dom, 400, seed=6))
+        assert got[0] is (None if mu is None else mu < 0.79)
+        assert got[1] is (None if lip is None else lip > 2.21)
+        assert check_constants(op, None, None, dom, 400, seed=6) == (None, None)
 
     def test_deterministic_given_seed(self):
         op = exp_quadratic_1d(4.0)

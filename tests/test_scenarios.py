@@ -3,16 +3,17 @@
 import ast
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tvvi.algorithms import ContractiveForward, run_tracker
-from tvvi.core import ConfigurationError, evaluate
+from tvvi.core import ConfigurationError, Operator, evaluate
 from tvvi.metrics import quadratic_path_length, tracking_error
-from tvvi.scenarios import (BUILDERS, PARAMS, AdversaryState, adversary_step,
-                            build_scenario,
-                            rsi_grid_inequality, rsi_lipschitz,
+from tvvi.scenarios import (BUILDERS, PARAMS, AdversaryState, Checks, OperatorCheck,
+                            _central_differences, adversary_step, build_scenario,
+                            periodic_quadratic, rsi_grid_inequality, rsi_lipschitz,
                             verify_scenario)
 
 
@@ -250,7 +251,11 @@ class TestStreams:
             eigs = np.linalg.eigvalsh(2.0 * G)
             assert _close(M, 2.0 * G) and _close(c, -2.0 * h)
             assert _close(op.solution, np.linalg.solve(G, h))
-            assert _close([op.mu, op.lip], [eigs[0], eigs[-1]])
+            # only the checked rounds 1..3 carry their constants
+            assert op.mu is None and op.lip is None
+            if t <= 3:
+                check = sc.checks.operators[t - 1]
+                assert _close([check.mu, check.lip], [eigs[0], eigs[-1]])
             assert sc.seq.solution_at(t) is op.solution
 
     @pytest.mark.parametrize("link", ["identity", "scaled_logistic"])
@@ -266,15 +271,18 @@ class TestStreams:
             n = 2 + 2 * (t - 1)
             A, xi = _gaussian_rows(7, 2, n)[0], _gaussian_rows(6, 1, n)[0][:, 0]
             b = phi(A @ z_star) + 0.2 * xi
+            check = sc.checks.operators[t - 1] if t <= 3 else None
             if link == "identity":
                 M = A.T @ A / n + 0.1 * np.eye(2)
                 eigs = np.linalg.eigvalsh(M)
                 assert _close(op.affine[0], M) and _close(op.affine[1], -(A.T @ b) / n)
-                assert _close([op.mu, op.lip], [eigs[0], eigs[-1]])
+                if check:
+                    assert _close([check.mu, check.lip], [eigs[0], eigs[-1]])
             else:
-                assert _close(op.lip, np.linalg.eigvalsh(A.T @ A)[-1] / n + 0.1)
+                if check:
+                    assert _close(check.lip, np.linalg.eigvalsh(A.T @ A)[-1] / n + 0.1)
                 assert _close(op.fn(Z), (phi(Z @ A.T) - b) @ A / n + 0.1 * Z)
-            assert op.solution is None
+            assert op.solution is None and op.lip is None
 
     @pytest.mark.parametrize("name, params", [
         ("streaming_regression", {"seed": 3}),
@@ -355,10 +363,19 @@ class TestBatchEvaluation:
             assert np.allclose(evaluate(op, x), out, atol=1e-12)
 
 
+def _shifted(op: Operator, by: float = 1e-3) -> Operator:
+    """``op`` moved off its potential and partials by ``by`` everywhere."""
+    return Operator(fn=lambda X: op.fn(X) + by, dim=op.dim, potential=op.potential)
+
+
+def _rows(sc, checks: Checks) -> list:
+    return verify_scenario(replace(sc, checks=checks), n_samples=800, seed=0, n_fd=25)
+
+
 class TestVerification:
     @pytest.mark.parametrize("name", [
         "periodic_1d", "chaos_1d", "star_2d", "quadratic_drift",
-        "streaming_regression", "glm", "lower_bound_adversary",
+        "streaming_regression", "glm", "lower_bound_adversary", "exp_quadratic",
     ])
     def test_catalog_checks_pass(self, name):
         sc = build_scenario(name)
@@ -375,3 +392,70 @@ class TestVerification:
         sc = build_scenario("rsi_game")
         rows = verify_scenario(sc, n_samples=800, seed=0, n_fd=12)
         assert all(r["passed"] for r in rows), [r for r in rows if not r["passed"]]
+
+    def test_operator_off_its_potential_fails_gradient_fd(self):
+        sc = build_scenario("quadratic_drift", {"dim": 2})
+        good = sc.checks.operators[0]
+        rows = _rows(sc, Checks((good, OperatorCheck("t=2", _shifted(good.op)))))
+        assert [(r["check"], r["passed"]) for r in rows] == [
+            ("gradient_fd", True), ("strong_monotone", True), ("lipschitz", True),
+            ("gradient_fd", False)]
+
+    @pytest.mark.parametrize("name", ["kelly_auction", "rsi_game"])
+    def test_perturbed_game_fails_partials(self, name):
+        sc = build_scenario(name)
+        game = sc.checks.game
+        bad = game[:-1] + tuple((_shifted(op), losses) for op, losses in game[-1:])
+        assert [(r["check"], bool(r["passed"])) for r in _rows(sc, Checks(game=game))] \
+            == [("pseudo_gradient_partials", True)]
+        assert [(r["check"], bool(r["passed"])) for r in _rows(sc, Checks(game=bad))] \
+            == [("pseudo_gradient_partials", False)]
+
+    def test_misdeclared_constants_fail(self):
+        # F(z) = z - c: mu = L = 1 exactly
+        sc = build_scenario("quadratic_drift")
+        label, op, mu, lip = sc.checks.operators[0]
+        rows = _rows(sc, Checks((OperatorCheck(label, op, 1.01 * mu, 0.99 * lip),
+                                 OperatorCheck(label, op, mu, lip))))
+        assert [(r["check"], r["passed"]) for r in rows if r["check"] != "gradient_fd"] == [
+            ("strong_monotone", False), ("lipschitz", False),
+            ("strong_monotone", True), ("lipschitz", True)]
+
+    def test_stencil_matches_quadratic_gradient(self):
+        rng = np.random.default_rng(12)
+        m = rng.standard_normal((3, 3))
+        A, c = m @ m.T + np.eye(3), rng.standard_normal(3)
+        X = rng.uniform(-10, 10, (40, 3))
+        fd = _central_differences(lambda Y: 0.5 * ((Y - c) * ((Y - c) @ A)).sum(axis=-1),
+                                  X, 1e-5)
+        assert fd.shape == X.shape
+        assert np.max(np.abs(fd - (X - c) @ A)) <= 1e-7
+
+    def test_stencil_diagonal_is_each_coordinates_own_partial(self):
+        # values (x0 x1, x0 + x1^2): d/dx0 of the first, d/dx1 of the second
+        X = np.random.default_rng(4).uniform(-1, 1, (5, 2))
+        fd = _central_differences(
+            lambda Y: np.stack([Y[..., 0] * Y[..., 1], Y[..., 0] + Y[..., 1] ** 2], -1),
+            X, 1e-6)
+        assert fd.shape == (5, 2, 2)
+        assert np.allclose(np.diagonal(fd, axis1=1, axis2=2),
+                           np.stack([X[:, 1], 2.0 * X[:, 1]], -1), atol=1e-8)
+
+    @pytest.mark.parametrize("period, rounds", [(1, [1]), (2, [1, 2]), (3, [1, 3]),
+                                                (8, [1, 4, 8])])
+    def test_kelly_checks_distinct_rounds(self, period, rounds):
+        sc = build_scenario("kelly_auction", {"period": period})
+        X = np.random.default_rng(5).uniform(0, 1, (6, 3))
+        seen = [[t for t in range(1, period + 1)
+                 if np.array_equal(op.fn(X), sc.seq.at(t).fn(X))]
+                for op, _ in sc.checks.game]
+        assert seen == [[t] for t in rounds]
+
+    def test_aperiodic_builders_check_rounds_one_to_three(self):
+        for name in ("quadratic_drift", "streaming_regression", "glm"):
+            labels = [c.label for c in build_scenario(name).checks.operators]
+            assert labels == ["t=1", "t=2", "t=3"], name
+
+    def test_periodic_quadratic_rejects_asymmetric_matrix(self):
+        with pytest.raises(ConfigurationError, match="symmetric"):
+            periodic_quadratic([[0.0, 0.0]], matrix=[[1.0, 3.0], [0.0, 1.0]])
