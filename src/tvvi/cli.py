@@ -67,32 +67,24 @@ def _run_trajectory(cfg: ExperimentConfig, sc: Scenario) -> alg.Trajectory:
                            divergence_threshold=cfg.get("run.divergence_threshold"))
 
 
-def _track_rows(traj: alg.Trajectory, mu: float) -> list:
-    """One row per round played; a diverging last round gets NaN for
-    every value it did not complete."""
-    rows = [{"t": t, "z": z} for t, z in enumerate(traj.plays, start=1)]
+def _track_table(traj: alg.Trajectory, mu: float) -> dict:
+    """One row per round played; the trajectory's arrays are the columns.
+    The columns over completed rounds stop one short after a divergence,
+    and ``io.emit_rows`` pads the diverging round."""
+    table = {"t": np.arange(1, len(traj.plays) + 1), "z": traj.plays}
     if traj.solutions is not None:
         sq = metrics.squared_distances(traj)
-        columns = zip(traj.solutions, sq.tolist(), np.cumsum(sq).tolist(),
-                      metrics.regret_series(traj, traj.solutions, mu).tolist())
-        for row, (s, q, track, regret) in zip(rows, columns):
-            row.update(z_star=s, sq_dist=q, cum_track=track, cum_regret=regret)
-        for row in rows[len(sq):]:
-            row.update(z_star=math.nan, sq_dist=math.nan,
-                       cum_track=math.nan, cum_regret=math.nan)
+        table.update(z_star=traj.solutions, sq_dist=sq, cum_track=np.cumsum(sq),
+                     cum_regret=metrics.regret_series(traj, traj.solutions, mu))
     if traj.weights is not None:
-        for row, w in zip(rows, traj.weights):
-            row["weights"] = w
-        for row in rows[len(traj.weights):]:
-            row["weights"] = math.nan
-    return rows
+        table["weights"] = traj.weights
+    return table
 
 
 def _cmd_track(cfg: ExperimentConfig) -> tuple:
     sc = build_scenario(cfg.scenario, cfg.scenario_params)
     traj = _run_trajectory(cfg, sc)
-    rows = _track_rows(traj, sc.mu or 0.0)
-    return rows, traj.diverged
+    return _track_table(traj, sc.mu or 0.0), traj.diverged
 
 
 def _derive_contraction(cfg: ExperimentConfig, sc: Scenario) -> float:
@@ -185,9 +177,9 @@ def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
             holds = measured >= bound - _BOUND_TOL
         else:
             holds = measured <= bound + _BOUND_TOL
-    rows = [{"kind": kind, "which": which, "measured": measured, "bound": bound,
-             "holds": holds}]
-    return rows, traj.diverged
+    table = {"kind": [kind], "which": [which], "measured": [measured],
+             "bound": [bound], "holds": [holds]}
+    return table, traj.diverged
 
 
 def _cmd_bifurcation(cfg: ExperimentConfig) -> tuple:
@@ -204,11 +196,11 @@ def _cmd_bifurcation(cfg: ExperimentConfig) -> tuple:
         cell_lo=cfg.get("dynamics.cell_lo"), cell_hi=cfg.get("dynamics.cell_hi"),
         n_cells=cfg.get("dynamics.cells"), threshold=cfg.get("dynamics.threshold"),
         tol=cfg.get("dynamics.tol"), max_period=cfg.get("dynamics.max_period"))
-    rows = [{"eta": r.eta, "classification": str(r.classification),
-             "cells": ";".join(str(c) for c in r.occupied_cells)}
-            for r in result.rows]
+    table = {"eta": [r.eta for r in result.rows],
+             "classification": [str(r.classification) for r in result.rows],
+             "cells": [";".join(map(str, r.occupied_cells)) for r in result.rows]}
     all_diverged = all(r.classification.kind == "diverged" for r in result.rows)
-    return rows, all_diverged
+    return table, all_diverged
 
 
 def _cmd_orbit(cfg: ExperimentConfig) -> tuple:
@@ -217,9 +209,11 @@ def _cmd_orbit(cfg: ExperimentConfig) -> tuple:
     x0 = _vector_field("dynamics.x0", cfg.get("dynamics.x0"), sc.seq.dim)
     orbit = dynamics.iterate_orbit(gd_map, x0, cfg.get("dynamics.steps"),
                                    cfg.get("dynamics.threshold"))
-    rows = [{"t": i, "x": p, "norm": float(np.linalg.norm(p))}
-            for i, p in enumerate(orbit.points)]
-    return rows, not orbit.bounded
+    P = orbit.points
+    with np.errstate(over="ignore"):    # a diverged point's norm is inf
+        # each norm rounds as np.linalg.norm of its row rounds it
+        norm = np.sqrt(metrics._row_dots(P, P))
+    return {"t": np.arange(len(P)), "x": P, "norm": norm}, not orbit.bounded
 
 
 def _cmd_star(cfg: ExperimentConfig) -> tuple:
@@ -229,26 +223,28 @@ def _cmd_star(cfg: ExperimentConfig) -> tuple:
         tail_fraction=cfg.get("star.tail_fraction"),
         seed=cfg.get("star.seed"), threshold=cfg.get("star.threshold"))
     if cfg.get("star.output") == "tail":
-        rows = [{"i": i, "x0": float(p[0]), "x1": float(p[1])}
-                for i, p in enumerate(res.tail_points)]
+        P = res.tail_points
+        table = {"i": np.arange(len(P)), "x0": P[:, 0], "x1": P[:, 1]}
     else:
-        rows = [{"t": t, "avg_norm": float(v), "radial_score": res.radial_score,
-                 "n_diverged": res.n_diverged}
-                for t, v in enumerate(res.avg_norm_series)]
-    return rows, res.all_diverged
+        n = len(res.avg_norm_series)
+        table = {"t": np.arange(n), "avg_norm": res.avg_norm_series,
+                 "radial_score": np.full(n, res.radial_score),
+                 "n_diverged": np.full(n, res.n_diverged)}
+    return table, res.all_diverged
 
 
 def _cmd_verify(cfg: ExperimentConfig) -> tuple:
     sc = build_scenario(cfg.scenario, cfg.scenario_params)
     rows = verify_scenario(sc, n_samples=cfg.get("verify.samples"),
                            seed=cfg.get("verify.seed"), n_fd=cfg.get("verify.fd_points"))
-    return rows, any(not r["passed"] for r in rows)
+    table = {k: [r[k] for r in rows] for k in ("check", "detail", "passed")}
+    return table, not all(table["passed"])
 
 
 def run_experiment(cfg: ExperimentConfig, out_path: str, fmt: str,
                    fail_on_divergence: bool = False,
                    seed_override=None) -> int:
-    """Dispatch one experiment and write its rows; returns the exit code.
+    """Dispatch one experiment and write its table; returns the exit code.
     ``seed_override`` (``--seed``) replaces every seed the run reads."""
     if seed_override is not None:
         seed = _field_value("--seed", FIELDS["star.seed"], seed_override)
@@ -261,9 +257,9 @@ def run_experiment(cfg: ExperimentConfig, out_path: str, fmt: str,
                 "verify": _cmd_verify}
     if cfg.command not in commands:
         raise ConfigError([f"field 'command': unknown command {cfg.command!r}"])
-    rows, flagged = commands[cfg.command](cfg)
+    table, flagged = commands[cfg.command](cfg)
 
-    emit_rows(rows, fmt, out_path)
+    emit_rows(table, fmt, out_path)
     if cfg.command == "verify":
         return EXIT_DIVERGED if flagged else EXIT_OK
     if flagged and (fail_on_divergence or cfg.get("run.fail_on_divergence")):

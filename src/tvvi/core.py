@@ -44,18 +44,15 @@ def as_point(x) -> np.ndarray:
 class Domain:
     """A closed convex subset of R^d with an exact Euclidean projection.
 
-    Supported kinds: ``unbounded``, ``box`` (componentwise bounds) and
-    ``ball`` (center + radius); :meth:`interval` builds a 1-D box.
-    ``diameter`` is set exactly for the bounded kinds and is ``None``
-    otherwise.
+    Supported kinds: ``unbounded`` and ``box`` (componentwise bounds);
+    :meth:`interval` builds a 1-D box. ``diameter`` is set exactly for a
+    box and is ``None`` otherwise.
     """
 
     kind: str
     dim: int
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
-    center: Optional[np.ndarray] = None
-    radius: Optional[float] = None
 
     @staticmethod
     def unbounded(dim: int) -> "Domain":
@@ -71,13 +68,6 @@ class Domain:
         return Domain(kind="box", dim=lo.size, lower=lo, upper=hi)
 
     @staticmethod
-    def ball(center, radius: float) -> "Domain":
-        c = as_point(center)
-        if radius <= 0:
-            raise ValueError("ball radius must be positive")
-        return Domain(kind="ball", dim=c.size, center=c, radius=float(radius))
-
-    @staticmethod
     def interval(lo: float, hi: float) -> "Domain":
         return Domain.box([lo], [hi])
 
@@ -89,17 +79,13 @@ class Domain:
     def diameter(self) -> Optional[float]:
         if self.kind == "unbounded":
             return None
-        if self.kind == "box":
-            return float(np.linalg.norm(self.upper - self.lower))
-        return 2.0 * self.radius
+        return float(np.linalg.norm(self.upper - self.lower))
 
     def contains(self, p: np.ndarray, tol: float = 1e-12) -> bool:
         p = as_point(p)
         if self.kind == "unbounded":
             return True
-        if self.kind == "box":
-            return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
-        return bool(np.linalg.norm(p - self.center) <= self.radius + tol)
+        return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
 
 
 def project(domain: Domain, p) -> np.ndarray:
@@ -113,18 +99,7 @@ def project(domain: Domain, p) -> np.ndarray:
         raise ValueError(f"dimension mismatch: point {p.shape[-1]}, domain {domain.dim}")
     if domain.kind == "unbounded":
         return p
-    if domain.kind == "box":
-        return p.clip(domain.lower, domain.upper)
-    # ball: radial rescale; the center projects to itself. The slack, a
-    # few ulps of the radius plus the center's norm, absorbs the roundoff
-    # of rescaling and of adding the center back, so projecting twice is
-    # a no-op bit for bit.
-    v = p - domain.center
-    nv = np.sqrt(np.add.reduce(v * v, axis=-1))[..., None]
-    slack = 8.0 * np.finfo(float).eps * (domain.radius + np.linalg.norm(domain.center))
-    inside = nv <= domain.radius + slack
-    scale = domain.radius / np.where(inside, domain.radius, nv)
-    return np.where(inside, p, domain.center + scale * v)
+    return p.clip(domain.lower, domain.upper)
 
 
 @dataclass
@@ -202,24 +177,11 @@ def analytic_solution(op: Operator, domain: Domain) -> Optional[np.ndarray]:
 def _sample_points(domain: Domain, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples in the sampling box intersected with the domain."""
     half = SAMPLING_BOX_HALF_WIDTH
-    if domain.kind == "box":
-        lo = np.maximum(domain.lower, -half)
-        hi = np.minimum(domain.upper, half)
-        return rng.uniform(lo, hi, size=(n, domain.dim))
     if domain.kind == "unbounded":
         return rng.uniform(-half, half, size=(n, domain.dim))
-    # ball: rejection-sample inside the ball (intersected with the box)
-    lo = np.maximum(domain.center - domain.radius, -half)
-    hi = np.minimum(domain.center + domain.radius, half)
-    out = np.empty((n, domain.dim))
-    got = 0
-    while got < n:
-        cand = rng.uniform(lo, hi, size=(2 * (n - got), domain.dim))
-        keep = cand[np.linalg.norm(cand - domain.center, axis=1) <= domain.radius]
-        take = min(len(keep), n - got)
-        out[got:got + take] = keep[:take]
-        got += take
-    return out
+    lo = np.maximum(domain.lower, -half)
+    hi = np.minimum(domain.upper, half)
+    return rng.uniform(lo, hi, size=(n, domain.dim))
 
 
 def _evaluate_block(op: Operator, pts: np.ndarray) -> np.ndarray:

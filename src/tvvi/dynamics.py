@@ -127,7 +127,7 @@ def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
 
 @dataclass
 class Orbit:
-    points: list
+    points: np.ndarray                    # (n, d): the start, then each step
     diverged_at: Optional[int] = None     # index into points, None if bounded
     threshold: float = DIVERGENCE_THRESHOLD
 
@@ -143,8 +143,8 @@ def iterate_orbit(gd_map: GDMap, x0, n_steps: int,
                                    threshold)
     s = int(diverged_at[0])
     if s < 0:
-        return Orbit(points=list(points[:, 0]), threshold=threshold)
-    return Orbit(points=list(points[:s + 1, 0]), diverged_at=s,
+        return Orbit(points=points[:, 0], threshold=threshold)
+    return Orbit(points=points[:s + 1, 0], diverged_at=s,
                  threshold=threshold)
 
 
@@ -172,7 +172,7 @@ def classify_orbit(orbit: Orbit, burn_in: int, tol: float = PERIOD_TOL,
                    max_period: int = MAX_PERIOD) -> Classification:
     if not orbit.bounded:
         return Classification("diverged")
-    tail = np.array(orbit.points[burn_in:])[:, None, :]
+    tail = orbit.points[burn_in:, None, :]
     return _classify_tails(tail, tol, max_period)[0]
 
 

@@ -1,9 +1,23 @@
-"""Deterministic CSV/JSON row emitters and the matching readers.
+"""Deterministic CSV/JSON table emitters and the matching readers.
 
-CSV files carry a ``# schema=v1`` comment line, a header, and values
-formatted with 17 significant digits so identical configs and seeds
-reproduce byte-identical files. Nonfinite numbers are written as the
-literal token ``diverged``.
+Every command's output is a table: an ordered mapping from column name
+to a column, one cell per row. A numeric column is a numpy array of
+shape ``(n,)`` (one number per cell) or ``(n, w)`` (a w-vector per
+cell); a text, boolean or mixed column is a list. The table has as many
+rows as its first column. A shorter column, the rounds a diverged run
+did not complete, is padded with one ``diverged`` token per missing
+cell; a longer one is rejected.
+
+CSV files carry a ``# schema=v1`` comment line and a header, which a
+table with no rows keeps, and values formatted with 17 significant
+digits so identical configs and seeds reproduce byte-identical files.
+A vector cell joins its coordinates with ``;``. Nonfinite numbers are
+written as the literal token ``diverged``, one per coordinate. A table
+of numeric columns is written with one ``%`` template per row; only
+rows holding a nonfinite or missing value, and tables with a list
+column, go cell by cell through :func:`format_value`, which gives the
+same text. JSON output is ``{"schema": "v1", "rows": [...]}`` with one
+object per row.
 """
 
 from __future__ import annotations
@@ -13,12 +27,13 @@ import io
 import json
 import math
 import os
-from typing import Iterable
 
 import numpy as np
 
 SCHEMA_LINE = "# schema=v1"
 DIVERGED_TOKEN = "diverged"
+# integers up to this size convert to floats exactly
+_EXACT_INT = 2 ** 53
 
 
 def _fmt_float(x: float) -> str:
@@ -57,32 +72,85 @@ def _json_value(v):
     return str(v)
 
 
-def emit_rows(rows: Iterable[dict], fmt: str, path: str) -> None:
-    """Write homogeneous rows as CSV or JSON.
+def _rows_by_template(cols: list):
+    """The CSV row template and float block of a table whose columns are
+    all numeric arrays: one ``%d`` per integer cell, one ``%.17g`` per
+    float coordinate, ``;`` within a vector cell and ``,`` between cells.
+    The block holds the rows every column reaches. Returns None when a
+    column is a list or a non-numeric array, when an integer exceeds what
+    a float holds exactly, or when every row is a single empty cell
+    (``csv.writer`` quotes that one)."""
+    fields, width = [], []
+    for c in cols:
+        if not isinstance(c, np.ndarray) or c.dtype.kind not in "iuf" or c.ndim > 2:
+            return None
+        w = c.shape[1] if c.ndim == 2 else 1
+        if c.ndim == 1 and c.dtype.kind != "f":
+            if c.size and not (-_EXACT_INT <= c.min() and c.max() <= _EXACT_INT):
+                return None
+            fields.append("%d")
+        else:
+            fields.append(";".join(["%.17g"] * w))
+        width.append(w)
+    template = ",".join(fields)
+    if not template:
+        return None
+    m = min(len(c) for c in cols)
+    block = np.concatenate([c[:m].reshape(m, w) for c, w in zip(cols, width)],
+                           axis=1, dtype=float)
+    return template + "\n", block
 
-    The rows go to a temporary file next to ``path`` that then replaces
-    it, so a failed write leaves an existing ``path`` as it was."""
-    rows = list(rows)
-    if rows:
-        header = list(rows[0].keys())
-        for r in rows:
-            if list(r.keys()) != header:
-                raise ValueError("rows must share one schema")
-    else:
-        header = []
+
+def _csv_lines(cols: list, n: int) -> list:
+    """The data lines of a table, each ending in a newline. Rows of
+    finite numbers take one ``%`` of the row template each; the rest go
+    cell by cell through :func:`format_value`, a missing cell written as
+    one divergence token."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+
+    def by_cells(i: int) -> str:
+        writer.writerow([format_value(c[i]) if i < len(c) else DIVERGED_TOKEN
+                         for c in cols])
+        line = buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+        return line
+
+    spec = _rows_by_template(cols)
+    if spec is None:
+        return [by_cells(i) for i in range(n)]
+    template, block = spec
+    finite = np.isfinite(block).all(axis=1).tolist()
+    lines = [template % tuple(r) if ok else by_cells(i)
+             for i, (r, ok) in enumerate(zip(block.tolist(), finite))]
+    return lines + [by_cells(i) for i in range(len(block), n)]
+
+
+def emit_rows(table: dict, fmt: str, path: str) -> None:
+    """Write a table as CSV or JSON.
+
+    The table has as many rows as its first column; a shorter column is
+    padded with the divergence token, and a longer one is a ValueError.
+    The text goes to a temporary file next to ``path`` that then
+    replaces it, so a failed write leaves an existing ``path`` as it
+    was."""
+    cols = list(table.values())
+    n = len(cols[0]) if cols else 0
+    for name, c in table.items():
+        if len(c) > n:
+            raise ValueError(f"column {name!r} has {len(c)} cells, the table {n} rows")
     if fmt == "csv":
         buf = io.StringIO()
         buf.write(SCHEMA_LINE + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for r in rows:
-            writer.writerow([format_value(v) for v in r.values()])
+        csv.writer(buf, lineterminator="\n").writerow(list(table))
+        buf.writelines(_csv_lines(cols, n))
         data = buf.getvalue()
     elif fmt == "json":
-        data = json.dumps(
-            {"schema": "v1",
-             "rows": [{k: _json_value(v) for k, v in r.items()} for r in rows]},
-            indent=None, separators=(",", ":")) + "\n"
+        rows = [{k: _json_value(c[i]) if i < len(c) else DIVERGED_TOKEN
+                 for k, c in table.items()} for i in range(n)]
+        data = json.dumps({"schema": "v1", "rows": rows},
+                          indent=None, separators=(",", ":")) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     tmp = f"{path}.{os.getpid()}.tmp"

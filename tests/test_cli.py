@@ -139,13 +139,13 @@ class TestParseConfig:
 class TestEmitRows:
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_rows([], "csv", str(path))
-        text = path.read_text()
-        assert text.splitlines()[0] == "# schema=v1"
+        emit_rows({"i": np.arange(0), "x": np.empty((0, 2))}, "csv", str(path))
+        assert path.read_text().splitlines() == ["# schema=v1", "i,x"]
+        assert read_rows(str(path)) == []
 
     def test_single_bifurcation_row(self, tmp_path):
         path = tmp_path / "one.csv"
-        emit_rows([{"eta": 0.5, "classification": "converged", "cells": "12;13"}],
+        emit_rows({"eta": [0.5], "classification": ["converged"], "cells": ["12;13"]},
                   "csv", str(path))
         lines = path.read_text().splitlines()
         assert lines[1] == "eta,classification,cells"
@@ -156,36 +156,48 @@ class TestEmitRows:
             {"t": 1, "x": 0.123456789012345678, "label": "abc", "flag": True},
             {"t": 2, "x": -1e-17, "label": "d", "flag": False},
         ]
+        lists = {k: [r[k] for r in rows] for k in rows[0]}
+        arrays = dict(lists, t=np.array(lists["t"]), x=np.array(lists["x"]))
         for fmt in ("csv", "json"):
-            path = tmp_path / f"rt.{fmt}"
-            emit_rows(rows, fmt, str(path))
-            back = read_rows(str(path))
-            assert back == rows
+            for table in (lists, arrays):
+                path = tmp_path / f"rt.{fmt}"
+                emit_rows(table, fmt, str(path))
+                back = read_rows(str(path))
+                assert back == rows
 
     def test_vector_round_trip(self, tmp_path):
-        rows = [{"z": np.array([1.5, -2.25])}]
         path = tmp_path / "vec.csv"
-        emit_rows(rows, "csv", str(path))
+        emit_rows({"z": np.array([[1.5, -2.25]])}, "csv", str(path))
         assert read_rows(str(path))[0]["z"] == [1.5, -2.25]
 
     def test_nonfinite_token(self, tmp_path):
         path = tmp_path / "div.csv"
-        emit_rows([{"x": math.inf}, {"x": 1.0}], "csv", str(path))
+        emit_rows({"x": np.array([math.inf, 1.0])}, "csv", str(path))
         back = read_rows(str(path))
         assert back[0]["x"] == "diverged"
         assert back[1]["x"] == 1.0
 
     def test_heterogeneous_rows_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_rows([{"a": 1}, {"b": 2}], "csv", str(tmp_path / "x.csv"))
+        # a column longer than the table (its first column)
+        with pytest.raises(ValueError, match="'b'"):
+            emit_rows({"a": np.arange(2), "b": np.arange(3.0)}, "csv",
+                      str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_short_column_padded_with_one_token_per_cell(self, tmp_path):
+        path = tmp_path / "short.csv"
+        emit_rows({"t": np.arange(1, 4), "z": np.ones((3, 2)),
+                   "w": np.zeros((2, 3))}, "csv", str(path))
+        assert path.read_text().splitlines()[2:] == [
+            "1,1;1,0;0;0", "2,1;1,0;0;0", "3,1;1,diverged"]
 
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "rows.csv"
-        emit_rows([{"x": 1.0}], "csv", str(path))
+        emit_rows({"x": [1.0]}, "csv", str(path))
         before = path.read_bytes()
         # a lone surrogate cannot be encoded, so the write fails midway
         with pytest.raises(UnicodeEncodeError):
-            emit_rows([{"x": 2.0}, {"x": "\ud800"}], "csv", str(path))
+            emit_rows({"x": [2.0, "\ud800"]}, "csv", str(path))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
@@ -194,6 +206,55 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+class TestDivergedRows:
+    """The exact spelling of runs that diverge: the diverging round's
+    columns over completed rounds (``z_star`` through ``weights``) get
+    one ``diverged`` token each, whatever their width."""
+
+    def last_line(self, tmp_path, text, code=0):
+        out = tmp_path / "out.csv"
+        assert main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == code
+        return out.read_text().splitlines()[-1]
+
+    def test_track_meta_adaptive_1d(self, tmp_path):
+        assert self.last_line(tmp_path, """
+command = track
+scenario.name = periodic_1d
+algorithm.kind = meta_adaptive
+algorithm.k = 3
+algorithm.lip = 0.01
+run.horizon = 50
+run.z1 = 1
+""") == "10,-63201699,diverged,diverged,diverged,diverged,diverged"
+
+    def test_track_meta_adaptive_2d(self, tmp_path):
+        assert self.last_line(tmp_path, """
+command = track
+scenario.name = quadratic_drift
+scenario.dim = 2
+algorithm.kind = meta_adaptive
+algorithm.k = 2
+algorithm.lip = 0.01
+run.horizon = 50
+run.z1 = 1,1
+""") == "7,-968359;-968359,diverged,diverged,diverged,diverged,diverged"
+
+    def test_orbit_2d(self, tmp_path):
+        # the orbit stops at the first point past the threshold
+        assert self.last_line(tmp_path, """
+command = orbit
+scenario.name = star_2d
+dynamics.eta = 1.5
+dynamics.steps = 100
+dynamics.x0 = 1,0.5
+""") == "26,1296.4865146103489;179.78956321811131,1308.8932613504624"
+
+    def test_star_all_diverged_keeps_header(self, tmp_path):
+        text = "command = star\nstar.eta = 50\nstar.samples = 5\nstar.steps = 50\n"
+        assert self.last_line(tmp_path, text + "star.output = tail\n") == "i,x0,x1"
+        assert self.last_line(tmp_path, text) == "50,diverged,0,5"
 
 
 class TestCliCommands:

@@ -16,24 +16,15 @@ class TestProjection:
         d = Domain.unbounded(2)
         assert np.allclose(project(d, [3.0, -7.0]), [3.0, -7.0])
 
-    def test_ball_radial_rescale(self):
-        d = Domain.ball([0.0, 0.0], 1.0)
-        assert np.allclose(project(d, [3.0, 4.0]), [0.6, 0.8])
-
-    def test_ball_center_fixed(self):
-        d = Domain.ball([1.0, 2.0], 0.5)
-        assert np.allclose(project(d, [1.0, 2.0]), [1.0, 2.0])
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             project(Domain.box([0], [1]), [1.0, 2.0])
 
     @pytest.mark.parametrize("domain", [
         Domain.box([-1, -2], [2, 1]),
-        Domain.ball([0.5, -0.5], 1.5),
         Domain.interval(-3.0, 2.0),
         Domain.unbounded(2),
-    ], ids=["box", "ball", "interval", "unbounded"])
+    ], ids=["box", "interval", "unbounded"])
     def test_nonexpansive_and_idempotent(self, domain):
         rng = np.random.default_rng(7)
         for _ in range(1000):
@@ -45,14 +36,12 @@ class TestProjection:
 
     @pytest.mark.parametrize("domain", [
         Domain.box([-1, -2], [2, 1]),
-        Domain.ball([0.5, -0.5], 1.5),
         Domain.interval(-3.0, 2.0),
         Domain.unbounded(2),
-    ], ids=["box", "ball", "interval", "unbounded"])
+    ], ids=["box", "interval", "unbounded"])
     def test_block_matches_rows(self, domain):
         rng = np.random.default_rng(8)
         pts = rng.uniform(-5, 5, (1000, domain.dim))
-        pts[0] = domain.center if domain.kind == "ball" else pts[0]
         block = project(domain, pts)
         assert block.shape == pts.shape
         for x, px in zip(pts, block):
@@ -61,15 +50,12 @@ class TestProjection:
 
     def test_diameter(self):
         assert Domain.box([0, 0], [3, 4]).diameter == 5.0
-        assert Domain.ball([0], 2.0).diameter == 4.0
         assert Domain.interval(-1, 1).diameter == 2.0
         assert Domain.unbounded(3).diameter is None
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             Domain.box([1.0], [0.0])
-        with pytest.raises(ValueError):
-            Domain.ball([0.0], 0.0)
 
 
 def exp_quadratic_1d(a):
@@ -184,7 +170,7 @@ class TestSampledChecks:
 
     def test_deterministic_given_seed(self):
         op = exp_quadratic_1d(4.0)
-        dom = Domain.ball([0.0], 3.0)
+        dom = Domain.interval(-3.0, 3.0)
         a = check_strong_monotone(op, 1.9, dom, 300, seed=5)
         b = check_strong_monotone(op, 1.9, dom, 300, seed=5)
         assert a == b
