@@ -25,6 +25,7 @@ sliced to the rounds run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
-                   _evaluate_block, as_point, evaluate, project)
+                   _evaluate_block, as_point, evaluate, project,
+                   rescale_overflowed_norms)
 
 # Ties in the pre-warmup argmin weight rule are resolved uniformly over
 # all losses within this tolerance of the minimum.
@@ -74,6 +76,14 @@ def forward_step(op: Operator, domain: Domain, z, eta: float) -> np.ndarray:
     return project(domain, z - eta * evaluate(op, z))
 
 
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    """The d x d identity, built once per d and read-only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def resolvent_step(op: Operator, z) -> np.ndarray:
     """Solve z' + F(z') = z for affine F(x) = Ax + b.
 
@@ -85,10 +95,11 @@ def resolvent_step(op: Operator, z) -> np.ndarray:
     A, b = op.affine
     z = as_point(z)
     try:
-        out = np.linalg.solve(np.eye(op.dim) + A, z - b)
+        out = np.linalg.solve(_identity(op.dim) + A, z - b)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("I + A is singular") from exc
-    residual = np.linalg.norm(out + (A @ out + b) - z)
+    r = out + (A @ out + b) - z
+    residual = math.sqrt(r.dot(r))      # np.linalg.norm's arithmetic
     if residual > 1e-10:
         raise np.linalg.LinAlgError(f"resolvent residual {residual:.2e} too large")
     return out
@@ -428,24 +439,28 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
     limit = min(divergence_threshold, np.finfo(float).max)
     n, diverged_at = T, None            # rounds completed, divergence round
 
-    for t in range(1, T + 1):
-        i = t - 1
-        plays[i] = play = learner.play(t)
-        # np.linalg.norm's arithmetic; NaN and inf fail the comparison
-        if not math.sqrt(play.dot(play)) <= limit:
-            n, diverged_at = i, t
-            break
-        if is_meta:     # the weights and the (K, d) block of base plays
-            weights[i], base_plays[i] = learner.weights, learner.base_plays
+    # a play on its way to divergence may overflow: the threshold, not a
+    # warning, decides when the run stops
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            i = t - 1
+            plays[i] = play = learner.play(t)
+            # np.linalg.norm's arithmetic; NaN and inf fail the comparison
+            norm = math.sqrt(play.dot(play))
+            if not norm <= limit and not rescale_overflowed_norms(play, norm) <= limit:
+                n, diverged_at = i, t
+                break
+            if is_meta:     # the weights and the (K, d) block of base plays
+                weights[i], base_plays[i] = learner.weights, learner.base_plays
 
-        z_star, op = seq.respond(t, play)
-        try:
-            op_values[i] = learner.observe(t, op)
-        except FloatingPointError:
-            n, diverged_at = i, t
-            break
-        if have_solutions:
-            solutions[i] = z_star
+            z_star, op = seq.respond(t, play)
+            try:
+                op_values[i] = learner.observe(t, op)
+            except FloatingPointError:
+                n, diverged_at = i, t
+                break
+            if have_solutions:
+                solutions[i] = z_star
 
     return Trajectory(
         plays=plays[:diverged_at or T],

@@ -26,7 +26,7 @@ from . import algorithms as alg
 from . import dynamics, metrics
 from .config import (FIELDS, ConfigError, ExperimentConfig, _field_value,
                      _vector_field, parse_config)
-from .core import ConfigurationError
+from .core import ConfigurationError, rescale_overflowed_norms
 from .io import emit_rows
 from .scenarios import PARAMS, Scenario, build_scenario, verify_scenario
 
@@ -73,9 +73,12 @@ def _track_table(traj: alg.Trajectory, mu: float) -> dict:
     and ``io.emit_rows`` pads the diverging round."""
     table = {"t": np.arange(1, len(traj.plays) + 1), "z": traj.plays}
     if traj.solutions is not None:
-        sq = metrics.squared_distances(traj)
-        table.update(z_star=traj.solutions, sq_dist=sq, cum_track=np.cumsum(sq),
-                     cum_regret=metrics.regret_series(traj, traj.solutions, mu))
+        # a finite play beyond about 1.3e154 has an infinite squared
+        # distance, written as the nonfinite token
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = metrics.squared_distances(traj)
+            table.update(z_star=traj.solutions, sq_dist=sq, cum_track=np.cumsum(sq),
+                         cum_regret=metrics.regret_series(traj, traj.solutions, mu))
     if traj.weights is not None:
         table["weights"] = traj.weights
     return table
@@ -210,9 +213,9 @@ def _cmd_orbit(cfg: ExperimentConfig) -> tuple:
     orbit = dynamics.iterate_orbit(gd_map, x0, cfg.get("dynamics.steps"),
                                    cfg.get("dynamics.threshold"))
     P = orbit.points
-    with np.errstate(over="ignore"):    # a diverged point's norm is inf
+    with np.errstate(over="ignore"):    # rescaled where a square overflowed
         # each norm rounds as np.linalg.norm of its row rounds it
-        norm = np.sqrt(metrics._row_dots(P, P))
+        norm = rescale_overflowed_norms(P, np.sqrt(metrics._row_dots(P, P)))
     return {"t": np.arange(len(P)), "x": P, "norm": norm}, not orbit.bounded
 
 

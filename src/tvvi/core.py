@@ -40,6 +40,23 @@ def as_point(x) -> np.ndarray:
     return arr
 
 
+def rescale_overflowed_norms(X: np.ndarray, norms) -> np.ndarray:
+    """``norms``, the Euclidean norms of the last-axis rows of ``X``, with
+    each infinite norm of a finite row recomputed as max|x_i| times the
+    norm of x / max|x_i|: such a row's squared norm overflowed (its norm
+    is above about 1.3e154) though its norm may not. Every other norm is
+    kept as it is, so a norm stays infinite only for a row that is not
+    finite or whose norm exceeds the largest float."""
+    norms = np.array(norms, dtype=float)
+    redo = np.isinf(norms) & np.isfinite(X).all(axis=-1)
+    if redo.any():
+        R = X[redo]
+        top = np.abs(R).max(axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):
+            norms[redo] = top[..., 0] * np.sqrt(((R / top) ** 2).sum(axis=-1))
+    return norms
+
+
 @dataclass(frozen=True)
 class Domain:
     """A closed convex subset of R^d with an exact Euclidean projection.
@@ -135,7 +152,8 @@ class Operator:
 
     @staticmethod
     def from_affine(A, b, **kw) -> "Operator":
-        A = np.atleast_2d(np.asarray(A, dtype=float))
+        if not (type(A) is np.ndarray and A.ndim == 2 and A.dtype is _FLOAT):
+            A = np.atleast_2d(np.asarray(A, dtype=float))
         b = as_point(b)
         return Operator(fn=lambda X: X @ A.T + b, dim=b.size, affine=(A, b), **kw)
 

@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigurationError, Domain, _evaluate_block, as_point, project
+from .core import (ConfigurationError, Domain, _evaluate_block, as_point, project,
+                   rescale_overflowed_norms)
 from .scenarios import Scenario, build_scenario
 
 DIVERGENCE_THRESHOLD = 1000.0     # per the bifurcation protocol
@@ -110,18 +111,23 @@ def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
     x = x0
     if keep_from == 0:
         points[0] = x0
-    for s in range(1, n_steps + 1):
-        if not live.size:
-            break
-        x = gd_map(x)
-        if s >= keep_from:
-            points[s - keep_from, live] = x
-        norms = np.linalg.norm(x, axis=-1)
-        out = ~(np.isfinite(norms) & (norms <= threshold))
-        if out.any():
-            diverged_at[live[out]] = s
-            keep = ~out
-            live, x, gd_map = live[keep], x[keep], gd_map.rows(keep)
+    # a row on its way to divergence may overflow: the threshold, not a
+    # warning, decides when it stops
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, n_steps + 1):
+            if not live.size:
+                break
+            x = gd_map(x)
+            if s >= keep_from:
+                points[s - keep_from, live] = x
+            norms = np.linalg.norm(x, axis=-1)
+            out = ~(np.isfinite(norms) & (norms <= threshold))
+            if out.any():
+                norms = rescale_overflowed_norms(x, norms)
+                out = ~(np.isfinite(norms) & (norms <= threshold))
+                diverged_at[live[out]] = s
+                keep = ~out
+                live, x, gd_map = live[keep], x[keep], gd_map.rows(keep)
     return points, diverged_at
 
 
@@ -570,7 +576,9 @@ def star_scan(eta: float, n_samples: int = 100, sample_half_width: float = 500.0
     bounded = points[:, diverged_at < 0]                 # (n_steps + 1, n, 2)
     n_bounded = bounded.shape[1]
     series_sum = np.zeros(n_steps + 1)
-    for norms in np.linalg.norm(bounded, axis=-1).T:    # in start order
+    with np.errstate(over="ignore"):        # rescaled where a square overflowed
+        row_norms = rescale_overflowed_norms(bounded, np.linalg.norm(bounded, axis=-1))
+    for norms in row_norms.T:               # in start order
         series_sum += norms
     keep_from = int((n_steps + 1) * (1.0 - tail_fraction))
     tail_points = bounded[keep_from:].transpose(1, 0, 2).reshape(-1, 2)

@@ -380,6 +380,39 @@ class _DataStream:
         return self._gram[k] + R.T @ R, self._moment[k] + R.T @ r
 
 
+STREAM_ROUNDS = 64      # rounds whose data one block computes
+
+
+def _ridge_rounds(stream: _DataStream, size, ridge: np.ndarray):
+    """Round t's ``(G + ridge, A^T b, solution, A, b)`` over the first
+    ``size(t)`` rows of ``stream``, as a function of t.
+
+    Rounds are computed STREAM_ROUNDS at a time, in blocks aligned on
+    round numbers, and the block of the latest round asked for is kept:
+    each round's sums are the stream's, and the block's ridge solutions
+    come from one batched solve, which runs the same LAPACK solve on
+    each matrix as a call for that round alone would. A round's data
+    depends only on the stream and t, never on which rounds came first.
+    """
+    cached = [None, ()]     # block number, its rounds' data
+
+    def round_data(t: int) -> tuple:
+        block, i = divmod(t - 1, STREAM_ROUNDS)
+        if cached[0] != block:
+            first = block * STREAM_ROUNDS + 1
+            sizes = [size(s) for s in range(first, first + STREAM_ROUNDS)]
+            A, b = stream.upto(max(sizes))
+            sums = [stream.sums(n) for n in sizes]
+            G = np.array([g for g, _ in sums]) + ridge
+            h = np.array([v for _, v in sums])
+            solutions = np.linalg.solve(G, h[..., None])[..., 0]
+            cached[:] = block, tuple(zip(G, h, solutions, (A[:n] for n in sizes),
+                                         (b[:n] for n in sizes)))
+        return cached[1][i]
+
+    return round_data
+
+
 def build_streaming_regression(p: dict) -> Scenario:
     """f_t(x) = ||A_t x - b_t||^2 + lam ||x||^2 over a growing i.i.d.
     Gaussian stream; n_t grows linearly in t."""
@@ -389,17 +422,8 @@ def build_streaming_regression(p: dict) -> Scenario:
         _vector_field("scenario.w_star", p["w_star"], dim)
     stream = _DataStream(((a, a @ w_star + noise * e)
                           for a, e in _gaussian_blocks(p["seed"] + 1, dim)), dim)
-    ridge = lam * np.eye(dim)
-    latest = {}     # t -> (G + ridge, A^T b, solution, A, b) of the latest round
-
-    def round_data(t: int) -> tuple:
-        if t not in latest:
-            n = p["n0"] + p["growth"] * (t - 1)
-            G, h = stream.sums(n)
-            G = G + ridge
-            latest.clear()
-            latest[t] = (G, h, np.linalg.solve(G, h)) + stream.upto(n)
-        return latest[t]
+    round_data = _ridge_rounds(stream, lambda t: p["n0"] + p["growth"] * (t - 1),
+                               lam * np.eye(dim))
 
     def make_op(t: int) -> Operator:
         G, h, solution, A, b = round_data(t)
@@ -507,30 +531,36 @@ def rsi_operator(a: float) -> Operator:
     return Operator(fn=fn, dim=2, solution=np.zeros(2))
 
 
+RSI_GRID_ROWS = 16      # grid rows per block: each temporary fits in cache
+
+
 def rsi_lipschitz(a_values, grid_n: int = 501) -> float:
     """Grid supremum of the pseudo-gradient's Jacobian spectral norm over
     the coupling(s) ``a_values``, each distinct one evaluated once.
 
     All Jacobian entries are pi-periodic in both coordinates, so the
     grid over [0, pi]^2 captures the global supremum; the analytic
-    envelope is |J| <= 2 + 2(3 + a) <= 10 plus unit off-diagonals.
+    envelope is |J| <= 2 + 2(3 + a) <= 10 plus unit off-diagonals. The
+    grid is swept RSI_GRID_ROWS rows at a time, and the largest block
+    maximum is the grid's.
     """
     u = np.linspace(0.0, math.pi, grid_n)
-    x, y = u[None, :], u[:, None]          # the meshgrid axes, broadcast
-    cos_2x, cos_2y, sin_2x, sin_2y = (f(2 * v) for f in (np.cos, np.sin) for v in (x, y))
-    sin2_x, sin2_y = np.sin(x) ** 2, np.sin(y) ** 2
-    tops = []
+    two_cos_2u, sin_2u, sin2_u = 2.0 * np.cos(2 * u), np.sin(2 * u), np.sin(u) ** 2
+    top = 0.0
     for a in set(np.atleast_1d(a_values).tolist()):
-        j11 = 2.0 + 2.0 * cos_2x * (3.0 + a * sin2_y)
-        j12 = a * sin_2x * sin_2y
-        j21 = -a * sin_2x * sin_2y
-        j22 = 2.0 + 2.0 * cos_2y * (3.0 - a * sin2_x)
-        # largest singular value of [[j11, j12], [j21, j22]] via J^T J
-        p = j11 ** 2 + j21 ** 2
-        q = j12 ** 2 + j22 ** 2
-        r = j11 * j12 + j21 * j22
-        tops.append(0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * r ** 2)).max())
-    return float(np.sqrt(max(tops))) * 1.005     # grid-resolution headroom
+        # J = [[j11, j12], [-j12, j22]] at x = u[j] (columns), y = u[i] (rows)
+        j11_factor, j22_factor, a_sin_2u = 3.0 + a * sin2_u, 3.0 - a * sin2_u, a * sin_2u
+        for lo in range(0, grid_n, RSI_GRID_ROWS):
+            y = slice(lo, lo + RSI_GRID_ROWS)
+            j11 = 2.0 + two_cos_2u * j11_factor[y, None]
+            j12 = a_sin_2u * sin_2u[y, None]
+            j22 = 2.0 + two_cos_2u[y, None] * j22_factor
+            # largest singular value of J via J^T J = [[p, r], [r, q]]
+            j12_sq = j12 ** 2
+            p, q = j11 ** 2 + j12_sq, j12_sq + j22 ** 2
+            r = j11 * j12 - j12 * j22
+            top = max(top, float((p + q + np.sqrt((p - q) ** 2 + 4.0 * r ** 2)).max()))
+    return float(np.sqrt(0.5 * top)) * 1.005     # grid-resolution headroom
 
 
 def build_rsi_game(p: dict) -> Scenario:

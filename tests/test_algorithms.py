@@ -104,6 +104,15 @@ class TestResolventStep:
         with pytest.raises(ConfigurationError):
             resolvent_step(op, [1.0])
 
+    def test_singular_system_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            resolvent_step(affine_op(-np.eye(2), [0.0, 0.0]), [1.0, 1.0])
+
+    def test_inaccurate_solution_raises(self):
+        # z / 1.3 rounds at the scale of z, far above the 1e-10 residual
+        with pytest.raises(np.linalg.LinAlgError, match="residual"):
+            resolvent_step(affine_op([[0.3]], [0.0]), [1e12 / 3])
+
 
 class TestCyclicFB:
     def test_slot_selection(self):

@@ -257,6 +257,61 @@ dynamics.x0 = 1,0.5
         assert self.last_line(tmp_path, text) == "50,diverged,0,5"
 
 
+def source_env() -> dict:
+    """The environment of a fresh interpreter that imports tvvi from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def run_strict(tmp_path, text, *flags):
+    """Run the CLI on ``text`` in a fresh ``python -X dev -W error``, where
+    any numpy warning is an error; returns (exit status, output rows)."""
+    cfg, out = write_cfg(tmp_path, text), str(tmp_path / "out.csv")
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "tvvi.cli",
+                           "--config", cfg, "--out", out, *flags], capture_output=True,
+                          text=True, timeout=120, env=source_env())
+    assert "Traceback" not in done.stderr, done.stderr
+    return done.returncode, read_rows(out)
+
+
+class TestFinitePointsPastTheSquareRoot:
+    """A finite point whose squared norm overflows (its norm is above
+    about 1.3e154) but whose norm is below the threshold has not
+    diverged, and no overflow warning escapes."""
+
+    def test_orbit(self, tmp_path):
+        code, rows = run_strict(tmp_path, """
+command = orbit
+scenario.name = chaos_1d
+dynamics.eta = 3.5
+dynamics.steps = 2000
+dynamics.threshold = 1e300
+""")
+        assert code == 0
+        assert rows[732]["x"] == -2.1356854643818281e+154
+        assert rows[732]["norm"] == 2.1356854643818281e+154
+        # the orbit stops at its first point past the threshold
+        assert all(abs(r["x"]) == r["norm"] <= 1e300 for r in rows[:-1])
+        assert 1e300 < rows[-1]["norm"] < math.inf
+
+    def test_track(self, tmp_path):
+        code, rows = run_strict(tmp_path, """
+command = track
+scenario.name = periodic_1d
+algorithm.kind = forward
+algorithm.eta = 0.1
+run.horizon = 20
+run.z1 = 1e200
+run.divergence_threshold = 1e300
+""", "--fail-on-divergence")
+        assert code == 0
+        assert [r["t"] for r in rows] == list(range(1, 21))
+        assert rows[0]["z"] == 1e200 and rows[1]["z"] == 1e200 - 0.1 * (8.0 * 1e200)
+        # the squared distance itself is past the largest float
+        assert rows[0]["sq_dist"] == DIVERGED_TOKEN
+
+
 class TestCliCommands:
     def test_track_alternating_quadratic_rows_and_exit(self, tmp_path):
         cfg = write_cfg(tmp_path, """
@@ -370,10 +425,8 @@ star.steps = 100
         code = ("import sys\nfrom tvvi.cli import main\n"
                 f"assert main(['--config', {cfg!r}, '--out', {out!r}]) == 0\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+                              text=True, timeout=120, env=source_env())
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
         assert 0.0 < read_rows(out)[0]["radial_score"] <= 1.0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tvvi.core import (Domain, Operator, analytic_solution, check_constants,
-                       check_lipschitz, check_strong_monotone, evaluate, project)
+                       check_lipschitz, check_strong_monotone, evaluate, project,
+                       rescale_overflowed_norms)
 
 
 class TestProjection:
@@ -96,6 +97,46 @@ class TestEvaluate:
         for _ in range(5):
             evaluate(op, [0.3])
         assert op.evals == 5
+
+
+class TestFromAffine:
+    def test_float_matrix_kept_as_it_is(self):
+        A = np.array([[2.0, 1.0], [0.0, 3.0]])
+        op = Operator.from_affine(A, [1.0, -1.0])
+        assert op.affine[0] is A
+        assert np.array_equal(op.fn(np.array([1.0, 2.0])), [5.0, 5.0])
+
+    @pytest.mark.parametrize("A", [[[2, 1], [0, 3]], np.array([[2, 1], [0, 3]]),
+                                   np.array([[2.0, 1.0], [0.0, 3.0]], dtype=np.float32)])
+    def test_other_matrices_coerced_to_float(self, A):
+        op = Operator.from_affine(A, [1, -1])
+        M, b = op.affine
+        assert M.dtype == float and b.dtype == float
+        assert np.array_equal(M, [[2.0, 1.0], [0.0, 3.0]])
+
+    def test_scalar_matrix_is_one_by_one(self):
+        assert Operator.from_affine(2.0, [1.0]).affine[0].shape == (1, 1)
+
+
+class TestRescaledNorms:
+    def test_finite_rows_past_the_square_root_of_the_largest_float(self):
+        X = np.array([[3e200, 4e200], [-2.5e154, 0.0], [1.5e308, 1.5e308], [1.0, 2.0]])
+        with np.errstate(over="ignore"):
+            plain = np.linalg.norm(X, axis=-1)
+        got = rescale_overflowed_norms(X, plain)
+        assert got[0] == pytest.approx(5e200, rel=1e-15)
+        assert got[1] == 2.5e154
+        assert got[2] == np.inf          # the norm itself is past the largest float
+        assert got[3] == plain[3]        # a norm that did not overflow is kept
+
+    def test_nonfinite_rows_keep_their_norm(self):
+        X = np.array([[np.inf, 1.0], [np.nan, 1e200]])
+        got = rescale_overflowed_norms(X, [np.inf, np.inf])
+        assert np.array_equal(got, [np.inf, np.inf])
+
+    def test_one_point(self):
+        assert rescale_overflowed_norms(np.array([-1e200]), np.inf) == 1e200
+        assert rescale_overflowed_norms(np.array([3.0, 4.0]), 5.0) == 5.0
 
 
 class TestAnalyticSolution:

@@ -111,6 +111,17 @@ def test_resolvent_step_contracts(case):
     assert step <= np.linalg.norm(z - w) / (1.0 + mu) + 1e-12
 
 
+@PROPERTY
+@given(strongly_monotone_affine())
+def test_resolvent_step_is_one_solve(case):
+    # the cached identity and the residual's dot product leave the step
+    # the plain solve of (I + A) z' = z - b, bit for bit
+    op, _, _, z, _ = case
+    A, b = op.affine
+    want = np.linalg.solve(np.eye(op.dim) + A, z - b)
+    assert resolvent_step(op, z).tobytes() == want.tobytes()
+
+
 losses = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8).map(np.array)
 
 

@@ -5,16 +5,21 @@ import inspect
 import math
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvvi.algorithms import ContractiveForward, run_tracker
 from tvvi.core import ConfigurationError, Operator, evaluate
 from tvvi.metrics import quadratic_path_length, tracking_error
-from tvvi.scenarios import (BUILDERS, PARAMS, AdversaryState, Checks, OperatorCheck,
-                            _central_differences, adversary_step, build_scenario,
-                            periodic_quadratic, rsi_grid_inequality, rsi_lipschitz,
-                            verify_scenario)
+from tvvi.scenarios import (BUILDERS, PARAMS, RSI_GRID_ROWS, STREAM_ROUNDS,
+                            AdversaryState, Checks, OperatorCheck, _central_differences,
+                            _DataStream, _gaussian_blocks, _ridge_rounds, adversary_step,
+                            build_scenario, periodic_quadratic, rsi_grid_inequality,
+                            rsi_lipschitz, verify_scenario)
 
 
 class TestCatalog:
@@ -168,6 +173,44 @@ class TestCatalog:
         assert rsi_lipschitz(couplings) == max(one(a) for a in couplings)
         assert rsi_lipschitz(0.3) == one(0.3)
 
+    @pytest.mark.parametrize("couplings", [(0.0, 0.5, 1.0, 0.5), (0.3,),
+                                           (0.9, 0.2, 0.9, 0.9, 0.2),
+                                           tuple(np.linspace(0.0, 1.0, 7))])
+    def test_rsi_lipschitz_matches_whole_grid_formula(self, couplings):
+        # the row blocks give the constant the whole grid gave, exactly
+        def whole_grid(a_values, grid_n=501):
+            u = np.linspace(0.0, math.pi, grid_n)
+            x, y = u[None, :], u[:, None]
+            cos_2x, cos_2y, sin_2x, sin_2y = (f(2 * v) for f in (np.cos, np.sin)
+                                              for v in (x, y))
+            sin2_x, sin2_y = np.sin(x) ** 2, np.sin(y) ** 2
+            tops = []
+            for a in set(np.atleast_1d(a_values).tolist()):
+                j11 = 2.0 + 2.0 * cos_2x * (3.0 + a * sin2_y)
+                j12 = a * sin_2x * sin_2y
+                j21 = -a * sin_2x * sin_2y
+                j22 = 2.0 + 2.0 * cos_2y * (3.0 - a * sin2_x)
+                p = j11 ** 2 + j21 ** 2
+                q = j12 ** 2 + j22 ** 2
+                r = j11 * j12 + j21 * j22
+                tops.append(0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * r ** 2)).max())
+            return float(np.sqrt(max(tops))) * 1.005
+
+        assert rsi_lipschitz(couplings) == whole_grid(couplings)
+        # a grid inside one block; grids whose largest row (y = pi / 2, at
+        # the middle) ends the first block or starts the second
+        for n in (7, 2 * RSI_GRID_ROWS - 1, 2 * RSI_GRID_ROWS + 1):
+            assert rsi_lipschitz(couplings, grid_n=n) == whole_grid(couplings, grid_n=n)
+
+    def test_rsi_build_memory(self):
+        tracemalloc.start()
+        try:
+            build_scenario("rsi_game")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
+
 
 class TestAdversary:
     def test_case_prev_minus_one_high_play(self):
@@ -318,6 +361,50 @@ class TestStreams:
         for t in range(1, 49):
             ahead.seq.at(t)
         assert np.array_equal(ahead.seq.at(49).affine[1], direct.seq.at(49).affine[1])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(dim=st.integers(1, 5), n0=st.integers(0, 70), growth=st.integers(0, 5),
+           lam=st.floats(1e-3, 1e3), noise=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 31 - 1),
+           more=st.lists(st.integers(1, 4 * STREAM_ROUNDS), max_size=6))
+    def test_block_rounds_match_per_round_formula(self, dim, n0, growth, lam, noise,
+                                                  seed, more):
+        """Every round's (G + ridge, A^T b, solution, A, b) from the blocks
+        is bit for bit the one-round formula's, in any order of rounds."""
+        w_star = np.random.default_rng(seed).standard_normal(dim)
+
+        def data_stream():
+            return _DataStream(((a, a @ w_star + noise * e)
+                                for a, e in _gaussian_blocks(seed + 1, dim)), dim)
+
+        ridge = lam * np.eye(dim)
+        reference = data_stream()
+
+        def one_round(t):       # the per-round formula the blocks replaced
+            n = n0 + growth * (t - 1)
+            G, h = reference.sums(n)
+            G = G + ridge
+            return (G, h, np.linalg.solve(G, h)) + reference.upto(n)
+
+        rounds = _ridge_rounds(data_stream(), lambda t: n0 + growth * (t - 1), ridge)
+        sc = build_scenario("streaming_regression", {
+            "dim": dim, "n0": n0, "growth": growth, "lam_reg": lam, "noise": noise,
+            "seed": seed})
+        edge = [STREAM_ROUNDS - 1, STREAM_ROUNDS, STREAM_ROUNDS + 1, 2 * STREAM_ROUNDS + 1]
+        for t in [200, 1, 2, 3] + edge + more:
+            want = one_round(t)
+            got = rounds(t)
+            assert [x.shape for x in got] == [x.shape for x in want]
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want], t
+            G, h, solution, A, b = want
+            op = sc.seq.at(t)
+            assert (2.0 * G).tobytes() == op.affine[0].tobytes()
+            assert (-2.0 * h).tobytes() == op.affine[1].tobytes()
+            assert solution.tobytes() == op.solution.tobytes()
+            assert sc.seq.solution_at(t) is op.solution
+            X = np.linspace(-1.0, 1.0, 2 * dim).reshape(2, dim)
+            potential = ((X @ A.T - b) ** 2).sum(axis=-1) + lam * (X * X).sum(axis=-1)
+            assert op.potential(X).tobytes() == potential.tobytes()
 
 
 class TestBatchEvaluation:
