@@ -113,6 +113,13 @@ def _constant(cfg: ExperimentConfig, key: str, fallback):
     return value
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)``, rescaled where the square of a finite
+    vector overflowed."""
+    with np.errstate(over="ignore"):
+        return float(rescale_overflowed_norms(x, np.linalg.norm(x)))
+
+
 def _build_bound(cfg: ExperimentConfig, sc: Scenario,
                  traj: alg.Trajectory) -> partial:
     """The closed form ``bound.kind`` names, bound to its constants.
@@ -125,11 +132,11 @@ def _build_bound(cfg: ExperimentConfig, sc: Scenario,
         sols = traj.solutions
         return partial(metrics.contractive_bound, C=_derive_contraction(cfg, sc),
                        path=metrics.quadratic_path_length(sols),
-                       init_dist=float(np.linalg.norm(traj.plays[0] - sols[0]))
+                       init_dist=_norm(traj.plays[0] - sols[0])
                        if len(sols) else math.nan)
     if kind == "cyclic_regret":
-        G = cfg.get("bound.g") or max((float(np.linalg.norm(g))
-                                       for g in traj.op_values), default=math.nan)
+        G = cfg.get("bound.g") or max((_norm(g) for g in traj.op_values),
+                                      default=math.nan)
         return partial(metrics.cyclic_regret_bound, k=_constant(cfg, "bound.k", sc.period),
                        G=G, mu=float(_constant(cfg, "bound.mu", sc.mu)), T=T)
     if kind in ("aggregation_regret", "aggregation_tracking"):
@@ -150,8 +157,8 @@ def _build_bound(cfg: ExperimentConfig, sc: Scenario,
         D0 = cfg.get("bound.d0")
         if D0 is None:
             k = sc.period or 1
-            D0 = max((float(np.linalg.norm(traj.plays[0] - s))
-                      for s in traj.solutions[:k]), default=math.nan)
+            D0 = max((_norm(traj.plays[0] - s) for s in traj.solutions[:k]),
+                     default=math.nan)
         return partial(metrics.constant_tracking_bound, D0=D0, kappa=kappa,
                        k=cfg.get("bound.k", sc.period or 1),
                        K=cfg.get("bound.big_k", cfg.get("algorithm.k", 1)))
@@ -170,13 +177,21 @@ def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
     measured = bound = math.nan
     holds = False       # diverged in round 1: no round to measure or to bound
     if len(traj.op_values):
-        if which == "tracking":
-            measured = metrics.tracking_error(traj)
-        else:
-            measured = metrics.dynamic_regret(traj, traj.solutions,
-                                              cfg.get("bound.mu", sc.mu) or 0.0)
-        bound = formula()
-        if kind == "adversarial_lb":        # a lower bound: measured must reach it
+        # a finite play beyond about 1.3e154 has an infinite squared
+        # distance, and a bound past the largest float is infinite too
+        with np.errstate(over="ignore", invalid="ignore"):
+            if which == "tracking":
+                measured = metrics.tracking_error(traj)
+            else:
+                measured = metrics.dynamic_regret(traj, traj.solutions,
+                                                  cfg.get("bound.mu", sc.mu) or 0.0)
+        try:
+            bound = formula()
+        except OverflowError:
+            bound = math.inf
+        if not (math.isfinite(measured) and math.isfinite(bound)):
+            holds = False                   # no finite comparison to make
+        elif kind == "adversarial_lb":      # a lower bound: measured must reach it
             holds = measured >= bound - _BOUND_TOL
         else:
             holds = measured <= bound + _BOUND_TOL

@@ -8,12 +8,17 @@ round-1 map acts first, so the orbit of the composed map started at x0
 coincides with every k-th iterate of the per-step recursion started at
 x0. The map acts on the last axis, so scans step every step size (or
 every start) as one ``(n, d)`` block in one process; one orbit is the
-one-row case of the same code. A scan row equals that step size or
-start run alone bit for bit when the operators' ``fn`` rounds a row the
-same alone and in a block, as the exp-quadratic catalog does; the
-``X @ A.T`` of ``Operator.from_affine`` may differ in the last bit for
-a non-diagonal ``A`` in d >= 2. Newton and stability derivatives use
-central differences with h = 1e-6.
+one-row case of the same code. Divergence is tested once per block of
+64 map periods, on all of the block's points at once. A scan row equals
+that step size or start run alone bit for bit when the operators' ``fn``
+rounds a row the same alone and in a block, as the exp-quadratic
+catalog does; the ``X @ A.T`` of ``Operator.from_affine`` may differ in
+the last bit for a non-diagonal ``A`` in d >= 2. Newton and stability
+derivatives use central differences with h = 1e-6.
+
+The star score's fixed-radius query runs on uniform grids, one per
+power-of-two band of radii; per-cell point counts settle most queries
+with two rectangle sums, and only the rest compute distances.
 """
 
 from __future__ import annotations
@@ -91,6 +96,10 @@ def compose_map(scenario: Scenario, eta) -> GDMap:
                  dim=scenario.seq.dim)
 
 
+# Map periods stepped between two divergence tests in ``_iterate``.
+_CHECK_BLOCK = 64
+
+
 def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
              keep_from: int = 0) -> tuple:
     """Step the ``(n, d)`` block ``x0`` through ``n_steps`` map periods.
@@ -101,6 +110,13 @@ def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
     ``threshold`` in norm (-1 while bounded). A diverged row stops
     there: its crossing point is kept (when s >= ``keep_from``) and its
     later points are NaN.
+
+    Divergence is tested once per ``_CHECK_BLOCK`` periods (periods 1-64,
+    65-128, ...), on the whole block of steps at once: a row that
+    crossed is stepped to the end of that block, its later points are
+    then overwritten with NaN, and it leaves the block of rows. So the
+    points equal a per-period test's whenever ``fn`` treats each row on
+    its own, and the operators' ``evals`` count the extra steps.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -114,20 +130,27 @@ def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
     # a row on its way to divergence may overflow: the threshold, not a
     # warning, decides when it stops
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(1, n_steps + 1):
+        for s0 in range(1, n_steps + 1, _CHECK_BLOCK):
             if not live.size:
                 break
-            x = gd_map(x)
-            if s >= keep_from:
-                points[s - keep_from, live] = x
-            norms = np.linalg.norm(x, axis=-1)
+            block = np.empty((min(_CHECK_BLOCK, n_steps + 1 - s0), len(live), d))
+            for b in range(len(block)):
+                x = block[b] = gd_map(x)
+            norms = np.linalg.norm(block, axis=-1)
             out = ~(np.isfinite(norms) & (norms <= threshold))
             if out.any():
-                norms = rescale_overflowed_norms(x, norms)
+                norms = rescale_overflowed_norms(block, norms)
                 out = ~(np.isfinite(norms) & (norms <= threshold))
-                diverged_at[live[out]] = s
-                keep = ~out
-                live, x, gd_map = live[keep], x[keep], gd_map.rows(keep)
+            crossed = out.any(axis=0)
+            first = np.where(crossed, out.argmax(axis=0), len(block))
+            block[np.arange(len(block))[:, None] > first] = np.nan
+            diverged_at[live[crossed]] = s0 + first[crossed]
+            s1 = s0 + len(block)
+            if s1 > keep_from:
+                s = max(s0, keep_from)
+                points[s - keep_from:s1 - keep_from, live] = block[s - s0:]
+            if crossed.any():
+                live, x, gd_map = live[~crossed], x[~crossed], gd_map.rows(~crossed)
     return points, diverged_at
 
 
@@ -420,67 +443,106 @@ class StarScanResult:
 # Most (query, tail point) candidate pairs tested in one numpy block:
 # bounds the working memory of the grid query.
 _PAIR_CHUNK = 1 << 16
+# Most cells of a band's count grid: about 2 MB of int64 prefix sums.
+_COUNT_CELLS = 1 << 18
 
 
 def _grid_level(points: np.ndarray, queries: np.ndarray,
                 radii: np.ndarray) -> np.ndarray:
-    """Fixed-radius query for radii within a factor of two of each other.
+    """Fixed-radius query for radii within a factor of two of each other,
+    on ``(2, m)`` points and ``(2, n)`` queries (one coordinate a row).
 
     True where ``sqrt(dx*dx + dy*dy) <= radii[i]`` for some point. Cell
-    (i, j) is [i h, (i+1) h) x [j h, (j+1) h) with h = min(radii) / 2,
-    so a point in a query's own cell lies within h * sqrt(2) ~ 0.71 r and
-    covers it with no distance computed. Any other query tests the points
-    in the row strips of cells spanning [q - r, q + r]: the 3 x 3 cells
-    around its own cell first, then, if none was near enough, all of
-    them. With the cells keyed row-major, each strip is one
-    ``searchsorted`` range of the sorted points.
+    (i, j) is [i h, (i+1) h) x [j h, (j+1) h) with h = min(radii) / 2.
+    A count grid, whose cells are blocks of 2^c x 2^c of these with the
+    least c that keeps it within ``_COUNT_CELLS`` cells, holds the
+    points per cell as a 2-D prefix-sum table, so two rectangle sums
+    settle most queries with no distance computed: a query is covered
+    when the count cells lying wholly inside the square of half-side
+    r / sqrt(2) around it, shrunk by a rounding pad, hold a point, and
+    not covered when the count cells spanning [q - r, q + r] hold none.
+    Any other query tests the points in the row strips of cells
+    spanning [q - r, q + r]: the 3 x 3 cells around its own cell first,
+    then, if none was near enough, all of them. With the cells keyed
+    row-major, each strip is one ``searchsorted`` range of the sorted
+    points.
     """
     h = 0.5 * radii.min()
-    # reach exceeds r by far more than the rounding of q - r and q + r,
-    # so no candidate's cell falls outside the strips
-    reach = (radii + 2.0 ** -40 * (np.abs(queries).sum(axis=1) + radii))[:, None]
+    # the pad exceeds by far the rounding of q - r and q + r, of a
+    # point's cell and of its distance to q: no candidate's cell falls
+    # outside the strips, and a point in the inner square lies within r
+    pad = 2.0 ** -40 * (np.abs(queries[0]) + np.abs(queries[1]) + radii)
+    reach = radii + pad
     lo, hi = queries - reach, queries + reach
     if max(-lo.min(), hi.max()) / h >= 2.0 ** 30:
         raise ValueError("eps_rel is too small for the grid query: "
                          "more than 2**31 cells a side")
-    points = points[np.all((points >= lo.min(axis=0)) & (points <= hi.max(axis=0)),
-                           axis=1)]
-    covered = np.zeros(len(queries), dtype=bool)
-    if len(points) == 0:
+    (x_lo, y_lo), (x_hi, y_hi) = lo.min(axis=1), hi.max(axis=1)
+    x, y = points
+    points = points.compress((x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi), axis=1)
+    covered = np.zeros(len(radii), dtype=bool)
+    if not points.size:
         return covered
 
     def cell(x):
         return np.floor(x / h).astype(np.int64)
 
     cell_lo = cell(lo)
-    corner = cell_lo.min(axis=0)
+    corner = cell_lo.min(axis=1)[:, None]
     cell_lo -= corner
     cell_hi, own, cells = cell(hi) - corner, cell(queries) - corner, cell(points) - corner
-    width = int(cell_hi[:, 0].max()) + 1
-    keys = cells[:, 1] * width + cells[:, 0]
+
+    # count cell c holds the cells c 2^shift ... (c + 1) 2^shift - 1;
+    # sums[j, i] counts the points in count cells below j and left of i
+    top, shift = cell_hi.max(axis=1), 0
+    while np.prod((top >> shift) + 1) > _COUNT_CELLS:
+        shift += 1
+    dims = ((top >> shift) + 1)[:, None]
+    stride = int(dims[0, 0]) + 1
+    sums = np.bincount(((cells[1] >> shift) + 1) * stride + (cells[0] >> shift) + 1,
+                       minlength=(int(dims[1, 0]) + 1) * stride).reshape(-1, stride)
+    np.cumsum(sums, axis=0, out=sums)
+    np.cumsum(sums, axis=1, out=sums)
+    sums = sums.ravel()
+
+    def in_cells(c_lo, c_hi):
+        """Points in the count cells from c_lo to c_hi, both included."""
+        (x0, y0) = a = np.minimum(np.maximum(c_lo, 0), dims)
+        (x1, y1) = np.maximum(np.minimum(c_hi + 1, dims), a)
+        y0, y1 = y0 * stride, y1 * stride
+        return sums[y1 + x1] - sums[y0 + x1] - sums[y1 + x0] + sums[y0 + x0]
+
+    half = radii / math.sqrt(2.0) - pad
+    inner_lo = np.ceil((queries - half) / h).astype(np.int64) - corner
+    inner_hi = np.floor((queries + half) / h).astype(np.int64) - corner - 1
+    # the count cells wholly inside: ceil(inner_lo / 2^shift) and on
+    covered = in_cells(-(-inner_lo >> shift), ((inner_hi + 1) >> shift) - 1) > 0
+    open_ = np.flatnonzero(~covered)
+    open_ = open_[in_cells(cell_lo.take(open_, axis=1) >> shift,
+                           cell_hi.take(open_, axis=1) >> shift) > 0]
+    if not open_.size:
+        return covered
+
+    width = int(top[0]) + 1
+    keys = cells[1] * width + cells[0]
     order = np.argsort(keys, kind="stable")
-    keys, points = keys[order], points[order]
-
-    own_keys = own[:, 1] * width + own[:, 0]
-    at = np.minimum(np.searchsorted(keys, own_keys), len(keys) - 1)
-    covered[keys[at] == own_keys] = True
-
+    keys, points = keys[order], points.take(order, axis=1)
     for window in (1, None):
-        rest = np.flatnonzero(~covered)
-        c_lo, c_hi = cell_lo[rest], cell_hi[rest]
+        rest = open_[~covered[open_]]
+        c_lo, c_hi = cell_lo.take(rest, axis=1), cell_hi.take(rest, axis=1)
         if window:
-            c_lo = np.maximum(c_lo, own[rest] - window)
-            c_hi = np.minimum(c_hi, own[rest] + window)
-        n_rows = c_hi[:, 1] - c_lo[:, 1] + 1
+            c_lo = np.maximum(c_lo, own.take(rest, axis=1) - window)
+            c_hi = np.minimum(c_hi, own.take(rest, axis=1) + window)
+        n_rows = c_hi[1] - c_lo[1] + 1
         per_batch = max(1, _PAIR_CHUNK // int(n_rows.max(initial=1)))
         for b in range(0, len(rest), per_batch):
             # one (query, row strip) entry per row each query spans
             rows = n_rows[b:b + per_batch]
             s = np.repeat(np.arange(b, b + len(rows)), rows)
             first = np.cumsum(rows) - rows
-            row = c_lo[s, 1] + np.arange(len(s)) - np.repeat(first, rows)
-            start = np.searchsorted(keys, row * width + c_lo[s, 0])
-            count = np.searchsorted(keys, row * width + c_hi[s, 0], side="right") - start
+            row = c_lo[1, s] + np.arange(len(s)) - np.repeat(first, rows)
+            start = np.searchsorted(keys, row * width + c_lo[0, s])
+            count = np.searchsorted(keys, row * width + c_hi[0, s], side="right") - start
             q = rest[s]
             ends = np.cumsum(count)
             # candidate pairs in chunks: pair k is the (k - first)-th point
@@ -488,10 +550,10 @@ def _grid_level(points: np.ndarray, queries: np.ndarray,
             for c in range(0, int(ends[-1]), _PAIR_CHUNK):
                 pair = np.arange(c, min(c + _PAIR_CHUNK, int(ends[-1])))
                 strip = np.searchsorted(ends, pair, side="right")
-                p = points[start[strip] + pair - (ends[strip] - count[strip])]
+                px, py = points.take(start[strip] + pair - (ends[strip] - count[strip]), axis=1)
                 qi = q[strip]
-                dx = queries[qi, 0] - p[:, 0]
-                dy = queries[qi, 1] - p[:, 1]
+                dx = queries[0, qi] - px
+                dy = queries[1, qi] - py
                 covered[qi[np.sqrt(dx * dx + dy * dy) <= radii[qi]]] = True
     return covered
 
@@ -507,11 +569,12 @@ def _grid_covered(points: np.ndarray, queries: np.ndarray,
     is either too coarse for the small ones or too fine for the large.
     """
     covered = np.zeros(len(queries), dtype=bool)
+    points, queries = np.ascontiguousarray(points.T), np.ascontiguousarray(queries.T)
     level = np.frexp(radii)[1]
     order = np.argsort(level, kind="stable")
     for idx in np.split(order, np.flatnonzero(np.diff(level[order])) + 1):
         if len(idx):                  # empty only when there are no queries
-            covered[idx] = _grid_level(points, queries[idx], radii[idx])
+            covered[idx] = _grid_level(points, queries.take(idx, axis=1), radii[idx])
     return covered
 
 

@@ -311,6 +311,24 @@ run.divergence_threshold = 1e300
         # the squared distance itself is past the largest float
         assert rows[0]["sq_dist"] == DIVERGED_TOKEN
 
+    @pytest.mark.parametrize("bound", ["bound.kind = contractive\nbound.c = 0.9\n",
+                                       "bound.kind = constant_tracking\n"],
+                             ids=["contractive", "constant_tracking"])
+    def test_bounds(self, tmp_path, bound):
+        code, rows = run_strict(tmp_path, """
+command = bounds
+scenario.name = periodic_1d
+algorithm.kind = forward
+algorithm.eta = 0.1
+run.horizon = 20
+run.z1 = 1e200
+run.divergence_threshold = 1e300
+""" + bound)
+        assert code == 0
+        # measured and bound are past the largest float: nothing holds
+        assert [(r["measured"], r["bound"], r["holds"]) for r in rows] == \
+            [(DIVERGED_TOKEN, DIVERGED_TOKEN, False)]
+
 
 class TestCliCommands:
     def test_track_alternating_quadratic_rows_and_exit(self, tmp_path):

@@ -1,13 +1,15 @@
 """Tests for the composed-map dynamics engine."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvvi import dynamics
-from tvvi.core import ConfigurationError, Domain
-from tvvi.dynamics import (IntervalMapError, _grid_covered, bifurcation_scan,
+from tvvi.core import ConfigurationError, Domain, Operator, rescale_overflowed_norms
+from tvvi.dynamics import (GDMap, IntervalMapError, _grid_covered, bifurcation_scan,
                            classify_eta, classify_orbit, compose_map, eta_grid,
                            iterate_orbit, newton_periodic_orbit, orbit_stability,
                            period3_search, radial_containment_score, star_scan)
@@ -128,6 +130,67 @@ class TestOrbits:
                     per_step_bounded = False
                     break
             assert composed.bounded == per_step_bounded
+
+
+class TestIterateBlocks:
+    """``_iterate`` tests divergence once per block of map periods; its
+    points and divergence periods must equal a per-period test's."""
+
+    THRESHOLD = 2.0 ** 1000
+    N_STEPS = 150                       # not a multiple of the block
+    MAGIC = 3.0 * 2.0 ** -10            # the operator turns this value into NaN
+
+    @staticmethod
+    def gd_map(etas):
+        # F(x) = -x doubles a row stepped with eta 1 (exactly, in powers
+        # of two) and keeps a row stepped with eta 0; a row reaching
+        # MAGIC goes NaN at its next step
+        op = Operator(fn=lambda X: np.where(X == TestIterateBlocks.MAGIC, np.nan, -X),
+                      dim=2)
+        return GDMap(ops=[op], domain=Domain.unbounded(2),
+                     eta=np.asarray(etas, dtype=float)[:, None], dim=2)
+
+    def reference(self, etas, x0, keep_from):
+        """Each row alone, its divergence tested after every period."""
+        points = np.full((self.N_STEPS + 1 - keep_from,) + x0.shape, np.nan)
+        diverged_at = np.full(len(x0), -1)
+        for i, (eta, x) in enumerate(zip(etas, x0)):
+            m, x = self.gd_map([eta]), x[None, :]
+            if keep_from == 0:
+                points[0, i] = x[0]
+            for s in range(1, self.N_STEPS + 1):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    x = m(x)
+                    norm = rescale_overflowed_norms(x, np.linalg.norm(x, axis=-1))[0]
+                if s >= keep_from:
+                    points[s - keep_from, i] = x[0]
+                if not norm <= self.THRESHOLD:
+                    diverged_at[i] = s
+                    break
+        return points, diverged_at
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("keep_from", [0, 40])
+    def test_blocks_match_a_test_per_period(self, monkeypatch, block, keep_from):
+        if block is not None:
+            monkeypatch.setattr(dynamics, "_CHECK_BLOCK", block)
+        # (eta, start, the period it diverges at, -1 for bounded)
+        rows = [(1.0, 2.0 ** (1001 - s), s) for s in (1, 7, 8, 63, 64, 65, 128, 150)]
+        rows += [
+            (1.0, np.nan, 1),                  # non-finite from the first step
+            (1.0, 3.0 * 2.0 ** -100, 91),      # reaches MAGIC at 90, NaN at 91
+            (0.0, 2.0 ** 600, -1),             # finite, its square overflows
+            (0.0, 2.0 ** 1000, -1),            # its norm is the threshold
+            (1.0, 2.0 ** -200, -1),
+        ]
+        etas = [r[0] for r in rows]
+        x0 = np.array([[r[1], 0.0] for r in rows])
+        want_points, want_at = self.reference(etas, x0, keep_from)
+        assert want_at.tolist() == [r[2] for r in rows]
+        points, at = dynamics._iterate(self.gd_map(etas), x0, self.N_STEPS,
+                                       self.THRESHOLD, keep_from=keep_from)
+        assert at.tolist() == want_at.tolist()
+        assert np.array_equal(points, want_points, equal_nan=True)
 
 
 class TestClassification:
@@ -385,18 +448,27 @@ def planar_clouds(draw):
 
 class TestGridQuery:
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(pts=planar_clouds(), eps=st.sampled_from([1e-3, 0.05, 0.25, 1.0, 4.0]))
-    def test_grid_coverage_equals_brute_force(self, pts, eps):
+    @given(pts=planar_clouds(), eps=st.sampled_from([1e-8, 1e-3, 0.05, 0.25, 1.0, 4.0]),
+           count_cells=st.sampled_from([dynamics._COUNT_CELLS, 1, 6]))
+    def test_grid_coverage_equals_brute_force(self, pts, eps, count_cells):
+        # a tiny count grid coarsens its cells, so that the strips
+        # settle nearly every query
+        with mock.patch.object(dynamics, "_COUNT_CELLS", count_cells):
+            self.check_coverage(pts, eps)
+
+    @staticmethod
+    def check_coverage(pts, eps):
         norms = np.linalg.norm(pts, axis=1)
         r = eps * norms
         fractions = np.linspace(0.0, 1.0, 9)
         segments = (fractions[None, :, None] * pts[:, None, :]).reshape(-1, 2)
         # the score's segment queries, and each point moved by its own
         # radius r along each axis (distance r, at the edge of the
-        # strips) and by 0.72 r along each diagonal (distance 1.02 r,
-        # inside a cell of side 0.75 r)
-        offsets = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
-                   [0.72, 0.72], [-0.72, 0.72], [0.72, -0.72], [-0.72, -0.72]]
+        # strips), by 0.72 r along each diagonal (distance 1.02 r, just
+        # outside the covering square of half-side r / sqrt(2)) and by
+        # 0.7 r (distance 0.99 r, just inside it)
+        offsets = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]] + [
+            [sx * a, sy * a] for a in (0.72, 0.7) for sx in (1, -1) for sy in (1, -1)]
         queries = np.vstack([segments] + [pts + r[:, None] * np.array(e) for e in offsets])
         radii = np.concatenate([np.repeat(r, 9), np.tile(r, len(offsets))])
         keep = radii > 0
