@@ -12,8 +12,7 @@ from .algorithms import (ContractiveForward, CyclicFB, CyclicFBLearner,
                          StepSchedule, Trajectory, forward_step,
                          make_surrogate, resolvent_step, run_tracker)
 from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
-                   analytic_solution, check_lipschitz, check_strong_monotone,
-                   evaluate, project)
+                   analytic_solution, check_constants, evaluate, project)
 from .dynamics import (GDMap, Orbit, bifurcation_scan, classify_eta,
                        compose_map, iterate_orbit, newton_periodic_orbit,
                        orbit_stability, period3_search, star_scan)
@@ -29,8 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "Domain", "Operator", "ProblemSequence",
-    "analytic_solution", "check_lipschitz", "check_strong_monotone",
-    "evaluate", "project",
+    "analytic_solution", "check_constants", "evaluate", "project",
     "ContractiveForward", "CyclicFB", "CyclicFBLearner", "MetaAdaptive",
     "MetaFixed", "MetaLearner", "Resolvent", "StepSchedule", "Trajectory",
     "forward_step", "make_surrogate", "resolvent_step", "run_tracker",

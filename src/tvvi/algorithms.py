@@ -19,8 +19,8 @@ call.
 ``run_tracker`` drives a learner for T rounds and returns a
 ``Trajectory`` of arrays: plays, operator values and solutions as
 ``(T, d)`` arrays, and for the meta-algorithms the weights as a
-``(T, K)`` array and the base plays, each preallocated for T rounds and
-sliced to the rounds run.
+``(T, K)`` array, each preallocated for T rounds and sliced to the
+rounds run.
 """
 
 from __future__ import annotations
@@ -387,21 +387,14 @@ class Trajectory:
     last one. ``op_values`` and ``solutions`` are ``(m, d)`` over the m
     completed rounds (m = n, or n - 1 after a divergence); ``solutions``
     is None when the sequence names none. A meta-algorithm's run also
-    has ``weights`` ``(m, K)``, the weights each round played with, and
-    ``per_base_plays`` ``(K, m, d)``, where ``per_base_plays[i][t]`` is
-    base i's play in round t + 1.
+    has ``weights`` ``(m, K)``, the weights each round played with.
     """
 
     plays: np.ndarray
     op_values: np.ndarray
     solutions: Optional[np.ndarray] = None
-    per_base_plays: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     diverged_at: Optional[int] = None        # 1-based round, None if bounded
-
-    @property
-    def horizon(self) -> int:
-        return len(self.plays)
 
     @property
     def diverged(self) -> bool:
@@ -431,10 +424,9 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
     # an adaptive sequence (no ``at``) names the solution in each response
     have_solutions = seq.at is None or seq.solution_at is not None
     solutions = np.empty((T, d)) if have_solutions else None
-    is_meta = hasattr(learner, "bank")      # also record weights and base plays
+    is_meta = hasattr(learner, "weights")   # also record the weights
     if is_meta:
-        K = len(learner.weights)
-        weights, base_plays = np.empty((T, K)), np.empty((T, K, d))
+        weights = np.empty((T, len(learner.weights)))
     # an infinite threshold still stops a play that is not finite
     limit = min(divergence_threshold, np.finfo(float).max)
     n, diverged_at = T, None            # rounds completed, divergence round
@@ -450,8 +442,8 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
             if not norm <= limit and not rescale_overflowed_norms(play, norm) <= limit:
                 n, diverged_at = i, t
                 break
-            if is_meta:     # the weights and the (K, d) block of base plays
-                weights[i], base_plays[i] = learner.weights, learner.base_plays
+            if is_meta:
+                weights[i] = learner.weights
 
             z_star, op = seq.respond(t, play)
             try:
@@ -466,7 +458,6 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
         plays=plays[:diverged_at or T],
         op_values=op_values[:n],
         solutions=solutions[:n] if have_solutions else None,
-        per_base_plays=base_plays[:n].transpose(1, 0, 2) if is_meta else None,
         weights=weights[:n] if is_meta else None,
         diverged_at=diverged_at,
     )

@@ -6,10 +6,10 @@ commands step every step size or start as one vectorized block in one
 process; --threads is still accepted but changes nothing.
 
 Exit status: 0 on success; 1 for a diverged run (with
---fail-on-divergence or run.fail_on_divergence) or a failed
-verification; 2 for an invalid config or a file that cannot be read or
-written; 3 for an unexpected exception, a defect in the program, whose
-traceback goes to standard error.
+--fail-on-divergence) or a failed verification; 2 for an invalid config
+or a file that cannot be read or written; 3 for an unexpected
+exception, a defect in the program, whose traceback goes to standard
+error.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 
 from . import algorithms as alg
 from . import dynamics, metrics
-from .config import (FIELDS, ConfigError, ExperimentConfig, _field_value,
-                     _vector_field, parse_config)
+from .config import (FIELDS, ExperimentConfig, _field_value, _vector_field,
+                     parse_config)
 from .core import ConfigurationError, rescale_overflowed_norms
 from .io import emit_rows
 from .scenarios import PARAMS, Scenario, build_scenario, verify_scenario
@@ -236,6 +236,7 @@ def _cmd_orbit(cfg: ExperimentConfig) -> tuple:
 
 def _cmd_star(cfg: ExperimentConfig) -> tuple:
     res = dynamics.star_scan(
+        build_scenario(cfg.scenario or "star_2d", cfg.scenario_params),
         eta=cfg.get("star.eta"), n_samples=cfg.get("star.samples"),
         sample_half_width=cfg.get("star.box"), n_steps=cfg.get("star.steps"),
         tail_fraction=cfg.get("star.tail_fraction"),
@@ -274,15 +275,13 @@ def run_experiment(cfg: ExperimentConfig, out_path: str, fmt: str,
                 "bifurcation": _cmd_bifurcation, "star": _cmd_star,
                 "verify": _cmd_verify}
     if cfg.command not in commands:
-        raise ConfigError([f"field 'command': unknown command {cfg.command!r}"])
+        raise ConfigurationError(f"field 'command': unknown command {cfg.command!r}")
     table, flagged = commands[cfg.command](cfg)
 
     emit_rows(table, fmt, out_path)
-    if cfg.command == "verify":
-        return EXIT_DIVERGED if flagged else EXIT_OK
-    if flagged and (fail_on_divergence or cfg.get("run.fail_on_divergence")):
-        return EXIT_DIVERGED
-    return EXIT_OK
+    # a failed verification always exits 1, a divergence only on request
+    failed = flagged and (fail_on_divergence or cfg.command == "verify")
+    return EXIT_DIVERGED if failed else EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -307,14 +306,13 @@ def main(argv=None) -> int:
             cfg = parse_config(fh.read())
         out = args.out or cfg.get("output.path")
         if out is None:
-            raise ConfigError(["field 'output.path': required (or pass --out)"])
+            raise ConfigurationError("field 'output.path': required (or pass --out)")
         fmt = args.format or cfg.get("output.format")
         return run_experiment(cfg, out, fmt,
                               fail_on_divergence=args.fail_on_divergence,
                               seed_override=args.seed)
-    except (ConfigError, ConfigurationError) as exc:
-        errors = getattr(exc, "errors", None) or [str(exc)]
-        for e in errors:
+    except ConfigurationError as exc:
+        for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

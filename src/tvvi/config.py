@@ -23,18 +23,6 @@ import numpy as np
 from .core import ConfigurationError, as_point
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; carries per-field messages."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
-
-
-_BOOLEANS = {"true": True, "yes": True, "on": True,
-             "false": False, "no": False, "off": False}
-
-
 COMMANDS = ("track", "bounds", "bifurcation", "orbit", "star", "verify")
 
 ALGORITHMS = ("forward", "resolvent", "cyclic_fb", "meta_fixed", "meta_adaptive")
@@ -47,7 +35,7 @@ MATRIX, MATRICES = "matrix", "matrices"
 
 
 class Spec(NamedTuple):
-    """One config key. ``type`` is int, float, bool, str, list (a vector
+    """One config key. ``type`` is int, float, str, list (a vector
     of floats), MATRIX, MATRICES or a tuple of the allowed strings;
     ``bound`` is a (rule, predicate) pair checked on the value, or on
     each coordinate of a vector."""
@@ -72,7 +60,6 @@ FIELDS = {
     "run.horizon": Spec(int, None, _POSITIVE, _TRACKING),
     "run.z1": Spec(list, None, None, _TRACKING),
     "run.divergence_threshold": Spec(float, 1e6, _POSITIVE, _TRACKING),
-    "run.fail_on_divergence": Spec(bool, False, None, _TRACKING),
     "algorithm.kind": Spec(ALGORITHMS, None, None, _TRACKING),
     "algorithm.eta": Spec(float, None, _POSITIVE, _TRACKING),
     "algorithm.period": Spec(int, None, _POSITIVE, _TRACKING),
@@ -165,10 +152,6 @@ def _coerce(kind, text: str):
         except ValueError:
             pass
         raise ValueError(_NUMBER_RULES[kind])
-    if kind is bool:
-        if text.lower() not in _BOOLEANS:
-            raise ValueError("must be true or false")
-        return _BOOLEANS[text.lower()]
     if isinstance(kind, tuple) and text not in kind:
         raise ValueError(f"must be one of {', '.join(kind)}")
     return text
@@ -191,7 +174,6 @@ def _is_matrix(x) -> bool:
 
 
 _PYTHON_TYPES = {
-    bool: ("must be true or false", lambda x: isinstance(x, (bool, np.bool_))),
     int: ("must be an integer", lambda x: isinstance(x, (int, np.integer))
           and not isinstance(x, bool)),
     float: ("must be a finite number", _is_number),
@@ -257,8 +239,8 @@ class ExperimentConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config; raises ConfigError listing every
-    offending field."""
+    """Parse and validate a config; raises ConfigurationError listing
+    every offending field."""
     errors = []
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -275,7 +257,7 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"field {key!r}: duplicated")
         pairs[key] = value
     if errors:
-        raise ConfigError(errors)
+        raise ConfigurationError(*errors)
 
     command = pairs.pop("command", None)
     if command is None:
@@ -283,7 +265,7 @@ def parse_config(text: str) -> ExperimentConfig:
     elif command not in COMMANDS:
         errors.append(f"field 'command': unknown command {command!r}")
     if errors:
-        raise ConfigError(errors)
+        raise ConfigurationError(*errors)
 
     cfg = ExperimentConfig(command=command, scenario=pairs.pop("scenario.name", None))
     for key, raw in pairs.items():
@@ -299,10 +281,10 @@ def parse_config(text: str) -> ExperimentConfig:
         except ConfigurationError as exc:
             errors.append(str(exc))
     if errors:
-        raise ConfigError(errors)
+        raise ConfigurationError(*errors)
     errors = _cross_check(cfg)
     if errors:
-        raise ConfigError(errors)
+        raise ConfigurationError(*errors)
     return cfg
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# Sampling box used by the check_* routines on unbounded domains. Covers
+# Sampling box of the verification checks on unbounded domains. Covers
 # every dynamics region exercised by the scenario catalog.
 SAMPLING_BOX_HALF_WIDTH = 10.0
 
@@ -26,7 +26,13 @@ _FLOAT = np.dtype(float)
 
 
 class ConfigurationError(ValueError):
-    """A required constant or parameter is missing or invalid."""
+    """Invalid input: a config field, constant or parameter that is
+    missing or invalid. ``errors`` holds one message per offending
+    field."""
+
+    def __init__(self, *errors: str):
+        self.errors = list(errors)
+        super().__init__("; ".join(self.errors))
 
 
 def as_point(x) -> np.ndarray:
@@ -132,7 +138,7 @@ class Operator:
 
     ``fn`` acts on the last axis: it maps ``(..., d)`` to ``(..., d)``,
     so one definition serves a learner's single point, a slot bank's
-    block of active slots and the sampled check_* routines' whole
+    block of active slots and check_constants' whole sampled
     ``(n, d)`` block. ``evals`` counts evaluated points and is the
     single mutable, diagnostic-only field.
     """
@@ -243,18 +249,6 @@ def check_constants(op: Operator, mu: Optional[float], lip: Optional[float],
         lhs = np.linalg.norm(fdiff, axis=1)
         lipschitz = bool(np.all(lhs <= lip * np.linalg.norm(diff, axis=1) + _ZERO_TOL))
     return monotone, lipschitz
-
-
-def check_strong_monotone(op: Operator, mu: float, domain: Domain,
-                          n_samples: int = 1000, seed: int = 0) -> bool:
-    """Sampled test of <F(z)-F(z'), z-z'> >= mu ||z-z'||^2."""
-    return check_constants(op, mu, None, domain, n_samples, seed)[0]
-
-
-def check_lipschitz(op: Operator, lip: float, domain: Domain,
-                    n_samples: int = 1000, seed: int = 0) -> bool:
-    """Sampled test of ||F(z)-F(z')|| <= lip ||z-z'||."""
-    return check_constants(op, None, lip, domain, n_samples, seed)[1]
 
 
 @dataclass

@@ -13,8 +13,8 @@ one-row case of the same code. Divergence is tested once per block of
 that step size or start run alone bit for bit when the operators' ``fn``
 rounds a row the same alone and in a block, as the exp-quadratic
 catalog does; the ``X @ A.T`` of ``Operator.from_affine`` may differ in
-the last bit for a non-diagonal ``A`` in d >= 2. Newton and stability
-derivatives use central differences with h = 1e-6.
+the last bit for a non-diagonal ``A`` in d >= 2. Stability derivatives
+use central differences with h = 1e-6, Newton's with h = 1e-4.
 
 The star score's fixed-radius query runs on uniform grids, one per
 power-of-two band of radii; per-cell point counts settle most queries
@@ -32,12 +32,23 @@ import numpy as np
 
 from .core import (ConfigurationError, Domain, _evaluate_block, as_point, project,
                    rescale_overflowed_norms)
-from .scenarios import Scenario, build_scenario
+from .scenarios import Scenario
 
-DIVERGENCE_THRESHOLD = 1000.0     # per the bifurcation protocol
+# the bifurcation protocol: orbits of 2000 steps, the first 1000 a
+# burn-in, that diverge past 1000 in norm
+DIVERGENCE_THRESHOLD = 1000.0
+PROTOCOL_STEPS = 2000
+PROTOCOL_BURN_IN = 1000
 PERIOD_TOL = 1e-8
 MAX_PERIOD = 64
 _DERIV_H = 1e-6
+# Newton's basins of the cycle points interleave finely, so the landing
+# point depends on its derivative step; 1e-4 gives the documented phase
+_NEWTON_H = 1e-4
+_NEWTON_MAX_ITER = 100
+# points at which period3_search checks that the map keeps its interval
+_INTERVAL_CHECK_N = 10_000
+_FIXED_POINT_TOL = 1e-9
 
 
 @dataclass
@@ -75,10 +86,6 @@ class GDMap:
     def rows(self, keep) -> "GDMap":
         """The map of the block rows selected by ``keep``."""
         return self if np.ndim(self.eta) == 0 else replace(self, eta=self.eta[keep])
-
-    @property
-    def k(self) -> int:
-        return len(self.ops)
 
 
 def compose_map(scenario: Scenario, eta) -> GDMap:
@@ -158,7 +165,6 @@ def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
 class Orbit:
     points: np.ndarray                    # (n, d): the start, then each step
     diverged_at: Optional[int] = None     # index into points, None if bounded
-    threshold: float = DIVERGENCE_THRESHOLD
 
     @property
     def bounded(self) -> bool:
@@ -172,9 +178,8 @@ def iterate_orbit(gd_map: GDMap, x0, n_steps: int,
                                    threshold)
     s = int(diverged_at[0])
     if s < 0:
-        return Orbit(points=points[:, 0], threshold=threshold)
-    return Orbit(points=points[:s + 1, 0], diverged_at=s,
-                 threshold=threshold)
+        return Orbit(points=points[:, 0])
+    return Orbit(points=points[:s + 1, 0], diverged_at=s)
 
 
 @dataclass(frozen=True)
@@ -188,13 +193,9 @@ class Classification:
         return self.kind
 
 
-def classify_eta(gd_map: GDMap, x0, n_steps: int = 2000, burn_in: int = 1000,
-                 tol: float = PERIOD_TOL, max_period: int = MAX_PERIOD) -> Classification:
-    """Classify the asymptotic behavior of the orbit from x0."""
-    if burn_in >= n_steps:
-        raise ValueError("burn_in must be smaller than n_steps")
-    orbit = iterate_orbit(gd_map, x0, n_steps)
-    return classify_orbit(orbit, burn_in, tol, max_period)
+def classify_eta(gd_map: GDMap, x0) -> Classification:
+    """Classify the asymptotic behavior of the protocol's orbit from x0."""
+    return classify_orbit(iterate_orbit(gd_map, x0, PROTOCOL_STEPS), PROTOCOL_BURN_IN)
 
 
 def classify_orbit(orbit: Orbit, burn_in: int, tol: float = PERIOD_TOL,
@@ -255,18 +256,17 @@ def eta_grid(lo: float, hi: float, n: int) -> list:
     return [lo + (hi - lo) * (i + 1) / n for i in range(n)]
 
 
-def bifurcation_scan(scenario: Scenario, x0, etas=None,
-                     eta_lo: float = 0.0, eta_hi: float = 8.0, eta_n: int = 3000,
-                     n_steps: int = 2000, burn_in: int = 1000,
+def bifurcation_scan(scenario: Scenario, x0, etas,
+                     n_steps: int = PROTOCOL_STEPS, burn_in: int = PROTOCOL_BURN_IN,
                      cell_lo: float = -10.0, cell_hi: float = 10.0,
                      n_cells: int = 1000,
                      threshold: float = DIVERGENCE_THRESHOLD,
                      tol: float = PERIOD_TOL,
                      max_period: int = MAX_PERIOD) -> ScanResult:
     """Per-step-size orbit classification with accumulation-cell
-    occupancy; defaults reproduce the full bifurcation protocol
-    (3000 step sizes on (0, 8], 2000 steps, 1000 cells on [-10, 10],
-    burn-in 1000, divergence threshold 1000, x0 = -0.1).
+    occupancy; defaults reproduce the bifurcation protocol (2000 steps,
+    1000 cells on [-10, 10], burn-in 1000, divergence threshold 1000),
+    whose step sizes are ``eta_grid(0.0, 8.0, 3000)`` from x0 = -0.1.
 
     Every step size is one row of one block stepped through the
     scenario's composed map; only the post-burn-in tail is kept. Rows
@@ -275,8 +275,6 @@ def bifurcation_scan(scenario: Scenario, x0, etas=None,
     if burn_in >= n_steps:
         raise ValueError("burn_in must be smaller than n_steps")
     x0 = as_point(x0)
-    if etas is None:
-        etas = eta_grid(eta_lo, eta_hi, eta_n)
     etas = [float(e) for e in etas]
     tails, diverged_at = _iterate(compose_map(scenario, etas),
                                   np.tile(x0, (len(etas), 1)), n_steps,
@@ -304,16 +302,13 @@ class PeriodicOrbit:
     residual: float
 
 
-def newton_periodic_orbit(gd_map: GDMap, p: int, x0, tol: float = 1e-10,
-                          max_iter: int = 100,
-                          h: float = 1e-4) -> Optional[PeriodicOrbit]:
+def newton_periodic_orbit(gd_map: GDMap, p: int, x0,
+                          tol: float = 1e-10) -> Optional[PeriodicOrbit]:
     """Newton's method on psi(x) = map^p(x) - x from x0 (1-D maps).
 
     Returns the refined fixed point of the p-th iterate together with
     its orbit, or None when the iteration breaks down or fails to meet
-    the tolerance. The Newton basins of the cycle points interleave
-    finely, so the landing point depends on the derivative step h; the
-    default reproduces the documented cycle phase.
+    the tolerance within ``_NEWTON_MAX_ITER`` steps.
     """
     if gd_map.dim != 1:
         raise ValueError("newton_periodic_orbit supports 1-D maps only")
@@ -324,14 +319,14 @@ def newton_periodic_orbit(gd_map: GDMap, p: int, x0, tol: float = 1e-10,
         return float(gd_map.power(np.array([u]), p)[0]) - u
 
     x = float(as_point(x0)[0])
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         r = psi(x)
         if abs(r) <= tol:
             orbit = [x]
             for _ in range(p - 1):
                 orbit.append(float(gd_map(np.array([orbit[-1]]))[0]))
             return PeriodicOrbit(fixed_point=x, orbit=tuple(orbit), residual=abs(r))
-        d = _central_derivative(psi, x, h)
+        d = _central_derivative(psi, x, _NEWTON_H)
         if abs(d) < 1e-12 or not math.isfinite(d):
             return None
         x = x - r / d
@@ -365,8 +360,7 @@ class IntervalMapError(ValueError):
     """The map does not send the interval into itself."""
 
 
-def period3_search(gd_map: GDMap, lo: float, hi: float, n_grid: int = 4000,
-                   tol: float = 1e-9, interval_check_n: int = 10_000) -> list:
+def period3_search(gd_map: GDMap, lo: float, hi: float, n_grid: int = 4000) -> list:
     """Locate period-3 points of a 1-D interval map.
 
     First verifies (on a sampled grid) that the map sends [lo, hi] into
@@ -380,7 +374,7 @@ def period3_search(gd_map: GDMap, lo: float, hi: float, n_grid: int = 4000,
     if n_grid < 2:
         return []
 
-    check = np.linspace(lo, hi, interval_check_n)
+    check = np.linspace(lo, hi, _INTERVAL_CHECK_N)
     mapped = gd_map(check[:, None])[:, 0]
     outside = np.flatnonzero(~((lo <= mapped) & (mapped <= hi)))
     if outside.size:
@@ -415,7 +409,7 @@ def period3_search(gd_map: GDMap, lo: float, hi: float, n_grid: int = 4000,
 
     out = []
     for r in sorted(roots):
-        if abs(r - float(gd_map(np.array([r]))[0])) < max(tol, 1e-9):
+        if abs(r - float(gd_map(np.array([r]))[0])) < _FIXED_POINT_TOL:
             continue                      # fixed point of the map itself
         if out and abs(r - out[-1]) < 1e-7:
             continue
@@ -621,10 +615,12 @@ def radial_containment_score(tail_points: np.ndarray, n_segment: int = 50,
     return int(np.count_nonzero((norms == 0.0) | (covered >= needed_fraction))) / m
 
 
-def star_scan(eta: float, n_samples: int = 100, sample_half_width: float = 500.0,
-              n_steps: int = 500, tail_fraction: float = 0.5, seed: int = 0,
-              threshold: float = 1e6, score_kwargs: dict = None) -> StarScanResult:
-    """Run the planar 2-periodic composition from seeded uniform starts.
+def star_scan(scenario: Scenario, eta: float, n_samples: int = 100,
+              sample_half_width: float = 500.0, n_steps: int = 500,
+              tail_fraction: float = 0.5, seed: int = 0,
+              threshold: float = 1e6) -> StarScanResult:
+    """Run a planar periodic scenario's composed map (``star_2d`` is
+    the catalog's star instance) from seeded uniform starts.
 
     Emits the tail points (last ``tail_fraction`` of each bounded
     orbit), the averaged norm series over bounded orbits, and the
@@ -632,10 +628,13 @@ def star_scan(eta: float, n_samples: int = 100, sample_half_width: float = 500.0
     from the wide start box overshoot the bifurcation threshold, so the
     default divergence cutoff is 1e6.
     """
+    if scenario.seq.dim != 2:
+        raise ConfigurationError(f"field 'scenario.name': {scenario.name!r} is not "
+                                 "planar, and the star scan needs two dimensions")
+    gd_map = compose_map(scenario, eta)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-sample_half_width, sample_half_width, size=(n_samples, 2))
-    points, diverged_at = _iterate(compose_map(build_scenario("star_2d"), eta),
-                                   starts, n_steps, threshold)
+    points, diverged_at = _iterate(gd_map, starts, n_steps, threshold)
     bounded = points[:, diverged_at < 0]                 # (n_steps + 1, n, 2)
     n_bounded = bounded.shape[1]
     series_sum = np.zeros(n_steps + 1)
@@ -646,8 +645,7 @@ def star_scan(eta: float, n_samples: int = 100, sample_half_width: float = 500.0
     keep_from = int((n_steps + 1) * (1.0 - tail_fraction))
     tail_points = bounded[keep_from:].transpose(1, 0, 2).reshape(-1, 2)
     avg = series_sum / n_bounded if n_bounded else np.full(n_steps + 1, np.inf)
-    score = radial_containment_score(tail_points, **(score_kwargs or {})) \
-        if n_bounded else 0.0
+    score = radial_containment_score(tail_points) if n_bounded else 0.0
     return StarScanResult(eta=eta, tail_points=tail_points, avg_norm_series=avg,
                           radial_score=score, n_diverged=n_samples - n_bounded,
                           n_samples=n_samples)

@@ -20,8 +20,9 @@ import numpy as np
 
 from .config import (MATRICES, MATRIX, Spec, _AT_LEAST_ONE, _NONNEGATIVE,
                      _POSITIVE, _field_value, _vector_field)
-from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
-                   as_point, check_constants, _evaluate_block, _sample_points)
+from .core import (SAMPLING_BOX_HALF_WIDTH, ConfigurationError, Domain, Operator,
+                   ProblemSequence, as_point, check_constants, _evaluate_block,
+                   _sample_points)
 
 # Upper envelope of the scalar curvature factor of u -> log(1 + e^{u^2/2});
 # the true supremum is ~1.3008, so declared constants pass sampled checks.
@@ -88,7 +89,6 @@ class Scenario:
     lip: Optional[float] = None
     gbound: Optional[float] = None
     period: Optional[int] = None
-    params: dict = field(default_factory=dict)
     initial_solution: Optional[np.ndarray] = None   # adversary's Z*_0
     checks: Checks = field(default_factory=Checks)
 
@@ -144,7 +144,7 @@ def build_quadratic_drift(p: dict) -> Scenario:
     seq = ProblemSequence(at=make_op, dim=dim, solution_at=center)
     # aperiodic: the first three rounds stand for the sequence
     return Scenario(name="quadratic_drift", seq=seq, domain=Domain.unbounded(dim),
-                    mu=float(eigs[0]), lip=float(eigs[-1]), params=p,
+                    mu=float(eigs[0]), lip=float(eigs[-1]),
                     checks=Checks(_round_checks(map(make_op, (1, 2, 3)))))
 
 
@@ -256,20 +256,20 @@ def build_exp_quadratic(p: dict) -> Scenario:
                           solution_at=lambda t: np.zeros(dim))
     return Scenario(name="exp_quadratic", seq=seq, domain=Domain.unbounded(dim),
                     mu=min(op.mu for op in ops), lip=max(op.lip for op in ops),
-                    period=k, params=p, checks=Checks(_round_checks(ops)))
+                    period=k, checks=Checks(_round_checks(ops)))
 
 
 def build_chaos_1d(p: dict) -> Scenario:
     """The 2-periodic scalar pair A = 0.25 (odd rounds) and A = 4."""
     return replace(build_exp_quadratic({"matrices": [[[0.25]], [[4.0]]]}),
-                   name="chaos_1d", params={})
+                   name="chaos_1d")
 
 
 def build_star_2d(p: dict) -> Scenario:
     """The 2-periodic planar pair with star-shaped limit sets."""
     return replace(build_exp_quadratic({"matrices": [[[0.75, 0.0], [0.0, 5.0]],
                                                      [[5.0, 1.0], [1.0, 0.75]]]}),
-                   name="star_2d", params={})
+                   name="star_2d")
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def build_kelly_auction(p: dict) -> Scenario:
     # the pseudo-gradient is checked at the first, middle and last round
     game = tuple((ops[t - 1], losses(t)) for t in sorted({1, k // 2, k} - {0}))
     return Scenario(name="kelly_auction", seq=seq, domain=domain, mu=lam,
-                    gbound=float(gbound), period=k, params=p,
+                    gbound=float(gbound), period=k,
                     checks=Checks(_round_checks(ops), game))
 
 
@@ -435,7 +435,7 @@ def build_streaming_regression(p: dict) -> Scenario:
     # aperiodic: the first three rounds stand for the sequence
     checks = Checks(tuple(_spectrum_check(t, make_op(t)) for t in (1, 2, 3)))
     return Scenario(name="streaming_regression", seq=seq,
-                    domain=Domain.unbounded(dim), mu=2.0 * lam, params=p, checks=checks)
+                    domain=Domain.unbounded(dim), mu=2.0 * lam, checks=checks)
 
 
 def _glm_links(scale: float) -> dict:
@@ -496,7 +496,7 @@ def build_glm(p: dict) -> Scenario:
     seq = ProblemSequence(at=make_op, dim=dim)
     # aperiodic: the first three rounds stand for the sequence
     return Scenario(name="glm", seq=seq, domain=Domain.unbounded(dim),
-                    mu=lam if lam > 0 else None, params=p,
+                    mu=lam if lam > 0 else None,
                     checks=Checks(tuple(map(checked, (1, 2, 3)))))
 
 
@@ -569,7 +569,7 @@ def build_rsi_game(p: dict) -> Scenario:
     a_values = p["a_values"]
     k = len(a_values)
     ops = [rsi_operator(a) for a in a_values]
-    lip = rsi_lipschitz(a_values) if p["estimate_lip"] else None
+    lip = rsi_lipschitz(a_values)
     checks = Checks(
         operators=tuple(OperatorCheck(f"t={t}", op, lip=lip) for t, op in enumerate(ops, 1)),
         game=tuple((op, lambda Z, a=a: rsi_losses(Z, a)) for op, a in zip(ops, a_values)),
@@ -577,7 +577,7 @@ def build_rsi_game(p: dict) -> Scenario:
     seq = ProblemSequence(at=lambda t: ops[(t - 1) % k], dim=2,
                           solution_at=lambda t: np.zeros(2))
     return Scenario(name="rsi_game", seq=seq, domain=Domain.unbounded(2), mu=RSI_MU,
-                    lip=lip, period=k, params=p, checks=checks)
+                    lip=lip, period=k, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +639,7 @@ def build_lower_bound_adversary(p: dict) -> Scenario:
     first = adversary_step(AdversaryState(prev=0.0), np.array([0.3]))[1]
     return Scenario(name="lower_bound_adversary", seq=seq,
                     domain=Domain.interval(-1.0, 1.0), mu=1.0, lip=1.0,
-                    initial_solution=np.array([p["z0"]]), params=p,
+                    initial_solution=np.array([p["z0"]]),
                     checks=Checks(_round_checks([first])))
 
 
@@ -688,8 +688,7 @@ PARAMS: dict = {
         "z_star": Spec(list, None)},
     "rsi_game": {
         "a_values": Spec(list, (0.0, 0.5, 1.0, 0.5), ("must be in [0, 1]",
-                                                       lambda x: 0 <= x <= 1)),
-        "estimate_lip": Spec(bool, True)},
+                                                       lambda x: 0 <= x <= 1))},
     "lower_bound_adversary": {
         "z0": Spec(float, 0.0, ("must be -1, 0 or 1", lambda x: x in (-1, 0, 1)))},
 }
@@ -722,10 +721,15 @@ def _central_differences(fn, X: np.ndarray, h: float) -> np.ndarray:
     return (values[:, :d] - values[:, d:]) / (2.0 * h)
 
 
-def rsi_grid_inequality(a: float, grid_n: int = 201, half: float = 10.0) -> float:
-    """Minimum of <F(z), z> / ||z||^2 over the verification grid; the
-    restricted secant inequality asks for at least 1/4."""
-    xs = np.linspace(-half, half, grid_n)
+RSI_SECANT_GRID_N = 101     # grid points a side of the secant check
+
+
+def rsi_grid_inequality(a: float) -> float:
+    """Minimum of <F(z), z> / ||z||^2 over the verification grid, the
+    sampling box's square; the restricted secant inequality asks for at
+    least 1/4."""
+    half = SAMPLING_BOX_HALF_WIDTH
+    xs = np.linspace(-half, half, RSI_SECANT_GRID_N)
     Z = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
     Z = Z[np.any(Z != 0, axis=1)]          # the ratio is undefined at 0
     G = _evaluate_block(rsi_operator(a), Z)
@@ -753,7 +757,7 @@ def verify_scenario(sc: Scenario, n_samples: int = 10_000, seed: int = 0,
         # True (not true) as the benchmark's recorded reference expects
         add("pseudo_gradient_partials", f"max_err={err:.3e}", err <= 1e-6)
     for a in checks.secant:
-        m = rsi_grid_inequality(a, grid_n=101)
+        m = rsi_grid_inequality(a)
         add("rsi_inequality", f"a={a} min_factor={m:.4f}", m >= RSI_MU)
 
     for idx, (label, op, mu, lip) in enumerate(checks.operators, start=1):

@@ -240,13 +240,14 @@ def test_criterion_12_bifurcation_reduced():
 
 
 def test_criterion_13_star_attractor():
-    res_04 = star_scan(0.4, n_samples=100, n_steps=500, seed=13)
+    star = build_scenario("star_2d")
+    res_04 = star_scan(star, 0.4, n_samples=100, n_steps=500, seed=13)
     ok_04 = res_04.n_diverged == 0 and res_04.avg_norm_series[-1] < 1e-3
-    res_05 = star_scan(0.5, n_samples=100, n_steps=500, seed=13)
+    res_05 = star_scan(star, 0.5, n_samples=100, n_steps=500, seed=13)
     ok_05 = res_05.all_diverged
     best = None
     for eta in np.arange(0.55, 1.51, 0.05):
-        res = star_scan(float(eta), n_samples=60, n_steps=400, seed=13)
+        res = star_scan(star, float(eta), n_samples=60, n_steps=400, seed=13)
         if res.n_diverged == 0 and res.radial_score > 0.8:
             best = res
             break

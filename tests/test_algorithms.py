@@ -350,18 +350,17 @@ class TestMetaAdaptive:
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) <= 1e-12
 
-    def test_per_base_plays_shape(self):
+    def test_play_is_the_weighted_base_plays(self):
         sc = periodic_quadratic([[1.0], [-1.0]])
-        algo = MetaAdaptive(K=4, mu=sc.mu, lip=sc.lip)
-        T = 40
-        traj = run_tracker(sc.seq, algo, sc.domain, [3.0], T)
-        assert len(traj.per_base_plays) == 4
-        assert all(len(plays) == T for plays in traj.per_base_plays)
-        # the played point is the weighted combination of the base plays
-        for t in range(T):
-            combo = sum(w * traj.per_base_plays[i][t]
-                        for i, w in enumerate(traj.weights[t]))
-            assert np.allclose(combo, traj.plays[t], atol=1e-12)
+        learner = MetaAdaptive(K=4, mu=sc.mu, lip=sc.lip).start(np.array([3.0]),
+                                                                sc.domain)
+        for t in range(1, 41):
+            z = learner.play(t)
+            assert learner.base_plays.shape == (4, 1)
+            # the played point is the weighted combination of the base plays
+            combo = sum(w * b for w, b in zip(learner.weights, learner.base_plays))
+            assert np.allclose(combo, z, atol=1e-12)
+            learner.observe(t, sc.seq.respond(t, z)[1])
 
 
 def dict_dedupe(P):
@@ -591,10 +590,9 @@ class TestRunTracker:
         assert traj.plays.shape == traj.op_values.shape == traj.solutions.shape \
             == (T, 2)
         assert traj.weights.shape == (T, K)
-        assert traj.per_base_plays.shape == (K, T, 2)
         forward = run_tracker(sc.seq, ContractiveForward(0.1), sc.domain, [1.0, -1.0], T)
         assert forward.plays.shape == (T, 2)
-        assert forward.weights is None and forward.per_base_plays is None
+        assert forward.weights is None
 
     @pytest.mark.parametrize("threshold", [1e6, math.inf])
     def test_nonfinite_play_diverges(self, threshold):

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvvi import cli
+from tvvi import cli, scenarios
 from tvvi.cli import main
-from tvvi.config import FIELDS, MATRICES, MATRIX, ConfigError, _coerce, parse_config
+from tvvi.config import FIELDS, MATRICES, MATRIX, _coerce, parse_config
+from tvvi.core import ConfigurationError
 from tvvi.io import DIVERGED_TOKEN, emit_rows, read_rows
 from tvvi.scenarios import PARAMS
 
@@ -64,26 +65,26 @@ class TestParseConfig:
         assert cfg.get("dynamics.x0") == -0.1
 
     def test_negative_eta_names_field(self):
-        with pytest.raises(ConfigError, match="algorithm.eta"):
+        with pytest.raises(ConfigurationError, match="algorithm.eta"):
             parse_config(MINIMAL_TRACK.replace("eta = 1.0", "eta = -1"))
 
     @pytest.mark.parametrize("kind, key", [("cyclic_fb", "algorithm.period"),
                                            ("meta_adaptive", "algorithm.k")])
     def test_zero_period_or_k_names_field(self, kind, key):
         text = MINIMAL_TRACK.replace("kind = forward", f"kind = {kind}")
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigurationError, match=key):
             parse_config(text + f"{key} = 0\n")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="run.bogus"):
+        with pytest.raises(ConfigurationError, match="run.bogus"):
             parse_config(MINIMAL_TRACK + "run.bogus = 3\n")
 
     def test_unknown_command(self):
-        with pytest.raises(ConfigError, match="command"):
+        with pytest.raises(ConfigurationError, match="command"):
             parse_config("command = dance\n")
 
     def test_missing_required_fields_collected(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ConfigurationError) as err:
             parse_config("command = track\nscenario.name = periodic_1d\n")
         msg = str(err.value)
         assert "algorithm.kind" in msg
@@ -100,13 +101,13 @@ class TestParseConfig:
         assert isinstance(cfg.get("algorithm.eta"), float)
 
     def test_run_seed_is_unknown_key(self):
-        with pytest.raises(ConfigError, match="'run.seed': unknown key"):
+        with pytest.raises(ConfigurationError, match="'run.seed': unknown key"):
             parse_config(MINIMAL_TRACK + "run.seed = 3\n")
 
     def test_constant_schedule_requires_eta(self):
         text = MINIMAL_TRACK.replace("kind = forward", "kind = cyclic_fb")
         text = text.replace("algorithm.eta = 1.0\n", "")
-        with pytest.raises(ConfigError, match="algorithm.eta"):
+        with pytest.raises(ConfigurationError, match="algorithm.eta"):
             parse_config(text + "algorithm.period = 2\nalgorithm.schedule = constant\n")
 
     def test_scenario_values_kept_as_text(self):
@@ -134,6 +135,17 @@ class TestParseConfig:
                 and re.fullmatch(r"[a-z]+\.[a-z0-9_]+", node.value)
                 and node.value.split(".")[0] in sections}
         assert read == set(FIELDS)
+
+    def test_builders_read_exactly_their_table_keys(self):
+        # each builder reads, as p["..."], every parameter its PARAMS
+        # table defines and no other: no dead or undefined parameter
+        tree = ast.parse(Path(scenarios.__file__).read_text(encoding="utf-8"))
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name, builder in scenarios.BUILDERS.items():
+            read = {node.slice.value for node in ast.walk(defs[builder.__name__])
+                    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id == "p" and isinstance(node.slice, ast.Constant)}
+            assert read == set(PARAMS[name]), name
 
 
 class TestEmitRows:
@@ -434,6 +446,18 @@ star.steps = 100
         assert rows[-1]["avg_norm"] < 1e-3
         assert rows[0]["n_diverged"] == 0
 
+    @pytest.mark.parametrize("output", ["series", "tail"])
+    def test_star_runs_its_scenario(self, tmp_path, output):
+        # exp_quadratic with star_2d's two matrices is the default star_2d
+        text = SMALL_STAR.replace("0.4", "1.35") + f"star.output = {output}\n"
+        default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        assert main(["--config", write_cfg(tmp_path, text), "--out", str(default)]) == 0
+        cfg = write_cfg(tmp_path, text + "scenario.name = exp_quadratic\n"
+                        "scenario.matrices = 0.75,0;0,5|5,1;1,0.75\n", name="eq.cfg")
+        assert main(["--config", cfg, "--out", str(explicit)]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+        assert len(default.read_text().splitlines()) > 2
+
     def test_star_command_imports_no_scipy(self, tmp_path):
         # the star score is numpy only; a fresh interpreter shows what a
         # whole star run imports
@@ -719,7 +743,6 @@ class TestScenarioParams:
         ("streaming_regression", "scenario.growth = -5", "scenario.growth"),
         ("streaming_regression", "scenario.lam_reg = nan", "scenario.lam_reg"),
         ("glm", "scenario.link = probit", "scenario.link"),
-        ("rsi_game", "scenario.estimate_lip = 0", "scenario.estimate_lip"),
         ("kelly_auction", "scenario.budgets = 1,1", "scenario.budgets"),
         ("glm", "scenario.z_star = 1,2,3", "scenario.z_star"),
         ("quadratic_drift", "scenario.dim = 3\nscenario.c1 = 1,2", "scenario.c1"),
@@ -729,13 +752,25 @@ class TestScenarioParams:
         ("chaos_1d", "scenario.bogus = 1", "scenario.bogus")],
         ids=["drift_dim_2.5", "rsi_a_values_empty", "stream_growth_-5",
              "stream_lam_reg_nan", "glm_link_probit",
-             "rsi_estimate_lip_0", "kelly_budgets_length", "glm_z_star_length",
+             "kelly_budgets_length", "glm_z_star_length",
              "drift_c1_length", "drift_matrix_shape", "exp_matrices_sizes",
              "unknown_param"])
     def test_bad_scenario_value_exit_code(self, tmp_path, capsys, name, given, field):
         cfg = write_cfg(tmp_path, f"{SMALL_VERIFY.replace('chaos_1d', name)}{given}\n")
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        (MINIMAL_TRACK + "run.fail_on_divergence = true\n", "run.fail_on_divergence"),
+        (SMALL_VERIFY.replace("chaos_1d", "rsi_game") + "scenario.estimate_lip = true\n",
+         "scenario.estimate_lip")],
+        ids=["run.fail_on_divergence", "scenario.estimate_lip"])
+    def test_removed_key_exit_code(self, tmp_path, capsys, text, key):
+        # --fail-on-divergence does the first key's job, and rsi_game
+        # always estimates its Lipschitz constant
+        cfg = write_cfg(tmp_path, text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"field '{key}': unknown" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["track", "verify"])
     def test_asymmetric_matrices_exit_code(self, tmp_path, capsys, command):
@@ -772,9 +807,16 @@ class TestScenarioParams:
          "dynamics.x0"),
         (SMALL_SCAN.replace("chaos_1d", "quadratic_drift"), "scenario.name"),
         ("command = orbit\nscenario.name = quadratic_drift\ndynamics.eta = 0.4\n",
+         "scenario.name"),
+        (SMALL_STAR + "scenario.name = chaos_1d\nscenario.bogus = 3\n", "scenario.bogus"),
+        (SMALL_STAR + "scenario.bogus = 3\n", "scenario.bogus"),
+        (SMALL_STAR + "scenario.name = chaos_1d\n", "scenario.name"),
+        (SMALL_STAR + "scenario.name = quadratic_drift\nscenario.dim = 2\n",
          "scenario.name")],
         ids=["kelly_z1_length", "orbit_x0_length", "bifurcation_x0_length",
-             "orbit_default_x0_2d", "bifurcation_aperiodic", "orbit_aperiodic"])
+             "orbit_default_x0_2d", "bifurcation_aperiodic", "orbit_aperiodic",
+             "star_chaos_bogus", "star_default_bogus", "star_not_planar",
+             "star_aperiodic"])
     def test_scenario_dependent_exit_code(self, tmp_path, capsys, text, field):
         cfg = write_cfg(tmp_path, text)
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
@@ -797,3 +839,4 @@ class TestScenarioParams:
         cfg2 = write_cfg(tmp_path, text + f"{key} = 2\n", name="two.cfg")
         assert main(["--config", cfg2, "--out", str(plain)]) == 0
         assert flagged.read_bytes() == plain.read_bytes()
+

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from tvvi.core import (Domain, Operator, analytic_solution, check_constants,
-                       check_lipschitz, check_strong_monotone, evaluate, project,
-                       rescale_overflowed_norms)
+                       evaluate, project, rescale_overflowed_norms)
 
 
 class TestProjection:
@@ -168,32 +167,32 @@ class TestSampledChecks:
     def test_identity_mu_one(self):
         op = Operator.from_affine([[1.0]], [0.0])
         dom = Domain.unbounded(1)
-        assert check_strong_monotone(op, 1.0, dom, 500, seed=1)
-        assert not check_strong_monotone(op, 2.0, dom, 500, seed=1)
+        assert check_constants(op, 1.0, None, dom, 500, seed=1)[0]
+        assert not check_constants(op, 2.0, None, dom, 500, seed=1)[0]
 
     def test_scaling_lipschitz(self):
         op = Operator.from_affine([[8.0]], [0.0])
         dom = Domain.unbounded(1)
-        assert check_lipschitz(op, 8.0, dom, 500, seed=2)
-        assert not check_lipschitz(op, 7.0, dom, 500, seed=2)
+        assert check_constants(op, None, 8.0, dom, 500, seed=2)[1]
+        assert not check_constants(op, None, 7.0, dom, 500, seed=2)[1]
 
     def test_chaos_component_constants(self):
         # odd component: (1/8)-strongly monotone, (1.31/4)-Lipschitz
         f1 = exp_quadratic_1d(0.25)
         dom = Domain.unbounded(1)
-        assert check_strong_monotone(f1, 1.0 / 8.0, dom, 2000, seed=3)
-        assert check_lipschitz(f1, 1.31 / 4.0, dom, 2000, seed=3)
+        assert check_constants(f1, 1.0 / 8.0, None, dom, 2000, seed=3)[0]
+        assert check_constants(f1, None, 1.31 / 4.0, dom, 2000, seed=3)[1]
         # even component: 2-strongly monotone, 5.24-Lipschitz
         f2 = exp_quadratic_1d(4.0)
-        assert check_strong_monotone(f2, 2.0, dom, 2000, seed=4)
-        assert check_lipschitz(f2, 5.24, dom, 2000, seed=4)
+        assert check_constants(f2, 2.0, None, dom, 2000, seed=4)[0]
+        assert check_constants(f2, None, 5.24, dom, 2000, seed=4)[1]
 
     def test_row_only_fn_rejected(self):
         # indexing x[0] reads the first row of a block, not a coordinate
         op = Operator(fn=lambda x: np.array([2.0 * x[0]]), dim=1)
         assert evaluate(op, [1.5])[0] == 3.0
         with pytest.raises(ValueError, match="last axis"):
-            check_lipschitz(op, 2.0, Domain.unbounded(1), 50, seed=0)
+            check_constants(op, None, 2.0, Domain.unbounded(1), 50, seed=0)[1]
 
     @pytest.mark.parametrize("mu, lip", [(0.75, 2.25), (0.85, 2.1), (None, 2.25),
                                          (0.75, None)])
@@ -203,8 +202,9 @@ class TestSampledChecks:
         dom = Domain.unbounded(2)
         got = check_constants(op, mu, lip, dom, 400, seed=6)
         assert op.evals == 800
-        assert got == (None if mu is None else check_strong_monotone(op, mu, dom, 400, seed=6),
-                       None if lip is None else check_lipschitz(op, lip, dom, 400, seed=6))
+        # each constant alone gives the same answer
+        assert got == (check_constants(op, mu, None, dom, 400, seed=6)[0],
+                       check_constants(op, None, lip, dom, 400, seed=6)[1])
         assert got[0] is (None if mu is None else mu < 0.79)
         assert got[1] is (None if lip is None else lip > 2.21)
         assert check_constants(op, None, None, dom, 400, seed=6) == (None, None)
@@ -212,6 +212,6 @@ class TestSampledChecks:
     def test_deterministic_given_seed(self):
         op = exp_quadratic_1d(4.0)
         dom = Domain.interval(-3.0, 3.0)
-        a = check_strong_monotone(op, 1.9, dom, 300, seed=5)
-        b = check_strong_monotone(op, 1.9, dom, 300, seed=5)
+        a = check_constants(op, 1.9, None, dom, 300, seed=5)[0]
+        b = check_constants(op, 1.9, None, dom, 300, seed=5)[0]
         assert a == b

@@ -9,16 +9,22 @@ from hypothesis import strategies as st
 
 from tvvi import dynamics
 from tvvi.core import ConfigurationError, Domain, Operator, rescale_overflowed_norms
-from tvvi.dynamics import (GDMap, IntervalMapError, _grid_covered, bifurcation_scan,
-                           classify_eta, classify_orbit, compose_map, eta_grid,
-                           iterate_orbit, newton_periodic_orbit, orbit_stability,
-                           period3_search, radial_containment_score, star_scan)
+from tvvi.dynamics import (DIVERGENCE_THRESHOLD, GDMap, IntervalMapError,
+                           _grid_covered, bifurcation_scan, classify_eta,
+                           classify_orbit, compose_map, eta_grid, iterate_orbit,
+                           newton_periodic_orbit, orbit_stability, period3_search,
+                           radial_containment_score, star_scan)
 from tvvi.scenarios import build_scenario, periodic_quadratic
 
 
 @pytest.fixture(scope="module")
 def chaos():
     return build_scenario("chaos_1d")
+
+
+@pytest.fixture(scope="module")
+def star():
+    return build_scenario("star_2d")
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +58,7 @@ class TestComposeMap:
     def test_k1_is_single_map(self):
         sc = periodic_quadratic([[0.0]])
         m = compose_map(sc, 0.5)
-        assert m.k == 1
+        assert len(m.ops) == 1
         assert m(np.array([2.0]))[0] == pytest.approx(1.0)
 
     def test_eta2_expands(self, chaos):
@@ -108,7 +114,7 @@ class TestOrbits:
     def test_eta2_diverges(self, chaos):
         orbit = iterate_orbit(compose_map(chaos, 2.0), [0.01], 2000)
         assert not orbit.bounded
-        assert abs(orbit.points[orbit.diverged_at][0]) > orbit.threshold
+        assert abs(orbit.points[orbit.diverged_at][0]) > DIVERGENCE_THRESHOLD
 
     def test_fixed_point_constant_orbit(self, chaos):
         orbit = iterate_orbit(compose_map(chaos, 0.7), [0.0], 50)
@@ -348,24 +354,24 @@ class TestPeriodThree:
 
 
 class TestStarScan:
-    def test_converged_low_eta(self):
-        res = star_scan(0.4, n_samples=30, n_steps=200, seed=0)
+    def test_converged_low_eta(self, star):
+        res = star_scan(star, 0.4, n_samples=30, n_steps=200, seed=0)
         assert res.n_diverged == 0
         assert res.avg_norm_series[-1] < 1e-3
 
-    def test_divergence_at_half(self):
-        res = star_scan(0.5, n_samples=30, n_steps=200, seed=0)
+    def test_divergence_at_half(self, star):
+        res = star_scan(star, 0.5, n_samples=30, n_steps=200, seed=0)
         assert res.all_diverged
 
-    def test_star_regime_score(self):
-        res = star_scan(1.35, n_samples=60, n_steps=400, seed=0)
+    def test_star_regime_score(self, star):
+        res = star_scan(star, 1.35, n_samples=60, n_steps=400, seed=0)
         assert res.n_diverged == 0
         assert res.radial_score > 0.8
 
-    def test_matches_one_orbit_per_start(self):
+    def test_matches_one_orbit_per_start(self, star):
         # the reference: each start alone through iterate_orbit
-        res = star_scan(1.35, n_samples=20, n_steps=300, seed=5)
-        m = compose_map(build_scenario("star_2d"), 1.35)
+        res = star_scan(star, 1.35, n_samples=20, n_steps=300, seed=5)
+        m = compose_map(star, 1.35)
         starts = np.random.default_rng(5).uniform(-500.0, 500.0, size=(20, 2))
         tails, series = [], np.zeros(301)
         for x0 in starts:
@@ -395,9 +401,9 @@ class TestStarScan:
     def test_radial_score_spokes_are_high(self, spokes):
         assert radial_containment_score(spokes) > 0.95
 
-    def test_radial_score_is_chunk_independent(self, monkeypatch, ring, spokes):
+    def test_radial_score_is_chunk_independent(self, monkeypatch, star, ring, spokes):
         # a 7-pair chunk splits strips and queries at every boundary
-        tail = star_scan(1.35, n_samples=10, n_steps=200, seed=0).tail_points
+        tail = star_scan(star, 1.35, n_samples=10, n_steps=200, seed=0).tail_points
         clouds = [(tail, {"max_scored": 300}), (ring, {"max_scored": 150}),
                   (spokes, {"max_scored": 150})]
         before = [radial_containment_score(pts, **kw) for pts, kw in clouds]

@@ -148,7 +148,7 @@ class TestCatalog:
 
     def test_rsi_grid_inequality(self):
         for a in (0.0, 0.5, 1.0):
-            assert rsi_grid_inequality(a, grid_n=101) >= 0.25
+            assert rsi_grid_inequality(a) >= 0.25
 
     def test_rsi_lipschitz_envelope(self):
         # analytic envelope: |J| <= 10 plus unit off-diagonal coupling
