@@ -138,15 +138,14 @@ def _build_bound(cfg: ExperimentConfig, sc: Scenario,
         G = cfg.get("bound.g") or max((_norm(g) for g in traj.op_values),
                                       default=math.nan)
         return partial(metrics.cyclic_regret_bound, k=_constant(cfg, "bound.k", sc.period),
-                       G=G, mu=float(_constant(cfg, "bound.mu", sc.mu)), T=T)
+                       G=G, mu=float(sc.mu), T=T)
     if kind in ("aggregation_regret", "aggregation_tracking"):
         formula = metrics.aggregation_regret_bound if kind == "aggregation_regret" \
             else metrics.aggregation_tracking_bound
         return partial(formula, G=float(_constant(cfg, "bound.g", sc.gbound)),
-                       mu=float(_constant(cfg, "bound.mu", sc.mu)),
-                       D=float(_constant(cfg, "bound.d", sc.diameter)),
+                       mu=float(sc.mu), D=float(_constant(cfg, "bound.d", sc.diameter)),
                        k=_constant(cfg, "bound.k", sc.period),
-                       K=cfg.get("bound.big_k", cfg.get("algorithm.k", 1)), T=T)
+                       K=cfg.get("algorithm.k", 1), T=T)
     if kind == "constant_tracking":
         kappa = cfg.get("bound.kappa")
         if kappa is None:
@@ -154,14 +153,11 @@ def _build_bound(cfg: ExperimentConfig, sc: Scenario,
                 raise ConfigurationError("field 'bound.kappa': required, the "
                                          "scenario does not define mu and L")
             kappa = sc.lip / sc.mu
-        D0 = cfg.get("bound.d0")
-        if D0 is None:
-            k = sc.period or 1
-            D0 = max((_norm(traj.plays[0] - s) for s in traj.solutions[:k]),
-                     default=math.nan)
+        D0 = max((_norm(traj.plays[0] - s) for s in traj.solutions[:sc.period or 1]),
+                 default=math.nan)
         return partial(metrics.constant_tracking_bound, D0=D0, kappa=kappa,
                        k=cfg.get("bound.k", sc.period or 1),
-                       K=cfg.get("bound.big_k", cfg.get("algorithm.k", 1)))
+                       K=cfg.get("algorithm.k", 1))
     return partial(metrics.adversarial_lower_bound,       # adversarial_lb
                    D=float(_constant(cfg, "bound.d", sc.diameter)), T=T)
 
@@ -183,8 +179,7 @@ def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
             if which == "tracking":
                 measured = metrics.tracking_error(traj)
             else:
-                measured = metrics.dynamic_regret(traj, traj.solutions,
-                                                  cfg.get("bound.mu", sc.mu) or 0.0)
+                measured = metrics.dynamic_regret(traj, traj.solutions, sc.mu)
         try:
             bound = formula()
         except OverflowError:
@@ -207,17 +202,16 @@ def _cmd_bifurcation(cfg: ExperimentConfig) -> tuple:
     extra = cfg.get("dynamics.extra_etas")
     if extra is not None:
         etas = sorted(set(etas) | set(extra))
-    result = dynamics.bifurcation_scan(
+    rows = dynamics.bifurcation_scan(
         sc, _vector_field("dynamics.x0", cfg.get("dynamics.x0"), sc.seq.dim),
         etas=etas,
         n_steps=cfg.get("dynamics.steps"), burn_in=cfg.get("dynamics.burn_in"),
         cell_lo=cfg.get("dynamics.cell_lo"), cell_hi=cfg.get("dynamics.cell_hi"),
-        n_cells=cfg.get("dynamics.cells"), threshold=cfg.get("dynamics.threshold"),
-        tol=cfg.get("dynamics.tol"), max_period=cfg.get("dynamics.max_period"))
-    table = {"eta": [r.eta for r in result.rows],
-             "classification": [str(r.classification) for r in result.rows],
-             "cells": [";".join(map(str, r.occupied_cells)) for r in result.rows]}
-    all_diverged = all(r.classification.kind == "diverged" for r in result.rows)
+        n_cells=cfg.get("dynamics.cells"), threshold=cfg.get("dynamics.threshold"))
+    table = {"eta": [r.eta for r in rows],
+             "classification": [str(r.classification) for r in rows],
+             "cells": [";".join(map(str, r.occupied_cells)) for r in rows]}
+    all_diverged = all(r.classification.kind == "diverged" for r in rows)
     return table, all_diverged
 
 
@@ -239,8 +233,7 @@ def _cmd_star(cfg: ExperimentConfig) -> tuple:
         build_scenario(cfg.scenario or "star_2d", cfg.scenario_params),
         eta=cfg.get("star.eta"), n_samples=cfg.get("star.samples"),
         sample_half_width=cfg.get("star.box"), n_steps=cfg.get("star.steps"),
-        tail_fraction=cfg.get("star.tail_fraction"),
-        seed=cfg.get("star.seed"), threshold=cfg.get("star.threshold"))
+        seed=cfg.get("star.seed"))
     if cfg.get("star.output") == "tail":
         P = res.tail_points
         table = {"i": np.arange(len(P)), "x0": P[:, 0], "x1": P[:, 1]}
@@ -292,7 +285,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--out", help="output file (overrides output.path)")
     parser.add_argument("--format", choices=("csv", "json"),
-                        help="output format (overrides output.format)")
+                        help="csv (the default) or json")
     parser.add_argument("--seed", type=int, help="seed override")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; scans run as one "
@@ -307,8 +300,7 @@ def main(argv=None) -> int:
         out = args.out or cfg.get("output.path")
         if out is None:
             raise ConfigurationError("field 'output.path': required (or pass --out)")
-        fmt = args.format or cfg.get("output.format")
-        return run_experiment(cfg, out, fmt,
+        return run_experiment(cfg, out, args.format or "csv",
                               fail_on_divergence=args.fail_on_divergence,
                               seed_override=args.seed)
     except ConfigurationError as exc:

@@ -7,9 +7,10 @@ keys: type, default, bound (and for ``FIELDS`` the commands that accept
 it). Integer fields take integer literals, float fields finite numbers,
 vector fields comma-separated finite floats, matrix fields such vectors
 as rows separated by ``;``, lists of matrices ``|`` between matrices,
-and string fields keep their raw text. Unknown keys, mistyped values and
-values out of bounds are rejected with field-level errors before any
-computation runs.
+and string fields keep their raw text. Config text is parsed by that
+spelling and then checked by the same type rule as a Python value.
+Unknown keys, mistyped values and values out of bounds are rejected
+with field-level errors before any computation runs.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class Spec(NamedTuple):
 _POSITIVE = ("must be positive", lambda x: x > 0)
 _NONNEGATIVE = ("must be nonnegative", lambda x: x >= 0)
 _OPEN_UNIT = ("must be in (0, 1)", lambda x: 0 < x < 1)
-_FRACTION = ("must be in (0, 1]", lambda x: 0 < x <= 1)
 _AT_LEAST_ONE = ("must be at least 1", lambda x: x >= 1)
 _NONEMPTY = ("must not be empty", bool)
 
@@ -70,16 +70,12 @@ FIELDS = {
     "algorithm.g": Spec(float, None, _POSITIVE, _TRACKING),
     "algorithm.lip": Spec(float, None, _POSITIVE, _TRACKING),
     "output.path": Spec(str, None, _NONEMPTY, COMMANDS),
-    "output.format": Spec(("csv", "json"), "csv", None, COMMANDS),
     "bound.kind": Spec(BOUND_KINDS, None, None, ("bounds",)),
     "bound.which": Spec(("tracking", "regret"), "tracking", None, ("bounds",)),
     "bound.c": Spec(float, None, _OPEN_UNIT, ("bounds",)),
     "bound.g": Spec(float, None, _POSITIVE, ("bounds",)),
-    "bound.mu": Spec(float, None, _POSITIVE, ("bounds",)),
     "bound.d": Spec(float, None, _POSITIVE, ("bounds",)),
     "bound.k": Spec(int, None, _POSITIVE, ("bounds",)),
-    "bound.big_k": Spec(int, None, _POSITIVE, ("bounds",)),
-    "bound.d0": Spec(float, None, _NONNEGATIVE, ("bounds",)),
     "bound.kappa": Spec(float, None, _AT_LEAST_ONE, ("bounds",)),
     "dynamics.eta_lo": Spec(float, 0.0, _NONNEGATIVE, _SCAN),
     "dynamics.eta_hi": Spec(float, 8.0, _POSITIVE, _SCAN),
@@ -92,16 +88,12 @@ FIELDS = {
     "dynamics.cell_hi": Spec(float, 10.0, None, _SCAN),
     "dynamics.cells": Spec(int, 1000, _POSITIVE, _SCAN),
     "dynamics.threshold": Spec(float, 1000.0, _POSITIVE, _MAPS),
-    "dynamics.tol": Spec(float, 1e-8, _POSITIVE, _SCAN),
-    "dynamics.max_period": Spec(int, 64, _POSITIVE, _SCAN),
     "dynamics.eta": Spec(float, None, _POSITIVE, ("orbit",)),
     "star.eta": Spec(float, None, _POSITIVE, ("star",)),
     "star.samples": Spec(int, 100, _POSITIVE, ("star",)),
     "star.steps": Spec(int, 500, _POSITIVE, ("star",)),
     "star.box": Spec(float, 500.0, _POSITIVE, ("star",)),
-    "star.tail_fraction": Spec(float, 0.5, _FRACTION, ("star",)),
     "star.seed": Spec(int, 0, _NONNEGATIVE, ("star",)),
-    "star.threshold": Spec(float, 1e6, _POSITIVE, ("star",)),
     "star.output": Spec(("series", "tail"), "series", None, ("star",)),
     "verify.samples": Spec(int, 10000, _POSITIVE, ("verify",)),
     "verify.fd_points": Spec(int, 100, _POSITIVE, ("verify",)),
@@ -126,34 +118,19 @@ _REQUIRED_BY_KIND = {
 }
 
 
-_NUMBER_RULES = {int: "must be an integer", float: "must be a finite number",
-                 list: "must be finite numbers separated by commas",
-                 MATRIX: "must be rows of equal length separated by ';'",
-                 MATRICES: "must be matrices separated by '|'"}
-
-
-def _coerce(kind, text: str):
-    """``text`` as a value of type ``kind``; raises ValueError naming the
-    type rule it breaks."""
-    if kind in _NUMBER_RULES:
-        try:
-            if kind is int:
-                return int(text)
-            if kind == MATRICES:
-                return [_coerce(MATRIX, m) for m in text.split("|")]
-            if kind == MATRIX:
-                rows = [_coerce(list, row) for row in text.split(";")]
-                if len({len(row) for row in rows}) == 1:
-                    return rows
-            else:
-                xs = [float(u) for u in text.split(",")]
-                if all(map(math.isfinite, xs)) and (kind is list or len(xs) == 1):
-                    return xs if kind is list else xs[0]
-        except ValueError:
-            pass
-        raise ValueError(_NUMBER_RULES[kind])
-    if isinstance(kind, tuple) and text not in kind:
-        raise ValueError(f"must be one of {', '.join(kind)}")
+def _parse(kind, text: str):
+    """``text`` split and converted as type ``kind`` spells it, the value
+    not yet checked: an int, a float, a comma-separated vector, such
+    vectors as rows separated by ';', matrices separated by '|', or the
+    text as it is. Raises ValueError where a part is no number."""
+    if kind is int or kind is float:
+        return kind(text)
+    if kind is list:
+        return [float(u) for u in text.split(",")]
+    if kind == MATRIX:
+        return [_parse(list, row) for row in text.split(";")]
+    if kind == MATRICES:
+        return [_parse(MATRIX, m) for m in text.split("|")]
     return text
 
 
@@ -173,7 +150,7 @@ def _is_matrix(x) -> bool:
             and len({len(row) for row in x}) == 1)
 
 
-_PYTHON_TYPES = {
+_TYPES = {
     int: ("must be an integer", lambda x: isinstance(x, (int, np.integer))
           and not isinstance(x, bool)),
     float: ("must be a finite number", _is_number),
@@ -183,30 +160,31 @@ _PYTHON_TYPES = {
              _is_matrix),
     MATRICES: ("must be a non-empty list of matrices",
                lambda x: _is_sequence_of(_is_matrix, x)),
+    str: ("must be text", lambda x: isinstance(x, str)),
 }
 
 
-def _python_value(kind, value):
-    """``value``, a Python value rather than text, if it has type
-    ``kind``; raises ValueError naming the type rule it breaks."""
-    rule, ok = _PYTHON_TYPES.get(kind, (None, None))
-    if ok is None:          # a string field takes only text
-        rule = f"must be one of {', '.join(kind)}" if isinstance(kind, tuple) \
-            else "must be text"
-    if ok is None or not ok(value):
-        raise ValueError(rule)
-    return value
+def _type_rule(kind) -> tuple:
+    """The (rule, predicate) pair of value type ``kind``."""
+    if isinstance(kind, tuple):
+        return (f"must be one of {', '.join(kind)}",
+                lambda x: isinstance(x, str) and x in kind)
+    return _TYPES[kind]
 
 
 def _field_value(key: str, spec: Spec, raw):
-    """Field ``key``'s value: text typed by ``spec.type``, or a Python
-    value checked against it and kept as it is, then checked against
+    """Field ``key``'s value: text parsed as ``spec.type`` spells it, or a
+    Python value kept as it is, then checked against the type's rule and
     ``spec.bound`` on each coordinate; raises ConfigurationError naming
-    the field and the rule it breaks."""
+    the field and the rule it breaks. Text that does not parse breaks
+    its type's rule."""
+    rule, ok = _type_rule(spec.type)
     try:
-        value = (_coerce if isinstance(raw, str) else _python_value)(spec.type, raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"field {key!r}: {exc}, got {raw!r}") from None
+        value = _parse(spec.type, raw) if isinstance(raw, str) else raw
+    except ValueError:
+        value = None            # no literal of its type: fails every type but str
+    if not ok(value):
+        raise ConfigurationError(f"field {key!r}: {rule}, got {raw!r}")
     if spec.bound is not None and not all(map(spec.bound[1], np.ravel(value))):
         raise ConfigurationError(f"field {key!r}: {spec.bound[0]}, got {raw!r}")
     return value

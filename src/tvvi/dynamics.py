@@ -41,6 +41,8 @@ PROTOCOL_STEPS = 2000
 PROTOCOL_BURN_IN = 1000
 PERIOD_TOL = 1e-8
 MAX_PERIOD = 64
+# the star scan's divergence threshold
+STAR_THRESHOLD = 1e6
 _DERIV_H = 1e-6
 # Newton's basins of the cycle points interleave finely, so the landing
 # point depends on its derivative step; 1e-4 gives the documented phase
@@ -198,30 +200,29 @@ def classify_eta(gd_map: GDMap, x0) -> Classification:
     return classify_orbit(iterate_orbit(gd_map, x0, PROTOCOL_STEPS), PROTOCOL_BURN_IN)
 
 
-def classify_orbit(orbit: Orbit, burn_in: int, tol: float = PERIOD_TOL,
-                   max_period: int = MAX_PERIOD) -> Classification:
+def classify_orbit(orbit: Orbit, burn_in: int) -> Classification:
     if not orbit.bounded:
         return Classification("diverged")
-    tail = orbit.points[burn_in:, None, :]
-    return _classify_tails(tail, tol, max_period)[0]
+    return _classify_tails(orbit.points[burn_in:, None, :])[0]
 
 
-def _classify_tails(tails: np.ndarray, tol: float, max_period: int) -> list:
+def _classify_tails(tails: np.ndarray) -> list:
     """Classify every bounded orbit of a ``(T, n, d)`` tail block: converged
-    when each tail point lies within ``tol`` of the last, else periodic
-    with the least p whose p-shift moves no point by ``tol`` or more,
-    else bounded_aperiodic. Shifts need p < T."""
+    when each tail point lies within ``PERIOD_TOL`` of the last, else
+    periodic with the least p up to ``MAX_PERIOD`` whose p-shift moves no
+    point by ``PERIOD_TOL`` or more, else bounded_aperiodic. Shifts need
+    p < T."""
     out = [Classification("bounded_aperiodic")] * tails.shape[1]
     spread = np.linalg.norm(tails - tails[-1], axis=-1).max(axis=0)
-    for i in np.flatnonzero(spread < tol):
+    for i in np.flatnonzero(spread < PERIOD_TOL):
         out[i] = Classification("converged")
-    open_rows = np.flatnonzero(spread >= tol)
+    open_rows = np.flatnonzero(spread >= PERIOD_TOL)
     tails = tails[:, open_rows]
-    for p in range(2, min(max_period, len(tails) - 1) + 1):
+    for p in range(2, min(MAX_PERIOD, len(tails) - 1) + 1):
         if not open_rows.size:
             break
         shift = np.linalg.norm(tails[p:] - tails[:-p], axis=-1).max(axis=0)
-        hit = shift < tol
+        hit = shift < PERIOD_TOL
         for i in open_rows[hit]:
             out[i] = Classification("periodic", period=p)
         open_rows, tails = open_rows[~hit], tails[:, ~hit]
@@ -233,11 +234,6 @@ class ScanRow:
     eta: float
     classification: Classification
     occupied_cells: tuple
-
-
-@dataclass
-class ScanResult:
-    rows: list
 
 
 def _cell_indices(x: np.ndarray, lo: float, hi: float, n_cells: int) -> list:
@@ -260,13 +256,12 @@ def bifurcation_scan(scenario: Scenario, x0, etas,
                      n_steps: int = PROTOCOL_STEPS, burn_in: int = PROTOCOL_BURN_IN,
                      cell_lo: float = -10.0, cell_hi: float = 10.0,
                      n_cells: int = 1000,
-                     threshold: float = DIVERGENCE_THRESHOLD,
-                     tol: float = PERIOD_TOL,
-                     max_period: int = MAX_PERIOD) -> ScanResult:
+                     threshold: float = DIVERGENCE_THRESHOLD) -> list:
     """Per-step-size orbit classification with accumulation-cell
-    occupancy; defaults reproduce the bifurcation protocol (2000 steps,
-    1000 cells on [-10, 10], burn-in 1000, divergence threshold 1000),
-    whose step sizes are ``eta_grid(0.0, 8.0, 3000)`` from x0 = -0.1.
+    occupancy, one ``ScanRow`` per step size; defaults reproduce the
+    bifurcation protocol (2000 steps, 1000 cells on [-10, 10], burn-in
+    1000, divergence threshold 1000), whose step sizes are
+    ``eta_grid(0.0, 8.0, 3000)`` from x0 = -0.1.
 
     Every step size is one row of one block stepped through the
     scenario's composed map; only the post-burn-in tail is kept. Rows
@@ -281,11 +276,10 @@ def bifurcation_scan(scenario: Scenario, x0, etas,
                                   threshold, keep_from=burn_in)
     bounded = diverged_at < 0
     tails = tails[:, bounded]
-    found = zip(_classify_tails(tails, tol, max_period),
+    found = zip(_classify_tails(tails),
                 _cell_indices(tails[..., 0], cell_lo, cell_hi, n_cells))
     diverged = (Classification("diverged"), ())
-    return ScanResult(rows=[ScanRow(e, *(next(found) if b else diverged))
-                            for e, b in zip(etas, bounded)])
+    return [ScanRow(e, *(next(found) if b else diverged)) for e, b in zip(etas, bounded)]
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +415,7 @@ def period3_search(gd_map: GDMap, lo: float, hi: float, n_grid: int = 4000) -> l
 # Star-attractor scan
 
 @dataclass
-class StarScanResult:
+class StarScan:
     eta: float
     tail_points: np.ndarray            # (m, 2)
     avg_norm_series: np.ndarray
@@ -573,19 +567,18 @@ def _grid_covered(points: np.ndarray, queries: np.ndarray,
 
 
 def radial_containment_score(tail_points: np.ndarray, n_segment: int = 50,
-                             needed_fraction: float = 0.9,
-                             eps_rel: float = 0.05, max_scored: int = 2000,
-                             seed: int = 0) -> float:
+                             eps_rel: float = 0.05, max_scored: int = 2000) -> float:
     """Fraction of planar tail points whose segment to the origin is covered.
 
-    A point x counts when it is the origin, or when at least
-    ``needed_fraction`` of ``n_segment`` equispaced points on [0, x] lie
-    within ``eps_rel * ||x||`` of some tail point, a fixed-radius query
-    answered on uniform grids (``_grid_covered``). Scored on a seeded
-    subsample when the tail is large. ``tail_points`` must be ``(m, 2)``
-    and finite, ``eps_rel`` positive and ``n_segment`` and ``max_scored``
-    at least 1, else ``ValueError``; so does an ``eps_rel`` below about
-    4e-9, for which a grid would need more than 2**31 cells a side.
+    A point x counts when it is the origin, or when at least 90% of
+    ``n_segment`` equispaced points on [0, x] lie within
+    ``eps_rel * ||x||`` of some tail point, a fixed-radius query
+    answered on uniform grids (``_grid_covered``). Scored on a subsample
+    drawn with seed 0 when the tail has more than ``max_scored`` points.
+    ``tail_points`` must be ``(m, 2)`` and finite, ``eps_rel`` positive
+    and ``n_segment`` and ``max_scored`` at least 1, else ``ValueError``;
+    so does an ``eps_rel`` below about 4e-9, for which a grid would need
+    more than 2**31 cells a side.
     """
     tail_points = np.asarray(tail_points, dtype=float)
     if tail_points.ndim != 2 or tail_points.shape[1] != 2:
@@ -599,7 +592,7 @@ def radial_containment_score(tail_points: np.ndarray, n_segment: int = 50,
             raise ValueError(f"{name} must be at least 1, got {value}")
     if len(tail_points) == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     m = min(max_scored, len(tail_points))
     pts = tail_points[rng.choice(len(tail_points), size=m, replace=False)]
     norms = np.linalg.norm(pts, axis=1)
@@ -612,21 +605,20 @@ def radial_containment_score(tail_points: np.ndarray, n_segment: int = 50,
     scored = radii > 0
     hit[scored] = _grid_covered(tail_points, segments[scored], radii[scored])
     covered = np.mean(hit.reshape(m, n_segment), axis=1)
-    return int(np.count_nonzero((norms == 0.0) | (covered >= needed_fraction))) / m
+    return int(np.count_nonzero((norms == 0.0) | (covered >= 0.9))) / m
 
 
 def star_scan(scenario: Scenario, eta: float, n_samples: int = 100,
               sample_half_width: float = 500.0, n_steps: int = 500,
-              tail_fraction: float = 0.5, seed: int = 0,
-              threshold: float = 1e6) -> StarScanResult:
+              seed: int = 0) -> StarScan:
     """Run a planar periodic scenario's composed map (``star_2d`` is
     the catalog's star instance) from seeded uniform starts.
 
-    Emits the tail points (last ``tail_fraction`` of each bounded
-    orbit), the averaged norm series over bounded orbits, and the
-    radial containment score quantifying star-shapedness. Transients
-    from the wide start box overshoot the bifurcation threshold, so the
-    default divergence cutoff is 1e6.
+    Emits the tail points (the last half of each bounded orbit), the
+    averaged norm series over bounded orbits, and the radial containment
+    score quantifying star-shapedness. Transients from the wide start
+    box overshoot the bifurcation threshold, so an orbit diverges only
+    past ``STAR_THRESHOLD`` (1e6) in norm.
     """
     if scenario.seq.dim != 2:
         raise ConfigurationError(f"field 'scenario.name': {scenario.name!r} is not "
@@ -634,7 +626,7 @@ def star_scan(scenario: Scenario, eta: float, n_samples: int = 100,
     gd_map = compose_map(scenario, eta)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-sample_half_width, sample_half_width, size=(n_samples, 2))
-    points, diverged_at = _iterate(gd_map, starts, n_steps, threshold)
+    points, diverged_at = _iterate(gd_map, starts, n_steps, STAR_THRESHOLD)
     bounded = points[:, diverged_at < 0]                 # (n_steps + 1, n, 2)
     n_bounded = bounded.shape[1]
     series_sum = np.zeros(n_steps + 1)
@@ -642,10 +634,10 @@ def star_scan(scenario: Scenario, eta: float, n_samples: int = 100,
         row_norms = rescale_overflowed_norms(bounded, np.linalg.norm(bounded, axis=-1))
     for norms in row_norms.T:               # in start order
         series_sum += norms
-    keep_from = int((n_steps + 1) * (1.0 - tail_fraction))
+    keep_from = (n_steps + 1) // 2
     tail_points = bounded[keep_from:].transpose(1, 0, 2).reshape(-1, 2)
     avg = series_sum / n_bounded if n_bounded else np.full(n_steps + 1, np.inf)
     score = radial_containment_score(tail_points) if n_bounded else 0.0
-    return StarScanResult(eta=eta, tail_points=tail_points, avg_norm_series=avg,
-                          radial_score=score, n_diverged=n_samples - n_bounded,
-                          n_samples=n_samples)
+    return StarScan(eta=eta, tail_points=tail_points, avg_norm_series=avg,
+                    radial_score=score, n_diverged=n_samples - n_bounded,
+                    n_samples=n_samples)

@@ -58,8 +58,8 @@ def format_value(v) -> str:
 
 
 def _json_value(v):
-    if isinstance(v, bool):
-        return v
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
     if isinstance(v, (int, np.integer)):
         return int(v)
     if isinstance(v, (float, np.floating)):

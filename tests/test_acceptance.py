@@ -224,9 +224,9 @@ def test_criterion_12_bifurcation_reduced():
     sc = build_scenario("chaos_1d")
     etas = sorted(set(eta_grid(0.0, 8.0, 298)) | {3.9, 6.1})
     assert len(etas) == 300
-    result = bifurcation_scan(sc, [-0.1], etas=etas, n_steps=2000,
-                              burn_in=1000)
-    by_eta = {r.eta: r.classification for r in result.rows}
+    rows = bifurcation_scan(sc, [-0.1], etas=etas, n_steps=2000,
+                            burn_in=1000)
+    by_eta = {r.eta: r.classification for r in rows}
     low = [c.kind for e, c in by_eta.items() if e <= 0.5]
     ok_low = low and all(k == "converged" for k in low)
     band = [c.kind for e, c in by_eta.items() if 1.9 <= e <= 2.1]

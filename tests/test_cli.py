@@ -13,8 +13,9 @@ import pytest
 
 from tvvi import cli, scenarios
 from tvvi.cli import main
-from tvvi.config import FIELDS, MATRICES, MATRIX, _coerce, parse_config
+from tvvi.config import FIELDS, MATRICES, MATRIX, Spec, _field_value, parse_config
 from tvvi.core import ConfigurationError
+from tvvi.dynamics import eta_grid
 from tvvi.io import DIVERGED_TOKEN, emit_rows, read_rows
 from tvvi.scenarios import PARAMS
 
@@ -41,6 +42,10 @@ scenario.name = chaos_1d
 verify.samples = 5
 verify.fd_points = 3
 """
+
+ROOT = Path(__file__).resolve().parents[1]
+README_CONFIGS = re.findall(r"```ini\n(.*?)```",
+                            (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
 
 
 class TestParseConfig:
@@ -116,14 +121,15 @@ class TestParseConfig:
         assert cfg.scenario_params == {"dim": "2.5"}
 
     def test_matrix_kinds(self):
-        assert _coerce(MATRIX, "1,0;0,2") == [[1.0, 0.0], [0.0, 2.0]]
-        assert _coerce(MATRIX, "4") == [[4.0]]
-        assert _coerce(MATRICES, "0.25|4") == [[[0.25]], [[4.0]]]
-        assert _coerce(MATRICES, "1,0;0,2") == [[[1.0, 0.0], [0.0, 2.0]]]
-        for kind, text in ((MATRIX, "1,2;3"), (MATRIX, "1,nan"), (MATRIX, ""),
-                           (MATRICES, "1|"), (MATRICES, "1,2;3|4")):
-            with pytest.raises(ValueError, match="must be"):
-                _coerce(kind, text)
+        matrix, matrices = Spec(MATRIX, None), Spec(MATRICES, None)
+        assert _field_value("m", matrix, "1,0;0,2") == [[1.0, 0.0], [0.0, 2.0]]
+        assert _field_value("m", matrix, "4") == [[4.0]]
+        assert _field_value("m", matrices, "0.25|4") == [[[0.25]], [[4.0]]]
+        assert _field_value("m", matrices, "1,0;0,2") == [[[1.0, 0.0], [0.0, 2.0]]]
+        for spec, text in ((matrix, "1,2;3"), (matrix, "1,nan"), (matrix, ""),
+                           (matrices, "1|"), (matrices, "1,2;3|4")):
+            with pytest.raises(ConfigurationError, match="'m': must be"):
+                _field_value("m", spec, text)
 
     def test_cli_reads_exactly_the_table_keys(self):
         # every key the CLI reads is defined in the table, and every key
@@ -135,6 +141,21 @@ class TestParseConfig:
                 and re.fullmatch(r"[a-z]+\.[a-z0-9_]+", node.value)
                 and node.value.split(".")[0] in sections}
         assert read == set(FIELDS)
+
+    def test_every_table_key_has_a_setter(self):
+        # a key counts as set when a test config, a README example or a
+        # benchmark workload gives it a value; the fuzzer's adversarial
+        # draws, which reach every key, do not count
+        texts = [node.value for path in Path(__file__).parent.glob("test_*.py")
+                 if path.name != "test_config_fuzz.py"
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+        texts += README_CONFIGS
+        workloads = ROOT / "perfbench" / "workloads.py"   # keys spelt section__key
+        texts.append(workloads.read_text(encoding="utf-8").replace("__", "."))
+        unset = [key for key in FIELDS
+                 if not any(re.search(rf"(?<![\w.]){re.escape(key)} *=", t) for t in texts)]
+        assert unset == []
 
     def test_builders_read_exactly_their_table_keys(self):
         # each builder reads, as p["..."], every parameter its PARAMS
@@ -388,6 +409,41 @@ bound.which = regret
         row = read_rows(str(out))[0]
         assert row["holds"] is True
         assert row["measured"] <= row["bound"]
+
+    def test_algorithm_mu_replaces_the_scenario_mu(self, tmp_path):
+        # periodic_1d declares mu = 1, which the inverse-mu schedule reads
+        text = MINIMAL_TRACK.replace("kind = forward", "kind = cyclic_fb") \
+            + "algorithm.period = 2\n"
+        outs = []
+        for given in ("", "algorithm.mu = 1\n", "algorithm.mu = 2\n"):
+            cfg = write_cfg(tmp_path, text + given)
+            out = tmp_path / f"{len(outs)}.csv"
+            assert main(["--config", cfg, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] != outs[2]
+
+    def test_bound_k_stands_in_for_a_period(self, tmp_path):
+        # quadratic_drift is aperiodic: without bound.k this exits 2
+        cfg = write_cfg(tmp_path, """
+command = bounds
+scenario.name = quadratic_drift
+algorithm.kind = forward
+algorithm.eta = 0.25
+run.horizon = 20
+run.z1 = 1.0
+bound.kind = cyclic_regret
+bound.k = 1
+""")
+        out = tmp_path / "b.csv"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        assert math.isfinite(read_rows(str(out))[0]["bound"])
+
+    def test_scan_step_sizes_end_at_eta_hi(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_SCAN.replace("eta_n = 5", "eta_n = 4")
+                        + "dynamics.eta_lo = 3.5\ndynamics.eta_hi = 3.9\n")
+        out = tmp_path / "b.csv"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        assert [r["eta"] for r in read_rows(str(out))] == eta_grid(3.5, 3.9, 4)
 
     def test_bounds_adversarial_lower(self, tmp_path):
         cfg = write_cfg(tmp_path, """
@@ -708,6 +764,20 @@ run.z1 = 1.0,1.0,1.0
         assert rows[0]["t"] == 1
         assert rows[2]["z"] == 0.0
 
+    def test_json_booleans_read_back_as_booleans(self, tmp_path):
+        # rsi_game's game checks report numpy booleans, the others bools
+        cfg = write_cfg(tmp_path, SMALL_VERIFY.replace("chaos_1d", "rsi_game"))
+        out = tmp_path / "v.json"
+        assert main(["--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        passed = [row["passed"] for row in read_rows(str(out))]
+        assert len(passed) > 4 and all(p is True for p in passed)
+
+    @pytest.mark.parametrize("text", README_CONFIGS,
+                             ids=[re.search(r"command = (\w+)", t)[1] for t in README_CONFIGS])
+    def test_readme_example_runs(self, tmp_path, text):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+
     def test_reruns_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL_TRACK)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -760,14 +830,26 @@ class TestScenarioParams:
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, key", [
+    _BOUNDS = MINIMAL_TRACK.replace("track", "bounds") + "bound.kind = cyclic_regret\n"
+    _REMOVED = [
         (MINIMAL_TRACK + "run.fail_on_divergence = true\n", "run.fail_on_divergence"),
         (SMALL_VERIFY.replace("chaos_1d", "rsi_game") + "scenario.estimate_lip = true\n",
-         "scenario.estimate_lip")],
-        ids=["run.fail_on_divergence", "scenario.estimate_lip"])
+         "scenario.estimate_lip"),
+        (MINIMAL_TRACK + "output.format = json\n", "output.format"),
+        (_BOUNDS + "bound.mu = 1\n", "bound.mu"),
+        (_BOUNDS + "bound.big_k = 2\n", "bound.big_k"),
+        (_BOUNDS + "bound.d0 = 1\n", "bound.d0"),
+        (SMALL_SCAN + "dynamics.tol = 1e-8\n", "dynamics.tol"),
+        (SMALL_SCAN + "dynamics.max_period = 64\n", "dynamics.max_period"),
+        (SMALL_STAR + "star.tail_fraction = 0.5\n", "star.tail_fraction"),
+        (SMALL_STAR + "star.threshold = 1e6\n", "star.threshold")]
+
+    @pytest.mark.parametrize("text, key", _REMOVED, ids=[key for _, key in _REMOVED])
     def test_removed_key_exit_code(self, tmp_path, capsys, text, key):
-        # --fail-on-divergence does the first key's job, and rsi_game
-        # always estimates its Lipschitz constant
+        # --fail-on-divergence and --format do the jobs of run.fail_on_divergence
+        # and output.format, rsi_game always estimates its Lipschitz
+        # constant, and the others are protocol constants: bounds reads
+        # mu from the scenario, K from algorithm.k and D0 from the run
         cfg = write_cfg(tmp_path, text)
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert f"field '{key}': unknown" in capsys.readouterr().err

@@ -223,9 +223,9 @@ class TestClassification:
 
 class TestBifurcationScan:
     def test_converged_rows_collapse_to_adjacent_cells(self, chaos):
-        result = bifurcation_scan(chaos, [-0.1], etas=[0.4, 7.6, 8.0],
-                                  n_steps=1500, burn_in=1000)
-        for row in result.rows:
+        rows = bifurcation_scan(chaos, [-0.1], etas=[0.4, 7.6, 8.0],
+                                n_steps=1500, burn_in=1000)
+        for row in rows:
             assert row.classification.kind == "converged"
             cells = row.occupied_cells
             # sign-alternating convergence to a cell boundary may
@@ -234,18 +234,18 @@ class TestBifurcationScan:
             assert max(cells) - min(cells) <= 1
 
     def test_diverged_rows_have_no_cells(self, chaos):
-        result = bifurcation_scan(chaos, [-0.1], etas=[2.0], n_steps=500,
-                                  burn_in=100)
-        assert result.rows[0].classification.kind == "diverged"
-        assert result.rows[0].occupied_cells == ()
+        rows = bifurcation_scan(chaos, [-0.1], etas=[2.0], n_steps=500,
+                                burn_in=100)
+        assert rows[0].classification.kind == "diverged"
+        assert rows[0].occupied_cells == ()
 
     def test_rows_match_one_orbit_each(self, chaos):
         # the reference: each step size alone through iterate_orbit
         etas = eta_grid(0.0, 8.0, 40) + [3.9, 6.1]
-        result = bifurcation_scan(chaos, [-0.1], etas=etas, n_steps=1200,
-                                  burn_in=1000, n_cells=200)
+        rows = bifurcation_scan(chaos, [-0.1], etas=etas, n_steps=1200,
+                                burn_in=1000, n_cells=200)
         width = 20.0 / 200
-        for eta, row in zip(etas, result.rows):
+        for eta, row in zip(etas, rows):
             orbit = iterate_orbit(compose_map(chaos, eta), [-0.1], 1200)
             assert row.eta == eta
             assert row.classification == classify_orbit(orbit, 1000)
@@ -261,16 +261,16 @@ class TestBifurcationScan:
     def test_steps_the_scenario_given(self, domain):
         # a scenario outside the catalog is scanned as given
         sc = periodic_quadratic([[0.5], [-0.5]], domain=domain)
-        result = bifurcation_scan(sc, [0.0], etas=[0.1, 1.0, 2.5], n_steps=300,
-                                  burn_in=200)
-        kinds = [r.classification.kind for r in result.rows]
+        rows = bifurcation_scan(sc, [0.0], etas=[0.1, 1.0, 2.5], n_steps=300,
+                                burn_in=200)
+        kinds = [r.classification.kind for r in rows]
         # the composed map is x -> (1 - eta)^2 x - eta^2 / 2, fixed at
         # -eta / (2 (2 - eta)) for eta < 2; the interval clips eta = 2.5
         # to its end -1
         assert kinds == ["converged", "converged",
                          "diverged" if domain is None else "converged"]
         expected = [-0.1 / 3.8, -0.5] + ([] if domain is None else [-1.0])
-        for row, x in zip(result.rows, expected):
+        for row, x in zip(rows, expected):
             assert row.occupied_cells == (int((x + 10.0) / 0.02),)
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvvi.algorithms import ContractiveForward, run_tracker
-from tvvi.core import ConfigurationError, Operator, evaluate
+from tvvi.core import ConfigurationError, Operator, evaluate, project
 from tvvi.metrics import quadratic_path_length, tracking_error
 from tvvi.scenarios import (BUILDERS, PARAMS, RSI_GRID_ROWS, STREAM_ROUNDS,
                             AdversaryState, Checks, OperatorCheck, _central_differences,
@@ -42,6 +42,21 @@ class TestCatalog:
                     and isinstance(node.value, ast.Name) and node.value.id == "p"
                     and isinstance(node.slice, ast.Constant)}
             assert read == set(PARAMS[name]), name
+
+    def test_scenarios_with_solutions_declare_mu(self):
+        # bounds reads sc.mu on every scenario whose solutions it measures
+        # against, with no config key to fall back on
+        with_solutions = set()
+        for name in BUILDERS:
+            sc = build_scenario(name)
+            traj = run_tracker(sc.seq, ContractiveForward(eta=0.01), sc.domain,
+                               project(sc.domain, np.zeros(sc.seq.dim)), 1)
+            if traj.solutions is not None:
+                with_solutions.add(name)
+                assert sc.mu is not None and sc.mu > 0, name
+        assert with_solutions == {"quadratic_drift", "periodic_1d", "exp_quadratic",
+                                  "chaos_1d", "star_2d", "streaming_regression",
+                                  "rsi_game", "lower_bound_adversary"}
 
     @pytest.mark.parametrize("name, params, field", [
         ("kelly_auction", {"lam_reg": 0.0}, "scenario.lam_reg"),
