@@ -113,6 +113,17 @@ def _constant(cfg: ExperimentConfig, key: str, fallback):
     return value
 
 
+def _log_period(cfg: ExperimentConfig, sc: Scenario) -> int:
+    """The k of a closed form with a log(T/k) term, which holds for a
+    horizon T of at least k."""
+    k = _constant(cfg, "bound.k", sc.period)
+    T = cfg.get("run.horizon")
+    if T < k:
+        raise ConfigurationError(f"field 'run.horizon': {T} is below the bound's "
+                                 f"period k = {k}, and the bound needs T >= k")
+    return k
+
+
 def _norm(x: np.ndarray) -> float:
     """``np.linalg.norm(x)``, rescaled where the square of a finite
     vector overflowed."""
@@ -137,15 +148,14 @@ def _build_bound(cfg: ExperimentConfig, sc: Scenario,
     if kind == "cyclic_regret":
         G = cfg.get("bound.g") or max((_norm(g) for g in traj.op_values),
                                       default=math.nan)
-        return partial(metrics.cyclic_regret_bound, k=_constant(cfg, "bound.k", sc.period),
+        return partial(metrics.cyclic_regret_bound, k=_log_period(cfg, sc),
                        G=G, mu=float(sc.mu), T=T)
     if kind in ("aggregation_regret", "aggregation_tracking"):
         formula = metrics.aggregation_regret_bound if kind == "aggregation_regret" \
             else metrics.aggregation_tracking_bound
         return partial(formula, G=float(_constant(cfg, "bound.g", sc.gbound)),
                        mu=float(sc.mu), D=float(_constant(cfg, "bound.d", sc.diameter)),
-                       k=_constant(cfg, "bound.k", sc.period),
-                       K=cfg.get("algorithm.k", 1), T=T)
+                       k=_log_period(cfg, sc), K=cfg.get("algorithm.k", 1), T=T)
     if kind == "constant_tracking":
         kappa = cfg.get("bound.kappa")
         if kappa is None:

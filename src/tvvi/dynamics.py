@@ -9,12 +9,17 @@ coincides with every k-th iterate of the per-step recursion started at
 x0. The map acts on the last axis, so scans step every step size (or
 every start) as one ``(n, d)`` block in one process; one orbit is the
 one-row case of the same code. Divergence is tested once per block of
-64 map periods, on all of the block's points at once. A scan row equals
-that step size or start run alone bit for bit when the operators' ``fn``
-rounds a row the same alone and in a block, as the exp-quadratic
-catalog does; the ``X @ A.T`` of ``Operator.from_affine`` may differ in
-the last bit for a non-diagonal ``A`` in d >= 2. Stability derivatives
-use central differences with h = 1e-6, Newton's with h = 1e-4.
+64 map periods, on all of the block's points at once. After each block
+a bounded row whose last state repeats an earlier state of the block
+bit for bit, a fixed point or a cycle of period below 64, stops: its
+later points are copies of that cycle. A scan row equals that step
+size or start run alone, and a per-period loop without the exit, bit
+for bit when the operators' ``fn`` rounds a row the same alone and in
+a block, as the exp-quadratic catalog does; the ``X @ A.T`` of
+``Operator.from_affine`` may differ in the last bit for a non-diagonal
+``A`` in d >= 2, with the rows that share its block. Stability
+derivatives use central differences with h = 1e-6, Newton's with
+h = 1e-4.
 
 The star score's fixed-radius query runs on uniform grids, one per
 power-of-two band of radii; per-cell point counts settle most queries
@@ -120,12 +125,19 @@ def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
     there: its crossing point is kept (when s >= ``keep_from``) and its
     later points are NaN.
 
-    Divergence is tested once per ``_CHECK_BLOCK`` periods (periods 1-64,
-    65-128, ...), on the whole block of steps at once: a row that
-    crossed is stepped to the end of that block, its later points are
-    then overwritten with NaN, and it leaves the block of rows. So the
-    points equal a per-period test's whenever ``fn`` treats each row on
-    its own, and the operators' ``evals`` count the extra steps.
+    Rows are stepped ``_CHECK_BLOCK`` periods at a time (periods 1-64,
+    65-128, ...). After each block, divergence is tested on the whole
+    block of steps at once: a row that crossed was stepped to the end of
+    that block, its later points are then overwritten with NaN, and it
+    leaves the block of rows. Then each bounded row's last state is
+    compared, bit for bit, with its earlier states in the block: a row
+    whose state after period s equals its state after period s - p, for
+    some p < ``_CHECK_BLOCK``, repeats that p-cycle from then on, so its
+    remaining points are copied from its last p states and it leaves the
+    block too. So the points equal a per-period loop's whenever ``fn``
+    rounds each row the same alone and in any block; the operators'
+    ``evals`` count the map steps taken, a diverging row's to the end of
+    its block but none of a settled row's copied periods.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -158,8 +170,23 @@ def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
             if s1 > keep_from:
                 s = max(s0, keep_from)
                 points[s - keep_from:s1 - keep_from, live] = block[s - s0:]
-            if crossed.any():
-                live, x, gd_map = live[~crossed], x[~crossed], gd_map.rows(~crossed)
+            # the least p at which a bounded row's last state repeats, by
+            # the bits, so that 0.0 and -0.0 differ (0 where none does):
+            # repeats[p] compares it with the state p periods before
+            words = block.view(np.int64)
+            repeats = (words[::-1] == words[-1]).all(axis=-1)
+            repeats[0] = False
+            period = np.where(crossed, 0, repeats.argmax(axis=0))
+            # a settled row's state after period t >= s1 is its state
+            # after s1 - p + (t - s1) mod p, one of the block's last p
+            a = max(s1, keep_from)
+            for p in set(period[period > 0].tolist()):
+                rows = np.flatnonzero(period == p)
+                points[a - keep_from:, live[rows]] = \
+                    block[-p:, rows][(np.arange(a, n_steps + 1) - s1) % p]
+            stay = ~crossed & (period == 0)
+            if not stay.all():
+                live, x, gd_map = live[stay], x[stay], gd_map.rows(stay)
     return points, diverged_at
 
 

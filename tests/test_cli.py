@@ -627,6 +627,28 @@ bound.kind = {kind}
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["cyclic_regret", "aggregation_regret",
+                                      "aggregation_tracking"])
+    @pytest.mark.parametrize("T, code", [(1, 2), (3, 2), (4, 0)])
+    def test_log_bound_horizon_below_the_period_exit_code(self, tmp_path, capsys,
+                                                          kind, T, code):
+        # rsi_game has period 4, and log(T/k) is negative below it (at
+        # T = 1 the cyclic_regret form is -32.5)
+        cfg = write_cfg(tmp_path, f"""
+command = bounds
+scenario.name = rsi_game
+algorithm.kind = cyclic_fb
+algorithm.period = 4
+run.horizon = {T}
+run.z1 = 0.3,0.3
+bound.kind = {kind}
+bound.which = regret
+bound.g = 1
+bound.d = 1
+""")
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == code
+        assert ("field 'run.horizon'" in capsys.readouterr().err) == (code == 2)
+
     # cases the config fuzzer (test_config_fuzz.py) found: an exit 3 for a
     # bounds run on a scenario without solutions, and exit-2 messages
     # that named no field

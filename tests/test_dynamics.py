@@ -138,6 +138,33 @@ class TestOrbits:
             assert composed.bounded == per_step_bounded
 
 
+def same_bits(a, b):
+    """Equal arrays bit for bit: 0.0 and -0.0 differ, NaNs compare by
+    their bits."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def per_period(gd_map, x0, n_steps, threshold, keep_from=0):
+    """Each row alone through every map period, its divergence tested
+    after each: no block and no exit, the loop ``_iterate`` reproduces."""
+    points = np.full((n_steps + 1 - keep_from,) + x0.shape, np.nan)
+    diverged_at = np.full(len(x0), -1)
+    for i in range(len(x0)):
+        m, x = gd_map.rows([i]), x0[i:i + 1]
+        if keep_from == 0:
+            points[0, i] = x[0]
+        for s in range(1, n_steps + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = m(x)
+                norm = rescale_overflowed_norms(x, np.linalg.norm(x, axis=-1))[0]
+            if s >= keep_from:
+                points[s - keep_from, i] = x[0]
+            if not norm <= threshold:
+                diverged_at[i] = s
+                break
+    return points, diverged_at
+
+
 class TestIterateBlocks:
     """``_iterate`` tests divergence once per block of map periods; its
     points and divergence periods must equal a per-period test's."""
@@ -157,23 +184,8 @@ class TestIterateBlocks:
                      eta=np.asarray(etas, dtype=float)[:, None], dim=2)
 
     def reference(self, etas, x0, keep_from):
-        """Each row alone, its divergence tested after every period."""
-        points = np.full((self.N_STEPS + 1 - keep_from,) + x0.shape, np.nan)
-        diverged_at = np.full(len(x0), -1)
-        for i, (eta, x) in enumerate(zip(etas, x0)):
-            m, x = self.gd_map([eta]), x[None, :]
-            if keep_from == 0:
-                points[0, i] = x[0]
-            for s in range(1, self.N_STEPS + 1):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    x = m(x)
-                    norm = rescale_overflowed_norms(x, np.linalg.norm(x, axis=-1))[0]
-                if s >= keep_from:
-                    points[s - keep_from, i] = x[0]
-                if not norm <= self.THRESHOLD:
-                    diverged_at[i] = s
-                    break
-        return points, diverged_at
+        return per_period(self.gd_map(etas), x0, self.N_STEPS, self.THRESHOLD,
+                          keep_from)
 
     @pytest.mark.parametrize("block", [None, 1, 7])
     @pytest.mark.parametrize("keep_from", [0, 40])
@@ -197,6 +209,87 @@ class TestIterateBlocks:
                                        self.THRESHOLD, keep_from=keep_from)
         assert at.tolist() == want_at.tolist()
         assert np.array_equal(points, want_points, equal_nan=True)
+
+    @staticmethod
+    def cycle_map():
+        # stepped with eta 1, (k, p, c) -> ((k + 1) mod p, p, c + sign(c))
+        # exactly for integers k, p >= 1 and c >= 0
+        def fn(X):
+            k, p, c = np.moveaxis(X, -1, 0)
+            return np.stack([k - (k + 1) % p, np.zeros_like(p), -np.sign(c)], axis=-1)
+        return GDMap(ops=[Operator(fn=fn, dim=3)], domain=Domain.unbounded(3),
+                     eta=1.0, dim=3)
+
+    @pytest.mark.parametrize("keep_from", [0, 64, 150])
+    def test_exact_cycles(self, keep_from):
+        # a block of 64 periods finds p = 1, 2 and 63; 64 and 100 repeat
+        # no state within one block, and the last row's counter c never
+        # repeats, though its k does: these three step to the end
+        periods = np.array([1, 2, 63, 64, 100, 1])
+        x0 = np.c_[periods - 1, periods, [0, 0, 0, 0, 0, 1]].astype(float)
+        gd_map = self.cycle_map()
+        points, at = dynamics._iterate(gd_map, x0, 300, 1e3, keep_from=keep_from)
+        assert gd_map.ops[0].evals == 3 * 64 + 3 * 300
+        want_points, want_at = per_period(gd_map, x0, 300, 1e3, keep_from)
+        assert at.tolist() == want_at.tolist() == [-1] * 6
+        assert same_bits(points, want_points)
+        s = np.arange(keep_from, 301)[:, None]
+        assert np.array_equal(points[..., 0], (periods - 1 + s) % periods)
+        assert np.array_equal(points[:, -1, 2], 1 + s[:, 0])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(rows=st.lists(st.tuples(st.one_of(st.sampled_from([2.0, 3.9, 5.0, 7.0, 8.0]),
+                                             st.floats(0.05, 9.0)),
+                                   st.one_of(st.just(-0.1), st.floats(-3.0, 3.0))),
+                         min_size=1, max_size=5),
+           keep_from=st.sampled_from([0, 150]))
+    def test_exit_changes_no_chaos_point(self, chaos, rows, keep_from):
+        # (eta, start) rows: from -0.1, eta 3.9 closes an 8-cycle at
+        # period 92 and eta 8 a fixed point by period 4
+        gd_map = compose_map(chaos, [eta for eta, _ in rows])
+        starts = np.array([[x0] for _, x0 in rows])
+        got = dynamics._iterate(gd_map, starts, 200, DIVERGENCE_THRESHOLD, keep_from)
+        want = per_period(gd_map, starts, 200, DIVERGENCE_THRESHOLD, keep_from)
+        assert got[1].tolist() == want[1].tolist()
+        assert same_bits(got[0], want[0])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=15)
+    @given(eta=st.sampled_from([0.2, 0.4, 1.35, 1.4]),
+           half_width=st.sampled_from([1.0, 10.0, 500.0]),
+           seed=st.integers(0, 2 ** 31 - 1), keep_from=st.sampled_from([0, 150]))
+    def test_exit_changes_no_star_point(self, star, eta, half_width, seed, keep_from):
+        # at eta 0.4 every start settles within 64 periods, at 0.2 some
+        # of the wide ones do; at 1.4 the wider starts diverge
+        gd_map = compose_map(star, eta)
+        starts = np.random.default_rng(seed).uniform(-half_width, half_width, (4, 2))
+        got = dynamics._iterate(gd_map, starts, 200, dynamics.STAR_THRESHOLD, keep_from)
+        want = per_period(gd_map, starts, 200, dynamics.STAR_THRESHOLD, keep_from)
+        assert got[1].tolist() == want[1].tolist()
+        assert same_bits(got[0], want[0])
+
+    def test_settles_in_the_block_where_another_diverges(self, chaos):
+        # from -0.1, eta 8 is a fixed point by period 4 and eta 2 diverges
+        # at period 9, both in the first block; eta 3.9 closes its
+        # 8-cycle at period 92, in the second
+        gd_map = compose_map(chaos, [8.0, 2.0, 3.9])
+        starts = np.full((3, 1), -0.1)
+        evals = sum(op.evals for op in gd_map.ops)
+        points, at = dynamics._iterate(gd_map, starts, 300, DIVERGENCE_THRESHOLD)
+        # two operators a period: 64 periods each for the first two
+        # rows, 128 for the third
+        assert sum(op.evals for op in gd_map.ops) - evals == 2 * (64 + 64 + 128)
+        want_points, want_at = per_period(gd_map, starts, 300, DIVERGENCE_THRESHOLD)
+        assert at.tolist() == want_at.tolist() == [-1, 9, -1]
+        assert same_bits(points, want_points)
+
+    def test_orbit_stops_stepping_at_its_cycle(self, chaos):
+        gd_map = compose_map(chaos, 3.9)
+        evals = sum(op.evals for op in gd_map.ops)
+        orbit = iterate_orbit(gd_map, [-0.1], 2000)
+        steps = sum(op.evals for op in gd_map.ops) - evals
+        # of 2 x 2000 nominal steps: the 8-cycle closes at period 92
+        assert steps == 2 * 128
+        assert np.array_equal(orbit.points[92:], orbit.points[84:-8])
 
 
 class TestClassification:
