@@ -19,6 +19,7 @@ import math
 import sys
 import traceback
 from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -63,6 +64,9 @@ def _build_algorithm(cfg: ExperimentConfig, sc: Scenario):
 def _run_trajectory(cfg: ExperimentConfig, sc: Scenario) -> alg.Trajectory:
     algo = _build_algorithm(cfg, sc)
     z1 = _vector_field("run.z1", cfg.get("run.z1"), sc.seq.dim)
+    if not sc.domain.contains(z1):
+        raise ConfigurationError("field 'run.z1': the start lies outside the "
+                                 f"domain of {sc.name}")
     return alg.run_tracker(sc.seq, algo, sc.domain, z1, cfg.get("run.horizon"),
                            divergence_threshold=cfg.get("run.divergence_threshold"))
 
@@ -124,6 +128,12 @@ def _log_period(cfg: ExperimentConfig, sc: Scenario) -> int:
     return k
 
 
+def _log_form(form: partial) -> Optional[partial]:
+    """A log(T/k) form, or None when the run completed fewer than k
+    rounds, where log(T/k) is negative and the theorem bounds nothing."""
+    return form if form.keywords["T"] >= form.keywords["k"] else None
+
+
 def _norm(x: np.ndarray) -> float:
     """``np.linalg.norm(x)``, rescaled where the square of a finite
     vector overflowed."""
@@ -132,8 +142,9 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _build_bound(cfg: ExperimentConfig, sc: Scenario,
-                 traj: alg.Trajectory) -> partial:
-    """The closed form ``bound.kind`` names, bound to its constants.
+                 traj: alg.Trajectory) -> Optional[partial]:
+    """The closed form ``bound.kind`` names, bound to its constants, or
+    None for a log(T/k) form the completed rounds T do not reach.
 
     Every constant is read, and a missing one rejected, here; the
     formula itself runs only once a round completed (T >= 1)."""
@@ -148,14 +159,15 @@ def _build_bound(cfg: ExperimentConfig, sc: Scenario,
     if kind == "cyclic_regret":
         G = cfg.get("bound.g") or max((_norm(g) for g in traj.op_values),
                                       default=math.nan)
-        return partial(metrics.cyclic_regret_bound, k=_log_period(cfg, sc),
-                       G=G, mu=float(sc.mu), T=T)
+        return _log_form(partial(metrics.cyclic_regret_bound, k=_log_period(cfg, sc),
+                                 G=G, mu=float(sc.mu), T=T))
     if kind in ("aggregation_regret", "aggregation_tracking"):
         formula = metrics.aggregation_regret_bound if kind == "aggregation_regret" \
             else metrics.aggregation_tracking_bound
-        return partial(formula, G=float(_constant(cfg, "bound.g", sc.gbound)),
-                       mu=float(sc.mu), D=float(_constant(cfg, "bound.d", sc.diameter)),
-                       k=_log_period(cfg, sc), K=cfg.get("algorithm.k", 1), T=T)
+        return _log_form(partial(
+            formula, G=float(_constant(cfg, "bound.g", sc.gbound)), mu=float(sc.mu),
+            D=float(_constant(cfg, "bound.d", sc.diameter)), k=_log_period(cfg, sc),
+            K=cfg.get("algorithm.k", 1), T=T))
     if kind == "constant_tracking":
         kappa = cfg.get("bound.kappa")
         if kappa is None:
@@ -181,7 +193,9 @@ def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
     formula = _build_bound(cfg, sc, traj)
     kind, which = cfg.get("bound.kind"), cfg.get("bound.which")
     measured = bound = math.nan
-    holds = False       # diverged in round 1: no round to measure or to bound
+    # diverged in round 1: no round to measure or to bound; before round
+    # k of a log(T/k) form: no bound
+    holds = False
     if len(traj.op_values):
         # a finite play beyond about 1.3e154 has an infinite squared
         # distance, and a bound past the largest float is infinite too
@@ -191,7 +205,7 @@ def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
             else:
                 measured = metrics.dynamic_regret(traj, traj.solutions, sc.mu)
         try:
-            bound = formula()
+            bound = formula() if formula is not None else math.nan
         except OverflowError:
             bound = math.inf
         if not (math.isfinite(measured) and math.isfinite(bound)):

@@ -17,9 +17,11 @@ size or start run alone, and a per-period loop without the exit, bit
 for bit when the operators' ``fn`` rounds a row the same alone and in
 a block, as the exp-quadratic catalog does; the ``X @ A.T`` of
 ``Operator.from_affine`` may differ in the last bit for a non-diagonal
-``A`` in d >= 2, with the rows that share its block. Stability
-derivatives use central differences with h = 1e-6, Newton's with
-h = 1e-4.
+``A`` in d >= 2, with the rows that share its block. The periodic-orbit
+tools evaluate their 1-D maps as blocks too (one map^3 call per level
+of the period-3 bisection), with the central differences of
+``scenarios._central_differences``: h = 1e-6 for stability, 1e-4 for
+Newton.
 
 The star score's fixed-radius query runs on uniform grids, one per
 power-of-two band of radii; per-cell point counts settle most queries
@@ -37,7 +39,7 @@ import numpy as np
 
 from .core import (ConfigurationError, Domain, _evaluate_block, as_point, project,
                    rescale_overflowed_norms)
-from .scenarios import Scenario
+from .scenarios import Scenario, _central_differences
 
 # the bifurcation protocol: orbits of 2000 steps, the first 1000 a
 # burn-in, that diverge past 1000 in norm
@@ -312,8 +314,14 @@ def bifurcation_scan(scenario: Scenario, x0, etas,
 # ---------------------------------------------------------------------------
 # Periodic orbits: Newton refinement, stability, period-3 evidence
 
-def _central_derivative(f, x: float, h: float = _DERIV_H) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+def _require_1d(gd_map: GDMap, tool: str) -> None:
+    if gd_map.dim != 1:
+        raise ValueError(f"{tool} supports 1-D maps only")
+
+
+def _map_points(gd_map: GDMap, u, p: int = 1) -> np.ndarray:
+    """map^p at every point of the array ``u`` of 1-D points."""
+    return gd_map.power(np.asarray(u, dtype=float)[..., None], p)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -331,23 +339,19 @@ def newton_periodic_orbit(gd_map: GDMap, p: int, x0,
     its orbit, or None when the iteration breaks down or fails to meet
     the tolerance within ``_NEWTON_MAX_ITER`` steps.
     """
-    if gd_map.dim != 1:
-        raise ValueError("newton_periodic_orbit supports 1-D maps only")
+    _require_1d(gd_map, "newton_periodic_orbit")
     if p < 1:
         raise ValueError("p must be >= 1")
-
-    def psi(u: float) -> float:
-        return float(gd_map.power(np.array([u]), p)[0]) - u
-
     x = float(as_point(x0)[0])
     for _ in range(_NEWTON_MAX_ITER):
-        r = psi(x)
+        r = float(_map_points(gd_map, x, p)) - x
         if abs(r) <= tol:
             orbit = [x]
             for _ in range(p - 1):
-                orbit.append(float(gd_map(np.array([orbit[-1]]))[0]))
+                orbit.append(float(_map_points(gd_map, orbit[-1])))
             return PeriodicOrbit(fixed_point=x, orbit=tuple(orbit), residual=abs(r))
-        d = _central_derivative(psi, x, _NEWTON_H)
+        d = float(_central_differences(lambda X: gd_map.power(X, p) - X,
+                                       np.array([[x]]), _NEWTON_H)[0, 0, 0])
         if abs(d) < 1e-12 or not math.isfinite(d):
             return None
         x = x - r / d
@@ -365,15 +369,11 @@ class StabilityResult:
 def orbit_stability(gd_map: GDMap, orbit) -> StabilityResult:
     """Derivative product along a (numerically) periodic 1-D orbit;
     the cycle is asymptotically stable when its magnitude is below 1."""
-    if gd_map.dim != 1:
-        raise ValueError("orbit_stability supports 1-D maps only")
-
-    def f(u: float) -> float:
-        return float(gd_map(np.array([u]))[0])
-
-    product = 1.0
-    for x in orbit:
-        product *= _central_derivative(f, float(np.atleast_1d(x)[0]))
+    _require_1d(gd_map, "orbit_stability")
+    points = np.asarray(orbit, dtype=float).reshape(-1, 1)
+    derivs = _central_differences(gd_map, points, _DERIV_H)[:, 0, 0]
+    # multiplied in orbit order
+    product = math.prod(derivs.tolist(), start=1.0)
     return StabilityResult(product=product, stable=abs(product) < 1.0)
 
 
@@ -388,51 +388,48 @@ def period3_search(gd_map: GDMap, lo: float, hi: float, n_grid: int = 4000) -> l
     itself, then brackets sign changes of x - map^3(x), refines them by
     bisection, and filters out fixed points of the map itself. A
     nonempty result is Li-Yorke chaos evidence by the period-three
-    theorem.
+    theorem. Each map^3 call bisects every open bracket once; a bracket
+    stops at a zero midpoint or a width below 1e-14.
     """
-    if gd_map.dim != 1:
-        raise ValueError("period3_search supports 1-D maps only")
+    _require_1d(gd_map, "period3_search")
     if n_grid < 2:
         return []
 
     check = np.linspace(lo, hi, _INTERVAL_CHECK_N)
-    mapped = gd_map(check[:, None])[:, 0]
+    mapped = _map_points(gd_map, check)
     outside = np.flatnonzero(~((lo <= mapped) & (mapped <= hi)))
     if outside.size:
         u, v = check[outside[0]], mapped[outside[0]]
         raise IntervalMapError(
             f"map sends {u:.6g} to {v:.6g}, outside [{lo}, {hi}]")
 
-    def g(u: float) -> float:
-        return u - float(gd_map.power(np.array([u]), 3)[0])
-
     grid = np.linspace(lo, hi, n_grid)
-    vals = grid - gd_map.power(grid[:, None], 3)[:, 0]
-    roots = []
-    for i in range(n_grid - 1):
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa, fb = float(vals[i]), float(vals[i + 1])
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if (fa < 0) == (fb < 0):
-            continue
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = g(m)
-            if fm == 0.0 or (b - a) < 1e-14:
-                break
-            if (fm < 0) == (fa < 0):
-                a, fa = m, fm
-            else:
-                b = m
-        roots.append(0.5 * (a + b))
+    vals = grid - _map_points(gd_map, grid, 3)
+    on_grid = vals[:-1] == 0.0
+    bracket = ~on_grid & ((vals[:-1] < 0) != (vals[1:] < 0))
+    a, b, fa = grid[:-1][bracket], grid[1:][bracket], vals[:-1][bracket]
+    live = np.arange(len(a))
+    for _ in range(200):
+        if not live.size:
+            break
+        m = 0.5 * (a[live] + b[live])
+        fm = m - _map_points(gd_map, m, 3)
+        go = (fm != 0.0) & ~(b[live] - a[live] < 1e-14)
+        live, m, fm = live[go], m[go], fm[go]
+        left = (fm < 0) == (fa[live] < 0)
+        a[live[left]], fa[live[left]] = m[left], fm[left]
+        b[live[~left]] = m[~left]
+    roots = grid[:-1].copy()
+    roots[bracket] = 0.5 * (a + b)
+    roots = sorted(roots[on_grid | bracket].tolist())
+    if not roots:
+        return []
 
+    fixed = np.abs(roots - _map_points(gd_map, roots)) < _FIXED_POINT_TOL
     out = []
-    for r in sorted(roots):
-        if abs(r - float(gd_map(np.array([r]))[0])) < _FIXED_POINT_TOL:
-            continue                      # fixed point of the map itself
-        if out and abs(r - out[-1]) < 1e-7:
+    for r, is_fixed in zip(roots, fixed.tolist()):
+        # skip fixed points of the map itself, and repeats
+        if is_fixed or (out and abs(r - out[-1]) < 1e-7):
             continue
         out.append(r)
     return out

@@ -603,6 +603,24 @@ run.z1 = 0.0
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "resolvent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, algorithm, z1, code", [
+        ("kelly_auction", "meta_fixed\nalgorithm.k = 2", "5,5,5", 2),
+        ("kelly_auction", "meta_fixed\nalgorithm.k = 2", "1,0,0.5", 0),
+        ("lower_bound_adversary", "forward\nalgorithm.eta = 1", "5", 2),
+        ("lower_bound_adversary", "forward\nalgorithm.eta = 1", "-1", 0)],
+        ids=["kelly_outside", "kelly_on_the_boundary", "adversary_outside",
+             "adversary_on_the_boundary"])
+    def test_start_outside_the_domain_exit_code(self, tmp_path, capsys, scenario,
+                                                algorithm, z1, code):
+        # a start outside the budget box was played as given, and one
+        # outside [-1, 1] made the adversary warn, an exit 3 when warnings
+        # are errors
+        cfg = write_cfg(tmp_path, f"command = track\nscenario.name = {scenario}\n"
+                                  f"algorithm.kind = {algorithm}\nrun.horizon = 5\n"
+                                  f"run.z1 = {z1}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == code
+        assert ("field 'run.z1'" in capsys.readouterr().err) == (code == 2)
+
     @pytest.mark.parametrize("kind, given, field, start", [
         ("cyclic_regret", "", "bound.k", "algorithm.eta = 0.25\nrun.z1 = 1.0"),
         ("aggregation_tracking", "bound.g = 1.0\nbound.d = 4.0", "bound.k",
@@ -703,6 +721,32 @@ bound.kind = {kind}
         assert main(["--config", cfg, "--out", str(out)]) == 0
         row = read_rows(str(out))[0]
         assert row["measured"] == DIVERGED_TOKEN       # NaN
+        assert row["bound"] == DIVERGED_TOKEN
+        assert row["holds"] is False
+        assert main(["--config", cfg, "--out", str(out),
+                     "--fail-on-divergence"]) == 1
+
+    @pytest.mark.parametrize("kind", ["cyclic_regret", "aggregation_regret",
+                                      "aggregation_tracking"])
+    def test_log_bound_after_fewer_than_k_rounds(self, tmp_path, kind):
+        # round 2 plays -3 * 5e5, past the threshold: one round completed,
+        # where log(T/k) = log(1/4) would give a negative bound
+        cfg = write_cfg(tmp_path, f"""
+command = bounds
+scenario.name = periodic_1d
+algorithm.kind = forward
+algorithm.eta = 0.5
+run.horizon = 10
+run.z1 = 5e5
+bound.kind = {kind}
+bound.k = 4
+bound.g = 1
+bound.d = 1
+""")
+        out = tmp_path / "b.csv"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        row = read_rows(str(out))[0]
+        assert row["measured"] == pytest.approx(2.5e11)
         assert row["bound"] == DIVERGED_TOKEN
         assert row["holds"] is False
         assert main(["--config", cfg, "--out", str(out),

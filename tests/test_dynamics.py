@@ -1,5 +1,6 @@
 """Tests for the composed-map dynamics engine."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -444,6 +445,134 @@ class TestPeriodThree:
         assert first > 0.0
         with pytest.raises(IntervalMapError, match=f"map sends {first:.6g} to"):
             period3_search(m, 0.0, 2.5)
+
+
+def one_point(m, u, p=1):
+    """map^p at one point, through a one-point call."""
+    return float(m.power(np.array([u]), p)[0])
+
+
+def central_derivative(f, x, h):
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def newton_reference(m, p, x, tol=1e-10):
+    """Newton on map^p - id, one point per call: (fixed point, orbit,
+    residual), or None."""
+    for _ in range(100):
+        r = one_point(m, x, p) - x
+        if abs(r) <= tol:
+            orbit = [x]
+            for _ in range(p - 1):
+                orbit.append(one_point(m, orbit[-1]))
+            return x, tuple(orbit), abs(r)
+        d = central_derivative(lambda u: one_point(m, u, p) - u, x, 1e-4)
+        if abs(d) < 1e-12 or not math.isfinite(d):
+            return None
+        x = x - r / d
+        if not math.isfinite(x):
+            return None
+    return None
+
+
+def stability_reference(m, orbit):
+    product = 1.0
+    for x in orbit:
+        product *= central_derivative(lambda u: one_point(m, u), x, 1e-6)
+    return product
+
+
+def period3_reference(m, lo, hi, n_grid=4000):
+    """Each bracket bisected alone through one-point map^3 calls, and each
+    root tested for a fixed point alone. Returns (roots, deepest
+    bracket's number of levels), or the interval error's text."""
+    check = np.linspace(lo, hi, 10_000)
+    mapped = m(check[:, None])[:, 0]
+    outside = np.flatnonzero(~((lo <= mapped) & (mapped <= hi)))
+    if outside.size:
+        u, v = check[outside[0]], mapped[outside[0]]
+        return f"map sends {u:.6g} to {v:.6g}, outside [{lo}, {hi}]"
+    grid = np.linspace(lo, hi, n_grid)
+    vals = grid - m.power(grid[:, None], 3)[:, 0]
+    roots, deepest = [], 0
+    for i in range(n_grid - 1):
+        a, b = float(grid[i]), float(grid[i + 1])
+        fa, fb = float(vals[i]), float(vals[i + 1])
+        if fa == 0.0:
+            roots.append(a)
+            continue
+        if (fa < 0) == (fb < 0):
+            continue
+        for level in range(1, 201):
+            mid = 0.5 * (a + b)
+            fm = mid - one_point(m, mid, 3)
+            if fm == 0.0 or (b - a) < 1e-14:
+                break
+            if (fm < 0) == (fa < 0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        deepest = max(deepest, level)
+        roots.append(0.5 * (a + b))
+    out = []
+    for r in sorted(roots):
+        if abs(r - one_point(m, r)) < 1e-9:
+            continue
+        if out and abs(r - out[-1]) < 1e-7:
+            continue
+        out.append(r)
+    return out, deepest
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBlockToolsMatchScalarReference:
+    """The periodic-orbit tools evaluate the map as blocks; on the
+    exp-quadratic catalog, whose ``fn`` rounds a row the same alone and
+    in a block, they equal the one-point references bit for bit."""
+
+    ETAS = [0.4, 3.9, 5.0, 5.5, 6.1, 7.6]
+
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_newton_and_stability(self, chaos, eta, p):
+        m = compose_map(chaos, eta)
+        po = newton_periodic_orbit(m, p, [-0.1])
+        ref = newton_reference(m, p, -0.1)
+        assert (po is None) == (ref is None)
+        if po is not None:
+            x, orbit, residual = ref
+            assert hexes([po.fixed_point, po.residual]) == hexes([x, residual])
+            assert hexes(po.orbit) == hexes(orbit)
+            assert orbit_stability(m, po.orbit).product.hex() == \
+                stability_reference(m, orbit).hex()
+
+    def test_stability_of_the_four_cycle_at_3_9(self, chaos):
+        m = compose_map(chaos, 3.9)
+        orbit = newton_periodic_orbit(m, 4, [-0.1]).orbit
+        st = orbit_stability(m, orbit)
+        assert st.product.hex() == stability_reference(m, orbit).hex()
+        # points given as 1-vectors read the same
+        assert orbit_stability(m, [np.array([x]) for x in orbit]) == st
+
+    @pytest.mark.parametrize("eta", ETAS)
+    def test_period3_search(self, chaos, eta):
+        m = compose_map(chaos, eta)
+        ref = period3_reference(m, -2.5, 2.5)
+        if isinstance(ref, str):
+            with pytest.raises(IntervalMapError) as err:
+                period3_search(m, -2.5, 2.5)
+            assert str(err.value) == ref
+            return
+        roots, deepest = ref
+        # one map^3 block call for the sign grid, then one per level
+        with mock.patch.object(GDMap, "power", autospec=True,
+                               side_effect=GDMap.power) as power:
+            found = period3_search(m, -2.5, 2.5)
+        assert hexes(found) == hexes(roots)
+        assert sum(c.args[2] == 3 for c in power.call_args_list) == 1 + deepest
 
 
 class TestStarScan:

@@ -5,6 +5,7 @@ emitted rows read back unchanged."""
 
 import csv
 import io
+import json
 import math
 import os
 import tempfile
@@ -221,6 +222,43 @@ def test_csv_matches_per_cell_reference(table):
         emit_rows(table, "csv", path)
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == reference_csv(table)
+
+
+def json_value(v):
+    """The JSON rendering of one cell: a 1-vector as its one number, a
+    numpy boolean as a boolean, a nonfinite number as the divergence
+    token."""
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v) if math.isfinite(v) else DIVERGED_TOKEN
+    if isinstance(v, (list, tuple, np.ndarray)):
+        flat = np.asarray(v).ravel().astype(float, copy=False).tolist()
+        if len(flat) == 1:
+            return json_value(flat[0])
+        return [json_value(u) for u in flat]
+    return str(v)
+
+
+def reference_json(table) -> str:
+    """The table as one dict per row, a missing cell NaN, each cell
+    through ``json_value`` and ``json.dumps``."""
+    n = len(next(iter(table.values())))
+    rows = [{k: json_value(c[i] if i < len(c) else math.nan) for k, c in table.items()}
+            for i in range(n)]
+    return json.dumps({"schema": "v1", "rows": rows}, separators=(",", ":")) + "\n"
+
+
+@PROPERTY
+@given(tables(text=st.text(max_size=6)) | tables(kinds=NUMERIC))
+def test_json_matches_per_cell_reference(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.json")
+        emit_rows(table, "json", path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == reference_json(table)
 
 
 def expected(c, i, fmt):
