@@ -23,9 +23,12 @@ of the period-3 bisection), with the central differences of
 ``scenarios._central_differences``: h = 1e-6 for stability, 1e-4 for
 Newton.
 
-The star score's fixed-radius query runs on uniform grids, one per
-power-of-two band of radii; per-cell point counts settle most queries
-with two rectangle sums, and only the rest compute distances.
+The star score has one geometry: 50 points on each scored point's
+segment to the origin, a radius of 0.05 times that point's norm, at
+most 2000 scored points. Its fixed-radius query runs on uniform grids,
+one per power-of-two band of radii and at most 170 cells a side;
+per-cell point counts settle most queries with two rectangle sums, and
+only the rest compute distances.
 """
 
 from __future__ import annotations
@@ -455,8 +458,12 @@ class StarScan:
 # Most (query, tail point) candidate pairs tested in one numpy block:
 # bounds the working memory of the grid query.
 _PAIR_CHUNK = 1 << 16
-# Most cells of a band's count grid: about 2 MB of int64 prefix sums.
-_COUNT_CELLS = 1 << 18
+# The star score's one geometry: a point's segment to the origin is
+# sampled at _SEGMENT_POINTS points, each asked for a tail point within
+# _EPS_REL times the point's norm, on at most _MAX_SCORED scored points.
+_SEGMENT_POINTS = 50
+_EPS_REL = 0.05
+_MAX_SCORED = 2000
 
 
 def _grid_level(points: np.ndarray, queries: np.ndarray,
@@ -465,19 +472,22 @@ def _grid_level(points: np.ndarray, queries: np.ndarray,
     on ``(2, m)`` points and ``(2, n)`` queries (one coordinate a row).
 
     True where ``sqrt(dx*dx + dy*dy) <= radii[i]`` for some point. Cell
-    (i, j) is [i h, (i+1) h) x [j h, (j+1) h) with h = min(radii) / 2.
-    A count grid, whose cells are blocks of 2^c x 2^c of these with the
-    least c that keeps it within ``_COUNT_CELLS`` cells, holds the
-    points per cell as a 2-D prefix-sum table, so two rectangle sums
-    settle most queries with no distance computed: a query is covered
-    when the count cells lying wholly inside the square of half-side
-    r / sqrt(2) around it, shrunk by a rounding pad, hold a point, and
-    not covered when the count cells spanning [q - r, q + r] hold none.
-    Any other query tests the points in the row strips of cells
-    spanning [q - r, q + r]: the 3 x 3 cells around its own cell first,
-    then, if none was near enough, all of them. With the cells keyed
-    row-major, each strip is one ``searchsorted`` range of the sorted
-    points.
+    (i, j) is [i h, (i+1) h) x [j h, (j+1) h) with h = min(radii) / 2,
+    and the grid spans the queries' squares [q - r, q + r]. Its size
+    rests on the score's geometry: a query on a segment [0, x] with
+    r = 0.05 ||x|| (``_EPS_REL``) in [2^e, 2^(e+1)) lies within
+    2^(e+1) / 0.05 of the origin, so the grid has at most
+    8 (1 / 0.05 + 1) + 2 = 170 cells a side. A query farther out for its
+    radius is still answered right, on a grid that much larger. The grid
+    holds the points per cell as a 2-D prefix-sum table, so two
+    rectangle sums settle most queries with no distance computed: a
+    query is covered when the cells lying wholly inside the square of
+    half-side r / sqrt(2) around it, shrunk by a rounding pad, hold a
+    point, and not covered when the cells spanning [q - r, q + r] hold
+    none. Any other query tests the points in the row strips of those
+    cells: the 3 x 3 cells around its own cell first, then, if none was
+    near enough, all of them. With the cells keyed row-major, each strip
+    is one ``searchsorted`` range of the sorted points.
     """
     h = 0.5 * radii.min()
     # the pad exceeds by far the rounding of q - r and q + r, of a
@@ -486,9 +496,6 @@ def _grid_level(points: np.ndarray, queries: np.ndarray,
     pad = 2.0 ** -40 * (np.abs(queries[0]) + np.abs(queries[1]) + radii)
     reach = radii + pad
     lo, hi = queries - reach, queries + reach
-    if max(-lo.min(), hi.max()) / h >= 2.0 ** 30:
-        raise ValueError("eps_rel is too small for the grid query: "
-                         "more than 2**31 cells a side")
     (x_lo, y_lo), (x_hi, y_hi) = lo.min(axis=1), hi.max(axis=1)
     x, y = points
     points = points.compress((x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi), axis=1)
@@ -504,21 +511,18 @@ def _grid_level(points: np.ndarray, queries: np.ndarray,
     cell_lo -= corner
     cell_hi, own, cells = cell(hi) - corner, cell(queries) - corner, cell(points) - corner
 
-    # count cell c holds the cells c 2^shift ... (c + 1) 2^shift - 1;
-    # sums[j, i] counts the points in count cells below j and left of i
-    top, shift = cell_hi.max(axis=1), 0
-    while np.prod((top >> shift) + 1) > _COUNT_CELLS:
-        shift += 1
-    dims = ((top >> shift) + 1)[:, None]
-    stride = int(dims[0, 0]) + 1
-    sums = np.bincount(((cells[1] >> shift) + 1) * stride + (cells[0] >> shift) + 1,
+    # sums[j, i] counts the points in the cells below j and left of i
+    dims = (cell_hi.max(axis=1) + 1)[:, None]
+    width = int(dims[0, 0])
+    stride = width + 1
+    sums = np.bincount((cells[1] + 1) * stride + cells[0] + 1,
                        minlength=(int(dims[1, 0]) + 1) * stride).reshape(-1, stride)
     np.cumsum(sums, axis=0, out=sums)
     np.cumsum(sums, axis=1, out=sums)
     sums = sums.ravel()
 
     def in_cells(c_lo, c_hi):
-        """Points in the count cells from c_lo to c_hi, both included."""
+        """Points in the cells from c_lo to c_hi, both included."""
         (x0, y0) = a = np.minimum(np.maximum(c_lo, 0), dims)
         (x1, y1) = np.maximum(np.minimum(c_hi + 1, dims), a)
         y0, y1 = y0 * stride, y1 * stride
@@ -527,15 +531,12 @@ def _grid_level(points: np.ndarray, queries: np.ndarray,
     half = radii / math.sqrt(2.0) - pad
     inner_lo = np.ceil((queries - half) / h).astype(np.int64) - corner
     inner_hi = np.floor((queries + half) / h).astype(np.int64) - corner - 1
-    # the count cells wholly inside: ceil(inner_lo / 2^shift) and on
-    covered = in_cells(-(-inner_lo >> shift), ((inner_hi + 1) >> shift) - 1) > 0
+    covered = in_cells(inner_lo, inner_hi) > 0
     open_ = np.flatnonzero(~covered)
-    open_ = open_[in_cells(cell_lo.take(open_, axis=1) >> shift,
-                           cell_hi.take(open_, axis=1) >> shift) > 0]
+    open_ = open_[in_cells(cell_lo.take(open_, axis=1), cell_hi.take(open_, axis=1)) > 0]
     if not open_.size:
         return covered
 
-    width = int(top[0]) + 1
     keys = cells[1] * width + cells[0]
     order = np.argsort(keys, kind="stable")
     keys, points = keys[order], points.take(order, axis=1)
@@ -590,45 +591,39 @@ def _grid_covered(points: np.ndarray, queries: np.ndarray,
     return covered
 
 
-def radial_containment_score(tail_points: np.ndarray, n_segment: int = 50,
-                             eps_rel: float = 0.05, max_scored: int = 2000) -> float:
+def radial_containment_score(tail_points: np.ndarray) -> float:
     """Fraction of planar tail points whose segment to the origin is covered.
 
-    A point x counts when it is the origin, or when at least 90% of
-    ``n_segment`` equispaced points on [0, x] lie within
-    ``eps_rel * ||x||`` of some tail point, a fixed-radius query
+    A point x counts when it is the origin, or when at least 90% of 50
+    equispaced points on [0, x] (``_SEGMENT_POINTS``) lie within
+    0.05 ||x|| (``_EPS_REL``) of some tail point, a fixed-radius query
     answered on uniform grids (``_grid_covered``). Scored on a subsample
-    drawn with seed 0 when the tail has more than ``max_scored`` points.
-    ``tail_points`` must be ``(m, 2)`` and finite, ``eps_rel`` positive
-    and ``n_segment`` and ``max_scored`` at least 1, else ``ValueError``;
-    so does an ``eps_rel`` below about 4e-9, for which a grid would need
-    more than 2**31 cells a side.
+    of 2000 points (``_MAX_SCORED``) drawn with seed 0 when the tail has
+    more. ``tail_points`` must be ``(m, 2)`` with finite norms, else
+    ``ValueError``: a finite point whose norm overflows is rejected too.
     """
     tail_points = np.asarray(tail_points, dtype=float)
     if tail_points.ndim != 2 or tail_points.shape[1] != 2:
         raise ValueError(f"tail_points must be (m, 2), got {tail_points.shape}")
-    if not np.isfinite(tail_points).all():
-        raise ValueError("tail_points must be finite")
-    if not eps_rel > 0:
-        raise ValueError(f"eps_rel must be positive, got {eps_rel}")
-    for name, value in (("n_segment", n_segment), ("max_scored", max_scored)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    with np.errstate(over="ignore"):        # an overflowed norm is inf
+        all_norms = np.linalg.norm(tail_points, axis=1)
+    if not np.isfinite(all_norms).all():
+        raise ValueError("tail_points must be finite, with finite norms")
     if len(tail_points) == 0:
         return 0.0
     rng = np.random.default_rng(0)
-    m = min(max_scored, len(tail_points))
-    pts = tail_points[rng.choice(len(tail_points), size=m, replace=False)]
-    norms = np.linalg.norm(pts, axis=1)
+    m = min(_MAX_SCORED, len(tail_points))
+    idx = rng.choice(len(tail_points), size=m, replace=False)
+    pts, norms = tail_points[idx], all_norms[idx]
     # every scored point's segment, all queried at once
-    segments = (np.linspace(0.0, 1.0, n_segment)[None, :, None]
+    segments = (np.linspace(0.0, 1.0, _SEGMENT_POINTS)[None, :, None]
                 * pts[:, None, :]).reshape(-1, 2)
-    radii = np.repeat(eps_rel * norms, n_segment)
+    radii = np.repeat(_EPS_REL * norms, _SEGMENT_POINTS)
     hit = np.zeros(len(radii), dtype=bool)
     # radius 0 only at a scored origin, which counts anyway
     scored = radii > 0
     hit[scored] = _grid_covered(tail_points, segments[scored], radii[scored])
-    covered = np.mean(hit.reshape(m, n_segment), axis=1)
+    covered = np.mean(hit.reshape(m, _SEGMENT_POINTS), axis=1)
     return int(np.count_nonzero((norms == 0.0) | (covered >= 0.9))) / m
 
 

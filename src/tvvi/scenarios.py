@@ -73,6 +73,19 @@ def _spectrum_check(t: int, op: Operator) -> OperatorCheck:
     return OperatorCheck(f"t={t}", op, float(eigs[0]), float(eigs[-1]))
 
 
+def _positive_definite(A: np.ndarray, dim: int, what: str, shape: str = "") -> np.ndarray:
+    """The ascending eigenvalues of ``A``, which must be a symmetric
+    positive-definite dim x dim matrix; else a ``ConfigurationError``
+    whose message starts with ``what`` and names the ``shape`` rule."""
+    if A.shape != (dim, dim) or not np.allclose(A, A.T):
+        # eigvalsh reads one triangle only, so test symmetry first
+        raise ConfigurationError(f"{what} must be symmetric{shape}")
+    eigs = np.linalg.eigvalsh(A)
+    if eigs[0] <= 0:
+        raise ConfigurationError(f"{what} must be positive definite")
+    return eigs
+
+
 def _half_quadratic(D: np.ndarray, A: np.ndarray) -> np.ndarray:
     """D^T A D / 2 on the last axis, for a symmetric A."""
     return 0.5 * (D * (D @ A.T)).sum(axis=-1)
@@ -113,12 +126,8 @@ def build_quadratic_drift(p: dict) -> Scenario:
         raise ConfigurationError("field 'scenario.c1': c1 and b must have one "
                                  "or scenario.dim coordinates") from None
     A = np.eye(dim) if p["matrix"] is None else np.atleast_2d(np.asarray(p["matrix"], float))
-    if A.shape != (dim, dim) or not np.allclose(A, A.T):
-        raise ConfigurationError("field 'scenario.matrix': must be symmetric, "
-                                 "scenario.dim x scenario.dim")
-    eigs = np.linalg.eigvalsh(A)
-    if eigs[0] <= 0:
-        raise ConfigurationError("field 'scenario.matrix': must be positive definite")
+    eigs = _positive_definite(A, dim, "field 'scenario.matrix':",
+                              ", scenario.dim x scenario.dim")
 
     # cached prefix sums of the drift magnitudes s^{-decay}, and the
     # latest round's center, which ``at`` and ``solution_at`` both read
@@ -158,10 +167,8 @@ def periodic_quadratic(centers, matrix=None, domain: Domain = None) -> Scenario:
     dim = centers[0].size
     k = len(centers)
     A = np.eye(dim) if matrix is None else np.atleast_2d(np.asarray(matrix, float))
-    if A.shape != (dim, dim) or not np.allclose(A, A.T):
-        raise ConfigurationError("periodic_quadratic: matrix must be symmetric, "
-                                 "of the centers' dimension")
-    eigs = np.linalg.eigvalsh(A)
+    eigs = _positive_definite(A, dim, "periodic_quadratic: matrix",
+                              ", of the centers' dimension")
     domain = domain or Domain.unbounded(dim)
     for c in centers:
         if not domain.contains(c):
@@ -220,13 +227,8 @@ def build_periodic_1d(p: dict) -> Scenario:
 def exp_quadratic_operator(A) -> Operator:
     """F(x) = sigma(x^T A x / 2) A x, the gradient of log(1 + e^{x^T A x / 2})."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if not np.allclose(A, A.T):
-        # eigvalsh reads one triangle only, so test symmetry first
-        raise ConfigurationError("field 'scenario.matrices': must be symmetric")
-    eigs = np.linalg.eigvalsh(A)
-    if eigs[0] <= 0:
-        raise ConfigurationError("field 'scenario.matrices': must be positive definite")
     dim = A.shape[0]
+    eigs = _positive_definite(A, dim, "field 'scenario.matrices':")
 
     def fn(X: np.ndarray) -> np.ndarray:
         # An explicit last-axis product (einsum's own loops, no BLAS)

@@ -605,6 +605,27 @@ class TestRunTracker:
         assert traj.plays.shape == (2, 1) and traj.op_values.shape == (1, 1)
         assert traj.plays[-1, 0] == -math.inf
 
+    @staticmethod
+    def nan_past_two():
+        # F = -x, NaN where |x| > 2: an invalid operator/point pair
+        op = Operator(fn=lambda X: np.where(np.abs(X) > 2.0, np.nan, -X), dim=1)
+        return ProblemSequence(at=lambda t: op, dim=1)
+
+    def test_nan_operator_value_diverges(self):
+        # forward at eta 1 plays 1, 2 and 4; F(4) is NaN, so round 3 stops
+        traj = run_tracker(self.nan_past_two(), ContractiveForward(1.0), UNB1, [1.0], 10)
+        assert traj.diverged_at == 3
+        assert traj.plays[:, 0].tolist() == [1.0, 2.0, 4.0]
+        assert traj.op_values[:, 0].tolist() == [-1.0, -2.0]
+
+    def test_nan_operator_value_diverges_in_a_block_call(self):
+        # the bases' block evaluation meets the NaN in round 3 too
+        traj = run_tracker(self.nan_past_two(), MetaAdaptive(K=2, mu=1.0, lip=1.0),
+                           UNB1, [1.0], 10)
+        assert traj.diverged_at == 3
+        assert traj.plays.shape == (3, 1) and traj.op_values.shape == (2, 1)
+        assert traj.weights.shape == (2, 2)
+
     def test_resolvent_rejects_bounded_domain(self):
         # the resolvent step never projects: on the box [-0.1, 0.1] with
         # F(x) = x - 5 the plays would run 0 -> 2.5 -> 3.75 -> 4.375

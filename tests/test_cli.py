@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tvvi import cli, scenarios
+from tvvi.algorithms import CyclicFB, StepSchedule, run_tracker
 from tvvi.cli import main
 from tvvi.config import FIELDS, MATRICES, MATRIX, Spec, _field_value, parse_config
 from tvvi.core import ConfigurationError
@@ -44,8 +45,9 @@ verify.fd_points = 3
 """
 
 ROOT = Path(__file__).resolve().parents[1]
-README_CONFIGS = re.findall(r"```ini\n(.*?)```",
-                            (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+README_CONFIGS = re.findall(r"```ini\n(.*?)```", README, re.S)
+README_PYTHON = re.findall(r"```python\n(.*?)```", README, re.S)
 
 
 class TestParseConfig:
@@ -547,6 +549,28 @@ dynamics.burn_in = 200
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "algorithm.eta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        (MINIMAL_TRACK + "run.horizon\n", "line 8: expected 'key = value'"),
+        (MINIMAL_TRACK + "run.horizon = 12\n", "field 'run.horizon': duplicated"),
+        (MINIMAL_TRACK + "Scenario.Seed = 1\nscenario.seed = 2\n",
+         "field 'scenario.seed': duplicated"),
+        (MINIMAL_TRACK.replace("command = track\n", ""), "field 'command': required")],
+        ids=["no_equals", "duplicated", "duplicated_in_other_case", "no_command"])
+    def test_config_syntax_error_exit_code(self, tmp_path, capsys, text, message):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_cyclic_fb_constant_schedule(self, tmp_path):
+        cfg = write_cfg(tmp_path, MINIMAL_TRACK.replace("forward", "cyclic_fb").replace(
+            "eta = 1.0", "eta = 0.1") + "algorithm.period = 2\nalgorithm.schedule = constant\n")
+        out = tmp_path / "track.csv"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        sc = scenarios.build_scenario("periodic_1d")
+        traj = run_tracker(sc.seq, CyclicFB(2, StepSchedule.constant(0.1)), sc.domain,
+                           [3.0], 10)
+        assert [r["z"] for r in read_rows(str(out))] == traj.plays[:, 0].tolist()
+
     def test_string_field_path_with_comma(self, tmp_path):
         out = tmp_path / "a,b.csv"
         cfg = write_cfg(tmp_path, MINIMAL_TRACK + f"output.path = {out}\n")
@@ -843,6 +867,13 @@ run.z1 = 1.0,1.0,1.0
     def test_readme_example_runs(self, tmp_path, text):
         cfg = write_cfg(tmp_path, text)
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+
+    def test_readme_python_examples_run(self):
+        # the blocks build on each other, so they share one namespace
+        namespace = {}
+        for block in README_PYTHON:
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert len(README_PYTHON) >= 2 and namespace["total"] <= namespace["bound"]
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL_TRACK)

@@ -626,30 +626,27 @@ class TestStarScan:
     def test_radial_score_is_chunk_independent(self, monkeypatch, star, ring, spokes):
         # a 7-pair chunk splits strips and queries at every boundary
         tail = star_scan(star, 1.35, n_samples=10, n_steps=200, seed=0).tail_points
-        clouds = [(tail, {"max_scored": 300}), (ring, {"max_scored": 150}),
-                  (spokes, {"max_scored": 150})]
-        before = [radial_containment_score(pts, **kw) for pts, kw in clouds]
+        monkeypatch.setattr(dynamics, "_MAX_SCORED", 150)
+        clouds = [tail, ring, spokes]
+        before = [radial_containment_score(pts) for pts in clouds]
         monkeypatch.setattr(dynamics, "_PAIR_CHUNK", 7)
-        assert [radial_containment_score(pts, **kw) for pts, kw in clouds] == before
+        assert [radial_containment_score(pts) for pts in clouds] == before
 
     def test_radial_score_all_at_origin(self):
         # a converged scan: every radius is 0 and every point counts
         assert radial_containment_score(np.zeros((40, 2))) == 1.0
 
-    @pytest.mark.parametrize("pts, kw", [
-        (np.zeros((5, 3)), {}),
-        (np.zeros(5), {}),
-        (np.array([[0.0, 1.0], [np.nan, 0.0]]), {}),
-        (np.ones((5, 2)), {"eps_rel": 0.0}),
-        (np.ones((5, 2)), {"eps_rel": 1e-12}),
-        (np.ones((5, 2)), {"max_scored": 0}),
-        (np.ones((5, 2)), {"n_segment": 0}),
-    ], ids=["m_by_3", "flat", "nan", "eps_0", "eps_tiny", "max_scored_0",
-            "n_segment_0"])
-    def test_radial_score_rejects(self, pts, kw):
-        # a rejected keyword is named in the message
-        with pytest.raises(ValueError, match=next(iter(kw), None)):
-            radial_containment_score(pts, **kw)
+    @pytest.mark.parametrize("pts", [
+        np.zeros((5, 3)),
+        np.zeros(5),
+        np.array([[0.0, 1.0], [np.nan, 0.0]]),
+        # finite, but its norm overflows
+        np.array([[1e155, 0.0], [1.0, 1.0], [0.5, 0.2]]),
+    ], ids=["m_by_3", "flat", "nan", "norm_overflow"])
+    def test_radial_score_rejects(self, pts):
+        # no warning either: the suite turns warnings into errors
+        with pytest.raises(ValueError, match="tail_points"):
+            radial_containment_score(pts)
 
 
 @st.composite
@@ -676,18 +673,10 @@ def planar_clouds(draw):
 
 class TestGridQuery:
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(pts=planar_clouds(), eps=st.sampled_from([1e-8, 1e-3, 0.05, 0.25, 1.0, 4.0]),
-           count_cells=st.sampled_from([dynamics._COUNT_CELLS, 1, 6]))
-    def test_grid_coverage_equals_brute_force(self, pts, eps, count_cells):
-        # a tiny count grid coarsens its cells, so that the strips
-        # settle nearly every query
-        with mock.patch.object(dynamics, "_COUNT_CELLS", count_cells):
-            self.check_coverage(pts, eps)
-
-    @staticmethod
-    def check_coverage(pts, eps):
+    @given(pts=planar_clouds())
+    def test_grid_coverage_equals_brute_force(self, pts):
         norms = np.linalg.norm(pts, axis=1)
-        r = eps * norms
+        r = dynamics._EPS_REL * norms
         fractions = np.linspace(0.0, 1.0, 9)
         segments = (fractions[None, :, None] * pts[:, None, :]).reshape(-1, 2)
         # the score's segment queries, and each point moved by its own
@@ -704,8 +693,8 @@ class TestGridQuery:
                               brute_covered(pts, queries[keep], radii[keep]))
         hits = brute_covered(pts, segments, np.repeat(r, 9)).reshape(-1, 9)
         good = (norms == 0) | (hits.mean(axis=1) >= 0.9)
-        assert radial_containment_score(pts, n_segment=9, eps_rel=eps) == \
-            np.count_nonzero(good) / len(pts)
+        with mock.patch.object(dynamics, "_SEGMENT_POINTS", 9):
+            assert radial_containment_score(pts) == np.count_nonzero(good) / len(pts)
 
     def test_point_just_below_a_cell_edge(self):
         # q - r rounds up onto the cell edge at 0.5 while the point lies

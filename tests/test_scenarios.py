@@ -561,3 +561,12 @@ class TestVerification:
     def test_periodic_quadratic_rejects_asymmetric_matrix(self):
         with pytest.raises(ConfigurationError, match="symmetric"):
             periodic_quadratic([[0.0, 0.0]], matrix=[[1.0, 3.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("centers, matrix", [([[0.0]], [[-1.0]]),
+                                                 ([[0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])],
+                             ids=["negative", "singular"])
+    def test_periodic_quadratic_rejects_matrix_not_positive_definite(self, centers, matrix):
+        # it would declare mu = -1 or mu = 0, which no bound admits
+        with pytest.raises(ConfigurationError,
+                           match="periodic_quadratic: matrix must be positive definite"):
+            periodic_quadratic(centers, matrix=matrix)
