@@ -33,8 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
-                   _evaluate_block, as_point, evaluate, project,
-                   rescale_overflowed_norms)
+                   _evaluate_block, as_point, evaluate, project, row_norms)
 
 # Ties in the pre-warmup argmin weight rule are resolved uniformly over
 # all losses within this tolerance of the minimum.
@@ -439,7 +438,7 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
             plays[i] = play = learner.play(t)
             # np.linalg.norm's arithmetic; NaN and inf fail the comparison
             norm = math.sqrt(play.dot(play))
-            if not norm <= limit and not rescale_overflowed_norms(play, norm) <= limit:
+            if not norm <= limit and not row_norms(play) <= limit:
                 n, diverged_at = i, t
                 break
             if is_meta:

@@ -27,7 +27,7 @@ from . import algorithms as alg
 from . import dynamics, metrics
 from .config import (FIELDS, ExperimentConfig, _field_value, _vector_field,
                      parse_config)
-from .core import ConfigurationError, rescale_overflowed_norms
+from .core import ConfigurationError, row_norms
 from .io import emit_rows
 from .scenarios import PARAMS, Scenario, build_scenario, verify_scenario
 
@@ -134,13 +134,6 @@ def _log_form(form: partial) -> Optional[partial]:
     return form if form.keywords["T"] >= form.keywords["k"] else None
 
 
-def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm(x)``, rescaled where the square of a finite
-    vector overflowed."""
-    with np.errstate(over="ignore"):
-        return float(rescale_overflowed_norms(x, np.linalg.norm(x)))
-
-
 def _build_bound(cfg: ExperimentConfig, sc: Scenario,
                  traj: alg.Trajectory) -> Optional[partial]:
     """The closed form ``bound.kind`` names, bound to its constants, or
@@ -154,10 +147,10 @@ def _build_bound(cfg: ExperimentConfig, sc: Scenario,
         sols = traj.solutions
         return partial(metrics.contractive_bound, C=_derive_contraction(cfg, sc),
                        path=metrics.quadratic_path_length(sols),
-                       init_dist=_norm(traj.plays[0] - sols[0])
+                       init_dist=float(row_norms(traj.plays[0] - sols[0]))
                        if len(sols) else math.nan)
     if kind == "cyclic_regret":
-        G = cfg.get("bound.g") or max((_norm(g) for g in traj.op_values),
+        G = cfg.get("bound.g") or max((float(row_norms(g)) for g in traj.op_values),
                                       default=math.nan)
         return _log_form(partial(metrics.cyclic_regret_bound, k=_log_period(cfg, sc),
                                  G=G, mu=float(sc.mu), T=T))
@@ -175,8 +168,8 @@ def _build_bound(cfg: ExperimentConfig, sc: Scenario,
                 raise ConfigurationError("field 'bound.kappa': required, the "
                                          "scenario does not define mu and L")
             kappa = sc.lip / sc.mu
-        D0 = max((_norm(traj.plays[0] - s) for s in traj.solutions[:sc.period or 1]),
-                 default=math.nan)
+        D0 = max((float(row_norms(traj.plays[0] - s))
+                  for s in traj.solutions[:sc.period or 1]), default=math.nan)
         return partial(metrics.constant_tracking_bound, D0=D0, kappa=kappa,
                        k=cfg.get("bound.k", sc.period or 1),
                        K=cfg.get("algorithm.k", 1))
@@ -246,10 +239,7 @@ def _cmd_orbit(cfg: ExperimentConfig) -> tuple:
     orbit = dynamics.iterate_orbit(gd_map, x0, cfg.get("dynamics.steps"),
                                    cfg.get("dynamics.threshold"))
     P = orbit.points
-    with np.errstate(over="ignore"):    # rescaled where a square overflowed
-        # each norm rounds as np.linalg.norm of its row rounds it
-        norm = rescale_overflowed_norms(P, np.sqrt(metrics._row_dots(P, P)))
-    return {"t": np.arange(len(P)), "x": P, "norm": norm}, not orbit.bounded
+    return {"t": np.arange(len(P)), "x": P, "norm": row_norms(P)}, not orbit.bounded
 
 
 def _cmd_star(cfg: ExperimentConfig) -> tuple:

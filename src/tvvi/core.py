@@ -3,10 +3,11 @@
 Points are plain 1-D numpy arrays of shape ``(d,)``. An operator's
 ``fn`` acts on the last axis: it maps an array of shape ``(..., d)`` to
 the same shape, so one definition evaluates a single point ``(d,)`` or a
-block ``(n, d)`` of sampled points. All norms are Euclidean. Domains and
-operators are immutable after construction and safe to share across
-threads; the only mutable field is the diagnostic evaluation counter on
-:class:`Operator`.
+block ``(n, d)`` of sampled points. All norms are Euclidean; a point's
+or a block's row norms are :func:`row_norms`, which neither overflows
+nor underflows to 0. Domains and operators are immutable after
+construction and safe to share across threads; the only mutable field
+is the diagnostic evaluation counter on :class:`Operator`.
 """
 
 from __future__ import annotations
@@ -46,20 +47,31 @@ def as_point(x) -> np.ndarray:
     return arr
 
 
-def rescale_overflowed_norms(X: np.ndarray, norms) -> np.ndarray:
-    """``norms``, the Euclidean norms of the last-axis rows of ``X``, with
-    each infinite norm of a finite row recomputed as max|x_i| times the
-    norm of x / max|x_i|: such a row's squared norm overflowed (its norm
-    is above about 1.3e154) though its norm may not. Every other norm is
-    kept as it is, so a norm stays infinite only for a row that is not
-    finite or whose norm exceeds the largest float."""
-    norms = np.array(norms, dtype=float)
-    redo = np.isinf(norms) & np.isfinite(X).all(axis=-1)
-    if redo.any():
-        R = X[redo]
-        top = np.abs(R).max(axis=-1, keepdims=True)
-        with np.errstate(over="ignore"):
-            norms[redo] = top[..., 0] * np.sqrt(((R / top) ** 2).sum(axis=-1))
+def row_norms(X) -> np.ndarray:
+    """Euclidean norms of the last-axis rows of ``X``, rounded as numpy
+    rounds them: ``np.linalg.norm(X)`` for a point ``(d,)`` (a dot
+    product) and ``np.linalg.norm(X, axis=-1)`` for a block.
+
+    A finite, nonzero row whose norm is infinite (its squares overflowed,
+    above about 1.3e154) or below 2**-511 (some may have underflowed) is
+    recomputed with scaling (Blue 1978): as s times the norm of x / s,
+    s the least power of two above max|x_i|, so that the scaling is
+    exact. So a norm is 0 only for a zero row, and infinite only for a
+    row that is not finite or whose norm exceeds the largest float.
+    """
+    X = np.asarray(X, dtype=float)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=None if X.ndim == 1 else -1)
+        suspect = ~((norms >= 2.0 ** -511) & (norms < np.inf))     # NaN too
+        if suspect.any():
+            norms = np.asarray(norms)
+            rows = np.flatnonzero(suspect)
+            R = X.reshape(-1, X.shape[-1])[rows]
+            redo = np.isfinite(R).all(axis=-1) & R.any(axis=-1)
+            rows, R = rows[redo], R[redo]
+            e = np.frexp(np.abs(R).max(axis=-1))[1]
+            scaled = np.ldexp(R, -e[:, None])
+            norms.flat[rows] = np.ldexp(np.linalg.norm(scaled, axis=-1), e)
     return norms
 
 

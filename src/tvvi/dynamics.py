@@ -26,7 +26,8 @@ Newton.
 The star score has one geometry: 50 points on each scored point's
 segment to the origin, a radius of 0.05 times that point's norm, at
 most 2000 scored points. Its fixed-radius query runs on uniform grids,
-one per power-of-two band of radii and at most 170 cells a side;
+one per power-of-two band of radii, in units of that power of two (so
+a cloud scores the same at any scale) and at most 170 cells a side;
 per-cell point counts settle most queries with two rectangle sums, and
 only the rest compute distances.
 """
@@ -35,13 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .core import (ConfigurationError, Domain, _evaluate_block, as_point, project,
-                   rescale_overflowed_norms)
+                   row_norms)
 from .scenarios import Scenario, _central_differences
 
 # the bifurcation protocol: orbits of 2000 steps, the first 1000 a
@@ -79,11 +79,6 @@ class GDMap:
 
     def _step(self, op, x: np.ndarray) -> np.ndarray:
         return project(self.domain, x - self.eta * _evaluate_block(op, x))
-
-    @property
-    def step_maps(self) -> list:
-        """The per-round step maps, round-1 map first."""
-        return [partial(self._step, op) for op in self.ops]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         for op in self.ops:
@@ -153,6 +148,7 @@ def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
     x = x0
     if keep_from == 0:
         points[0] = x0
+    limit = min(threshold, np.finfo(float).max)     # inf still stops a non-finite row
     # a row on its way to divergence may overflow: the threshold, not a
     # warning, decides when it stops
     with np.errstate(over="ignore", invalid="ignore"):
@@ -162,11 +158,7 @@ def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
             block = np.empty((min(_CHECK_BLOCK, n_steps + 1 - s0), len(live), d))
             for b in range(len(block)):
                 x = block[b] = gd_map(x)
-            norms = np.linalg.norm(block, axis=-1)
-            out = ~(np.isfinite(norms) & (norms <= threshold))
-            if out.any():
-                norms = rescale_overflowed_norms(block, norms)
-                out = ~(np.isfinite(norms) & (norms <= threshold))
+            out = ~(row_norms(block) <= limit)
             crossed = out.any(axis=0)
             first = np.where(crossed, out.argmax(axis=0), len(block))
             block[np.arange(len(block))[:, None] > first] = np.nan
@@ -474,9 +466,9 @@ def _grid_level(points: np.ndarray, queries: np.ndarray,
     True where ``sqrt(dx*dx + dy*dy) <= radii[i]`` for some point. Cell
     (i, j) is [i h, (i+1) h) x [j h, (j+1) h) with h = min(radii) / 2,
     and the grid spans the queries' squares [q - r, q + r]. Its size
-    rests on the score's geometry: a query on a segment [0, x] with
-    r = 0.05 ||x|| (``_EPS_REL``) in [2^e, 2^(e+1)) lies within
-    2^(e+1) / 0.05 of the origin, so the grid has at most
+    rests on the score's geometry: in the band's units the radii lie in
+    [1/2, 1), and a query on a segment [0, x] with r = 0.05 ||x||
+    (``_EPS_REL``) lies within 20 of the origin, so the grid has at most
     8 (1 / 0.05 + 1) + 2 = 170 cells a side. A query farther out for its
     radius is still answered right, on a grid that much larger. The grid
     holds the points per cell as a 2-D prefix-sum table, so two
@@ -580,14 +572,21 @@ def _grid_covered(points: np.ndarray, queries: np.ndarray,
     each level is answered on a uniform grid sized to it (Bentley,
     Stanat & Williams 1977), since one grid for radii spanning decades
     is either too coarse for the small ones or too fine for the large.
+    Radii in [2^(e-1), 2^e) are answered in units of 2^e (``np.ldexp``,
+    exact), where no deciding distance squares to 0 or inf at any scale;
+    a point too far out for the band overflows to inf, outside its box.
     """
     covered = np.zeros(len(queries), dtype=bool)
     points, queries = np.ascontiguousarray(points.T), np.ascontiguousarray(queries.T)
     level = np.frexp(radii)[1]
     order = np.argsort(level, kind="stable")
-    for idx in np.split(order, np.flatnonzero(np.diff(level[order])) + 1):
-        if len(idx):                  # empty only when there are no queries
-            covered[idx] = _grid_level(points, queries.take(idx, axis=1), radii[idx])
+    with np.errstate(over="ignore"):
+        for idx in np.split(order, np.flatnonzero(np.diff(level[order])) + 1):
+            if len(idx):              # empty only when there are no queries
+                e = -level[idx[0]]
+                covered[idx] = _grid_level(np.ldexp(points, e),
+                                           np.ldexp(queries.take(idx, axis=1), e),
+                                           np.ldexp(radii[idx], e))
     return covered
 
 
@@ -599,14 +598,14 @@ def radial_containment_score(tail_points: np.ndarray) -> float:
     0.05 ||x|| (``_EPS_REL``) of some tail point, a fixed-radius query
     answered on uniform grids (``_grid_covered``). Scored on a subsample
     of 2000 points (``_MAX_SCORED``) drawn with seed 0 when the tail has
-    more. ``tail_points`` must be ``(m, 2)`` with finite norms, else
-    ``ValueError``: a finite point whose norm overflows is rejected too.
+    more. ``tail_points`` must be ``(m, 2)`` with finite norms
+    (``row_norms``), else ``ValueError``: a finite point whose norm
+    exceeds the largest float is rejected too.
     """
     tail_points = np.asarray(tail_points, dtype=float)
     if tail_points.ndim != 2 or tail_points.shape[1] != 2:
         raise ValueError(f"tail_points must be (m, 2), got {tail_points.shape}")
-    with np.errstate(over="ignore"):        # an overflowed norm is inf
-        all_norms = np.linalg.norm(tail_points, axis=1)
+    all_norms = row_norms(tail_points)
     if not np.isfinite(all_norms).all():
         raise ValueError("tail_points must be finite, with finite norms")
     if len(tail_points) == 0:
@@ -620,7 +619,7 @@ def radial_containment_score(tail_points: np.ndarray) -> float:
                 * pts[:, None, :]).reshape(-1, 2)
     radii = np.repeat(_EPS_REL * norms, _SEGMENT_POINTS)
     hit = np.zeros(len(radii), dtype=bool)
-    # radius 0 only at a scored origin, which counts anyway
+    # radius 0 at a scored origin (it counts) or a norm under 5e-323 (not)
     scored = radii > 0
     hit[scored] = _grid_covered(tail_points, segments[scored], radii[scored])
     covered = np.mean(hit.reshape(m, _SEGMENT_POINTS), axis=1)
@@ -649,9 +648,7 @@ def star_scan(scenario: Scenario, eta: float, n_samples: int = 100,
     bounded = points[:, diverged_at < 0]                 # (n_steps + 1, n, 2)
     n_bounded = bounded.shape[1]
     series_sum = np.zeros(n_steps + 1)
-    with np.errstate(over="ignore"):        # rescaled where a square overflowed
-        row_norms = rescale_overflowed_norms(bounded, np.linalg.norm(bounded, axis=-1))
-    for norms in row_norms.T:               # in start order
+    for norms in row_norms(bounded).T:      # in start order
         series_sum += norms
     keep_from = (n_steps + 1) // 2
     tail_points = bounded[keep_from:].transpose(1, 0, 2).reshape(-1, 2)

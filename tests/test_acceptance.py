@@ -17,7 +17,7 @@ from tvvi.algorithms import (ContractiveForward, CyclicFB, MetaAdaptive,
                              MetaFixed, StepSchedule, Trajectory, forward_step,
                              resolvent_step, run_tracker)
 from tvvi.core import Domain, Operator
-from tvvi.dynamics import (bifurcation_scan, classify_eta, compose_map,
+from tvvi.dynamics import (GDMap, bifurcation_scan, classify_eta, compose_map,
                            eta_grid, iterate_orbit, newton_periodic_orbit,
                            orbit_stability, period3_search, star_scan)
 from tvvi.metrics import (aggregation_regret_bound, constant_tracking_bound,
@@ -177,8 +177,8 @@ def test_criterion_09_period_three_evidence():
     pts = period3_search(m, -2.5, 2.5)
     ok_nonempty = len(pts) > 0
     # the documented cycle values live at the even sampling phase: map
-    # each located cycle through the round-1 step
-    phase1 = m.step_maps[0]
+    # each located cycle through the round-1 step, a one-round map
+    phase1 = GDMap(ops=m.ops[:1], domain=m.domain, eta=m.eta, dim=m.dim)
     target = np.array([0.20, 0.04, -0.10])
     ok_value, ok_orbit = False, False
     for r in pts:

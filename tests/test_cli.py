@@ -16,7 +16,7 @@ from tvvi.algorithms import CyclicFB, StepSchedule, run_tracker
 from tvvi.cli import main
 from tvvi.config import FIELDS, MATRICES, MATRIX, Spec, _field_value, parse_config
 from tvvi.core import ConfigurationError
-from tvvi.dynamics import eta_grid
+from tvvi.dynamics import eta_grid, radial_containment_score
 from tvvi.io import DIVERGED_TOKEN, emit_rows, read_rows
 from tvvi.scenarios import PARAMS
 
@@ -363,6 +363,35 @@ run.divergence_threshold = 1e300
         # measured and bound are past the largest float: nothing holds
         assert [(r["measured"], r["bound"], r["holds"]) for r in rows] == \
             [(DIVERGED_TOKEN, DIVERGED_TOKEN, False)]
+
+
+class TestPointsNearTheOrigin:
+    """A nonzero point whose squared norm underflows (its norm is below
+    about 1.5e-154) has a nonzero norm, and the star score sees it at its
+    own scale. At eta = 0.3 the star_2d orbits shrink far below that."""
+
+    def test_orbit(self, tmp_path):
+        code, rows = run_strict(tmp_path, """
+command = orbit
+scenario.name = star_2d
+dynamics.eta = 0.3
+dynamics.steps = 500
+dynamics.x0 = 1,1
+""")
+        assert code == 0 and len(rows) == 501
+        assert rows[-1]["norm"] < 1e-200
+        assert all(r["norm"] > 0 for r in rows if any(r["x"]))
+
+    def test_star(self, tmp_path):
+        text = "command = star\nstar.eta = 0.3\nstar.samples = 5\nstar.steps = 500\n"
+        code, series = run_strict(tmp_path, text)
+        assert code == 0
+        assert series[-1]["avg_norm"] < 1e-200
+        assert 0 not in [r["avg_norm"] for r in series]
+        code, tail = run_strict(tmp_path, text + "star.output = tail\n")
+        assert code == 0
+        pts = np.array([[r["x0"], r["x1"]] for r in tail])
+        assert series[0]["radial_score"] == radial_containment_score(np.ldexp(pts, 600))
 
 
 class TestCliCommands:

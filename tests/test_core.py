@@ -1,10 +1,14 @@
 """Unit tests for domains, operators, and verification primitives."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvvi.core import (Domain, Operator, analytic_solution, check_constants,
-                       evaluate, project, rescale_overflowed_norms)
+                       evaluate, project, row_norms)
 
 
 class TestProjection:
@@ -117,25 +121,76 @@ class TestFromAffine:
         assert Operator.from_affine(2.0, [1.0]).affine[0].shape == (1, 1)
 
 
-class TestRescaledNorms:
-    def test_finite_rows_past_the_square_root_of_the_largest_float(self):
-        X = np.array([[3e200, 4e200], [-2.5e154, 0.0], [1.5e308, 1.5e308], [1.0, 2.0]])
-        with np.errstate(over="ignore"):
-            plain = np.linalg.norm(X, axis=-1)
-        got = rescale_overflowed_norms(X, plain)
-        assert got[0] == pytest.approx(5e200, rel=1e-15)
-        assert got[1] == 2.5e154
-        assert got[2] == np.inf          # the norm itself is past the largest float
-        assert got[3] == plain[3]        # a norm that did not overflow is kept
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
 
-    def test_nonfinite_rows_keep_their_norm(self):
-        X = np.array([[np.inf, 1.0], [np.nan, 1e200]])
-        got = rescale_overflowed_norms(X, [np.inf, np.inf])
-        assert np.array_equal(got, [np.inf, np.inf])
+
+def ulps(a, b) -> int:
+    """How many floats apart two nonnegative floats are."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+@st.composite
+def scaled_rows(draw):
+    """One to four coordinates in [-1, 1], times 10**k for k in [-300, 300]."""
+    x = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))
+    return np.array(x) * 10.0 ** draw(st.integers(-300, 300))
+
+
+@st.composite
+def normal_square_blocks(draw):
+    """Blocks whose squares are all 0 or finite normal numbers: each
+    coordinate 0 or of magnitude 1e-3 to 1, each row times 10**k for k
+    in [-150, 150]."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    coord = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+    X = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    k = draw(st.lists(st.integers(-150, 150), min_size=n, max_size=n))
+    return X * 10.0 ** np.array(k, dtype=float)[:, None]
+
+
+class TestRowNorms:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(x=scaled_rows())
+    def test_within_two_ulp_of_hypot(self, x):
+        want = math.hypot(*x)
+        assert ulps(row_norms(x), want) <= 2
+        assert ulps(row_norms(x[None, :])[0], want) <= 2
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(X=normal_square_blocks())
+    def test_numpys_bits_where_the_squares_are_normal(self, X):
+        sq = X * X
+        assert np.all((sq == 0) | ((sq >= np.finfo(float).tiny) & (sq < np.inf)))
+        # a block rounds as numpy's norm along the rows, a point as its
+        # dot product
+        assert bits(row_norms(X)) == bits(np.linalg.norm(X, axis=-1))
+        for x in X:
+            assert bits(row_norms(x)) == bits(np.linalg.norm(x))
+
+    def test_rows_whose_squares_overflow_or_underflow(self):
+        X = np.array([[3e200, 4e200], [-2.5e154, 0.0], [1e-170, 0.0],
+                      [3e-320, -4e-320], [1.5e308, 1.5e308], [0.0, -0.0]])
+        got = row_norms(X)
+        assert got[0] == pytest.approx(5e200, rel=1e-15)
+        assert (got[1], got[2]) == (2.5e154, 1e-170)
+        assert got[3] == math.hypot(3e-320, 4e-320)
+        assert got[4] == np.inf          # the norm itself is past the largest float
+        assert got[5] == 0.0             # only a zero row has norm 0
+
+    def test_nonfinite_rows_keep_numpys_norm(self):
+        X = np.array([[np.inf, 1.0], [np.nan, 1e200], [-np.inf, np.nan]])
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(X, axis=-1)
+            points = [np.linalg.norm(x) for x in X]
+        assert bits(row_norms(X)) == bits(want)
+        assert bits([row_norms(x) for x in X]) == bits(points)
 
     def test_one_point(self):
-        assert rescale_overflowed_norms(np.array([-1e200]), np.inf) == 1e200
-        assert rescale_overflowed_norms(np.array([3.0, 4.0]), 5.0) == 5.0
+        assert row_norms(np.array([-1e200])) == 1e200
+        assert row_norms(np.array([1e-170])) == 1e-170
+        assert row_norms(np.array([3.0, 4.0])) == 5.0
 
 
 class TestAnalyticSolution:

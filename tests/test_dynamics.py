@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvvi import dynamics
-from tvvi.core import ConfigurationError, Domain, Operator, rescale_overflowed_norms
+from tvvi.core import ConfigurationError, Domain, Operator, row_norms
 from tvvi.dynamics import (DIVERGENCE_THRESHOLD, GDMap, IntervalMapError,
                            _grid_covered, bifurcation_scan, classify_eta,
                            classify_orbit, compose_map, eta_grid, iterate_orbit,
@@ -157,7 +157,7 @@ def per_period(gd_map, x0, n_steps, threshold, keep_from=0):
         for s in range(1, n_steps + 1):
             with np.errstate(over="ignore", invalid="ignore"):
                 x = m(x)
-                norm = rescale_overflowed_norms(x, np.linalg.norm(x, axis=-1))[0]
+                norm = row_norms(x)[0]
             if s >= keep_from:
                 points[s - keep_from, i] = x[0]
             if not norm <= threshold:
@@ -210,6 +210,13 @@ class TestIterateBlocks:
                                        self.THRESHOLD, keep_from=keep_from)
         assert at.tolist() == want_at.tolist()
         assert np.array_equal(points, want_points, equal_nan=True)
+
+    def test_an_infinite_threshold_stops_a_row_at_inf(self):
+        # 2**1000 doubles to inf at period 24, then stays inf: an inf
+        # state that repeats is diverged, not a fixed point
+        x0 = np.array([[2.0 ** 1000, 0.0]])
+        points, at = dynamics._iterate(self.gd_map([1.0]), x0, 100, np.inf)
+        assert at.tolist() == [24] and points[24, 0, 0] == np.inf
 
     @staticmethod
     def cycle_map():
@@ -632,6 +639,12 @@ class TestStarScan:
         monkeypatch.setattr(dynamics, "_PAIR_CHUNK", 7)
         assert [radial_containment_score(pts) for pts in clouds] == before
 
+    def test_radial_score_sees_points_whose_squares_underflow(self):
+        # 1e-170 squares to 0, yet it is not the origin: its segment is
+        # scored like 1e-150's, and neither is covered
+        assert radial_containment_score([[1e-170, 0.0], [5.0, 5.0]]) == \
+            radial_containment_score([[1e-150, 0.0], [5.0, 5.0]]) == 0.0
+
     def test_radial_score_all_at_origin(self):
         # a converged scan: every radius is 0 and every point counts
         assert radial_containment_score(np.zeros((40, 2))) == 1.0
@@ -640,8 +653,8 @@ class TestStarScan:
         np.zeros((5, 3)),
         np.zeros(5),
         np.array([[0.0, 1.0], [np.nan, 0.0]]),
-        # finite, but its norm overflows
-        np.array([[1e155, 0.0], [1.0, 1.0], [0.5, 0.2]]),
+        # finite, but its norm is past the largest float
+        np.array([[1.5e308, 1.5e308], [1.0, 1.0], [0.5, 0.2]]),
     ], ids=["m_by_3", "flat", "nan", "norm_overflow"])
     def test_radial_score_rejects(self, pts):
         # no warning either: the suite turns warnings into errors
@@ -689,12 +702,19 @@ class TestGridQuery:
         queries = np.vstack([segments] + [pts + r[:, None] * np.array(e) for e in offsets])
         radii = np.concatenate([np.repeat(r, 9), np.tile(r, len(offsets))])
         keep = radii > 0
-        assert np.array_equal(_grid_covered(pts, queries[keep], radii[keep]),
-                              brute_covered(pts, queries[keep], radii[keep]))
+        covered = brute_covered(pts, queries[keep], radii[keep])
         hits = brute_covered(pts, segments, np.repeat(r, 9)).reshape(-1, 9)
         good = (norms == 0) | (hits.mean(axis=1) >= 0.9)
-        with mock.patch.object(dynamics, "_SEGMENT_POINTS", 9):
-            assert radial_containment_score(pts) == np.count_nonzero(good) / len(pts)
+        # the same cloud scaled by 2**k, where the squares of its norms
+        # and distances underflow (k = -600) or overflow (k = 600), has
+        # the same coverage and score
+        for k in (-600, 0, 600):
+            got = _grid_covered(np.ldexp(pts, k), np.ldexp(queries[keep], k),
+                                np.ldexp(radii[keep], k))
+            assert np.array_equal(got, covered)
+            with mock.patch.object(dynamics, "_SEGMENT_POINTS", 9):
+                assert radial_containment_score(np.ldexp(pts, k)) == \
+                    np.count_nonzero(good) / len(pts)
 
     def test_point_just_below_a_cell_edge(self):
         # q - r rounds up onto the cell edge at 0.5 while the point lies
