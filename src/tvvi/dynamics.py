@@ -25,11 +25,13 @@ Newton.
 
 The star score has one geometry: 50 points on each scored point's
 segment to the origin, a radius of 0.05 times that point's norm, at
-most 2000 scored points. Its fixed-radius query runs on uniform grids,
-one per power-of-two band of radii, in units of that power of two (so
-a cloud scores the same at any scale) and at most 170 cells a side;
-per-cell point counts settle most queries with two rectangle sums, and
-only the rest compute distances.
+most 2000 scored points. Each point is scored on the uniform grid of
+its power-of-two band of radii, in units of that power of two (so a
+cloud scores the same at any scale), at most 170 cells a side. Its
+verdict comes from counts: two rectangle sums of per-cell point counts
+settle most queries, and only undecided points compute distances. The
+tail classification tests the whole tail only at the shifts that the
+last point allows.
 """
 
 from __future__ import annotations
@@ -235,21 +237,23 @@ def _classify_tails(tails: np.ndarray) -> list:
     when each tail point lies within ``PERIOD_TOL`` of the last, else
     periodic with the least p up to ``MAX_PERIOD`` whose p-shift moves no
     point by ``PERIOD_TOL`` or more, else bounded_aperiodic. Shifts need
-    p < T."""
+    p < T. Only the shifts that move the last point by less than
+    ``PERIOD_TOL``, in the same arithmetic, are tested on the whole tail."""
     out = [Classification("bounded_aperiodic")] * tails.shape[1]
     spread = np.linalg.norm(tails - tails[-1], axis=-1).max(axis=0)
     for i in np.flatnonzero(spread < PERIOD_TOL):
         out[i] = Classification("converged")
     open_rows = np.flatnonzero(spread >= PERIOD_TOL)
-    tails = tails[:, open_rows]
-    for p in range(2, min(MAX_PERIOD, len(tails) - 1) + 1):
-        if not open_rows.size:
-            break
-        shift = np.linalg.norm(tails[p:] - tails[:-p], axis=-1).max(axis=0)
-        hit = shift < PERIOD_TOL
-        for i in open_rows[hit]:
+    shifts = np.arange(2, min(MAX_PERIOD, len(tails) - 1) + 1)
+    near = np.linalg.norm(tails[-1, open_rows] - tails[np.ix_(-1 - shifts, open_rows)],
+                          axis=-1) < PERIOD_TOL
+    for p, candidates in zip(shifts.tolist(), near):
+        k = np.flatnonzero(candidates)
+        shift = np.linalg.norm(tails[p:, open_rows[k]] - tails[:-p, open_rows[k]],
+                               axis=-1).max(axis=0)
+        for i in open_rows[k[shift < PERIOD_TOL]]:
             out[i] = Classification("periodic", period=p)
-        open_rows, tails = open_rows[~hit], tails[:, ~hit]
+        near[:, k[shift < PERIOD_TOL]] = False
     return out
 
 
@@ -458,28 +462,29 @@ _EPS_REL = 0.05
 _MAX_SCORED = 2000
 
 
-def _grid_level(points: np.ndarray, queries: np.ndarray,
-                radii: np.ndarray) -> np.ndarray:
-    """Fixed-radius query for radii within a factor of two of each other,
-    on ``(2, m)`` points and ``(2, n)`` queries (one coordinate a row).
+def _grid_level(points: np.ndarray, queries: np.ndarray, radii: np.ndarray,
+                size: int, need: int) -> np.ndarray:
+    """Fixed-radius verdicts for radii within a factor of two of each
+    other, on ``(2, m)`` points and ``(2, n)`` queries (one coordinate a
+    row): True for each group of ``size`` consecutive queries of which
+    ``need`` or more have a point with ``sqrt(dx*dx + dy*dy) <= radii[i]``.
 
-    True where ``sqrt(dx*dx + dy*dy) <= radii[i]`` for some point. Cell
-    (i, j) is [i h, (i+1) h) x [j h, (j+1) h) with h = min(radii) / 2,
+    Cell (i, j) is [i h, (i+1) h) x [j h, (j+1) h) with h = min(radii) / 2,
     and the grid spans the queries' squares [q - r, q + r]. Its size
     rests on the score's geometry: in the band's units the radii lie in
     [1/2, 1), and a query on a segment [0, x] with r = 0.05 ||x||
     (``_EPS_REL``) lies within 20 of the origin, so the grid has at most
-    8 (1 / 0.05 + 1) + 2 = 170 cells a side. A query farther out for its
-    radius is still answered right, on a grid that much larger. The grid
-    holds the points per cell as a 2-D prefix-sum table, so two
-    rectangle sums settle most queries with no distance computed: a
-    query is covered when the cells lying wholly inside the square of
-    half-side r / sqrt(2) around it, shrunk by a rounding pad, hold a
-    point, and not covered when the cells spanning [q - r, q + r] hold
-    none. Any other query tests the points in the row strips of those
-    cells: the 3 x 3 cells around its own cell first, then, if none was
-    near enough, all of them. With the cells keyed row-major, each strip
-    is one ``searchsorted`` range of the sorted points.
+    8 (1 / 0.05 + 1) + 2 = 170 cells a side (a query farther out for its
+    radius gets a grid that much larger). Two rectangle sums over a
+    prefix-sum table of the points per cell bound each query: it is
+    covered when the cells wholly inside the square of half-side
+    r / sqrt(2) around it, shrunk by a rounding pad, hold a point, and
+    open when they hold none but the cells spanning [q - r, q + r] do.
+    A group passes on its covered count, and fails when covered and open
+    together come short of ``need``. Only the others' open queries test
+    the points in the row strips of their cells (ranges of the points
+    sorted row-major): the 3 x 3 cells around the query's own cell
+    first, then all of them for the groups still short.
     """
     h = 0.5 * radii.min()
     # the pad exceeds by far the rounding of q - r and q + r, of a
@@ -488,23 +493,19 @@ def _grid_level(points: np.ndarray, queries: np.ndarray,
     pad = 2.0 ** -40 * (np.abs(queries[0]) + np.abs(queries[1]) + radii)
     reach = radii + pad
     lo, hi = queries - reach, queries + reach
-    (x_lo, y_lo), (x_hi, y_hi) = lo.min(axis=1), hi.max(axis=1)
-    x, y = points
-    points = points.compress((x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi), axis=1)
-    covered = np.zeros(len(radii), dtype=bool)
+    box_lo, box_hi = lo.min(axis=1)[:, None], hi.max(axis=1)[:, None]
+    points = points.compress(((points >= box_lo) & (points <= box_hi)).all(axis=0), axis=1)
     if not points.size:
-        return covered
+        return np.zeros(len(radii) // size, dtype=bool)
 
     def cell(x):
         return np.floor(x / h).astype(np.int64)
 
-    cell_lo = cell(lo)
-    corner = cell_lo.min(axis=1)[:, None]
-    cell_lo -= corner
-    cell_hi, own, cells = cell(hi) - corner, cell(queries) - corner, cell(points) - corner
+    # cell() is monotone, so the box's corners lie in the grid's corner cells
+    corner = cell(box_lo)
+    dims, cells = cell(box_hi) - corner + 1, cell(points) - corner
 
     # sums[j, i] counts the points in the cells below j and left of i
-    dims = (cell_hi.max(axis=1) + 1)[:, None]
     width = int(dims[0, 0])
     stride = width + 1
     sums = np.bincount((cells[1] + 1) * stride + cells[0] + 1,
@@ -520,24 +521,32 @@ def _grid_level(points: np.ndarray, queries: np.ndarray,
         y0, y1 = y0 * stride, y1 * stride
         return sums[y1 + x1] - sums[y0 + x1] - sums[y1 + x0] + sums[y0 + x0]
 
-    half = radii / math.sqrt(2.0) - pad
-    inner_lo = np.ceil((queries - half) / h).astype(np.int64) - corner
-    inner_hi = np.floor((queries + half) / h).astype(np.int64) - corner - 1
-    covered = in_cells(inner_lo, inner_hi) > 0
-    open_ = np.flatnonzero(~covered)
-    open_ = open_[in_cells(cell_lo.take(open_, axis=1), cell_hi.take(open_, axis=1)) > 0]
-    if not open_.size:
-        return covered
+    def n_covered():
+        return np.count_nonzero(covered.reshape(-1, size), axis=1)
 
-    keys = cells[1] * width + cells[0]
-    order = np.argsort(keys, kind="stable")
-    keys, points = keys[order], points.take(order, axis=1)
+    half = radii / math.sqrt(2.0) - pad
+    covered = np.empty(len(radii), dtype=bool)
+    for c in range(0, len(radii), 4096):       # blocks that stay in cache
+        qc, hc = queries[:, c:c + 4096], half[c:c + 4096]
+        inner_lo = np.ceil((qc - hc) / h).astype(np.int64) - corner
+        inner_hi = np.floor((qc + hc) / h).astype(np.int64) - corner - 1
+        covered[c:c + 4096] = in_cells(inner_lo, inner_hi) > 0
+    open_ = np.flatnonzero(~covered & np.repeat(n_covered() < need, size))
+    cell_lo, cell_hi = cell(lo.take(open_, axis=1)) - corner, cell(hi.take(open_, axis=1)) - corner
+    keep = in_cells(cell_lo, cell_hi) > 0
+    at_most = n_covered() + np.bincount(open_[keep] // size, minlength=len(covered) // size)
+    keep &= at_most[open_ // size] >= need
+    open_, cell_lo, cell_hi = open_[keep], cell_lo[:, keep], cell_hi[:, keep]
+    if not open_.size:
+        return n_covered() >= need
+
+    points = points.take(np.argsort(cells[1] * width + cells[0], kind="stable"), axis=1)
     for window in (1, None):
-        rest = open_[~covered[open_]]
-        c_lo, c_hi = cell_lo.take(rest, axis=1), cell_hi.take(rest, axis=1)
+        at = np.flatnonzero(~covered[open_] & (n_covered() < need)[open_ // size])
+        rest, c_lo, c_hi = open_[at], cell_lo[:, at], cell_hi[:, at]
         if window:
-            c_lo = np.maximum(c_lo, own.take(rest, axis=1) - window)
-            c_hi = np.minimum(c_hi, own.take(rest, axis=1) + window)
+            own = cell(queries.take(rest, axis=1)) - corner
+            c_lo, c_hi = np.maximum(c_lo, own - window), np.minimum(c_hi, own + window)
         n_rows = c_hi[1] - c_lo[1] + 1
         per_batch = max(1, _PAIR_CHUNK // int(n_rows.max(initial=1)))
         for b in range(0, len(rest), per_batch):
@@ -546,8 +555,11 @@ def _grid_level(points: np.ndarray, queries: np.ndarray,
             s = np.repeat(np.arange(b, b + len(rows)), rows)
             first = np.cumsum(rows) - rows
             row = c_lo[1, s] + np.arange(len(s)) - np.repeat(first, rows)
-            start = np.searchsorted(keys, row * width + c_lo[0, s])
-            count = np.searchsorted(keys, row * width + c_hi[0, s], side="right") - start
+            # the prefix sums give a strip's range in the row-major order
+            base, x0, x1 = row * stride, c_lo[0, s], c_hi[0, s] + 1
+            left = sums[base + stride + x0] - sums[base + x0]
+            start = sums[base + width] + left
+            count = sums[base + stride + x1] - sums[base + x1] - left
             q = rest[s]
             ends = np.cumsum(count)
             # candidate pairs in chunks: pair k is the (k - first)-th point
@@ -560,34 +572,34 @@ def _grid_level(points: np.ndarray, queries: np.ndarray,
                 dx = queries[0, qi] - px
                 dy = queries[1, qi] - py
                 covered[qi[np.sqrt(dx * dx + dy * dy) <= radii[qi]]] = True
-    return covered
+    return n_covered() >= need
 
 
-def _grid_covered(points: np.ndarray, queries: np.ndarray,
-                  radii: np.ndarray) -> np.ndarray:
-    """True where some of the planar ``points`` lies within ``radii[i] > 0``
-    of ``queries[i]``, distances taken as ``sqrt(dx*dx + dy*dy)``.
+def _covered_segments(points: np.ndarray, ends: np.ndarray, radii: np.ndarray,
+                      fractions: np.ndarray, need: int) -> np.ndarray:
+    """True for each planar end x_i when ``need`` or more of the points
+    f x_i, f in ``fractions``, have one of the planar ``points`` within
+    ``radii[i] > 0``, distances taken as ``sqrt(dx*dx + dy*dy)``.
 
-    Queries are grouped into power-of-two levels of their radius, and
-    each level is answered on a uniform grid sized to it (Bentley,
-    Stanat & Williams 1977), since one grid for radii spanning decades
-    is either too coarse for the small ones or too fine for the large.
-    Radii in [2^(e-1), 2^e) are answered in units of 2^e (``np.ldexp``,
-    exact), where no deciding distance squares to 0 or inf at any scale;
-    a point too far out for the band overflows to inf, outside its box.
+    The ends are grouped into power-of-two levels of their radius, and
+    each level's queries are built and answered on a uniform grid sized
+    to it (Bentley, Stanat & Williams 1977), since one grid for radii
+    spanning decades is either too coarse for the small ones or too fine
+    for the large. Radii in [2^(e-1), 2^e) are answered in units of 2^e
+    (``np.ldexp``, exact), where no deciding distance squares to 0 or inf
+    at any scale; a point too far out for the band overflows to inf,
+    outside its box.
     """
-    covered = np.zeros(len(queries), dtype=bool)
-    points, queries = np.ascontiguousarray(points.T), np.ascontiguousarray(queries.T)
-    level = np.frexp(radii)[1]
-    order = np.argsort(level, kind="stable")
+    good, level = np.zeros(len(ends), dtype=bool), np.frexp(radii)[1]
+    points = np.ascontiguousarray(points.T)
     with np.errstate(over="ignore"):
-        for idx in np.split(order, np.flatnonzero(np.diff(level[order])) + 1):
-            if len(idx):              # empty only when there are no queries
-                e = -level[idx[0]]
-                covered[idx] = _grid_level(np.ldexp(points, e),
-                                           np.ldexp(queries.take(idx, axis=1), e),
-                                           np.ldexp(radii[idx], e))
-    return covered
+        for e in sorted(set(level.tolist())):     # np.unique imports numpy.ma
+            band = np.flatnonzero(level == e)
+            queries = (ends[band].T[:, :, None] * fractions).reshape(2, -1)
+            good[band] = _grid_level(np.ldexp(points, -e), np.ldexp(queries, -e),
+                                     np.ldexp(np.repeat(radii[band], len(fractions)), -e),
+                                     len(fractions), need)
+    return good
 
 
 def radial_containment_score(tail_points: np.ndarray) -> float:
@@ -596,11 +608,12 @@ def radial_containment_score(tail_points: np.ndarray) -> float:
     A point x counts when it is the origin, or when at least 90% of 50
     equispaced points on [0, x] (``_SEGMENT_POINTS``) lie within
     0.05 ||x|| (``_EPS_REL``) of some tail point, a fixed-radius query
-    answered on uniform grids (``_grid_covered``). Scored on a subsample
-    of 2000 points (``_MAX_SCORED``) drawn with seed 0 when the tail has
-    more. ``tail_points`` must be ``(m, 2)`` with finite norms
-    (``row_norms``), else ``ValueError``: a finite point whose norm
-    exceeds the largest float is rejected too.
+    answered on uniform grids (``_covered_segments``) as a count: 45 of
+    50 covered pass, and a point whose grid counts settle that computes
+    no distance. Scored on a subsample of 2000 points (``_MAX_SCORED``)
+    drawn with seed 0 when the tail has more. ``tail_points`` must be
+    ``(m, 2)`` with finite norms (``row_norms``), else ``ValueError``: a
+    finite point whose norm exceeds the largest float is rejected too.
     """
     tail_points = np.asarray(tail_points, dtype=float)
     if tail_points.ndim != 2 or tail_points.shape[1] != 2:
@@ -614,16 +627,13 @@ def radial_containment_score(tail_points: np.ndarray) -> float:
     m = min(_MAX_SCORED, len(tail_points))
     idx = rng.choice(len(tail_points), size=m, replace=False)
     pts, norms = tail_points[idx], all_norms[idx]
-    # every scored point's segment, all queried at once
-    segments = (np.linspace(0.0, 1.0, _SEGMENT_POINTS)[None, :, None]
-                * pts[:, None, :]).reshape(-1, 2)
-    radii = np.repeat(_EPS_REL * norms, _SEGMENT_POINTS)
-    hit = np.zeros(len(radii), dtype=bool)
+    # the least count of covered segment points whose mean is >= 0.9
+    need = next(c for c in range(_SEGMENT_POINTS + 1) if c / _SEGMENT_POINTS >= 0.9)
     # radius 0 at a scored origin (it counts) or a norm under 5e-323 (not)
-    scored = radii > 0
-    hit[scored] = _grid_covered(tail_points, segments[scored], radii[scored])
-    covered = np.mean(hit.reshape(m, _SEGMENT_POINTS), axis=1)
-    return int(np.count_nonzero((norms == 0.0) | (covered >= 0.9))) / m
+    good, scored = norms == 0.0, _EPS_REL * norms > 0
+    good[scored] = _covered_segments(tail_points, pts[scored], _EPS_REL * norms[scored],
+                                     np.linspace(0.0, 1.0, _SEGMENT_POINTS), need)
+    return int(np.count_nonzero(good)) / m
 
 
 def star_scan(scenario: Scenario, eta: float, n_samples: int = 100,

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from tvvi import dynamics
 from tvvi.core import ConfigurationError, Domain, Operator, row_norms
-from tvvi.dynamics import (DIVERGENCE_THRESHOLD, GDMap, IntervalMapError,
-                           _grid_covered, bifurcation_scan, classify_eta,
-                           classify_orbit, compose_map, eta_grid, iterate_orbit,
-                           newton_periodic_orbit, orbit_stability, period3_search,
-                           radial_containment_score, star_scan)
+from tvvi.dynamics import (DIVERGENCE_THRESHOLD, MAX_PERIOD, PERIOD_TOL, Classification,
+                           GDMap, IntervalMapError, _classify_tails, _covered_segments,
+                           bifurcation_scan, classify_eta, classify_orbit, compose_map,
+                           eta_grid, iterate_orbit, newton_periodic_orbit, orbit_stability,
+                           period3_search, radial_containment_score, star_scan)
 from tvvi.scenarios import build_scenario, periodic_quadratic
 
 
@@ -53,6 +53,76 @@ def brute_covered(points, queries, radii):
     dy *= dy
     dx += dy
     return np.sqrt(dx.min(axis=1)) <= radii
+
+
+def all_queries_score(tail_points):
+    """The star score as first built, the reference for its per-point
+    verdicts: every scored point's 50 segment queries answered, each band
+    of radii [2^(e-1), 2^e) in units of 2^e, and a point counted when it
+    is the origin or the mean of its hits is >= 0.9. The queries are
+    answered by brute force, in chunks, where the score used its grids."""
+    tail_points = np.asarray(tail_points, dtype=float)
+    m = min(2000, len(tail_points))
+    idx = np.random.default_rng(0).choice(len(tail_points), size=m, replace=False)
+    pts, norms = tail_points[idx], row_norms(tail_points)[idx]
+    segments = (np.linspace(0.0, 1.0, 50)[None, :, None] * pts[:, None, :]).reshape(-1, 2)
+    radii = np.repeat(0.05 * norms, 50)
+    hit = np.zeros(len(radii), dtype=bool)
+    level = np.frexp(radii)[1]
+    with np.errstate(over="ignore"):
+        for e in np.unique(level[radii > 0]).tolist():
+            band = np.flatnonzero((radii > 0) & (level == e))
+            for c in range(0, len(band), 500):
+                q = band[c:c + 500]
+                hit[q] = brute_covered(np.ldexp(tail_points, -e), np.ldexp(segments[q], -e),
+                                       np.ldexp(radii[q], -e))
+    covered = np.mean(hit.reshape(m, 50), axis=1)
+    return int(np.count_nonzero((norms == 0.0) | (covered >= 0.9))) / m
+
+
+def classify_tails_reference(tails):
+    """The tail classification as first built: every shift p = 2..64 on
+    the whole tail of every open row, in increasing p."""
+    out = [Classification("bounded_aperiodic")] * tails.shape[1]
+    spread = np.linalg.norm(tails - tails[-1], axis=-1).max(axis=0)
+    for i in np.flatnonzero(spread < PERIOD_TOL):
+        out[i] = Classification("converged")
+    open_rows = np.flatnonzero(spread >= PERIOD_TOL)
+    tails = tails[:, open_rows]
+    for p in range(2, min(MAX_PERIOD, len(tails) - 1) + 1):
+        if not open_rows.size:
+            break
+        shift = np.linalg.norm(tails[p:] - tails[:-p], axis=-1).max(axis=0)
+        hit = shift < PERIOD_TOL
+        for i in open_rows[hit]:
+            out[i] = Classification("periodic", period=p)
+        open_rows, tails = open_rows[~hit], tails[:, ~hit]
+    return out
+
+
+@st.composite
+def cycle_tails(draw):
+    """``(T, n, d)`` tail blocks, d in {1, 2}: each row repeats a random
+    cycle of period 1-80 (1 settles, past 64 wanders) at a drawn scale,
+    and may have one point moved by PERIOD_TOL times 1 - 1e-6, 1 or
+    1 + 1e-6: the last point, the point one period before it, or any."""
+    d = draw(st.sampled_from([1, 2]))
+    length = draw(st.integers(2, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        p = draw(st.integers(1, 80))
+        cycle = rng.uniform(-2.0, 2.0, (p, d)) * 10.0 ** draw(st.sampled_from([-4, 0, 3]))
+        row = cycle[np.arange(length) % p]
+        where = draw(st.sampled_from(["none", "last", "period_back", "any"]))
+        if where != "none":
+            i = {"last": length - 1, "period_back": max(length - 1 - p, 0),
+                 "any": int(rng.integers(length))}[where]
+            step = rng.standard_normal(d)
+            row[i] += PERIOD_TOL * draw(st.sampled_from([1 - 1e-6, 1.0, 1 + 1e-6])) \
+                * step / np.linalg.norm(step)
+        rows.append(row)
+    return np.stack(rows, axis=1)
 
 
 class TestComposeMap:
@@ -314,6 +384,11 @@ class TestClassification:
     def test_period_four_window(self, chaos):
         cls = classify_eta(compose_map(chaos, 3.9), [-0.1])
         assert cls.kind == "periodic" and cls.period == 4
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(tails=cycle_tails())
+    def test_prefiltered_tails_match_the_full_loop(self, tails):
+        assert _classify_tails(tails) == classify_tails_reference(tails)
 
     def test_eta_grid_covers_half_open_interval(self):
         g = eta_grid(0.0, 8.0, 40)
@@ -624,6 +699,35 @@ class TestStarScan:
             good += np.mean(hits) >= 0.9
         assert radial_containment_score(pts) == good / 2000
 
+    def test_radial_score_derives_its_threshold(self, monkeypatch):
+        # 20 segment points need 18 covered: a gapped spoke and a rotated,
+        # scaled copy give points with exactly 18 and with 17
+        monkeypatch.setattr(dynamics, "_SEGMENT_POINTS", 20)
+        t = np.arange(401) / 400
+        spoke = np.c_[t, np.zeros_like(t)][(t <= 0.5) | (t >= 0.65)]
+        turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+        pts = np.vstack([spoke, 3.0 * spoke @ turn.T])
+        fractions = np.linspace(0.0, 1.0, 20)
+        counts = np.array([np.count_nonzero(brute_covered(
+            pts, fractions[:, None] * x, 0.05 * float(np.linalg.norm(x)))) for x in pts])
+        assert {17, 18} <= set(counts.tolist())
+        good = (counts / 20 >= 0.9) | (np.linalg.norm(pts, axis=1) == 0)
+        assert radial_containment_score(pts) == np.count_nonzero(good) / len(pts)
+
+    @pytest.mark.parametrize("cloud", ["eta_0.3_tail", "radius_underflow", "origins"])
+    def test_radial_score_matches_all_queries(self, star, cloud):
+        rng = np.random.default_rng(4)
+        spread = rng.standard_normal((300, 2)) * rng.uniform(0.2, 1.0, (300, 1))
+        pts = {
+            # a converging tail: its radii span over 400 power-of-two bands
+            "eta_0.3_tail": lambda: star_scan(star, 0.3, n_samples=3, n_steps=500).tail_points,
+            # radii that round to 0 (not counted), or are subnormal
+            "radius_underflow": lambda: np.vstack([spread, [[1e-322, 0.0], [3e-323, -4e-323],
+                                                            [0.0, 5e-324], [1e-310, 2e-311]]]),
+            "origins": lambda: np.vstack([spread, np.zeros((40, 2)), [[-0.0, 0.0]]]),
+        }[cloud]()
+        assert radial_containment_score(pts) == all_queries_score(pts)
+
     def test_radial_score_ring_is_low(self, ring):
         assert radial_containment_score(ring) < 0.2
 
@@ -686,8 +790,8 @@ def planar_clouds(draw):
 
 class TestGridQuery:
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(pts=planar_clouds())
-    def test_grid_coverage_equals_brute_force(self, pts):
+    @given(pts=planar_clouds(), need=st.integers(1, 9))
+    def test_grid_coverage_equals_brute_force(self, pts, need):
         norms = np.linalg.norm(pts, axis=1)
         r = dynamics._EPS_REL * norms
         fractions = np.linspace(0.0, 1.0, 9)
@@ -705,13 +809,18 @@ class TestGridQuery:
         covered = brute_covered(pts, queries[keep], radii[keep])
         hits = brute_covered(pts, segments, np.repeat(r, 9)).reshape(-1, 9)
         good = (norms == 0) | (hits.mean(axis=1) >= 0.9)
+        scored = r > 0
         # the same cloud scaled by 2**k, where the squares of its norms
         # and distances underflow (k = -600) or overflow (k = 600), has
-        # the same coverage and score
+        # the same coverage, verdicts and score
         for k in (-600, 0, 600):
-            got = _grid_covered(np.ldexp(pts, k), np.ldexp(queries[keep], k),
-                                np.ldexp(radii[keep], k))
+            # one query per end at need 1: the verdict is its coverage
+            got = _covered_segments(np.ldexp(pts, k), np.ldexp(queries[keep], k),
+                                    np.ldexp(radii[keep], k), np.ones(1), 1)
             assert np.array_equal(got, covered)
+            got = _covered_segments(np.ldexp(pts, k), np.ldexp(pts[scored], k),
+                                    np.ldexp(r[scored], k), fractions, need)
+            assert np.array_equal(got, hits[scored].sum(axis=1) >= need)
             with mock.patch.object(dynamics, "_SEGMENT_POINTS", 9):
                 assert radial_containment_score(np.ldexp(pts, k)) == \
                     np.count_nonzero(good) / len(pts)
@@ -722,4 +831,4 @@ class TestGridQuery:
         p = np.array([[np.nextafter(0.5, 0.0), 0.0]])
         q, r = np.array([[1.5, 0.0]]), np.array([1.0])
         assert brute_covered(p, q, r)[0]
-        assert _grid_covered(p, q, r)[0]
+        assert _covered_segments(p, q, r, np.ones(1), 1)[0]
