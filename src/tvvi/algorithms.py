@@ -31,6 +31,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+# the gufunc np.linalg.solve wraps: the same dgesv call without the
+# wrapper's per-call checks; importing it here fails loudly on a numpy
+# that moves it
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
                    _evaluate_block, as_point, evaluate, project, row_norms)
@@ -87,19 +91,23 @@ def resolvent_step(op: Operator, z) -> np.ndarray:
     """Solve z' + F(z') = z for affine F(x) = Ax + b.
 
     Requires I + A invertible (always true for strongly monotone affine
-    F). The returned point satisfies the residual to 1e-10.
+    F). The returned point satisfies the residual to 1e-10. The solve is
+    ``np.linalg.solve``'s own dgesv call, under its floating-point
+    policy, so the bits are the same.
     """
     if op.affine is None:
         raise ConfigurationError("field 'algorithm.kind': resolvent needs affine operators")
     A, b = op.affine
     z = as_point(z)
     try:
-        out = np.linalg.solve(_identity(op.dim) + A, z - b)
-    except np.linalg.LinAlgError as exc:
+        # dgesv flags a singular matrix as an invalid value
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            out = _solve1(_identity(op.dim) + A, z - b, signature="dd->d")
+    except FloatingPointError as exc:
         raise np.linalg.LinAlgError("I + A is singular") from exc
     r = out + (A @ out + b) - z
     residual = math.sqrt(r.dot(r))      # np.linalg.norm's arithmetic
-    if residual > 1e-10:
+    if not residual <= 1e-10:           # NaN fails too
         raise np.linalg.LinAlgError(f"resolvent residual {residual:.2e} too large")
     return out
 

@@ -67,8 +67,14 @@ def _run_trajectory(cfg: ExperimentConfig, sc: Scenario) -> alg.Trajectory:
     if not sc.domain.contains(z1):
         raise ConfigurationError("field 'run.z1': the start lies outside the "
                                  f"domain of {sc.name}")
-    return alg.run_tracker(sc.seq, algo, sc.domain, z1, cfg.get("run.horizon"),
-                           divergence_threshold=cfg.get("run.divergence_threshold"))
+    try:
+        return alg.run_tracker(sc.seq, algo, sc.domain, z1, cfg.get("run.horizon"),
+                               divergence_threshold=cfg.get("run.divergence_threshold"))
+    except np.linalg.LinAlgError as exc:
+        # a resolvent step whose system I + A the scenario's operators
+        # leave singular or too ill-conditioned to solve
+        raise ConfigurationError(f"field 'algorithm.kind': {cfg.get('algorithm.kind')} "
+                                 f"cannot step on {sc.name}: {exc}") from exc
 
 
 def _track_table(traj: alg.Trajectory, mu: float) -> dict:

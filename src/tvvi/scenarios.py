@@ -386,15 +386,19 @@ STREAM_ROUNDS = 64      # rounds whose data one block computes
 
 
 def _ridge_rounds(stream: _DataStream, size, ridge: np.ndarray):
-    """Round t's ``(G + ridge, A^T b, solution, A, b)`` over the first
-    ``size(t)`` rows of ``stream``, as a function of t.
+    """Round t's ``(2 (G + ridge), -2 A^T b, solution, A, b)`` over the
+    first ``size(t)`` rows of ``stream``, as a function of t: the matrix
+    and offset of the ridge objective's gradient, its minimizer, and the
+    rows and targets.
 
     Rounds are computed STREAM_ROUNDS at a time, in blocks aligned on
     round numbers, and the block of the latest round asked for is kept:
-    each round's sums are the stream's, and the block's ridge solutions
-    come from one batched solve, which runs the same LAPACK solve on
-    each matrix as a call for that round alone would. A round's data
-    depends only on the stream and t, never on which rounds came first.
+    each round's sums are the stream's, the block's gradient matrices
+    and offsets are two stacked elementwise operations, and its ridge
+    solutions come from one batched solve, which runs the same LAPACK
+    solve on each matrix as a call for that round alone would. A round's
+    data depends only on the stream and t, never on which rounds came
+    first.
     """
     cached = [None, ()]     # block number, its rounds' data
 
@@ -408,8 +412,8 @@ def _ridge_rounds(stream: _DataStream, size, ridge: np.ndarray):
             G = np.array([g for g, _ in sums]) + ridge
             h = np.array([v for _, v in sums])
             solutions = np.linalg.solve(G, h[..., None])[..., 0]
-            cached[:] = block, tuple(zip(G, h, solutions, (A[:n] for n in sizes),
-                                         (b[:n] for n in sizes)))
+            cached[:] = block, tuple(zip(2.0 * G, -2.0 * h, solutions,
+                                         (A[:n] for n in sizes), (b[:n] for n in sizes)))
         return cached[1][i]
 
     return round_data
@@ -428,9 +432,9 @@ def build_streaming_regression(p: dict) -> Scenario:
                                lam * np.eye(dim))
 
     def make_op(t: int) -> Operator:
-        G, h, solution, A, b = round_data(t)
+        matrix, offset, solution, A, b = round_data(t)
         return Operator.from_affine(
-            2.0 * G, -2.0 * h, solution=solution,
+            matrix, offset, solution=solution,
             potential=lambda X: ((X @ A.T - b) ** 2).sum(axis=-1) + lam * (X * X).sum(axis=-1))
 
     seq = ProblemSequence(at=make_op, dim=dim, solution_at=lambda t: round_data(t)[2])

@@ -1,7 +1,9 @@
 """Tests for the solvers, the cyclic base learner, and the two
 aggregation meta-algorithms."""
 
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +114,35 @@ class TestResolventStep:
         # z / 1.3 rounds at the scale of z, far above the 1e-10 residual
         with pytest.raises(np.linalg.LinAlgError, match="residual"):
             resolvent_step(affine_op([[0.3]], [0.0]), [1e12 / 3])
+
+    def test_nan_residual_raises(self):
+        # the solve overflows to (inf, 2), whose residual is NaN; under
+        # run_tracker's errstate nothing warns, so the check must catch it
+        op = affine_op([[1e308, -1e308], [0.0, 0.0]], [0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match="residual"):
+                resolvent_step(op, [0.0, 2.0])
+
+    def test_matches_linalg_solve_bitwise(self):
+        # the gufunc call is np.linalg.solve's own dgesv call
+        rng = np.random.default_rng(11)
+        for d in range(1, 5):
+            for _ in range(50):
+                A = rng.standard_normal((d, d)) + 2.0 * np.eye(d)   # not symmetric
+                b, z = rng.standard_normal(d), rng.uniform(-5.0, 5.0, d)
+                want = np.linalg.solve(np.eye(d) + A, z - b)
+                assert resolvent_step(affine_op(A, b), z).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("state", [
+        contextlib.nullcontext, lambda: np.errstate(over="ignore", invalid="ignore")],
+        ids=["default_errstate", "run_tracker_errstate"])
+    def test_singular_raises_without_warning(self, state):
+        op = affine_op([[-1.0, 2.0], [0.0, -1.0]], [0.0, 0.0])
+        with warnings.catch_warnings(record=True) as caught, state():
+            warnings.simplefilter("always")
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                resolvent_step(op, [1.0, 1.0])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestCyclicFB:

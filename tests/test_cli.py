@@ -656,6 +656,23 @@ run.z1 = 0.0
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "resolvent" in capsys.readouterr().err
 
+    def test_unsolvable_resolvent_exit_code(self, tmp_path, capsys):
+        # A = 1e308 I: from round 2, A z' + b cancels at the scale 1e307,
+        # whose rounding leaves a residual of about 0.1
+        cfg = write_cfg(tmp_path, """
+command = track
+scenario.name = quadratic_drift
+scenario.dim = 2
+scenario.matrix = 1e308,0;0,1e308
+algorithm.kind = resolvent
+run.horizon = 5
+run.z1 = 1,1
+""")
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "field 'algorithm.kind'" in err and "residual" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("scenario, algorithm, z1, code", [
         ("kelly_auction", "meta_fixed\nalgorithm.k = 2", "5,5,5", 2),
         ("kelly_auction", "meta_fixed\nalgorithm.k = 2", "1,0,0.5", 0),

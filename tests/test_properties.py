@@ -115,8 +115,9 @@ def test_resolvent_step_contracts(case):
 @PROPERTY
 @given(strongly_monotone_affine())
 def test_resolvent_step_is_one_solve(case):
-    # the cached identity and the residual's dot product leave the step
-    # the plain solve of (I + A) z' = z - b, bit for bit
+    # the cached identity, the solve gufunc called directly and the
+    # residual's dot product leave the step the plain solve of
+    # (I + A) z' = z - b, bit for bit
     op, _, _, z, _ = case
     A, b = op.affine
     want = np.linalg.solve(np.eye(op.dim) + A, z - b)

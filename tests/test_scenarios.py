@@ -384,8 +384,9 @@ class TestStreams:
            more=st.lists(st.integers(1, 4 * STREAM_ROUNDS), max_size=6))
     def test_block_rounds_match_per_round_formula(self, dim, n0, growth, lam, noise,
                                                   seed, more):
-        """Every round's (G + ridge, A^T b, solution, A, b) from the blocks
-        is bit for bit the one-round formula's, in any order of rounds."""
+        """Every round's (2 (G + ridge), -2 A^T b, solution, A, b) from the
+        blocks is bit for bit the one-round formula's, in any order of
+        rounds."""
         w_star = np.random.default_rng(seed).standard_normal(dim)
 
         def data_stream():
@@ -399,7 +400,7 @@ class TestStreams:
             n = n0 + growth * (t - 1)
             G, h = reference.sums(n)
             G = G + ridge
-            return (G, h, np.linalg.solve(G, h)) + reference.upto(n)
+            return (2.0 * G, -2.0 * h, np.linalg.solve(G, h)) + reference.upto(n)
 
         rounds = _ridge_rounds(data_stream(), lambda t: n0 + growth * (t - 1), ridge)
         sc = build_scenario("streaming_regression", {
@@ -411,10 +412,10 @@ class TestStreams:
             got = rounds(t)
             assert [x.shape for x in got] == [x.shape for x in want]
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want], t
-            G, h, solution, A, b = want
+            matrix, offset, solution, A, b = want
             op = sc.seq.at(t)
-            assert (2.0 * G).tobytes() == op.affine[0].tobytes()
-            assert (-2.0 * h).tobytes() == op.affine[1].tobytes()
+            assert matrix.tobytes() == op.affine[0].tobytes()
+            assert offset.tobytes() == op.affine[1].tobytes()
             assert solution.tobytes() == op.solution.tobytes()
             assert sc.seq.solution_at(t) is op.solution
             X = np.linspace(-1.0, 1.0, 2 * dim).reshape(2, dim)
