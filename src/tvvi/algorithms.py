@@ -37,7 +37,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
-                   _evaluate_block, as_point, evaluate, project, row_norms)
+                   as_point, evaluate, project, row_norms)
 
 # Ties in the pre-warmup argmin weight rule are resolved uniformly over
 # all losses within this tolerance of the minimum.
@@ -161,18 +161,9 @@ class CyclicFBLearner:
     def observe(self, t: int, op: Operator) -> np.ndarray:
         """Step the slots ``play(t)`` made active with ``op`` evaluated
         there in one block call; returns F at the play."""
-        G = _evaluate_finite(op, self.active_slots)
+        G = evaluate(op, self.active_slots)
         self.step(self.active, self.active_slots, G)
         return G[0]
-
-
-def _evaluate_finite(op: Operator, pts: np.ndarray) -> np.ndarray:
-    """F at every row of ``pts`` in one block call; like ``evaluate``,
-    a NaN marks an invalid operator/point pair."""
-    out = _evaluate_block(op, pts)
-    if np.isnan(out).any():
-        raise FloatingPointError("operator returned NaN; invalid operator/point pair")
-    return out
 
 
 def _distinct_rows(P: np.ndarray) -> tuple:
@@ -190,7 +181,7 @@ def _evaluate_distinct(op: Operator, z: np.ndarray, Z: np.ndarray) -> tuple:
     """F at the play ``z`` and at every row of ``Z`` from one block call
     on the distinct points, in first-seen order, each counted once."""
     pts, rows = _distinct_rows(np.concatenate([z[None], Z]))
-    F = _evaluate_finite(op, pts)[rows]
+    F = evaluate(op, pts)[rows]
     return F[0], F[1:]
 
 
@@ -227,8 +218,15 @@ def _argmin_weights(cum_loss: np.ndarray) -> np.ndarray:
 
 
 def fixed_learning_rate(mu: float, D: float, G: float) -> float:
-    """The exp-concavity learning rate 1 / (4 mu (D + G/mu)^2)."""
-    return 1.0 / (4.0 * mu * (D + G / mu) ** 2)
+    """The exp-concavity learning rate 1 / (4 mu (D + G/mu)^2): 0 below
+    the least float, inf where its denominator rounds to 0."""
+    x = D + G / mu
+    try:
+        return 1.0 / (4.0 * mu * x ** 2)
+    except OverflowError:           # x^2 alone passes the largest float
+        return 1.0 / (4.0 * mu * x) / x
+    except ZeroDivisionError:
+        return math.inf
 
 
 def _losses(g: np.ndarray, Z: np.ndarray, play: np.ndarray, mu: float) -> np.ndarray:
@@ -368,8 +366,14 @@ class MetaFixed:
         if self.D is None or self.G is None:
             raise ConfigurationError("field 'algorithm.d': meta_fixed needs D and G "
                                      "(algorithm.d, algorithm.g)")
+        lam = fixed_learning_rate(self.mu, self.D, self.G)
+        if not 0.0 < lam < math.inf:
+            raise ConfigurationError(
+                f"field 'algorithm.mu': meta_fixed's learning rate 1 / (4 mu (D + G/mu)^2) "
+                f"is {lam} at mu = {self.mu:g}, D = {self.D:g}, G = {self.G:g} "
+                "(algorithm.mu, algorithm.d, algorithm.g)")
         return MetaLearner(self.K, z1, StepSchedule.inverse_mu_t(self.mu), domain,
-                           self.mu, lam=fixed_learning_rate(self.mu, self.D, self.G))
+                           self.mu, lam=lam)
 
 
 @dataclass(frozen=True)

@@ -105,11 +105,16 @@ def _derive_contraction(cfg: ExperimentConfig, sc: Scenario) -> float:
     if c is not None:
         return c
     kind = cfg.get("algorithm.kind")
-    if kind == "resolvent" and sc.mu is not None:
-        return 1.0 / (1.0 + sc.mu)
-    if kind == "forward" and sc.mu is not None and sc.lip is not None:
-        if abs(cfg.get("algorithm.eta") - sc.mu / sc.lip ** 2) <= 1e-12:
-            return math.sqrt(max(0.0, 1.0 - (sc.mu / sc.lip) ** 2))
+    try:
+        if kind == "resolvent" and sc.mu is not None:
+            c = 1.0 / (1.0 + sc.mu)
+        if kind == "forward" and sc.mu is not None and sc.lip is not None:
+            if abs(cfg.get("algorithm.eta") - sc.mu / sc.lip ** 2) <= 1e-12:
+                c = math.sqrt(max(0.0, 1.0 - (sc.mu / sc.lip) ** 2))
+    except (OverflowError, ZeroDivisionError):      # L^2 past the float range
+        c = None
+    if c is not None and c < 1.0:       # a factor that rounds to 1 contracts nothing
+        return c
     raise ConfigurationError("field 'bound.c': required, the contraction factor "
                              f"of {kind} is not derivable on this scenario")
 
@@ -222,6 +227,10 @@ def _cmd_bifurcation(cfg: ExperimentConfig) -> tuple:
     sc = build_scenario(cfg.scenario or "chaos_1d", cfg.scenario_params)
     etas = dynamics.eta_grid(cfg.get("dynamics.eta_lo"), cfg.get("dynamics.eta_hi"),
                              cfg.get("dynamics.eta_n"))
+    if not 0.0 < min(etas) <= max(etas) < math.inf:
+        raise ConfigurationError("field 'dynamics.eta_hi': the grid's step sizes "
+                                 "eta_lo + (eta_hi - eta_lo) i / eta_n must be positive "
+                                 f"floats, and range from {min(etas)} to {max(etas)}")
     extra = cfg.get("dynamics.extra_etas")
     if extra is not None:
         etas = sorted(set(etas) | set(extra))

@@ -92,7 +92,9 @@ FIELDS = {
     "star.eta": Spec(float, None, _POSITIVE, ("star",)),
     "star.samples": Spec(int, 100, _POSITIVE, ("star",)),
     "star.steps": Spec(int, 500, _POSITIVE, ("star",)),
-    "star.box": Spec(float, 500.0, _POSITIVE, ("star",)),
+    # the start draw's range, 2 * box, must stay finite
+    "star.box": Spec(float, 500.0, ("must be in (0, 8.98e307]", lambda x: 0 < x <= 8.98e307),
+                     ("star",)),
     "star.seed": Spec(int, 0, _NONNEGATIVE, ("star",)),
     "star.output": Spec(("series", "tail"), "series", None, ("star",)),
     "verify.samples": Spec(int, 10000, _POSITIVE, ("verify",)),

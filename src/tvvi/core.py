@@ -2,8 +2,11 @@
 
 Points are plain 1-D numpy arrays of shape ``(d,)``. An operator's
 ``fn`` acts on the last axis: it maps an array of shape ``(..., d)`` to
-the same shape, so one definition evaluates a single point ``(d,)`` or a
-block ``(n, d)`` of sampled points. All norms are Euclidean; a point's
+the same shape, so one definition serves a single point ``(d,)`` and a
+block ``(n, d)`` of points. :func:`evaluate` is the one checked
+evaluation, for a point or a block: it rejects a width other than the
+operator's before ``fn`` runs, counts each row once and raises
+``FloatingPointError`` on a NaN. All norms are Euclidean; a point's
 or a block's row norms are :func:`row_norms`, which neither overflows
 nor underflows to 0. Domains and operators are immutable after
 construction and safe to share across threads; the only mutable field
@@ -176,15 +179,14 @@ class Operator:
         return Operator(fn=lambda X: X @ A.T + b, dim=b.size, affine=(A, b), **kw)
 
 
-def evaluate(op: Operator, p) -> np.ndarray:
-    """Evaluate F(p), checking shape and finiteness of the output."""
-    p = as_point(p)
-    if p.size != op.dim:
-        raise ValueError(f"dimension mismatch: point {p.size}, operator {op.dim}")
-    op.evals += 1
-    out = as_point(op.fn(p))
-    # the sum of squares is NaN exactly when some coordinate is NaN
-    if math.isnan(out.dot(out)):
+def evaluate(op: Operator, X) -> np.ndarray:
+    """F at a point ``(d,)`` or at every row of a block ``(n, d)``, in
+    one call of ``op.fn``, each row counted once. A NaN anywhere marks an
+    invalid operator/point pair and raises ``FloatingPointError``."""
+    X = np.asarray(X, dtype=float)
+    out = _evaluate_block(op, X.reshape(1) if X.ndim == 0 else X)
+    # the flattened sum of squares is NaN exactly when some coordinate is
+    if math.isnan(np.vdot(out, out)):
         raise FloatingPointError("operator returned NaN; invalid operator/point pair")
     return out
 
@@ -223,7 +225,10 @@ def _sample_points(domain: Domain, n: int, rng: np.random.Generator) -> np.ndarr
 def _evaluate_block(op: Operator, pts: np.ndarray) -> np.ndarray:
     """F at every point of the last-axis array ``pts`` (a point ``(d,)``
     or a block ``(n, d)``), in one call of ``op.fn``, counting each
-    point as one evaluation."""
+    point as one evaluation. Unchecked for NaN: where a NaN row is data
+    and not an error, callers use this rather than :func:`evaluate`."""
+    if pts.shape[-1] != op.dim:
+        raise ValueError(f"dimension mismatch: point {pts.shape[-1]}, operator {op.dim}")
     op.evals += pts.size // op.dim
     out = np.asarray(op.fn(pts), dtype=float)
     if out.shape != pts.shape:
@@ -258,7 +263,7 @@ def check_constants(op: Operator, mu: Optional[float], lip: Optional[float],
         lhs = np.einsum("ij,ij->i", fdiff, diff)
         monotone = bool(np.all(lhs >= mu * np.einsum("ij,ij->i", diff, diff) - _ZERO_TOL))
     if lip is not None:
-        lhs = np.linalg.norm(fdiff, axis=1)
+        lhs = row_norms(fdiff)
         lipschitz = bool(np.all(lhs <= lip * np.linalg.norm(diff, axis=1) + _ZERO_TOL))
     return monotone, lipschitz
 

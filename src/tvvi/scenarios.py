@@ -139,7 +139,12 @@ def build_quadratic_drift(p: dict) -> Scenario:
         if latest[0] != t:
             while len(prefix) < t:
                 s = len(prefix)
-                prefix.append(prefix[-1] + s ** (-decay))
+                try:
+                    prefix.append(prefix[-1] + s ** (-decay))
+                except OverflowError:
+                    raise ConfigurationError(
+                        f"field 'scenario.decay': the drift s^(-decay) of round {s + 1} "
+                        f"passes the largest float at decay = {decay}") from None
             latest[:] = t, c1 - b * prefix[t - 1]
         return latest[1]
 
@@ -229,6 +234,10 @@ def exp_quadratic_operator(A) -> Operator:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     dim = A.shape[0]
     eigs = _positive_definite(A, dim, "field 'scenario.matrices':")
+    mu = float(eigs[0]) / 2.0
+    if mu == 0.0:
+        raise ConfigurationError("field 'scenario.matrices': the strong-monotonicity "
+                                 "constant, half the least eigenvalue, rounds to 0")
 
     def fn(X: np.ndarray) -> np.ndarray:
         # An explicit last-axis product (einsum's own loops, no BLAS)
@@ -241,7 +250,7 @@ def exp_quadratic_operator(A) -> Operator:
     def potential(X: np.ndarray) -> np.ndarray:
         return np.logaddexp(0.0, 0.5 * (X * np.einsum("...j,ij->...i", X, A)).sum(axis=-1))
 
-    return Operator(fn=fn, dim=dim, mu=float(eigs[0]) / 2.0,
+    return Operator(fn=fn, dim=dim, mu=mu,
                     lip=EXP_SMOOTHNESS * float(eigs[-1]), solution=np.zeros(dim),
                     potential=potential)
 
@@ -316,6 +325,10 @@ def build_kelly_auction(p: dict) -> Scenario:
     domain = Domain.box(np.zeros(n), budgets)
     v_max = float(np.max(values0)) * (1.0 + p["value_amp"])
     entry_min = p["entry"] * (1.0 - p["entry_amp"])
+    if entry_min == 0.0:
+        # the price at x = 0 would round to 0, and F to 0 / 0
+        raise ConfigurationError("field 'scenario.entry': the least entry price "
+                                 "entry * (1 - entry_amp) rounds to 0")
     # coarse sup-norm bound: |F_i| <= 1 + v_max/entry_min + lam * b_i
     gbound = math.sqrt(n) * (1.0 + v_max / entry_min + lam * float(np.max(budgets)))
     seq = ProblemSequence(at=make_op, dim=n)
@@ -683,8 +696,11 @@ PARAMS: dict = {
     "streaming_regression": {
         "dim": Spec(int, 3, _AT_LEAST_ONE), "n0": Spec(int, 5, _NONNEGATIVE),
         "growth": Spec(int, 2, _NONNEGATIVE), "noise": Spec(float, 0.1, _NONNEGATIVE),
-        "lam_reg": Spec(float, 1.0, _POSITIVE), "seed": Spec(int, 0, _NONNEGATIVE),
-        "w_star": Spec(list, None)},
+        # keeps F = 2 (G + lam I) x - 2 A^T b, and the sampled checks'
+        # sums of it, finite on the sampling box
+        "lam_reg": Spec(float, 1.0, ("must be positive and at most 1e300",
+                                     lambda x: 0 < x <= 1e300)),
+        "seed": Spec(int, 0, _NONNEGATIVE), "w_star": Spec(list, None)},
     "glm": {
         "dim": Spec(int, 2, _AT_LEAST_ONE), "n0": Spec(int, 20, _POSITIVE),
         "growth": Spec(int, 5, _NONNEGATIVE),

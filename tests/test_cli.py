@@ -673,6 +673,51 @@ run.z1 = 1,1
         assert "field 'algorithm.kind'" in err and "residual" in err
         assert "Traceback" not in err
 
+    _KELLY_META = ("command = track\nscenario.name = kelly_auction\nalgorithm.kind = "
+                   "meta_fixed\nalgorithm.k = 2\nrun.horizon = 10\nrun.z1 = 0.5,0.5,0.5\n")
+    _FORWARD_C = ("command = bounds\nscenario.name = quadratic_drift\nalgorithm.kind = "
+                  "forward\nalgorithm.eta = 0.1\nrun.horizon = 10\nrun.z1 = 0.5\n"
+                  "bound.kind = contractive\n")
+    _RESOLVENT_C = ("command = bounds\nalgorithm.kind = resolvent\nrun.horizon = 10\n"
+                    "bound.kind = contractive\n")
+    _EXTREMES = {
+        "rate_mu_1e-300": _KELLY_META + "algorithm.mu = 1e-300\n",
+        "rate_d_1e308": _KELLY_META + "algorithm.d = 1e308\n",
+        "rate_g_1e300": _KELLY_META + "algorithm.g = 1e300\n",
+        "rate_entry_1e-300": _KELLY_META + "scenario.entry = 1e-300\n",
+        "rate_value_amp_1e300": _KELLY_META + "scenario.value_amp = 1e300\n",
+        "rate_lam_reg_1e-300": _KELLY_META + "scenario.lam_reg = 1e-300\n",
+        "contraction_lip_1e308": _FORWARD_C + "scenario.matrix = 1e308\n",
+        "contraction_lip_5e-324": _FORWARD_C + "scenario.matrix = 5e-324\n",
+        "drift_decay_-2000": "command = track\nscenario.name = quadratic_drift\n"
+                             "algorithm.kind = forward\nalgorithm.eta = 0.1\n"
+                             "run.horizon = 10\nrun.z1 = 0.5\nscenario.decay = -2000\n",
+        "kelly_entry_5e-324": _KELLY_META + "scenario.entry = 5e-324\n",
+        "exp_mu_rounds_to_0": "command = track\nscenario.name = exp_quadratic\n"
+                              "algorithm.kind = cyclic_fb\nalgorithm.period = 2\n"
+                              "run.horizon = 10\nrun.z1 = 0.5\n"
+                              "scenario.matrices = 5e-324\n",
+        "resolvent_c_stream": _RESOLVENT_C + "scenario.name = streaming_regression\n"
+                                             "run.z1 = 0.5,0.5,0.5\n"
+                                             "scenario.lam_reg = 5e-324\n",
+        "resolvent_c_drift": _RESOLVENT_C + "scenario.name = quadratic_drift\n"
+                                            "run.z1 = 0.5\nscenario.matrix = 5e-324\n",
+        "eta_grid_5e-324": SMALL_SCAN + "dynamics.eta_hi = 5e-324\n",
+        "star_box_1e308": SMALL_STAR + "star.box = 1e308\n",
+        "verify_lam_reg_1e308": SMALL_VERIFY.replace("chaos_1d", "streaming_regression")
+                                + "scenario.lam_reg = 1e308\n"}
+
+    @pytest.mark.parametrize("text", _EXTREMES.values(), ids=_EXTREMES.keys())
+    def test_extreme_constant_exit_code(self, tmp_path, capsys, text):
+        # each config takes a derived constant or a draw past the float
+        # range, or rounds a positive constant to 0 or 1
+        cfg = write_cfg(tmp_path, text)
+        code = main(["--config", cfg, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, err
+        if code == 2:
+            assert re.search(r"field '[a-z_]+\.[a-z_0-9]+'", err), err
+
     @pytest.mark.parametrize("scenario, algorithm, z1, code", [
         ("kelly_auction", "meta_fixed\nalgorithm.k = 2", "5,5,5", 2),
         ("kelly_auction", "meta_fixed\nalgorithm.k = 2", "1,0,0.5", 0),
@@ -933,7 +978,8 @@ run.z1 = 1.0,1.0,1.0
 _BREAKS_RULE = {"must be positive": "0", "must be nonnegative": "-1",
                 "must be at least 1": "0", "must be at least 2": "1",
                 "must be in [0, 1)": "1", "must be in [0, 1]": "1.5",
-                "must be -1, 0 or 1": "0.5"}
+                "must be -1, 0 or 1": "0.5",
+                "must be positive and at most 1e300": "1e308"}
 _BOUNDED_PARAMS = [(name, key, spec.bound[0]) for name, table in PARAMS.items()
                    for key, spec in table.items() if spec.bound is not None]
 

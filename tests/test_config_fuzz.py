@@ -22,7 +22,8 @@ from tvvi.scenarios import BUILDERS, PARAMS, build_scenario
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 ADVERSARIAL = ["0", "-1", "-2.5", "nan", "inf", "-inf", "", "0.5,0.5",
-               "1,2,3,4,5", "1", "2", "0.25", "true", "x"]
+               "1,2,3,4,5", "1", "2", "0.25", "true", "x",
+               "1e308", "-1e308", "5e-324", "1e-300"]
 
 DIMS = {name: build_scenario(name).seq.dim for name in BUILDERS}
 

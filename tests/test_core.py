@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvvi.core import (Domain, Operator, analytic_solution, check_constants,
-                       evaluate, project, row_norms)
+from tvvi.core import (Domain, Operator, _evaluate_block, analytic_solution,
+                       check_constants, evaluate, project, row_norms)
+from tvvi.scenarios import build_scenario, rsi_operator
 
 
 class TestProjection:
@@ -100,6 +101,48 @@ class TestEvaluate:
         for _ in range(5):
             evaluate(op, [0.3])
         assert op.evals == 5
+
+    @pytest.mark.parametrize("name", ["chaos_1d", "star_2d", "exp_quadratic"])
+    def test_block_equals_rows_bit_for_bit(self, name):
+        sc = build_scenario(name)
+        X = np.random.default_rng(0).uniform(-3.0, 3.0, size=(17, sc.seq.dim))
+        for t in range(1, sc.period + 1):
+            op = sc.seq.at(t)
+            rows = np.array([evaluate(op, x) for x in X])
+            before = op.evals
+            block = evaluate(op, X)
+            assert op.evals - before == len(X)
+            assert block.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_nan_in_any_row_raises(self, row):
+        X = np.ones((5, 2))
+        X[row, 1] = np.nan
+        with pytest.raises(FloatingPointError):
+            evaluate(Operator(fn=lambda Z: 2.0 * Z, dim=2), X)
+
+    def test_infinite_rows_are_not_nan(self):
+        X = np.array([[np.inf, -np.inf], [1e300, 1.0]])
+        assert np.array_equal(evaluate(Operator(fn=lambda Z: Z, dim=2), X), X)
+
+    @pytest.mark.parametrize("X", [np.zeros(3), np.zeros((4, 3)), np.zeros((4, 1))],
+                             ids=["point", "block", "narrow_block"])
+    def test_wrong_width_rejected_before_fn(self, X):
+        seen = []
+        op = Operator(fn=lambda Z: seen.append(Z.shape) or Z, dim=2)
+        for call in (evaluate, _evaluate_block):
+            with pytest.raises(ValueError,
+                               match=f"dimension mismatch: point {X.shape[-1]}, operator 2"):
+                call(op, X)
+        assert seen == [] and op.evals == 0
+
+    def test_sampled_checks_reject_the_wrong_width(self):
+        # rsi_game's operator reads two coordinates of each row, so a 3-D
+        # domain's samples must stop before its fn
+        op = rsi_operator(0.5)
+        with pytest.raises(ValueError, match="dimension mismatch: point 3, operator 2"):
+            check_constants(op, None, 100.0, Domain.unbounded(3), n_samples=50)
+        assert op.evals == 0
 
 
 class TestFromAffine:
