@@ -187,7 +187,9 @@ def _field_value(key: str, spec: Spec, raw):
         value = None            # no literal of its type: fails every type but str
     if not ok(value):
         raise ConfigurationError(f"field {key!r}: {rule}, got {raw!r}")
-    if spec.bound is not None and not all(map(spec.bound[1], np.ravel(value))):
+    coordinates = np.concatenate([np.ravel(m) for m in value]) if spec.type == MATRICES \
+        else np.ravel(value)
+    if spec.bound is not None and not all(map(spec.bound[1], coordinates)):
         raise ConfigurationError(f"field {key!r}: {spec.bound[0]}, got {raw!r}")
     return value
 

@@ -25,7 +25,10 @@ import numpy as np
 # every dynamics region exercised by the scenario catalog.
 SAMPLING_BOX_HALF_WIDTH = 10.0
 
+# The sampled checks' slack: _ZERO_TOL, or _RELATIVE_TOL (256 units in
+# the last place) of the sizes a comparison is made of when that is larger
 _ZERO_TOL = 1e-9
+_RELATIVE_TOL = 2.0 ** -44
 _FLOAT = np.dtype(float)
 
 
@@ -245,7 +248,9 @@ def check_constants(op: Operator, mu: Optional[float], lip: Optional[float],
     ``None`` for a constant not given.
 
     Deterministic given the seed; pairs are drawn uniformly from the
-    sampling box intersected with the domain.
+    sampling box intersected with the domain. Each pair's slack grows
+    with ||F(z)|| + ||F(w)||, whose rounding F(z) - F(w) keeps, and with
+    the constant's side, so the checks hold at any scale of F.
     """
     if mu is not None and mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -257,14 +262,28 @@ def check_constants(op: Operator, mu: Optional[float], lip: Optional[float],
     zs = _sample_points(domain, n_samples, rng)
     ws = _sample_points(domain, n_samples, rng)
     diff = zs - ws
-    fdiff = _evaluate_block(op, zs) - _evaluate_block(op, ws)
+    fz, fw = _evaluate_block(op, zs), _evaluate_block(op, ws)
+    fdiff = fz - fw
+
+    def holds(ok: np.ndarray, scaled) -> bool:
+        # each pair passes within _ZERO_TOL, or failing that (NaN too)
+        # within _RELATIVE_TOL of the sizes compared: ``scaled(rows)``
+        short = ~ok
+        return not short.any() or bool(np.all(scaled(short)))
+
+    def f_size(rows: np.ndarray) -> np.ndarray:
+        return row_norms(fz[rows]) + row_norms(fw[rows])
+
     monotone = lipschitz = None
     if mu is not None:
         lhs = np.einsum("ij,ij->i", fdiff, diff)
-        monotone = bool(np.all(lhs >= mu * np.einsum("ij,ij->i", diff, diff) - _ZERO_TOL))
+        rhs = mu * np.einsum("ij,ij->i", diff, diff)
+        monotone = holds(lhs >= rhs - _ZERO_TOL, lambda rows: lhs[rows] >= rhs[rows] - (
+            _RELATIVE_TOL * (f_size(rows) * np.linalg.norm(diff[rows], axis=1) + rhs[rows])))
     if lip is not None:
-        lhs = row_norms(fdiff)
-        lipschitz = bool(np.all(lhs <= lip * np.linalg.norm(diff, axis=1) + _ZERO_TOL))
+        lhs, rhs = row_norms(fdiff), lip * np.linalg.norm(diff, axis=1)
+        lipschitz = holds(lhs <= rhs + _ZERO_TOL, lambda rows: lhs[rows] <= rhs[rows] + (
+            _RELATIVE_TOL * (f_size(rows) + rhs[rows])))
     return monotone, lipschitz
 
 

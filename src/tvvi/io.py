@@ -12,21 +12,23 @@ CSV files carry a ``# schema=v1`` comment line and a header, which a
 table with no rows keeps, and values formatted with 17 significant
 digits so identical configs and seeds reproduce byte-identical files.
 A vector cell joins its coordinates with ``;``. Nonfinite numbers are
-written as the literal token ``diverged``, one per coordinate. A table
-of numeric columns is written with one ``%`` template per row; only
-rows holding a nonfinite or missing value, and tables with a list
-column, go cell by cell through :func:`format_value`, which gives the
-same text. JSON output is ``{"schema": "v1", "rows": [...]}`` with one
-object per row.
+written as the literal token ``diverged``, one per coordinate. JSON
+output is ``{"schema": "v1", "rows": [...]}`` with one object per row,
+in the text ``json.dumps`` writes.
+
+Both formats write a table of numeric columns with one row template,
+one ``%`` per row; the JSON template holds the keys. Only rows holding
+a nonfinite or missing value, and tables with a list column, go cell by
+cell through :func:`format_value`, which gives the same text.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
+import types
 
 import numpy as np
 
@@ -34,54 +36,44 @@ SCHEMA_LINE = "# schema=v1"
 DIVERGED_TOKEN = "diverged"
 # integers up to this size convert to floats exactly
 _EXACT_INT = 2 ** 53
+# each format's float, and a vector's opening, separator and closing
+_SPELLING = {"csv": ("%.17g", "", ";", ""), "json": ("%s", "[", ",", "]")}
+# a csv.writer's writerow returns what its file's write returns: the line
+_LINE = types.SimpleNamespace(write=str)
 
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        return DIVERGED_TOKEN
-    return "%.17g" % x
-
-
-def format_value(v) -> str:
-    if isinstance(v, bool):
+def format_value(v, fmt: str = "csv") -> str:
+    """One cell as ``fmt`` writes it. CSV writes a numpy boolean
+    ``True``; JSON writes it ``true``, quotes text and the divergence
+    token, and writes a 1-vector as its one number."""
+    is_json = fmt == "json"
+    if isinstance(v, (bool, np.bool_) if is_json else bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
+        if math.isfinite(v):
+            return _SPELLING[fmt][0] % float(v)
+        return '"%s"' % DIVERGED_TOKEN if is_json else DIVERGED_TOKEN
     if isinstance(v, (list, tuple, np.ndarray)):
         flat = np.asarray(v).ravel().astype(float, copy=False).tolist()
-        if all(map(math.isfinite, flat)):
-            return ";".join(map("%.17g".__mod__, flat))
-        return ";".join(map(_fmt_float, flat))
-    return str(v)
+        if is_json and len(flat) == 1:
+            return format_value(flat[0], fmt)
+        _, opening, sep, closing = _SPELLING[fmt]
+        return opening + sep.join([format_value(u, fmt) for u in flat]) + closing
+    return json.dumps(str(v)) if is_json else str(v)
 
 
-def _json_value(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v) if math.isfinite(v) else DIVERGED_TOKEN
-    if isinstance(v, (list, tuple, np.ndarray)):
-        flat = np.asarray(v).ravel()
-        if flat.size == 1:      # match the CSV rendering of 1-vectors
-            return _json_value(float(flat[0]))
-        return [_json_value(float(u)) for u in flat]
-    return str(v)
-
-
-def _rows_by_template(cols: list):
-    """The CSV row template and float block of a table whose columns are
-    all numeric arrays: one ``%d`` per integer cell, one ``%.17g`` per
-    float coordinate, ``;`` within a vector cell and ``,`` between cells.
-    The block holds the rows every column reaches. Returns None when a
-    column is a list or a non-numeric array, when an integer exceeds what
-    a float holds exactly, or when every row is a single empty cell
-    (``csv.writer`` quotes that one)."""
+def _row_template(table: dict, fmt: str):
+    """The row template of ``fmt`` and the float block of a table whose
+    columns are all numeric arrays: ``%d`` for an integer cell, the
+    format's float and vector spellings for the others and, in JSON,
+    each key as ``json.dumps`` writes it. The block holds the rows
+    every column reaches. None when a column is a list or a non-numeric
+    array, or holds an integer no float holds exactly."""
+    spelling, opening, sep, closing = _SPELLING[fmt]
     fields, width = [], []
-    for c in cols:
+    for c in table.values():
         if not isinstance(c, np.ndarray) or c.dtype.kind not in "iuf" or c.ndim > 2:
             return None
         w = c.shape[1] if c.ndim == 2 else 1
@@ -90,41 +82,47 @@ def _rows_by_template(cols: list):
                 return None
             fields.append("%d")
         else:
-            fields.append(";".join(["%.17g"] * w))
+            fields.append(opening + sep.join([spelling] * w) + closing
+                          if c.ndim == 2 and w != 1 else spelling)
         width.append(w)
-    template = ",".join(fields)
-    if not template:
-        return None
-    m = min(len(c) for c in cols)
-    block = np.concatenate([c[:m].reshape(m, w) for c, w in zip(cols, width)],
+    if fmt == "json":
+        keys = [json.dumps(k).replace("%", "%%") + ":" for k in table]
+        template = "{" + ",".join(map(str.__add__, keys, fields)) + "}"
+    else:   # csv.writer quotes a row of one empty cell
+        template = csv.writer(_LINE, lineterminator="\n").writerow(fields)
+    m = min(map(len, table.values()))
+    block = np.concatenate([c[:m].reshape(m, w) for c, w in zip(table.values(), width)],
                            axis=1, dtype=float)
-    return template + "\n", block
+    return template, block
 
 
-def _csv_lines(cols: list, n: int) -> list:
-    """The data lines of a table, each ending in a newline. Rows of
-    finite numbers take one ``%`` of the row template each; the rest go
-    cell by cell through :func:`format_value`, a missing cell written as
-    one divergence token."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _rows(table: dict, fmt: str, n: int) -> list:
+    """The table's n rows as ``fmt`` writes them: a CSV row ends in a
+    newline, a JSON row is one object. Rows of finite numbers take one
+    ``%`` of the row template each; the rest go cell by cell through
+    :func:`format_value`, a missing cell written as a NaN is."""
+    cols = list(table.values())
+    if fmt == "csv":
+        join = csv.writer(_LINE, lineterminator="\n").writerow
+    else:
+        keys = [json.dumps(k) + ":" for k in table]
+
+        def join(cells: list) -> str:
+            return "{" + ",".join(map(str.__add__, keys, cells)) + "}"
+
+    missing = format_value(math.nan, fmt)
 
     def by_cells(i: int) -> str:
-        writer.writerow([format_value(c[i]) if i < len(c) else DIVERGED_TOKEN
-                         for c in cols])
-        line = buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
-        return line
+        return join([format_value(c[i], fmt) if i < len(c) else missing for c in cols])
 
-    spec = _rows_by_template(cols)
+    spec = _row_template(table, fmt) if n else None
     if spec is None:
         return [by_cells(i) for i in range(n)]
     template, block = spec
     finite = np.isfinite(block).all(axis=1).tolist()
-    lines = [template % tuple(r) if ok else by_cells(i)
-             for i, (r, ok) in enumerate(zip(block.tolist(), finite))]
-    return lines + [by_cells(i) for i in range(len(block), n)]
+    rows = [template % tuple(r) if ok else by_cells(i)
+            for i, (r, ok) in enumerate(zip(block.tolist(), finite))]
+    return rows + [by_cells(i) for i in range(len(rows), n)]
 
 
 def emit_rows(table: dict, fmt: str, path: str) -> None:
@@ -141,16 +139,10 @@ def emit_rows(table: dict, fmt: str, path: str) -> None:
         if len(c) > n:
             raise ValueError(f"column {name!r} has {len(c)} cells, the table {n} rows")
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(SCHEMA_LINE + "\n")
-        csv.writer(buf, lineterminator="\n").writerow(list(table))
-        buf.writelines(_csv_lines(cols, n))
-        data = buf.getvalue()
+        header = csv.writer(_LINE, lineterminator="\n").writerow(list(table))
+        data = SCHEMA_LINE + "\n" + header + "".join(_rows(table, fmt, n))
     elif fmt == "json":
-        rows = [{k: _json_value(c[i]) if i < len(c) else DIVERGED_TOKEN
-                 for k, c in table.items()} for i in range(n)]
-        data = json.dumps({"schema": "v1", "rows": rows},
-                          indent=None, separators=(",", ":")) + "\n"
+        data = '{"schema":"v1","rows":[' + ",".join(_rows(table, fmt, n)) + "]}\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     tmp = f"{path}.{os.getpid()}.tmp"

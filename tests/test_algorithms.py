@@ -4,6 +4,7 @@ aggregation meta-algorithms."""
 import contextlib
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -557,9 +558,10 @@ class TestSlotBank:
             plays, values, spent = [], [], []
             for learner in (bank, ref):
                 op = sc.seq.at(t)
+                before = op.evals       # the k operators are shared by their rounds
                 plays.append(learner.play(t))
                 values.append(learner.observe(t, op))
-                spent.append(op.evals)
+                spent.append(op.evals - before)
             np.testing.assert_allclose(plays[0], plays[1], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(values[0], values[1], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(bank.weights, ref.weights, rtol=1e-12, atol=1e-12)
@@ -574,10 +576,9 @@ class TestSlotBank:
         dom, z1 = self.DOMAINS["box"]
         sc, (bank, _) = self.learners(variant, 16, dom, z1)
         for t in range(1, 41):
-            op = sc.seq.at(t)
             calls = []
-            fn = op.fn
-            op.fn = lambda X: calls.append(X.shape) or fn(X)
+            fn = sc.seq.at(t).fn
+            op = replace(sc.seq.at(t), fn=lambda X: calls.append(X.shape) or fn(X))
             bank.play(t)
             bank.observe(t, op)
             assert len(calls) == 1

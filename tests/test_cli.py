@@ -657,13 +657,13 @@ run.z1 = 0.0
         assert "resolvent" in capsys.readouterr().err
 
     def test_unsolvable_resolvent_exit_code(self, tmp_path, capsys):
-        # A = 1e308 I: from round 2, A z' + b cancels at the scale 1e307,
+        # A = 1e150 I: from round 2, A z' + b cancels at the scale 1e149,
         # whose rounding leaves a residual of about 0.1
         cfg = write_cfg(tmp_path, """
 command = track
 scenario.name = quadratic_drift
 scenario.dim = 2
-scenario.matrix = 1e308,0;0,1e308
+scenario.matrix = 1e150,0;0,1e150
 algorithm.kind = resolvent
 run.horizon = 5
 run.z1 = 1,1
@@ -706,7 +706,33 @@ run.z1 = 1,1
         "star_box_1e308": SMALL_STAR + "star.box = 1e308\n",
         "verify_lam_reg_1e308": SMALL_VERIFY.replace("chaos_1d", "streaming_regression")
                                 + "scenario.lam_reg = 1e308\n"}
+    # a scenario parameter whose square, or a product of it, passes the
+    # largest float
+    _EXTREMES.update({
+        f"verify_{name}_{key}_{value}": SMALL_VERIFY.replace("chaos_1d", name)
+        + extra + f"scenario.{key} = {value}\n" for name, key, value, extra in [
+            ("quadratic_drift", "matrix", "1e308", ""), ("quadratic_drift", "c1", "1e308", ""),
+            ("quadratic_drift", "b", "1e308", ""), ("exp_quadratic", "matrices", "1e308", ""),
+            ("glm", "lam_reg", "1e308", ""), ("glm", "noise", "1e308", ""),
+            ("glm", "scale", "1e308", "scenario.link = scaled_logistic\n"),
+            ("glm", "z_star", "1e308,1", ""),
+            ("streaming_regression", "noise", "1e200", ""),
+            ("streaming_regression", "noise", "1e308", ""),
+            ("streaming_regression", "w_star", "1e308,1,1", ""),
+            ("kelly_auction", "value_amp", "1e308", ""), ("kelly_auction", "entry", "1e308", ""),
+            ("kelly_auction", "lam_reg", "1e308", ""),
+            ("kelly_auction", "values", "1e308,1,1", "")]})
+    _EXTREMES.update({
+        "track_stream_noise_1e308": "command = track\nscenario.name = streaming_regression\n"
+                                    "algorithm.kind = resolvent\nrun.horizon = 10\n"
+                                    "run.z1 = 0,0,0\nscenario.noise = 1e308\n",
+        "track_glm_z_star_1e308": "command = track\nscenario.name = glm\n"
+                                  "scenario.link = scaled_logistic\nalgorithm.kind = forward\n"
+                                  "algorithm.eta = 0.1\nrun.horizon = 10\nrun.z1 = 0,0\n"
+                                  "scenario.z_star = 1e308,1\n",
+        "bounds_drift_b_1e308": _FORWARD_C + "bound.c = 0.5\nscenario.b = 1e308\n"})
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", _EXTREMES.values(), ids=_EXTREMES.keys())
     def test_extreme_constant_exit_code(self, tmp_path, capsys, text):
         # each config takes a derived constant or a draw past the float
@@ -979,9 +1005,14 @@ _BREAKS_RULE = {"must be positive": "0", "must be nonnegative": "-1",
                 "must be at least 1": "0", "must be at least 2": "1",
                 "must be in [0, 1)": "1", "must be in [0, 1]": "1.5",
                 "must be -1, 0 or 1": "0.5",
-                "must be positive and at most 1e300": "1e308"}
+                "must be positive and at most 1e300": "1e308",
+                "must be at most 1e150 in magnitude": "-1e151",
+                "must be in (0, 1e150]": "1e151", "must be in [0, 1e150]": "1e151"}
 _BOUNDED_PARAMS = [(name, key, spec.bound[0]) for name, table in PARAMS.items()
                    for key, spec in table.items() if spec.bound is not None]
+_NUMERIC_PARAMS = [(name, key, spec) for name, table in PARAMS.items()
+                   for key, spec in table.items()
+                   if spec.type in (int, float, list, MATRIX, MATRICES)]
 
 
 class TestScenarioParams:
@@ -993,6 +1024,25 @@ class TestScenarioParams:
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert f"scenario.{key}" in err and rule in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, key, spec", _NUMERIC_PARAMS,
+                             ids=[f"{n}.{k}" for n, k, _ in _NUMERIC_PARAMS])
+    def test_extreme_param_exit_code(self, tmp_path, capsys, name, key, spec):
+        # the largest float, its negative and the least subnormal, a vector
+        # of the scenario's default dimension or a matrix filled with it
+        dim = next((PARAMS[name][k].default for k in ("dim", "n") if k in PARAMS[name]), 1)
+        for value in ("1e308", "-1e308", "5e-324"):
+            text = value if spec.type in (int, float) else ",".join([value] * dim)
+            if spec.type in (MATRIX, MATRICES):
+                text = ";".join([text] * dim)
+            cfg = write_cfg(tmp_path, f"{SMALL_VERIFY.replace('chaos_1d', name)}"
+                                      f"scenario.{key} = {text}\n")
+            code = main(["--config", cfg, "--out", str(tmp_path / "x.csv")])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and "Traceback" not in err, (value, err)
+            if code == 2:
+                assert f"field 'scenario.{key}'" in err, (value, err)
 
     # dim = 0, period = 0, seed = -1 and n0 = 0 are cases of the
     # out-of-bound test above

@@ -11,6 +11,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -260,6 +261,26 @@ def test_json_matches_per_cell_reference(table):
         emit_rows(table, "json", path)
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == reference_json(table)
+
+
+@pytest.mark.parametrize("fmt, reference", [("csv", reference_csv),
+                                             ("json", reference_json)])
+@pytest.mark.parametrize("key", ["a,b", 'say "hi"', "two\nlines", "\u00e9t\u00e9", "",
+                                 "5%", "%s%%"],
+                         ids=["comma", "quote", "newline", "non_ascii", "empty",
+                              "percent", "format_spec"])
+def test_odd_column_names_match_reference(key, fmt, reference):
+    # the JSON row template holds each key, so a key's quotes, escapes
+    # and percent signs must come out as json.dumps writes them; the
+    # numeric tables take the template, the list column goes cell by cell
+    for table in ({key: np.array([1.5, -2.0, math.nan]), "t": np.arange(3)},
+                  {"z": np.array([[0.5, 1.0], [2.0, 3.0]]), key: np.array([[7.0], [8.0]])},
+                  {key: ["u", "v"], "x": np.array([1.0, math.inf])}):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, f"rows.{fmt}")
+            emit_rows(table, fmt, path)
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert fh.read() == reference(table)
 
 
 def expected(c, i, fmt):

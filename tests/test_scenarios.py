@@ -121,6 +121,21 @@ class TestCatalog:
             b = evaluate(sc.seq.at(t + sc.period), x)
             assert np.allclose(a, b)
 
+    def test_periodic_quadratic_builds_each_operator_once(self):
+        # the sequence repeats its k operators, each with the bits of
+        # from_affine(A, -A c) and the round's center as its solution
+        A = np.array([[2.0, 0.5], [0.5, 1.0]])
+        centers = [[0.5, -0.3], [-0.6, 0.2], [0.1, 0.7]]
+        sc = periodic_quadratic(centers, matrix=A)
+        k = len(centers)
+        assert [sc.seq.at(t) is sc.seq.at(t + k) for t in range(1, k + 1)] == [True] * k
+        assert [c.op for c in sc.checks.operators] == [sc.seq.at(t) for t in range(1, k + 1)]
+        X = np.random.default_rng(3).uniform(-2, 2, (5, 2))
+        for t, c in enumerate(centers, start=1):
+            op = sc.seq.at(t)
+            assert op.fn(X).tobytes() == (X @ A.T + (-A @ np.array(c))).tobytes()
+            assert op.solution.tolist() == c
+
     def test_star_matrices(self):
         sc = build_scenario("star_2d")
         op1 = sc.seq.at(1)
@@ -523,6 +538,27 @@ class TestVerification:
         assert [(r["check"], r["passed"]) for r in rows if r["check"] != "gradient_fd"] == [
             ("strong_monotone", False), ("lipschitz", False),
             ("strong_monotone", True), ("lipschitz", True)]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8, 1e150])
+    def test_constants_checked_at_any_scale(self, scale):
+        # A = scale I: mu = L = scale exactly. The checks' slack grows with
+        # the sizes they compare, so the true constants pass at every
+        # scale and constants declared 1 % off still fail
+        sc = build_scenario("quadratic_drift", {"dim": 2, "matrix": scale * np.eye(2)})
+        rows = verify_scenario(sc)
+        assert all(r["passed"] for r in rows), [r for r in rows if not r["passed"]]
+        label, op, mu, lip = sc.checks.operators[0]
+        rows = _rows(sc, Checks((OperatorCheck(label, op, 1.01 * mu, lip),
+                                 OperatorCheck(label, op, mu, 0.99 * lip))))
+        assert [(r["check"], r["passed"]) for r in rows if r["check"] != "gradient_fd"] == [
+            ("strong_monotone", False), ("lipschitz", True),
+            ("strong_monotone", True), ("lipschitz", False)]
+
+    def test_noisy_stream_passes_gradient_fd(self):
+        # targets of size 100 make the potential about 1e5, whose central
+        # differences round at about 1e-5, above the 1e-6 floor
+        rows = verify_scenario(build_scenario("streaming_regression", {"noise": 100.0}))
+        assert all(r["passed"] for r in rows), [r for r in rows if not r["passed"]]
 
     def test_stencil_matches_quadratic_gradient(self):
         rng = np.random.default_rng(12)
