@@ -20,7 +20,13 @@ call.
 ``Trajectory`` of arrays: plays, operator values and solutions as
 ``(T, d)`` arrays, and for the meta-algorithms the weights as a
 ``(T, K)`` array, each preallocated for T rounds and sliced to the
-rounds run.
+rounds run. It enters the run's one floating-point policy, overflow and
+invalid values ignored, around all rounds: the divergence threshold, the
+NaN test of each evaluation and the resolvent's residual check decide
+what a nonfinite value means, and no round enters a context of its own.
+Under that policy a singular I + A solves to NaN without a warning, the
+residual check rejects it, and ``resolvent_step`` raises
+``LinAlgError("I + A is singular")`` as it does under any other policy.
 """
 
 from __future__ import annotations
@@ -31,10 +37,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-# the gufunc np.linalg.solve wraps: the same dgesv call without the
-# wrapper's per-call checks; importing it here fails loudly on a numpy
-# that moves it
-from numpy.linalg._umath_linalg import solve1 as _solve1
+
+try:
+    # the gufunc np.linalg.solve wraps: the same dgesv call without the
+    # wrapper's per-call checks
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+except ImportError:     # a numpy that moves it: np.linalg.solve makes that call
+    _solve1 = None
 
 from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
                    as_point, evaluate, project, row_norms)
@@ -87,27 +96,44 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
+def _checked_solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x with M x = v by dgesv under np.linalg.solve's floating-point
+    policy; a singular M raises ``LinAlgError``, with no warning."""
+    try:
+        if _solve1 is None:
+            return np.linalg.solve(M, v)
+        # dgesv flags a singular matrix as an invalid value
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return _solve1(M, v, signature="dd->d")
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise np.linalg.LinAlgError("I + A is singular") from exc
+
+
 def resolvent_step(op: Operator, z) -> np.ndarray:
     """Solve z' + F(z') = z for affine F(x) = Ax + b.
 
     Requires I + A invertible (always true for strongly monotone affine
-    F). The returned point satisfies the residual to 1e-10. The solve is
-    ``np.linalg.solve``'s own dgesv call, under its floating-point
-    policy, so the bits are the same.
+    F); a singular I + A raises ``LinAlgError``. The returned point
+    satisfies the residual to 1e-10. The solve is ``np.linalg.solve``'s
+    own dgesv call, so the bits are the same. Where invalid values are
+    already ignored, as under ``run_tracker``'s policy, it runs with no
+    context of its own: a singular I + A then solves to NaN quietly, the
+    residual check rejects it, and only then is the solve run again under
+    the raising policy to name the cause.
     """
     if op.affine is None:
         raise ConfigurationError("field 'algorithm.kind': resolvent needs affine operators")
     A, b = op.affine
     z = as_point(z)
-    try:
-        # dgesv flags a singular matrix as an invalid value
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            out = _solve1(_identity(op.dim) + A, z - b, signature="dd->d")
-    except FloatingPointError as exc:
-        raise np.linalg.LinAlgError("I + A is singular") from exc
+    M, v = _identity(op.dim) + A, z - b
+    if _solve1 is not None and np.geterr()["invalid"] == "ignore":
+        out = _solve1(M, v, signature="dd->d")
+    else:
+        out = _checked_solve(M, v)
     r = out + (A @ out + b) - z
     residual = math.sqrt(r.dot(r))      # np.linalg.norm's arithmetic
     if not residual <= 1e-10:           # NaN fails too
+        _checked_solve(M, v)            # a singular I + A raises here
         raise np.linalg.LinAlgError(f"resolvent residual {residual:.2e} too large")
     return out
 

@@ -120,7 +120,7 @@ class Domain:
     def diameter(self) -> Optional[float]:
         if self.kind == "unbounded":
             return None
-        return float(np.linalg.norm(self.upper - self.lower))
+        return float(row_norms(self.upper - self.lower))
 
     def contains(self, p: np.ndarray, tol: float = 1e-12) -> bool:
         p = as_point(p)
@@ -186,8 +186,11 @@ def evaluate(op: Operator, X) -> np.ndarray:
     """F at a point ``(d,)`` or at every row of a block ``(n, d)``, in
     one call of ``op.fn``, each row counted once. A NaN anywhere marks an
     invalid operator/point pair and raises ``FloatingPointError``."""
-    X = np.asarray(X, dtype=float)
-    out = _evaluate_block(op, X.reshape(1) if X.ndim == 0 else X)
+    if not (type(X) is np.ndarray and X.dtype is _FLOAT and X.ndim):
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 0:
+            X = X.reshape(1)
+    out = _evaluate_block(op, X)
     # the flattened sum of squares is NaN exactly when some coordinate is
     if math.isnan(np.vdot(out, out)):
         raise FloatingPointError("operator returned NaN; invalid operator/point pair")
@@ -216,13 +219,16 @@ def analytic_solution(op: Operator, domain: Domain) -> Optional[np.ndarray]:
 
 
 def _sample_points(domain: Domain, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform samples in the sampling box intersected with the domain."""
+    """Uniform samples in the sampling box intersected with the domain.
+    A box's draws are ``rng.uniform(lo, hi, (n, d))``'s bits, by the
+    formula it applies to each element, without its slow path for bounds
+    that are arrays."""
     half = SAMPLING_BOX_HALF_WIDTH
     if domain.kind == "unbounded":
         return rng.uniform(-half, half, size=(n, domain.dim))
     lo = np.maximum(domain.lower, -half)
     hi = np.minimum(domain.upper, half)
-    return rng.uniform(lo, hi, size=(n, domain.dim))
+    return lo + (hi - lo) * rng.random((n, domain.dim))
 
 
 def _evaluate_block(op: Operator, pts: np.ndarray) -> np.ndarray:
@@ -233,7 +239,9 @@ def _evaluate_block(op: Operator, pts: np.ndarray) -> np.ndarray:
     if pts.shape[-1] != op.dim:
         raise ValueError(f"dimension mismatch: point {pts.shape[-1]}, operator {op.dim}")
     op.evals += pts.size // op.dim
-    out = np.asarray(op.fn(pts), dtype=float)
+    out = op.fn(pts)
+    if not (type(out) is np.ndarray and out.dtype is _FLOAT):
+        out = np.asarray(out, dtype=float)
     if out.shape != pts.shape:
         raise ValueError(f"operator returned shape {out.shape} for a block of "
                          f"shape {pts.shape}; fn must act on the last axis")

@@ -387,29 +387,44 @@ class _DataStream:
 
     def sums(self, n: int) -> tuple:
         """A^T A and A^T b over the first n rows."""
-        A, b = self.upto(n)
-        k = n // STREAM_BLOCK
-        R, r = A[k * STREAM_BLOCK:], b[k * STREAM_BLOCK:]
-        return self._gram[k] + R.T @ R, self._moment[k] + R.T @ r
+        G, h = self.block_sums([n])
+        return G[0], h[0]
+
+    def block_sums(self, sizes) -> tuple:
+        """A^T A and A^T b over the first n rows for each n of ``sizes``,
+        stacked ``(len(sizes), d, d)`` and ``(len(sizes), d)``. Each
+        size's rows R past its last whole block get their own products
+        R^T R and R^T r, and only the adds of the whole-block prefix sums
+        are stacked, so a size's sums have the same bits in a block of
+        any sizes."""
+        A, b = self.upto(max(sizes))
+        k, d = np.array(sizes) // STREAM_BLOCK, A.shape[1]
+        gram, moment = np.empty((len(k), d, d)), np.empty((len(k), d))
+        for n, G, h in zip(sizes, gram, moment):
+            start = n - n % STREAM_BLOCK
+            R = A[start:n]
+            np.matmul(R.T, R, out=G)
+            np.matmul(R.T, b[start:n], out=h)
+        first, last = k.min(), k.max() + 1      # the prefix sums the sizes read
+        return (np.array(self._gram[first:last])[k - first] + gram,
+                np.array(self._moment[first:last])[k - first] + moment)
 
 
 STREAM_ROUNDS = 64      # rounds whose data one block computes
 
 
-def _ridge_rounds(stream: _DataStream, size, ridge: np.ndarray):
-    """Round t's ``(2 (G + ridge), -2 A^T b, solution, A, b)`` over the
-    first ``size(t)`` rows of ``stream``, as a function of t: the matrix
-    and offset of the ridge objective's gradient, its minimizer, and the
-    rows and targets.
+def _stream_rounds(stream: _DataStream, size, stacked):
+    """Round t's data over the first ``size(t)`` rows of ``stream``, as a
+    function of t: the rows for t of the arrays that ``stacked(G, h, n)``
+    computes for a block of rounds from their stacked sums G of A^T A
+    and h of A^T b and their row counts n.
 
     Rounds are computed STREAM_ROUNDS at a time, in blocks aligned on
     round numbers, and the block of the latest round asked for is kept:
-    each round's sums are the stream's, the block's gradient matrices
-    and offsets are two stacked elementwise operations, and its ridge
-    solutions come from one batched solve, which runs the same LAPACK
-    solve on each matrix as a call for that round alone would. A round's
-    data depends only on the stream and t, never on which rounds came
-    first.
+    the block's sums are one ``block_sums`` call, and ``stacked`` works
+    on the whole block with operations that round each round as a call
+    for that round alone would. A round's data depends only on the
+    stream and t, never on which rounds came first.
     """
     cached = [None, ()]     # block number, its rounds' data
 
@@ -418,13 +433,8 @@ def _ridge_rounds(stream: _DataStream, size, ridge: np.ndarray):
         if cached[0] != block:
             first = block * STREAM_ROUNDS + 1
             sizes = [size(s) for s in range(first, first + STREAM_ROUNDS)]
-            A, b = stream.upto(max(sizes))
-            sums = [stream.sums(n) for n in sizes]
-            G = np.array([g for g, _ in sums]) + ridge
-            h = np.array([v for _, v in sums])
-            solutions = np.linalg.solve(G, h[..., None])[..., 0]
-            cached[:] = block, tuple(zip(2.0 * G, -2.0 * h, solutions,
-                                         (A[:n] for n in sizes), (b[:n] for n in sizes)))
+            G, h = stream.block_sums(sizes)
+            cached[:] = block, tuple(zip(*stacked(G, h, np.array(sizes, dtype=float))))
         return cached[1][i]
 
     return round_data
@@ -439,14 +449,29 @@ def build_streaming_regression(p: dict) -> Scenario:
         _vector_field("scenario.w_star", p["w_star"], dim)
     stream = _DataStream(((a, a @ w_star + noise * e)
                           for a, e in _gaussian_blocks(p["seed"] + 1, dim)), dim)
-    round_data = _ridge_rounds(stream, lambda t: p["n0"] + p["growth"] * (t - 1),
-                               lam * np.eye(dim))
+    ridge = lam * np.eye(dim)
+
+    def size(t: int) -> int:
+        return p["n0"] + p["growth"] * (t - 1)
+
+    def gradient(G: np.ndarray, h: np.ndarray, n: np.ndarray) -> tuple:
+        # the ridge objective's gradient matrix and offset, and its
+        # minimizer from one batched solve, which runs the same LAPACK
+        # solve on each matrix as a one-round call
+        G = G + ridge
+        return 2.0 * G, -2.0 * h, np.linalg.solve(G, h[..., None])[..., 0]
+
+    round_data = _stream_rounds(stream, size, gradient)
 
     def make_op(t: int) -> Operator:
-        matrix, offset, solution, A, b = round_data(t)
-        return Operator.from_affine(
-            matrix, offset, solution=solution,
-            potential=lambda X: ((X @ A.T - b) ** 2).sum(axis=-1) + lam * (X * X).sum(axis=-1))
+        n = size(t)
+
+        def potential(X: np.ndarray) -> np.ndarray:
+            A, b = stream.upto(n)
+            return ((X @ A.T - b) ** 2).sum(axis=-1) + lam * (X * X).sum(axis=-1)
+
+        matrix, offset, solution = round_data(t)
+        return Operator.from_affine(matrix, offset, solution=solution, potential=potential)
 
     seq = ProblemSequence(at=make_op, dim=dim, solution_at=lambda t: round_data(t)[2])
     # aperiodic: the first three rounds stand for the sequence
@@ -484,17 +509,23 @@ def build_glm(p: dict) -> Scenario:
     def size(t: int) -> int:
         return p["n0"] + p["growth"] * (t - 1)
 
+    identity = p["link"] == "identity"
+    # the identity link's operator is affine: matrix G / n + ridge and
+    # offset -h / n
+    round_data = _stream_rounds(stream, size, lambda G, h, n: (
+        G / n[:, None, None] + ridge, -h / n[:, None])) if identity else None
+
     def make_op(t: int) -> Operator:
         n = size(t)
-        A, b = stream.upto(n)
 
         def potential(Z: np.ndarray) -> np.ndarray:
+            A, b = stream.upto(n)
             U = Z @ A.T
             return (psi(U).sum(axis=-1) - U @ b) / n + 0.5 * lam * (Z * Z).sum(axis=-1)
 
-        if p["link"] == "identity":
-            G, h = stream.sums(n)
-            return Operator.from_affine(G / n + ridge, -h / n, potential=potential)
+        if identity:
+            return Operator.from_affine(*round_data(t), potential=potential)
+        A, b = stream.upto(n)
 
         def fn(Z: np.ndarray) -> np.ndarray:
             return (phi(Z @ A.T) - b) @ A / n + lam * Z
@@ -503,7 +534,7 @@ def build_glm(p: dict) -> Scenario:
 
     def checked(t: int) -> OperatorCheck:
         op = make_op(t)
-        if p["link"] == "identity":
+        if identity:
             return _spectrum_check(t, op)
         # the link's slope is at most scale / 4
         n = size(t)

@@ -3,12 +3,14 @@ aggregation meta-algorithms."""
 
 import contextlib
 import math
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tvvi import algorithms
 from tvvi.algorithms import (ContractiveForward, CyclicFB, CyclicFBLearner,
                              MetaAdaptive, MetaFixed, MetaLearner, Resolvent,
                              StepSchedule, _evaluate_distinct, exp_weights,
@@ -144,6 +146,53 @@ class TestResolventStep:
             with pytest.raises(np.linalg.LinAlgError, match="singular"):
                 resolvent_step(op, [1.0, 1.0])
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_fallback_solve_gives_the_same_bytes(self, monkeypatch):
+        # on a numpy without the solve1 gufunc the step calls
+        # np.linalg.solve, which runs the same dgesv call
+        assert algorithms._solve1 is not None
+        rng = np.random.default_rng(12)
+        cases = []
+        for d in range(1, 5):
+            for _ in range(50):
+                M, v = rng.standard_normal((d, d)) + 2.0 * np.eye(d), rng.standard_normal(d)
+                assert np.linalg.solve(M, v).tobytes() == \
+                    algorithms._solve1(M, v, signature="dd->d").tobytes()
+                op = affine_op(M - np.eye(d), rng.standard_normal(d))
+                z = rng.uniform(-5.0, 5.0, d)
+                cases.append((op, z, resolvent_step(op, z).tobytes()))
+        monkeypatch.setattr(algorithms, "_solve1", None)
+        for op, z, want in cases:
+            assert resolvent_step(op, z).tobytes() == want
+
+    @pytest.mark.parametrize("state", [
+        contextlib.nullcontext, lambda: np.errstate(over="ignore", invalid="ignore")],
+        ids=["default_errstate", "run_tracker_errstate"])
+    def test_fallback_solve_names_a_singular_system(self, monkeypatch, state):
+        monkeypatch.setattr(algorithms, "_solve1", None)
+        op = affine_op([[-1.0, 2.0], [0.0, -1.0]], [0.0, 0.0])
+        with state(), pytest.raises(np.linalg.LinAlgError, match="I \\+ A is singular"):
+            resolvent_step(op, [1.0, 1.0])
+
+
+class TestFloatingPointPolicy:
+    @pytest.mark.parametrize("algo", [Resolvent(), ContractiveForward(1e-3)],
+                             ids=["resolvent", "forward"])
+    def test_no_errstate_context_per_round(self, monkeypatch, algo):
+        # run_tracker enters the one policy of the run; no round enters
+        # its own context (numpy's own code does not look np.errstate up)
+        entered = []
+        errstate = np.errstate
+
+        def counting(*args, **kwargs):
+            entered.append(sys._getframe(1).f_globals.get("__name__", ""))
+            return errstate(*args, **kwargs)
+
+        sc = build_scenario("streaming_regression", {"seed": 4})
+        monkeypatch.setattr(np, "errstate", counting)
+        traj = run_tracker(sc.seq, algo, sc.domain, np.zeros(3), 200)
+        assert not traj.diverged and len(traj.op_values) == 200
+        assert len([m for m in entered if m.startswith("tvvi")]) <= 1
 
 
 class TestCyclicFB:

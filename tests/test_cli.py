@@ -730,7 +730,12 @@ run.z1 = 1,1
                                   "scenario.link = scaled_logistic\nalgorithm.kind = forward\n"
                                   "algorithm.eta = 0.1\nrun.horizon = 10\nrun.z1 = 0,0\n"
                                   "scenario.z_star = 1e308,1\n",
-        "bounds_drift_b_1e308": _FORWARD_C + "bound.c = 0.5\nscenario.b = 1e308\n"})
+        "bounds_drift_b_1e308": _FORWARD_C + "bound.c = 0.5\nscenario.b = 1e308\n",
+        # the budget box's squared widths overflow in its diameter
+        "track_kelly_budgets_1e308": "command = track\nscenario.name = kelly_auction\n"
+                                     "scenario.budgets = 1e308,1e308,1e308\n"
+                                     "algorithm.kind = meta_fixed\nalgorithm.k = 2\n"
+                                     "run.horizon = 10\nrun.z1 = 0.1,0.1,0.1\n"})
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", _EXTREMES.values(), ids=_EXTREMES.keys())

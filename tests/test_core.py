@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvvi.core import (Domain, Operator, _evaluate_block, analytic_solution,
-                       check_constants, evaluate, project, row_norms)
+from tvvi.core import (SAMPLING_BOX_HALF_WIDTH, Domain, Operator, _evaluate_block,
+                       _sample_points, analytic_solution, check_constants, evaluate,
+                       project, row_norms)
 from tvvi.scenarios import build_scenario, rsi_operator
 
 
@@ -57,6 +58,13 @@ class TestProjection:
         assert Domain.box([0, 0], [3, 4]).diameter == 5.0
         assert Domain.interval(-1, 1).diameter == 2.0
         assert Domain.unbounded(3).diameter is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_diameter_past_the_squares_range(self):
+        # the squared widths overflow; the norm itself is a float
+        d = Domain.box(np.zeros(3), np.full(3, 1e308))
+        assert d.diameter == pytest.approx(math.sqrt(3.0) * 1e308, rel=1e-15)
+        assert Domain.box([0.0], [1e308]).diameter == 1e308
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -306,6 +314,24 @@ class TestSampledChecks:
         assert got[0] is (None if mu is None else mu < 0.79)
         assert got[1] is (None if lip is None else lip > 2.21)
         assert check_constants(op, None, None, dom, 400, seed=6) == (None, None)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_box_samples_are_uniforms_bits(self, d):
+        # the box draws apply rng.uniform's formula per element, so they
+        # are its draws for array bounds, bit for bit; widths mix the full
+        # sampling box, clipped and narrow sides and a point
+        widths = [(-10.0, 10.0), (-3.0, 25.0), (0.5, 0.5 + 2.0 ** -30), (2.0, 2.0),
+                  (-50.0, -9.0), (0.0, 1e308)]
+        rng = np.random.default_rng(d)
+        for _ in range(10):
+            sides = [widths[i] for i in rng.integers(len(widths), size=d)]
+            domain = Domain.box([lo for lo, _ in sides], [hi for _, hi in sides])
+            half = SAMPLING_BOX_HALF_WIDTH
+            lo, hi = np.maximum(domain.lower, -half), np.minimum(domain.upper, half)
+            seed = int(rng.integers(2 ** 31))
+            want = np.random.default_rng(seed).uniform(lo, hi, size=(500, d))
+            got = _sample_points(domain, 500, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
 
     def test_deterministic_given_seed(self):
         op = exp_quadratic_1d(4.0)

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from tvvi.algorithms import ContractiveForward, run_tracker
 from tvvi.core import ConfigurationError, Operator, evaluate, project
 from tvvi.metrics import quadratic_path_length, tracking_error
-from tvvi.scenarios import (BUILDERS, PARAMS, RSI_GRID_ROWS, STREAM_ROUNDS,
+from tvvi.scenarios import (BUILDERS, PARAMS, RSI_GRID_ROWS, STREAM_BLOCK, STREAM_ROUNDS,
                             AdversaryState, Checks, OperatorCheck, _central_differences,
-                            _DataStream, _gaussian_blocks, _ridge_rounds, adversary_step,
+                            _DataStream, _gaussian_blocks, adversary_step,
                             build_scenario, periodic_quadratic, rsi_grid_inequality,
                             rsi_lipschitz, verify_scenario)
 
@@ -307,6 +307,15 @@ def _close(x, ref):
 ROUNDS = (1, 2, 30, 31, 32, 33, 500)
 
 
+def _one_size_sums(stream, n):
+    """The bytes of A^T A and A^T b over the first n rows by the one-size
+    formula: the whole-block prefix sums plus the products of the rest."""
+    A, b = stream.upto(n)
+    k = n // STREAM_BLOCK
+    R, r = A[k * STREAM_BLOCK:], b[k * STREAM_BLOCK:]
+    return [(stream._gram[k] + R.T @ R).tobytes(), (stream._moment[k] + R.T @ r).tobytes()]
+
+
 class TestStreams:
     """The stream scenarios sum A^T A and A^T b over blocks; the sums must
     match a from-scratch reference, whatever order rounds come in."""
@@ -403,32 +412,25 @@ class TestStreams:
         blocks is bit for bit the one-round formula's, in any order of
         rounds."""
         w_star = np.random.default_rng(seed).standard_normal(dim)
-
-        def data_stream():
-            return _DataStream(((a, a @ w_star + noise * e)
-                                for a, e in _gaussian_blocks(seed + 1, dim)), dim)
-
+        reference = _DataStream(((a, a @ w_star + noise * e)
+                                 for a, e in _gaussian_blocks(seed + 1, dim)), dim)
         ridge = lam * np.eye(dim)
-        reference = data_stream()
 
         def one_round(t):       # the per-round formula the blocks replaced
             n = n0 + growth * (t - 1)
             G, h = reference.sums(n)
+            assert [G.tobytes(), h.tobytes()] == _one_size_sums(reference, n)
             G = G + ridge
             return (2.0 * G, -2.0 * h, np.linalg.solve(G, h)) + reference.upto(n)
 
-        rounds = _ridge_rounds(data_stream(), lambda t: n0 + growth * (t - 1), ridge)
         sc = build_scenario("streaming_regression", {
             "dim": dim, "n0": n0, "growth": growth, "lam_reg": lam, "noise": noise,
             "seed": seed})
         edge = [STREAM_ROUNDS - 1, STREAM_ROUNDS, STREAM_ROUNDS + 1, 2 * STREAM_ROUNDS + 1]
         for t in [200, 1, 2, 3] + edge + more:
-            want = one_round(t)
-            got = rounds(t)
-            assert [x.shape for x in got] == [x.shape for x in want]
-            assert [x.tobytes() for x in got] == [x.tobytes() for x in want], t
-            matrix, offset, solution, A, b = want
+            matrix, offset, solution, A, b = one_round(t)
             op = sc.seq.at(t)
+            assert op.affine[0].shape == (dim, dim)
             assert matrix.tobytes() == op.affine[0].tobytes()
             assert offset.tobytes() == op.affine[1].tobytes()
             assert solution.tobytes() == op.solution.tobytes()
@@ -436,6 +438,45 @@ class TestStreams:
             X = np.linspace(-1.0, 1.0, 2 * dim).reshape(2, dim)
             potential = ((X @ A.T - b) ** 2).sum(axis=-1) + lam * (X * X).sum(axis=-1)
             assert op.potential(X).tobytes() == potential.tobytes()
+
+    @pytest.mark.parametrize("name", ["streaming_regression", "glm"])
+    def test_block_affine_bytes_match_per_round_sums(self, name):
+        """Each round's (matrix, offset) from the 64-round blocks has the
+        bytes of the per-round formula on ``_DataStream.sums(n)``, read in
+        order and shuffled, on both sides of a block boundary."""
+        dim, seed, lam, noise, n0, growth = 3, 8, 0.25, 0.3, 5, 2
+        z = np.random.default_rng(seed).standard_normal(dim)
+        if name == "streaming_regression":
+            reference = _DataStream(((a, a @ z + noise * e)
+                                     for a, e in _gaussian_blocks(seed + 1, dim)), dim)
+        else:
+            reference = _DataStream(((a, a @ z + noise * xi[:, 0]) for (a, _), (xi, _) in
+                                     zip(_gaussian_blocks(seed + 2, dim),
+                                         _gaussian_blocks(seed + 1, 1))), dim)
+
+        def one_round(t):       # the per-round formula the blocks replaced
+            n = n0 + growth * (t - 1)
+            G, h = reference.sums(n)
+            assert [G.tobytes(), h.tobytes()] == _one_size_sums(reference, n)
+            if name == "streaming_regression":
+                G = G + lam * np.eye(dim)
+                return 2.0 * G, -2.0 * h
+            return G / n + lam * np.eye(dim), -h / n
+
+        rounds = [1, 63, 64, 65, 128, 129, 500]
+        shuffled = list(rounds)
+        np.random.default_rng(2).shuffle(shuffled)
+        params = {"dim": dim, "seed": seed, "lam_reg": lam, "noise": noise,
+                  "n0": n0, "growth": growth}
+        if name == "glm":
+            params["link"] = "identity"
+        for order in (rounds, shuffled):
+            sc = build_scenario(name, params)
+            for t in order:
+                want = one_round(t)
+                got = sc.seq.at(t).affine
+                assert [x.shape for x in got] == [x.shape for x in want]
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want], t
 
 
 class TestBatchEvaluation:
