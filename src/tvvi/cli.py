@@ -85,10 +85,9 @@ def _track_table(traj: alg.Trajectory, mu: float) -> dict:
     if traj.solutions is not None:
         # a finite play beyond about 1.3e154 has an infinite squared
         # distance, written as the nonfinite token
-        with np.errstate(over="ignore", invalid="ignore"):
-            sq = metrics.squared_distances(traj)
-            table.update(z_star=traj.solutions, sq_dist=sq, cum_track=np.cumsum(sq),
-                         cum_regret=metrics.regret_series(traj, traj.solutions, mu))
+        sq = metrics.squared_distances(traj)
+        table.update(z_star=traj.solutions, sq_dist=sq, cum_track=np.cumsum(sq),
+                     cum_regret=metrics.regret_series(traj, traj.solutions, mu))
     if traj.weights is not None:
         table["weights"] = traj.weights
     return table
@@ -203,11 +202,10 @@ def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
     if len(traj.op_values):
         # a finite play beyond about 1.3e154 has an infinite squared
         # distance, and a bound past the largest float is infinite too
-        with np.errstate(over="ignore", invalid="ignore"):
-            if which == "tracking":
-                measured = metrics.tracking_error(traj)
-            else:
-                measured = metrics.dynamic_regret(traj, traj.solutions, sc.mu)
+        if which == "tracking":
+            measured = metrics.tracking_error(traj)
+        else:
+            measured = metrics.dynamic_regret(traj, traj.solutions, sc.mu)
         try:
             bound = formula() if formula is not None else math.nan
         except OverflowError:
@@ -298,7 +296,11 @@ def run_experiment(cfg: ExperimentConfig, out_path: str, fmt: str,
                 "verify": _cmd_verify}
     if cfg.command not in commands:
         raise ConfigurationError(f"field 'command': unknown command {cfg.command!r}")
-    table, flagged = commands[cfg.command](cfg)
+    # one floating-point policy for the whole command: an overflow or an
+    # invalid operation gives inf or NaN quietly, and the divergence
+    # threshold, the residual checks and explicit finiteness tests decide
+    with np.errstate(over="ignore", invalid="ignore"):
+        table, flagged = commands[cfg.command](cfg)
 
     emit_rows(table, fmt, out_path)
     # a failed verification always exits 1, a divergence only on request

@@ -6,11 +6,13 @@ sequence, its domain, the constants (mu, L, G, D, k) the algorithms
 and bound evaluators need, and the :class:`Checks` that
 :func:`verify_scenario` runs: the operators whose declared constants
 and analytic potentials it tests, and for the games the players'
-losses their pseudo-gradients are made of.
+losses their pseudo-gradients are made of. Scripted rounds come from
+:func:`_periodic` or from the aligned block cache :func:`_round_blocks`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -91,6 +93,34 @@ def _half_quadratic(D: np.ndarray, A: np.ndarray) -> np.ndarray:
     return 0.5 * (D * (D @ A.T)).sum(axis=-1)
 
 
+STREAM_ROUNDS = 64      # rounds whose data one block computes
+
+
+def _round_blocks(block):
+    """Round t's data as a function of t: its row of the stacked arrays
+    that ``block(rounds)`` computes for the aligned range of STREAM_ROUNDS
+    rounds holding t, of which the latest is kept. ``block`` rounds each
+    round as that round alone would, so the data depend on t only, not on
+    the order of reads; a round past ``block``'s arrays raises IndexError."""
+    cached = [None, ()]     # block number, its rounds' data
+
+    def round_data(t: int) -> tuple:
+        number, i = divmod(t - 1, STREAM_ROUNDS)
+        if cached[0] != number:
+            first = number * STREAM_ROUNDS + 1
+            cached[:] = number, tuple(zip(*block(range(first, first + STREAM_ROUNDS))))
+        return cached[1][i]
+
+    return round_data
+
+
+def _periodic(ops) -> ProblemSequence:
+    """The sequence whose round t plays ``ops[(t - 1) % len(ops)]`` and its solution."""
+    k = len(ops)
+    return ProblemSequence(at=lambda t: ops[(t - 1) % k], dim=ops[0].dim,
+                           solution_at=lambda t: ops[(t - 1) % k].solution)
+
+
 @dataclass
 class Scenario:
     """A built problem instance with its constants, domain and checks."""
@@ -129,34 +159,39 @@ def build_quadratic_drift(p: dict) -> Scenario:
     eigs = _positive_definite(A, dim, "field 'scenario.matrix':",
                               ", scenario.dim x scenario.dim")
 
-    # cached prefix sums of the drift magnitudes s^{-decay}, and the
-    # latest round's center, which ``at`` and ``solution_at`` both read
+    # prefix sums of the drift magnitudes s^{-decay}, added in round order
+    # with Python floats; a block leaves out the rounds past an overflow
     prefix = [0.0]
-    latest = [0, None]
-    neg_A, mu, lip = -A, float(eigs[0]), float(eigs[-1])
+    mu, lip = float(eigs[0]), float(eigs[-1])
 
-    def center(t: int) -> np.ndarray:
-        if latest[0] != t:
-            while len(prefix) < t:
-                s = len(prefix)
-                try:
-                    prefix.append(prefix[-1] + s ** (-decay))
-                except OverflowError:
-                    raise ConfigurationError(
-                        f"field 'scenario.decay': the drift s^(-decay) of round {s + 1} "
-                        f"passes the largest float at decay = {decay}") from None
-            latest[:] = t, c1 - b * prefix[t - 1]
-        return latest[1]
+    def block(rounds: range) -> tuple:
+        try:
+            while len(prefix) < rounds[-1]:
+                prefix.append(prefix[-1] + len(prefix) ** (-decay))
+        except OverflowError:
+            pass
+        C = c1 - b * np.array(prefix[rounds[0] - 1:rounds[-1]])[:, None]
+        return np.matmul(-A, C[..., None])[..., 0], C     # one gemv a round
+
+    blocks = _round_blocks(block)
+
+    def round_data(t: int) -> tuple:
+        try:
+            return blocks(t)
+        except IndexError:
+            raise ConfigurationError(
+                f"field 'scenario.decay': the drift s^(-decay) of round {len(prefix) + 1} "
+                f"passes the largest float at decay = {decay}") from None
 
     def make_op(t: int) -> Operator:
-        c = center(t)
-        return Operator.from_affine(A, neg_A @ c, mu=mu, lip=lip, solution=c,
+        offset, c = round_data(t)
+        return Operator.from_affine(A, offset, mu=mu, lip=lip, solution=c,
                                     potential=lambda X: _half_quadratic(X - c, A))
 
-    seq = ProblemSequence(at=make_op, dim=dim, solution_at=center)
+    seq = ProblemSequence(at=make_op, dim=dim, solution_at=lambda t: round_data(t)[1])
     # aperiodic: the first three rounds stand for the sequence
     return Scenario(name="quadratic_drift", seq=seq, domain=Domain.unbounded(dim),
-                    mu=float(eigs[0]), lip=float(eigs[-1]),
+                    mu=mu, lip=lip,
                     checks=Checks(_round_checks(map(make_op, (1, 2, 3)))))
 
 
@@ -168,7 +203,6 @@ def periodic_quadratic(centers, matrix=None, domain: Domain = None) -> Scenario:
     """
     centers = [as_point(c) for c in centers]
     dim = centers[0].size
-    k = len(centers)
     A = np.eye(dim) if matrix is None else np.atleast_2d(np.asarray(matrix, float))
     eigs = _positive_definite(A, dim, "periodic_quadratic: matrix",
                               ", of the centers' dimension")
@@ -182,28 +216,21 @@ def periodic_quadratic(centers, matrix=None, domain: Domain = None) -> Scenario:
                                     solution=c, potential=lambda X: _half_quadratic(X - c, A))
 
     ops = [make_op(c) for c in centers]     # built once: the sequence repeats them
-    seq = ProblemSequence(at=lambda t: ops[(t - 1) % k], dim=dim,
-                          solution_at=lambda t: centers[(t - 1) % k])
     gbound = None
     if domain.bounded:
         # sup over the domain of ||A (x - c)||, coarse box estimate
         corners = _box_corners(domain)
         gbound = max(float(np.linalg.norm(A @ (x - c)))
                      for x in corners for c in centers)
-    return Scenario(name="periodic_quadratic", seq=seq, domain=domain,
-                    mu=float(eigs[0]), lip=float(eigs[-1]), gbound=gbound, period=k,
+    return Scenario(name="periodic_quadratic", seq=_periodic(ops), domain=domain,
+                    mu=float(eigs[0]), lip=float(eigs[-1]), gbound=gbound, period=len(ops),
                     checks=Checks(_round_checks(ops)))
 
 
 def _box_corners(domain: Domain) -> list:
     if domain.kind != "box":
         raise ConfigurationError("corner enumeration needs a box domain")
-    dim = domain.dim
-    corners = []
-    for mask in range(2 ** dim):
-        corners.append(np.array([domain.upper[i] if (mask >> i) & 1 else domain.lower[i]
-                                 for i in range(dim)]))
-    return corners
+    return [np.array(x) for x in itertools.product(*zip(domain.lower, domain.upper))]
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +241,12 @@ def build_periodic_1d(p: dict) -> Scenario:
     constant solution 0."""
 
     def make_op(a: float) -> Operator:
-        return Operator.from_affine([[a]], [0.0], mu=a, lip=a, solution=[0.0],
+        return Operator.from_affine([[a]], [0.0], mu=a, lip=a, solution=np.zeros(1),
                                     potential=lambda X: 0.5 * a * X[..., 0] ** 2)
 
-    ops = (make_op(1.0), make_op(8.0))      # even rounds, odd rounds
-    seq = ProblemSequence(at=lambda t: ops[t % 2], dim=1,
-                          solution_at=lambda t: np.zeros(1))
-    return Scenario(name="periodic_1d", seq=seq, domain=Domain.unbounded(1),
-                    mu=1.0, lip=8.0, period=2, checks=Checks(_round_checks(ops[::-1])))
+    ops = (make_op(8.0), make_op(1.0))      # odd rounds, even rounds
+    return Scenario(name="periodic_1d", seq=_periodic(ops), domain=Domain.unbounded(1),
+                    mu=1.0, lip=8.0, period=2, checks=Checks(_round_checks(ops)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +280,13 @@ def exp_quadratic_operator(A) -> Operator:
 
 def build_exp_quadratic(p: dict) -> Scenario:
     mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in p["matrices"]]
-    k = len(mats)
     dim = mats[0].shape[0]
     if any(m.shape != (dim, dim) for m in mats):
         raise ConfigurationError("field 'scenario.matrices': must be square, of one size")
     ops = [exp_quadratic_operator(m) for m in mats]
-
-    seq = ProblemSequence(at=lambda t: ops[(t - 1) % k], dim=dim,
-                          solution_at=lambda t: np.zeros(dim))
-    return Scenario(name="exp_quadratic", seq=seq, domain=Domain.unbounded(dim),
+    return Scenario(name="exp_quadratic", seq=_periodic(ops), domain=Domain.unbounded(dim),
                     mu=min(op.mu for op in ops), lip=max(op.lip for op in ops),
-                    period=k, checks=Checks(_round_checks(ops)))
+                    period=len(ops), checks=Checks(_round_checks(ops)))
 
 
 def build_chaos_1d(p: dict) -> Scenario:
@@ -410,36 +431,6 @@ class _DataStream:
                 np.array(self._moment[first:last])[k - first] + moment)
 
 
-STREAM_ROUNDS = 64      # rounds whose data one block computes
-
-
-def _stream_rounds(stream: _DataStream, size, stacked):
-    """Round t's data over the first ``size(t)`` rows of ``stream``, as a
-    function of t: the rows for t of the arrays that ``stacked(G, h, n)``
-    computes for a block of rounds from their stacked sums G of A^T A
-    and h of A^T b and their row counts n.
-
-    Rounds are computed STREAM_ROUNDS at a time, in blocks aligned on
-    round numbers, and the block of the latest round asked for is kept:
-    the block's sums are one ``block_sums`` call, and ``stacked`` works
-    on the whole block with operations that round each round as a call
-    for that round alone would. A round's data depends only on the
-    stream and t, never on which rounds came first.
-    """
-    cached = [None, ()]     # block number, its rounds' data
-
-    def round_data(t: int) -> tuple:
-        block, i = divmod(t - 1, STREAM_ROUNDS)
-        if cached[0] != block:
-            first = block * STREAM_ROUNDS + 1
-            sizes = [size(s) for s in range(first, first + STREAM_ROUNDS)]
-            G, h = stream.block_sums(sizes)
-            cached[:] = block, tuple(zip(*stacked(G, h, np.array(sizes, dtype=float))))
-        return cached[1][i]
-
-    return round_data
-
-
 def build_streaming_regression(p: dict) -> Scenario:
     """f_t(x) = ||A_t x - b_t||^2 + lam ||x||^2 over a growing i.i.d.
     Gaussian stream; n_t grows linearly in t."""
@@ -454,14 +445,15 @@ def build_streaming_regression(p: dict) -> Scenario:
     def size(t: int) -> int:
         return p["n0"] + p["growth"] * (t - 1)
 
-    def gradient(G: np.ndarray, h: np.ndarray, n: np.ndarray) -> tuple:
+    def gradient(rounds: range) -> tuple:
         # the ridge objective's gradient matrix and offset, and its
         # minimizer from one batched solve, which runs the same LAPACK
         # solve on each matrix as a one-round call
+        G, h = stream.block_sums([size(t) for t in rounds])
         G = G + ridge
         return 2.0 * G, -2.0 * h, np.linalg.solve(G, h[..., None])[..., 0]
 
-    round_data = _stream_rounds(stream, size, gradient)
+    round_data = _round_blocks(gradient)
 
     def make_op(t: int) -> Operator:
         n = size(t)
@@ -509,11 +501,15 @@ def build_glm(p: dict) -> Scenario:
     def size(t: int) -> int:
         return p["n0"] + p["growth"] * (t - 1)
 
+    def affine(rounds: range) -> tuple:
+        # the identity link's operator: matrix G / n + ridge, offset -h / n
+        sizes = [size(t) for t in rounds]
+        G, h = stream.block_sums(sizes)
+        n = np.array(sizes, dtype=float)
+        return G / n[:, None, None] + ridge, -h / n[:, None]
+
     identity = p["link"] == "identity"
-    # the identity link's operator is affine: matrix G / n + ridge and
-    # offset -h / n
-    round_data = _stream_rounds(stream, size, lambda G, h, n: (
-        G / n[:, None, None] + ridge, -h / n[:, None])) if identity else None
+    round_data = _round_blocks(affine) if identity else None
 
     def make_op(t: int) -> Operator:
         n = size(t)
@@ -615,17 +611,14 @@ def build_rsi_game(p: dict) -> Scenario:
     """Time-varying coupling a_t in [0, 1] cycling through a fixed
     schedule; the saddle point stays at the origin."""
     a_values = p["a_values"]
-    k = len(a_values)
     ops = [rsi_operator(a) for a in a_values]
     lip = rsi_lipschitz(a_values)
     checks = Checks(
         operators=tuple(OperatorCheck(f"t={t}", op, lip=lip) for t, op in enumerate(ops, 1)),
         game=tuple((op, lambda Z, a=a: rsi_losses(Z, a)) for op, a in zip(ops, a_values)),
         secant=tuple(dict.fromkeys(float(a) for a in a_values)))
-    seq = ProblemSequence(at=lambda t: ops[(t - 1) % k], dim=2,
-                          solution_at=lambda t: np.zeros(2))
-    return Scenario(name="rsi_game", seq=seq, domain=Domain.unbounded(2), mu=RSI_MU,
-                    lip=lip, period=k, checks=checks)
+    return Scenario(name="rsi_game", seq=_periodic(ops), domain=Domain.unbounded(2),
+                    mu=RSI_MU, lip=lip, period=len(ops), checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -782,11 +775,16 @@ def _central_differences(fn, X: np.ndarray, h: float) -> np.ndarray:
     return (values[:, :d] - values[:, d:]) / (2.0 * h)
 
 
-def _fd_rounding(fn, pts: np.ndarray, h: float) -> float:
+def _fd_rounding(fn, pts: np.ndarray, h: float, what: str) -> float:
     """The rounding error of central differences of ``fn`` at ``pts``
     with step h, which grows as the size of fn's values over h. A
-    finite-difference check passes within it where it exceeds 1e-6."""
-    return _RELATIVE_TOL * float(np.max(np.abs(fn(pts)))) / h
+    finite-difference check passes within it where it exceeds 1e-6. A
+    value of ``fn`` that is not finite raises, naming ``what``."""
+    values = fn(pts)
+    if not np.isfinite(values).all():
+        raise ConfigurationError(f"field 'scenario.name': {what} is not finite at the "
+                                 "sampled points; its parameters are too large together")
+    return _RELATIVE_TOL * float(np.max(np.abs(values))) / h
 
 
 RSI_SECANT_GRID_N = 101     # grid points a side of the secant check
@@ -818,13 +816,14 @@ def verify_scenario(sc: Scenario, n_samples: int = 10_000, seed: int = 0,
     if checks.game:
         # each coordinate's partial of its own player's loss: the diagonal
         pts = _sample_points(sc.domain, min(n_fd, 50), np.random.default_rng(seed))
+        rounding = max(_fd_rounding(losses, pts, 1e-6, f"a player's loss in {sc.name}")
+                       for _, losses in checks.game)
         err = max(np.max(np.abs(_evaluate_block(op, pts) - np.diagonal(
             _central_differences(losses, pts, 1e-6), axis1=1, axis2=2)))
             for op, losses in checks.game)
         # err stays a numpy scalar, so ``passed`` is a numpy bool, written
         # True (not true) as the benchmark's recorded reference expects
-        add("pseudo_gradient_partials", f"max_err={err:.3e}", err <= 1e-6 or err <= max(
-            _fd_rounding(losses, pts, 1e-6) for _, losses in checks.game))
+        add("pseudo_gradient_partials", f"max_err={err:.3e}", err <= 1e-6 or err <= rounding)
     for a in checks.secant:
         m = rsi_grid_inequality(a)
         add("rsi_inequality", f"a={a} min_factor={m:.4f}", m >= RSI_MU)
@@ -832,10 +831,11 @@ def verify_scenario(sc: Scenario, n_samples: int = 10_000, seed: int = 0,
     for idx, (label, op, mu, lip) in enumerate(checks.operators, start=1):
         if op.potential is not None:
             pts = _sample_points(sc.domain, n_fd, np.random.default_rng(seed + idx))
+            rounding = _fd_rounding(op.potential, pts, 1e-5,
+                                    f"the potential of {sc.name} at {label}")
             err = float(np.max(np.abs(_evaluate_block(op, pts)
                                       - _central_differences(op.potential, pts, 1e-5))))
-            add("gradient_fd", f"{label} max_err={err:.3e}",
-                err <= 1e-6 or err <= _fd_rounding(op.potential, pts, 1e-5))
+            add("gradient_fd", f"{label} max_err={err:.3e}", err <= 1e-6 or err <= rounding)
         monotone, lipschitz = check_constants(op, mu, lip, sc.domain, n_samples, seed + idx)
         if mu is not None:
             add("strong_monotone", f"{label} mu={mu:.6g}", monotone)

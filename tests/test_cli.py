@@ -1,6 +1,7 @@
 """End-to-end tests for config parsing, row emission, and the CLI."""
 
 import ast
+import itertools
 import math
 import os
 import re
@@ -14,7 +15,8 @@ import pytest
 from tvvi import cli, scenarios
 from tvvi.algorithms import CyclicFB, StepSchedule, run_tracker
 from tvvi.cli import main
-from tvvi.config import FIELDS, MATRICES, MATRIX, Spec, _field_value, parse_config
+from tvvi.config import (ALGORITHMS, FIELDS, MATRICES, MATRIX, Spec, _field_value,
+                         parse_config)
 from tvvi.core import ConfigurationError
 from tvvi.dynamics import eta_grid, radial_containment_score
 from tvvi.io import DIVERGED_TOKEN, emit_rows, read_rows
@@ -749,6 +751,41 @@ run.z1 = 1,1
         if code == 2:
             assert re.search(r"field '[a-z_]+\.[a-z_0-9]+'", err), err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key, value", [("c1", "1e150"), ("c1", "-1e150"),
+                                            ("b", "1e150"), ("b", "-1e150")])
+    def test_potential_past_the_float_range_exit_code(self, tmp_path, capsys, key, value):
+        # A |x - c|^2 / 2 is about 1e450 on the sampling box: verify refuses
+        # the potential and names a field, and track runs as before
+        params = f"scenario.matrix = 1e150\nscenario.{key} = {value}\n"
+        verify = SMALL_VERIFY.replace("chaos_1d", "quadratic_drift") + params
+        cfg = write_cfg(tmp_path, verify)
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "field 'scenario." in capsys.readouterr().err
+        cfg = write_cfg(tmp_path, "command = track\nscenario.name = quadratic_drift\n"
+                                  "algorithm.kind = forward\nalgorithm.eta = 0.1\n"
+                                  "run.horizon = 20\nrun.z1 = 0\n" + params)
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("decay, horizon, code, round_", [
+        (-200, 10, 0, None), (-200, 40, 2, 36), (-2000, 10, 2, 3)])
+    def test_decay_overflow_keeps_its_round(self, tmp_path, capsys, decay, horizon, code,
+                                            round_):
+        # s^200 passes the largest float at s = 35 and s^2000 at s = 2: the
+        # drifts are computed a block of rounds ahead, and only the round
+        # that reads the overflowing drift fails, naming that round
+        cfg = write_cfg(tmp_path, f"command = track\nscenario.name = quadratic_drift\n"
+                                  f"algorithm.kind = forward\nalgorithm.eta = 0.1\n"
+                                  f"run.divergence_threshold = 1e308\nrun.z1 = 0.5\n"
+                                  f"run.horizon = {horizon}\nscenario.decay = {decay}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert "field 'scenario.decay'" in err and f"round {round_} " in err, err
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("scenario, algorithm, z1, code", [
         ("kelly_auction", "meta_fixed\nalgorithm.k = 2", "5,5,5", 2),
         ("kelly_auction", "meta_fixed\nalgorithm.k = 2", "1,0,0.5", 0),
@@ -1020,6 +1057,38 @@ _NUMERIC_PARAMS = [(name, key, spec) for name, table in PARAMS.items()
                    if spec.type in (int, float, list, MATRIX, MATRICES)]
 
 
+# the in-bound extremes of each bound rule with a cap, and of "must be
+# positive", which has none: the cap, its negative where the rule
+# allows it, and the least subnormal
+_EXTREME_VALUES = {"must be at most 1e150 in magnitude": ("1e150", "-1e150", "5e-324"),
+                   "must be in (0, 1e150]": ("1e150", "5e-324"),
+                   "must be in [0, 1e150]": ("1e150", "5e-324"),
+                   "must be positive and at most 1e300": ("1e300", "5e-324"),
+                   "must be positive": ("1e308", "5e-324")}
+_EXTREME_PAIRS = [(name, pair) for name, table in PARAMS.items()
+                  for pair in itertools.combinations(
+                      [key for key, spec in table.items()
+                       if spec.type in (float, list, MATRIX, MATRICES)
+                       and spec.bound is not None and spec.bound[0] in _EXTREME_VALUES], 2)]
+# the algorithm keys each kind needs on top of the kind itself
+_KIND_KEYS = {"forward": "algorithm.eta = 0.1\n", "resolvent": "",
+              "cyclic_fb": "algorithm.period = 2\n", "meta_fixed": "algorithm.k = 2\n",
+              "meta_adaptive": "algorithm.k = 2\n"}
+
+
+def _default_dim(name: str) -> int:
+    """The dimension of scenario ``name`` at its defaults."""
+    return next((PARAMS[name][k].default for k in ("dim", "n") if k in PARAMS[name]), 1)
+
+
+def _param_text(name: str, key: str, value: str) -> str:
+    """``value`` as scenario ``name``'s parameter ``key``: the number, or
+    a vector of the default dimension or a matrix filled with it."""
+    spec, dim = PARAMS[name][key], _default_dim(name)
+    text = value if spec.type in (int, float) else ",".join([value] * dim)
+    return ";".join([text] * dim) if spec.type in (MATRIX, MATRICES) else text
+
+
 class TestScenarioParams:
     @pytest.mark.parametrize("name, key, rule", _BOUNDED_PARAMS,
                              ids=[f"{n}.{k}" for n, k, _ in _BOUNDED_PARAMS])
@@ -1036,18 +1105,42 @@ class TestScenarioParams:
     def test_extreme_param_exit_code(self, tmp_path, capsys, name, key, spec):
         # the largest float, its negative and the least subnormal, a vector
         # of the scenario's default dimension or a matrix filled with it
-        dim = next((PARAMS[name][k].default for k in ("dim", "n") if k in PARAMS[name]), 1)
         for value in ("1e308", "-1e308", "5e-324"):
-            text = value if spec.type in (int, float) else ",".join([value] * dim)
-            if spec.type in (MATRIX, MATRICES):
-                text = ";".join([text] * dim)
             cfg = write_cfg(tmp_path, f"{SMALL_VERIFY.replace('chaos_1d', name)}"
-                                      f"scenario.{key} = {text}\n")
+                                      f"scenario.{key} = {_param_text(name, key, value)}\n")
             code = main(["--config", cfg, "--out", str(tmp_path / "x.csv")])
             err = capsys.readouterr().err
             assert code in (0, 1, 2) and "Traceback" not in err, (value, err)
             if code == 2:
                 assert f"field 'scenario.{key}'" in err, (value, err)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, keys", _EXTREME_PAIRS,
+                             ids=[f"{n}.{a}+{b}" for n, (a, b) in _EXTREME_PAIRS])
+    def test_extreme_pair_exit_code(self, tmp_path, capsys, name, keys):
+        # each pair of capped keys at every pair of in-bound extremes, through
+        # verify and through track with each kind that runs on the defaults
+        def run(text: str) -> tuple:
+            code = main(["--config", write_cfg(tmp_path, text),
+                         "--out", str(tmp_path / "x.csv")])
+            return code, capsys.readouterr().err
+
+        z1 = ",".join(["0"] * _default_dim(name))
+        track = f"command = track\nscenario.name = {name}\nrun.horizon = 20\nrun.z1 = {z1}\n"
+        tracks = [track + f"algorithm.kind = {kind}\n" + _KIND_KEYS[kind] for kind in ALGORITHMS]
+        tracks = [text for text in tracks if run(text)[0] == 0]
+        assert tracks
+        verify = f"command = verify\nscenario.name = {name}\nverify.samples = 200\n" \
+                 "verify.fd_points = 20\n"
+        extremes = [_EXTREME_VALUES[PARAMS[name][key].bound[0]] for key in keys]
+        for values in itertools.product(*extremes):
+            params = "".join(f"scenario.{key} = {_param_text(name, key, value)}\n"
+                             for key, value in zip(keys, values))
+            for head in [verify] + tracks:
+                code, err = run(head + params)
+                assert code in (0, 1, 2) and "Traceback" not in err, (head, values, err)
+                if code == 2:
+                    assert re.search(r"field '[a-z_]+\.[a-z_0-9]+'", err), (head, values, err)
 
     # dim = 0, period = 0, seed = -1 and n0 = 0 are cases of the
     # out-of-bound test above

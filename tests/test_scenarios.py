@@ -305,6 +305,9 @@ def _close(x, ref):
 
 
 ROUNDS = (1, 2, 30, 31, 32, 33, 500)
+# a drift whose offsets -A c_t are full matrix-vector products
+DRIFT = {"dim": 3, "matrix": [[2.0, 0.5, 0.1], [0.5, 1.5, 0.3], [0.1, 0.3, 1.0]],
+         "decay": 0.75, "c1": [1.0, -2.0, 0.5], "b": [0.3, 0.1, -0.2]}
 
 
 def _one_size_sums(stream, n):
@@ -369,8 +372,9 @@ class TestStreams:
     @pytest.mark.parametrize("name, params", [
         ("streaming_regression", {"seed": 3}),
         ("glm", {"link": "identity", "seed": 5, "n0": 2, "growth": 2}),
-        ("glm", {"link": "scaled_logistic", "seed": 5, "n0": 2, "growth": 2})],
-        ids=["stream", "glm_identity", "glm_logistic"])
+        ("glm", {"link": "scaled_logistic", "seed": 5, "n0": 2, "growth": 2}),
+        ("quadratic_drift", DRIFT)],
+        ids=["stream", "glm_identity", "glm_logistic", "drift"])
     def test_rounds_bit_identical_in_any_order(self, name, params):
         def values(order):
             sc = build_scenario(name, params)
@@ -439,22 +443,31 @@ class TestStreams:
             potential = ((X @ A.T - b) ** 2).sum(axis=-1) + lam * (X * X).sum(axis=-1)
             assert op.potential(X).tobytes() == potential.tobytes()
 
-    @pytest.mark.parametrize("name", ["streaming_regression", "glm"])
+    @pytest.mark.parametrize("name", ["streaming_regression", "glm", "quadratic_drift"])
     def test_block_affine_bytes_match_per_round_sums(self, name):
-        """Each round's (matrix, offset) from the 64-round blocks has the
-        bytes of the per-round formula on ``_DataStream.sums(n)``, read in
-        order and shuffled, on both sides of a block boundary."""
+        """Each round's (matrix, offset) from the 64-round blocks, and a
+        drift's solution, has the bytes of the per-round formula, read in
+        order and shuffled, on both sides of a block boundary: on
+        ``_DataStream.sums(n)`` for the streams, and on the Python prefix
+        sum of the drifts for ``quadratic_drift``."""
         dim, seed, lam, noise, n0, growth = 3, 8, 0.25, 0.3, 5, 2
         z = np.random.default_rng(seed).standard_normal(dim)
         if name == "streaming_regression":
             reference = _DataStream(((a, a @ z + noise * e)
                                      for a, e in _gaussian_blocks(seed + 1, dim)), dim)
-        else:
+        elif name == "glm":
             reference = _DataStream(((a, a @ z + noise * xi[:, 0]) for (a, _), (xi, _) in
                                      zip(_gaussian_blocks(seed + 2, dim),
                                          _gaussian_blocks(seed + 1, 1))), dim)
+        A, c1, b = (np.array(DRIFT[key]) for key in ("matrix", "c1", "b"))
+        prefix = [0.0]
 
         def one_round(t):       # the per-round formula the blocks replaced
+            if name == "quadratic_drift":
+                while len(prefix) < t:
+                    prefix.append(prefix[-1] + len(prefix) ** -DRIFT["decay"])
+                c = c1 - b * prefix[t - 1]
+                return A, -A @ c, c
             n = n0 + growth * (t - 1)
             G, h = reference.sums(n)
             assert [G.tobytes(), h.tobytes()] == _one_size_sums(reference, n)
@@ -470,11 +483,17 @@ class TestStreams:
                   "n0": n0, "growth": growth}
         if name == "glm":
             params["link"] = "identity"
+        if name == "quadratic_drift":
+            params = DRIFT
         for order in (rounds, shuffled):
             sc = build_scenario(name, params)
             for t in order:
                 want = one_round(t)
-                got = sc.seq.at(t).affine
+                op = sc.seq.at(t)
+                got = list(op.affine)
+                if name == "quadratic_drift":
+                    got += [op.solution]
+                    assert sc.seq.solution_at(t).tobytes() == want[2].tobytes(), t
                 assert [x.shape for x in got] == [x.shape for x in want]
                 assert [x.tobytes() for x in got] == [x.tobytes() for x in want], t
 
@@ -569,6 +588,23 @@ class TestVerification:
             == [("pseudo_gradient_partials", True)]
         assert [(r["check"], bool(r["passed"])) for r in _rows(sc, Checks(game=bad))] \
             == [("pseudo_gradient_partials", False)]
+
+    @pytest.mark.parametrize("name", ["quadratic_drift", "kelly_auction"])
+    def test_values_past_the_float_range_are_refused(self, name):
+        # an infinite potential or loss leaves no gradient to compare with:
+        # the check names the scenario rather than reporting a result
+        sc = build_scenario(name)
+        if name == "quadratic_drift":
+            label, op, _, _ = sc.checks.operators[0]
+            infinite = replace(op, potential=lambda X: np.full(X.shape[:-1], np.inf))
+            checks = Checks((OperatorCheck(label, infinite),))
+            what = "the potential of quadratic_drift at t=1"
+        else:
+            checks = Checks(game=((sc.checks.game[0][0], lambda X: np.full(X.shape, np.inf)),))
+            what = "a player's loss in kelly_auction"
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConfigurationError, match=f"field 'scenario.name': {what} "):
+            _rows(sc, checks)
 
     def test_misdeclared_constants_fail(self):
         # F(z) = z - c: mu = L = 1 exactly
