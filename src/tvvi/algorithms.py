@@ -2,31 +2,20 @@
 learners, and the two expert-aggregation meta-algorithms.
 
 The online protocol throughout is: play first, observe second. Each
-algorithm spec's ``start(z1, domain)`` returns a learner with
-``play(t) -> z`` and ``observe(t, op) -> g``.
-
-Cyclic learners live in a slot bank (``CyclicFBLearner``): the slots of
-every base in one flat ``(sum of periods, d)`` array, so a round of K
-bases is one gather of the K active slots, one block forward step with
-one projection, and one scatter back. ``CyclicFB`` runs a bank of one
-period; the meta-algorithms run one bank of periods 1..K and differ in
-feedback economy: the fixed-rate variant touches the true operator once
-per round and hands the bases the affine surrogate built from that one
-value, while the adaptive variant evaluates the true operator at the
-distinct points among the play and the K active slots, in one block
-call.
+algorithm spec's ``start(z1, domain)`` checks its constants and the
+start's width against the domain, once, and returns a learner with
+``play(t) -> z`` and ``observe(t, op) -> g``, which updates it in place.
+Cyclic learners live in one slot bank (``CyclicFBLearner``): a round
+gathers every base's active slot, steps the block once and scatters it
+back, at rows and step sizes scheduled once per 64 rounds. The
+meta-algorithms (``MetaLearner``) drive a bank of periods 1..K and keep
+their losses and weights in arrays updated in place.
 
 ``run_tracker`` drives a learner for T rounds and returns a
-``Trajectory`` of arrays: plays, operator values and solutions as
-``(T, d)`` arrays, and for the meta-algorithms the weights as a
-``(T, K)`` array, each preallocated for T rounds and sliced to the
-rounds run. It enters the run's one floating-point policy, overflow and
-invalid values ignored, around all rounds: the divergence threshold, the
-NaN test of each evaluation and the resolvent's residual check decide
+``Trajectory``. It enters the run's one floating-point policy, overflow
+and invalid values ignored, around all rounds: the divergence threshold,
+the NaN test of each evaluation and the resolvent's residual check decide
 what a nonfinite value means, and no round enters a context of its own.
-Under that policy a singular I + A solves to NaN without a warning, the
-residual check rejects it, and ``resolvent_step`` raises
-``LinAlgError("I + A is singular")`` as it does under any other policy.
 """
 
 from __future__ import annotations
@@ -48,10 +37,9 @@ except ImportError:     # a numpy that moves it: np.linalg.solve makes that call
 from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
                    as_point, evaluate, project, row_norms)
 
-# Ties in the pre-warmup argmin weight rule are resolved uniformly over
-# all losses within this tolerance of the minimum.
-ARGMIN_TOL = 1e-12
+ARGMIN_TOL = 1e-12      # the pre-warmup argmin set's tolerance
 T0_TOL = 1e-12
+ROUND_BLOCK = 64        # rounds whose slot schedule one block computes
 
 
 @dataclass(frozen=True)
@@ -110,16 +98,14 @@ def _checked_solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def resolvent_step(op: Operator, z) -> np.ndarray:
-    """Solve z' + F(z') = z for affine F(x) = Ax + b.
+    """Solve z' + F(z') = z for affine F(x) = Ax + b, to a residual of
+    1e-10, by ``np.linalg.solve``'s own dgesv call (so with its bits).
 
     Requires I + A invertible (always true for strongly monotone affine
-    F); a singular I + A raises ``LinAlgError``. The returned point
-    satisfies the residual to 1e-10. The solve is ``np.linalg.solve``'s
-    own dgesv call, so the bits are the same. Where invalid values are
-    already ignored, as under ``run_tracker``'s policy, it runs with no
-    context of its own: a singular I + A then solves to NaN quietly, the
-    residual check rejects it, and only then is the solve run again under
-    the raising policy to name the cause.
+    F); a singular I + A raises ``LinAlgError("I + A is singular")``.
+    Where invalid values are already ignored, as under ``run_tracker``'s
+    policy, a singular I + A solves to NaN quietly, the residual check
+    rejects it, and only then is the solve rerun under the raising policy.
     """
     if op.affine is None:
         raise ConfigurationError("field 'algorithm.kind': resolvent needs affine operators")
@@ -138,22 +124,28 @@ def resolvent_step(op: Operator, z) -> np.ndarray:
     return out
 
 
+def _start_point(z1, domain: Domain) -> np.ndarray:
+    """The start as a point, its width checked once against the domain's."""
+    z1 = as_point(z1)
+    if z1.size != domain.dim:
+        raise ValueError(f"dimension mismatch: start {z1.size}, domain {domain.dim}")
+    return z1
+
+
 class CyclicFBLearner:
     """A bank of cyclic forward-backward learners, one per entry of
     ``periods``, with all their slots in one flat ``(sum(periods), d)``
-    array.
+    array; ``CyclicFB`` plays a bank of one period.
 
-    The learner with period i keeps one independent iterate (slot) per
-    assumed phase and updates them round-robin, phase ((t-1) mod i) + 1
-    at round t, so round 1 touches slot 1: base b owns rows
-    ``offsets[b]`` to ``offsets[b] + periods[b] - 1`` of ``slots``, and
-    ``slot_steps`` counts each slot's updates. Every round touches one
-    slot per base: ``slot_index(t)`` names the rows, ``slots[n]`` is the
-    ``(K, d)`` block of active slots and ``step(n, Z, G)`` moves the
-    block by one projected forward step, each row with its own slot's
-    step size, and scatters it back. A bank of one period is the learner
-    ``CyclicFB`` runs, with ``play`` and ``observe``; ``MetaLearner``
-    drives a bank of periods 1..K.
+    The learner with period i keeps one iterate (slot) per assumed phase
+    and updates them round-robin, phase ((t-1) mod i) + 1 at round t:
+    base b owns rows ``offsets[b]`` to ``offsets[b] + periods[b] - 1`` of
+    ``slots``, and ``slot_steps`` counts each slot's updates. Round t's
+    rows are ``slot_index(t)``; ``step(t, Z, G)`` moves their ``(K, d)``
+    block by one projected forward step, each row at its own slot's step
+    size, and scatters it back. Rounds run 1, 2, ... with one step each,
+    so one ``np.divmod`` schedules the rows and update counts ``(t - 1)
+    // periods + 1`` of an aligned block of ``ROUND_BLOCK`` rounds.
     """
 
     def __init__(self, periods, z1, schedule: StepSchedule, domain: Domain):
@@ -161,34 +153,44 @@ class CyclicFBLearner:
         if self.periods.size == 0 or np.any(self.periods < 1):
             raise ValueError("period must be >= 1")
         self.offsets = np.cumsum(self.periods) - self.periods
-        self.slots = np.tile(as_point(z1), (int(self.periods.sum()), 1))
+        self.slots = np.tile(_start_point(z1, domain), (int(self.periods.sum()), 1))
         self.slot_steps = np.zeros(len(self.slots), dtype=np.int64)
-        self.schedule = schedule
-        self.domain = domain
+        self.schedule, self.domain = schedule, domain
+        self._block = None, ()      # block number, its rounds' schedules
+
+    def _round(self, t: int) -> tuple:
+        """Round t's rows, their flat cells, update counts and step sizes."""
+        number, i = divmod(t - 1, ROUND_BLOCK)
+        if self._block[0] != number:
+            q, r = np.divmod(ROUND_BLOCK * number + np.arange(ROUND_BLOCK)[:, None], self.periods)
+            rows, s, d = self.offsets + r, q + 1, self.slots.shape[1]
+            rows.flags.writeable = s.flags.writeable = False
+            eta = np.broadcast_to(self.schedule.at(s[..., None]), s.shape + (1,))
+            cells = rows[..., None] * d + np.arange(d)
+            self._block = number, list(zip(rows, cells, s, eta))
+        return self._block[1][i]
 
     def slot_index(self, t: int) -> np.ndarray:
         """The row in ``slots`` of each base's slot at round t."""
-        return self.offsets + (t - 1) % self.periods
+        return self._round(t)[0]
 
-    def step(self, n: np.ndarray, Z: np.ndarray, G: np.ndarray) -> None:
-        """Update the active slots ``Z`` (rows ``n`` of ``slots``) with
-        feedback ``G``, row by row: project(z - eta_s g) with s the
-        slot's update count."""
-        s = self.slot_steps[n] + 1
-        self.slots[n] = project(self.domain, Z - self.schedule.at(s[:, None]) * G)
+    def step(self, t: int, Z: np.ndarray, G: np.ndarray) -> None:
+        """Update round t's active slots ``Z`` with feedback ``G``, row
+        by row: project(z - eta_s g) with s the slot's update count."""
+        n, cells, s, eta = self._round(t)
+        Z = Z - eta * G
+        self.slots.put(cells, project(self.domain, Z) if self.domain.bounded else Z)
         self.slot_steps[n] = s
 
     def play(self, t: int) -> np.ndarray:
         """The first base's active slot: a one-period bank's play."""
-        self.active = self.slot_index(t)
-        self.active_slots = self.slots[self.active]     # a copy: (K, d)
+        self.active_slots = self.slots.take(self.slot_index(t), 0)     # a copy: (K, d)
         return self.active_slots[0]
 
     def observe(self, t: int, op: Operator) -> np.ndarray:
-        """Step the slots ``play(t)`` made active with ``op`` evaluated
-        there in one block call; returns F at the play."""
+        """Step ``play(t)``'s slots by ``op`` in one block call; F at the play."""
         G = evaluate(op, self.active_slots)
-        self.step(self.active, self.active_slots, G)
+        self.step(t, self.active_slots, G)
         return G[0]
 
 
@@ -198,16 +200,17 @@ def _distinct_rows(P: np.ndarray) -> tuple:
     0.0 and -0.0 are distinct and a NaN matches only its own bytes."""
     W = P.T.copy().view(np.int64)       # (d, n): each coordinate contiguous
     same = np.logical_and.reduce(W[:, :, None] == W[:, None, :], axis=0)
-    first = same.argmax(axis=1) == np.arange(len(P))        # first occurrences
-    # each row matches exactly one first occurrence
-    return P[first], same[:, first].argmax(axis=1)
+    first_of = same.argmax(axis=1)      # each row's first occurrence
+    first = first_of == np.arange(len(P))
+    # a first occurrence's index among them: the running count of them, less one
+    return P.take(first.nonzero()[0], 0), (np.add.accumulate(first) - 1)[first_of]
 
 
 def _evaluate_distinct(op: Operator, z: np.ndarray, Z: np.ndarray) -> tuple:
     """F at the play ``z`` and at every row of ``Z`` from one block call
     on the distinct points, in first-seen order, each counted once."""
     pts, rows = _distinct_rows(np.concatenate([z[None], Z]))
-    F = evaluate(op, pts)[rows]
+    F = evaluate(op, pts).take(rows, 0)
     return F[0], F[1:]
 
 
@@ -215,32 +218,37 @@ def make_surrogate(g, z_t, mu: float) -> Operator:
     """Affine surrogate z -> g + mu (z - z_t) built from one evaluation."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    g = as_point(g)
-    z_t = as_point(z_t)
-    A = mu * np.eye(g.size)
+    g, z_t = as_point(g), as_point(z_t)
+    A = mu * _identity(g.size)
     return Operator.from_affine(A, g - mu * z_t, mu=mu, lip=mu)
 
 
-def exp_weights(cum_loss: np.ndarray, lam: float) -> np.ndarray:
-    """Normalized exponential weights, computed via max-subtraction."""
-    a = -lam * np.asarray(cum_loss, dtype=float)
-    a -= a.max()
-    w = np.exp(a)
-    return w / w.sum()
+# ndarray.sum/max/min wrap these same ufunc reductions; x * -lam is -lam * x.
+
+def exp_weights(cum_loss: np.ndarray, lam: float, out=None) -> np.ndarray:
+    """Normalized exponential weights via max-subtraction, into ``out``."""
+    a = np.multiply(cum_loss, -lam, out=out, dtype=float)
+    a -= np.maximum.reduce(a, axis=None)
+    np.exp(a, out=a)
+    a /= np.add.reduce(a, axis=None)
+    return a
 
 
 def mix_loss(p: np.ndarray, losses: np.ndarray, lam: float) -> float:
     """Logarithmic mix loss -(1/lam) log sum_i p_i exp(-lam l_i)."""
     if not math.isfinite(lam):
-        return float(np.min(losses[p > 0]))
-    a = -lam * np.asarray(losses, dtype=float)
-    m = a.max()
-    return float(-(m + np.log((p * np.exp(a - m)).sum())) / lam)
+        return float(np.minimum.reduce(losses[p > 0], axis=None))
+    a = np.multiply(losses, -lam, dtype=float)
+    m = np.maximum.reduce(a, axis=None)
+    a = np.exp(a - m)
+    a *= p
+    return float(-(m + np.log(np.add.reduce(a, axis=None))) / lam)
 
 
-def _argmin_weights(cum_loss: np.ndarray) -> np.ndarray:
-    mins = cum_loss <= cum_loss.min() + ARGMIN_TOL
-    return mins / mins.sum()
+def _argmin_weights(cum_loss: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Uniform weights over the losses within ARGMIN_TOL of the least, into ``out``."""
+    mins = cum_loss <= np.minimum.reduce(cum_loss, axis=None) + ARGMIN_TOL
+    return np.divide(mins, np.add.reduce(mins, axis=None), out=out)
 
 
 def fixed_learning_rate(mu: float, D: float, G: float) -> float:
@@ -255,11 +263,12 @@ def fixed_learning_rate(mu: float, D: float, G: float) -> float:
         return math.inf
 
 
-def _losses(g: np.ndarray, Z: np.ndarray, play: np.ndarray, mu: float) -> np.ndarray:
+def _losses(g: np.ndarray, Z: np.ndarray, play: np.ndarray, half_mu: float) -> np.ndarray:
     """Each base's loss <g, z_i> + (mu/2)||z_i - play||^2, one row of Z
-    per base."""
+    per base, with half_mu = mu / 2."""
     D = Z - play
-    return Z @ g + 0.5 * mu * (D * D).sum(axis=-1)
+    D *= D
+    return Z @ g + half_mu * np.add.reduce(D, axis=-1)
 
 
 class MetaLearner:
@@ -267,63 +276,61 @@ class MetaLearner:
     periods 1..K, started at ``z1`` with a shared step schedule.
 
     The K bases are one ``CyclicFBLearner`` bank. Each round plays the
-    weighted combination of the active slots, observes the operator at
-    the played point, scores every base with the inner-product loss and
-    steps all active slots as one block. The two meta-algorithms differ
-    only in the block's feedback. With a fixed rate ``lam`` the bases get
-    the affine surrogate built from that one evaluation (Zhang, Lu & Zhou
-    2018), so the true operator is touched once per round. Otherwise
-    (``lam`` is None) the bases get the true operator, evaluated in one
-    block call once per distinct point, and the rate is tuned:
-    effectively infinite (uniform weights over the argmin set of
-    cumulative loss) until T0, the first round whose mix loss drops below
-    the played loss, and lambda_t = log K / cum_gap afterwards.
+    weighted combination of the active slots (``base_plays``, the
+    round's own copy), observes the operator at the played point, scores
+    every base with the inner-product loss, updates ``cum_loss`` and
+    ``weights`` in place and steps all active slots as one block. With a
+    fixed rate ``lam`` the bases get the affine surrogate built from that
+    one evaluation (Zhang, Lu & Zhou 2018). Otherwise (``lam`` is None)
+    they get the true operator, evaluated in one block call once per
+    distinct point, and the rate is tuned: effectively infinite (uniform
+    weights over the argmin set of cumulative loss) until T0, the first
+    round whose mix loss drops below the played loss, then log K / cum_gap.
     """
 
     def __init__(self, K: int, z1, schedule: StepSchedule, domain: Domain,
                  mu: float, lam: Optional[float] = None):
         self.bank = CyclicFBLearner(np.arange(1, K + 1), z1, schedule, domain)
-        self.mu = mu
-        self.lam = lam
+        self.mu, self.half_mu, self.lam = mu, 0.5 * mu, lam
+        self.log_k = math.log(K)
         self.weights = np.full(K, 1.0 / K)      # p_t for the current round
         self.cum_loss = np.zeros(K)
         self.cum_gap = 0.0                      # sum of (lbar_s - m_s)_+ from T0 on
         self.t0_passed = False
 
     def play(self, t: int) -> np.ndarray:
-        self.active = self.bank.slot_index(t)
-        self.base_plays = self.bank.slots[self.active]  # (K, d): one row per base
-        self.z = (self.weights[:, None] * self.base_plays).sum(axis=0)
+        self.base_plays = self.bank.slots.take(self.bank.slot_index(t), 0)  # (K, d)
+        # not w @ Z, which rounds differently
+        self.z = np.add.reduce(self.weights[:, None] * self.base_plays, axis=0)
         return self.z
 
     def observe(self, t: int, op: Operator) -> np.ndarray:
-        Z = self.base_plays
+        Z, z = self.base_plays, self.z
         if self.lam is not None:
-            g = evaluate(op, self.z)
-            G = make_surrogate(g, self.z, self.mu).fn(Z)
+            g = evaluate(op, z)
+            G = make_surrogate(g, z, self.mu).fn(Z)
         else:
-            g, G = _evaluate_distinct(op, self.z, Z)
-        losses = _losses(g, Z, self.z, self.mu)
-        self.cum_loss = self.cum_loss + losses
+            g, G = _evaluate_distinct(op, z, Z)
+        losses = _losses(g, Z, z, self.half_mu)
+        self.cum_loss += losses
         if self.lam is not None:
-            self.weights = exp_weights(self.cum_loss, self.lam)
+            exp_weights(self.cum_loss, self.lam, out=self.weights)
         else:
             self._tune(g, losses)
-        self.bank.step(self.active, Z, G)
+        self.bank.step(t, Z, G)
         return g
 
     def _tune(self, g: np.ndarray, losses: np.ndarray) -> None:
-        K = len(self.weights)
-        lbar = float(np.dot(g, self.z))
-        lam_t = math.log(K) / self.cum_gap if self.t0_passed else math.inf
+        lbar = float(g.dot(self.z))
+        lam_t = self.log_k / self.cum_gap if self.t0_passed else math.inf
         m_t = mix_loss(self.weights, losses, lam_t)
-        if not self.t0_passed and K > 1 and lbar > m_t + T0_TOL:
+        if not self.t0_passed and len(losses) > 1 and lbar > m_t + T0_TOL:
             self.t0_passed = True                   # this round is T0
         if self.t0_passed:
             self.cum_gap += max(lbar - m_t, 0.0)
-            self.weights = exp_weights(self.cum_loss, math.log(K) / self.cum_gap)
+            exp_weights(self.cum_loss, self.log_k / self.cum_gap, out=self.weights)
         else:
-            self.weights = _argmin_weights(self.cum_loss)
+            _argmin_weights(self.cum_loss, out=self.weights)
 
 
 class _SingleIterate:
@@ -331,8 +338,7 @@ class _SingleIterate:
     by ``update(op, z, g)``."""
 
     def __init__(self, z1, update):
-        self.z = as_point(z1)
-        self.update = update
+        self.z, self.update = z1, update
 
     def play(self, t: int) -> np.ndarray:
         return self.z
@@ -344,19 +350,17 @@ class _SingleIterate:
 
 
 # ---------------------------------------------------------------------------
-# Online protocol driver
-
-# Each algorithm spec checks its constants against the domain in
-# ``start(z1, domain)`` and returns a learner with ``play(t) -> z`` and
-# ``observe(t, op) -> g``, which updates the learner in place.
+# Algorithm specs and the online protocol driver
 
 @dataclass(frozen=True)
 class ContractiveForward:
     eta: float
 
     def start(self, z1, domain: Domain) -> _SingleIterate:
-        return _SingleIterate(
-            z1, lambda op, z, g: project(domain, z - self.eta * g))
+        z1 = _start_point(z1, domain)
+        if domain.bounded:
+            return _SingleIterate(z1, lambda op, z, g: project(domain, z - self.eta * g))
+        return _SingleIterate(z1, lambda op, z, g: z - self.eta * g)
 
 
 @dataclass(frozen=True)
@@ -364,10 +368,9 @@ class Resolvent:
     """Exact resolvent steps; affine operators on unbounded domains only."""
 
     def start(self, z1, domain: Domain) -> _SingleIterate:
-        if domain.bounded:
-            # the resolvent step solves z' + F(z') = z without projecting
+        if domain.bounded:      # z' + F(z') = z has no projection
             raise ConfigurationError("field 'algorithm.kind': resolvent needs an unbounded domain")
-        return _SingleIterate(z1, lambda op, z, g: resolvent_step(op, z))
+        return _SingleIterate(_start_point(z1, domain), lambda op, z, g: resolvent_step(op, z))
 
 
 @dataclass(frozen=True)
@@ -421,10 +424,9 @@ class Trajectory:
     """Record of one online run, as arrays with one row per round.
 
     ``plays`` is ``(n, d)``: every round played, including a diverging
-    last one. ``op_values`` and ``solutions`` are ``(m, d)`` over the m
-    completed rounds (m = n, or n - 1 after a divergence); ``solutions``
-    is None when the sequence names none. A meta-algorithm's run also
-    has ``weights`` ``(m, K)``, the weights each round played with.
+    last one. ``op_values``, ``solutions`` (None when the sequence names
+    none) and a meta-algorithm's ``weights`` ``(m, K)`` cover the m
+    completed rounds (m = n, or n - 1 after a divergence).
     """
 
     plays: np.ndarray
@@ -446,8 +448,7 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
     the round's solution (None when unknown) and operator, and the
     learner observes that operator. The run truncates with a divergence
     marker once a play exceeds the threshold in norm or stops being
-    finite. Every round writes into arrays preallocated for T rounds,
-    which the trajectory returns sliced to the rounds run.
+    finite. Rounds write into arrays preallocated for T rounds.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -462,8 +463,7 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
     have_solutions = seq.at is None or seq.solution_at is not None
     solutions = np.empty((T, d)) if have_solutions else None
     is_meta = hasattr(learner, "weights")   # also record the weights
-    if is_meta:
-        weights = np.empty((T, len(learner.weights)))
+    weights = np.empty((T, len(learner.weights))) if is_meta else None
     # an infinite threshold still stops a play that is not finite
     limit = min(divergence_threshold, np.finfo(float).max)
     n, diverged_at = T, None            # rounds completed, divergence round

@@ -160,14 +160,18 @@ def build_quadratic_drift(p: dict) -> Scenario:
                               ", scenario.dim x scenario.dim")
 
     # prefix sums of the drift magnitudes s^{-decay}, added in round order
-    # with Python floats; a block leaves out the rounds past an overflow
+    # with Python floats; a block leaves out the rounds past an overflow,
+    # of a term or of the sum itself
     prefix = [0.0]
     mu, lip = float(eigs[0]), float(eigs[-1])
 
     def block(rounds: range) -> tuple:
         try:
             while len(prefix) < rounds[-1]:
-                prefix.append(prefix[-1] + len(prefix) ** (-decay))
+                total = prefix[-1] + len(prefix) ** (-decay)
+                if total == math.inf:
+                    break
+                prefix.append(total)
         except OverflowError:
             pass
         C = c1 - b * np.array(prefix[rounds[0] - 1:rounds[-1]])[:, None]
@@ -180,8 +184,8 @@ def build_quadratic_drift(p: dict) -> Scenario:
             return blocks(t)
         except IndexError:
             raise ConfigurationError(
-                f"field 'scenario.decay': the drift s^(-decay) of round {len(prefix) + 1} "
-                f"passes the largest float at decay = {decay}") from None
+                f"field 'scenario.decay': the drift s^(-decay) summed to round "
+                f"{len(prefix) + 1} passes the largest float at decay = {decay}") from None
 
     def make_op(t: int) -> Operator:
         offset, c = round_data(t)

@@ -633,6 +633,177 @@ class TestSlotBank:
             assert len(calls) == 1
 
 
+# A reference meta-algorithm round with no schedule cache and no shared
+# buffers: step sizes from slot_steps + 1 each round, fresh arrays for the
+# losses and weights, and the ndarray reductions. MetaLearner must match
+# it byte for byte.
+
+def ref_exp_weights(cum_loss, lam):
+    a = -lam * np.asarray(cum_loss, dtype=float)
+    a -= a.max()
+    w = np.exp(a)
+    return w / w.sum()
+
+
+def ref_mix_loss(p, losses, lam):
+    if not math.isfinite(lam):
+        return float(np.min(losses[p > 0]))
+    a = -lam * np.asarray(losses, dtype=float)
+    m = a.max()
+    return float(-(m + np.log((p * np.exp(a - m)).sum())) / lam)
+
+
+def ref_distinct_rows(P):
+    W = P.T.copy().view(np.int64)
+    same = np.logical_and.reduce(W[:, :, None] == W[:, None, :], axis=0)
+    first = same.argmax(axis=1) == np.arange(len(P))
+    return P[first], same[:, first].argmax(axis=1)
+
+
+def ref_losses(g, Z, play, mu):
+    D = Z - play
+    return Z @ g + 0.5 * mu * (D * D).sum(axis=-1)
+
+
+class ReferenceMeta:
+    """The meta round with its own flat slot bank of periods 1..K: the
+    slots gathered, stepped by ``slot_steps + 1`` and scattered back."""
+
+    def __init__(self, K, z1, schedule, domain, mu, lam=None):
+        self.periods = np.arange(1, K + 1)
+        self.offsets = np.cumsum(self.periods) - self.periods
+        self.slots = np.tile(np.asarray(z1, dtype=float), (int(self.periods.sum()), 1))
+        self.slot_steps = np.zeros(len(self.slots), dtype=np.int64)
+        self.schedule, self.domain = schedule, domain
+        self.mu, self.lam = mu, lam
+        self.weights = np.full(K, 1.0 / K)
+        self.cum_loss = np.zeros(K)
+        self.cum_gap = 0.0
+        self.t0_passed = False
+
+    def step(self, n, Z, G):
+        s = self.slot_steps[n] + 1
+        self.slots[n] = project(self.domain, Z - self.schedule.at(s[:, None]) * G)
+        self.slot_steps[n] = s
+
+    def play(self, t):
+        self.active = self.offsets + (t - 1) % self.periods
+        self.base_plays = self.slots[self.active]
+        self.z = (self.weights[:, None] * self.base_plays).sum(axis=0)
+        return self.z
+
+    def observe(self, t, op):
+        Z = self.base_plays
+        if self.lam is not None:
+            g = evaluate(op, self.z)
+            mu = self.mu
+            A = mu * np.eye(g.size)
+            G = Operator.from_affine(A, g - mu * self.z, mu=mu, lip=mu).fn(Z)
+        else:
+            pts, rows = ref_distinct_rows(np.concatenate([self.z[None], Z]))
+            F = evaluate(op, pts)[rows]
+            g, G = F[0], F[1:]
+        losses = ref_losses(g, Z, self.z, self.mu)
+        self.cum_loss = self.cum_loss + losses
+        if self.lam is not None:
+            self.weights = ref_exp_weights(self.cum_loss, self.lam)
+        else:
+            self._tune(g, losses)
+        self.step(self.active, Z, G)
+        return g
+
+    def _tune(self, g, losses):
+        K = len(self.weights)
+        lbar = float(np.dot(g, self.z))
+        lam_t = math.log(K) / self.cum_gap if self.t0_passed else math.inf
+        m_t = ref_mix_loss(self.weights, losses, lam_t)
+        if not self.t0_passed and K > 1 and lbar > m_t + 1e-12:
+            self.t0_passed = True
+        if self.t0_passed:
+            self.cum_gap += max(lbar - m_t, 0.0)
+            self.weights = ref_exp_weights(self.cum_loss, math.log(K) / self.cum_gap)
+        else:
+            mins = self.cum_loss <= self.cum_loss.min() + 1e-12
+            self.weights = mins / mins.sum()
+
+
+class TestMetaRoundBits:
+    """``MetaLearner`` against ``ReferenceMeta``, byte for byte, every
+    round of 200: past three 64-round blocks of the slot schedule."""
+
+    CENTERS = [[0.6, -0.4, 0.2, 0.9], [-0.5, 0.3, -0.8, 0.1], [0.2, 0.7, 0.4, -0.6]]
+
+    @staticmethod
+    def operators(kind, d):
+        # one operator per round: centers cycling with period 3
+        A = np.diag([1.0, 2.5, 1.5, 3.0][:d]) + 0.2 * (np.ones((d, d)) - np.eye(d))
+        centers = [np.array(c[:d]) for c in TestMetaRoundBits.CENTERS]
+        if kind == "affine":
+            return lambda t: affine_op(A, -A @ centers[(t - 1) % 3])
+        return lambda t: Operator(
+            fn=lambda X, c=centers[(t - 1) % 3]: (X - c) @ A.T + 0.3 * np.tanh(3.0 * X),
+            dim=d)
+
+    @pytest.mark.parametrize("kind", ["affine", "tanh"])
+    @pytest.mark.parametrize("domain", ["box", "unbounded"])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("K", [1, 4, 16, 64])
+    @pytest.mark.parametrize("variant", ["fixed", "adaptive"])
+    def test_matches_reference_bitwise(self, variant, K, d, domain, kind):
+        # the box's upper face is 0.0 in the first coordinate, so clipped
+        # slots hold +0.0 there while untouched ones keep the start's -0.0
+        dom = (Domain.box([-1.0] * d, [0.0] + [1.0] * (d - 1)) if domain == "box"
+               else Domain.unbounded(d))
+        z1 = np.array([-0.0, -0.5, 0.75, -0.25][:d])
+        mu = 1.0
+        if variant == "fixed":
+            schedule, lam = StepSchedule.inverse_mu_t(mu), fixed_learning_rate(mu, 2.0, 4.0)
+        else:
+            schedule, lam = StepSchedule.constant(0.25), None
+        new = MetaLearner(K, z1, schedule, dom, mu, lam)
+        ref = ReferenceMeta(K, z1, schedule, dom, mu, lam)
+        # +0.0 beside -0.0 among the untouched slots of every base
+        new.bank.slots[1::2, 0] = ref.slots[1::2, 0] = 0.0
+        at = self.operators(kind, d)
+        for t in range(1, 201):
+            ops = at(t), at(t)
+            z, zr = new.play(t), ref.play(t)
+            assert z.tobytes() == zr.tobytes()
+            g, gr = new.observe(t, ops[0]), ref.observe(t, ops[1])
+            assert g.tobytes() == gr.tobytes()
+            for name in ("weights", "cum_loss", "base_plays"):
+                assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert new.bank.slots.tobytes() == ref.slots.tobytes()
+            assert new.bank.slot_steps.tobytes() == ref.slot_steps.tobytes()
+            assert ops[0].evals == ops[1].evals
+            assert (new.t0_passed, new.cum_gap) == (ref.t0_passed, ref.cum_gap)
+
+
+
+class TestStartWidth:
+    """Every spec's start checks the start's width against the domain's,
+    once: the unbounded forward step no longer projects, so no round
+    would catch it."""
+
+    @pytest.mark.parametrize("spec, domain", [
+        (ContractiveForward(0.1), Domain.unbounded(2)),
+        (Resolvent(), Domain.unbounded(2)),
+        (CyclicFB(2, StepSchedule.constant(0.1)), Domain.unbounded(2)),
+        (MetaFixed(K=3, mu=1.0, D=2.0, G=2.0), Domain.box([-1.0, -1.0], [1.0, 1.0])),
+        (MetaAdaptive(K=3, mu=1.0, lip=2.0), Domain.unbounded(2))],
+        ids=["forward", "resolvent", "cyclic_fb", "meta_fixed", "meta_adaptive"])
+    def test_start_names_both_widths(self, spec, domain):
+        with pytest.raises(ValueError, match="start 3, domain 2"):
+            spec.start(np.zeros(3), domain)
+        spec.start(np.zeros(2), domain)
+
+    def test_no_round_runs(self):
+        op = Operator(fn=lambda X: X, dim=3)
+        seq = ProblemSequence(at=lambda t: op, dim=3)
+        with pytest.raises(ValueError, match="start 3, domain 2"):
+            run_tracker(seq, ContractiveForward(0.1), Domain.unbounded(2), np.zeros(3), 5)
+        assert op.evals == 0
+
 class TestRunTracker:
     def test_periodic_1d_single_step_convergence(self):
         sc = build_scenario("periodic_1d")

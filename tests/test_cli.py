@@ -769,12 +769,15 @@ run.z1 = 1,1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("decay, horizon, code, round_", [
-        (-200, 10, 0, None), (-200, 40, 2, 36), (-2000, 10, 2, 3)])
+        (-200, 10, 0, None), (-200, 40, 2, 36), (-2000, 10, 2, 3),
+        (-100, 1180, 0, None), (-100, 1300, 2, 1181)])
     def test_decay_overflow_keeps_its_round(self, tmp_path, capsys, decay, horizon, code,
                                             round_):
         # s^200 passes the largest float at s = 35 and s^2000 at s = 2: the
         # drifts are computed a block of rounds ahead, and only the round
-        # that reads the overflowing drift fails, naming that round
+        # that reads the overflowing drift fails, naming that round; at
+        # decay -100 every term up to s = 1180 is finite, but their sum to
+        # round 1181 is not, and that round fails the same way
         cfg = write_cfg(tmp_path, f"command = track\nscenario.name = quadratic_drift\n"
                                   f"algorithm.kind = forward\nalgorithm.eta = 0.1\n"
                                   f"run.divergence_threshold = 1e308\nrun.z1 = 0.5\n"
