@@ -7,7 +7,8 @@ start's width against the domain, once, and returns a learner with
 ``play(t) -> z`` and ``observe(t, op) -> g``, which updates it in place.
 Cyclic learners live in one slot bank (``CyclicFBLearner``): a round
 gathers every base's active slot, steps the block once and scatters it
-back, at rows and step sizes scheduled once per 64 rounds. The
+back, at rows and step sizes that ``core._round_blocks`` schedules once
+per aligned block of ``ROUND_BLOCK`` rounds. The
 meta-algorithms (``MetaLearner``) drive a bank of periods 1..K and keep
 their losses and weights in arrays updated in place.
 
@@ -35,11 +36,10 @@ except ImportError:     # a numpy that moves it: np.linalg.solve makes that call
     _solve1 = None
 
 from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
-                   as_point, evaluate, project, row_norms)
+                   _round_blocks, as_point, evaluate, project, row_norms)
 
 ARGMIN_TOL = 1e-12      # the pre-warmup argmin set's tolerance
 T0_TOL = 1e-12
-ROUND_BLOCK = 64        # rounds whose slot schedule one block computes
 
 
 @dataclass(frozen=True)
@@ -140,35 +140,30 @@ class CyclicFBLearner:
     The learner with period i keeps one iterate (slot) per assumed phase
     and updates them round-robin, phase ((t-1) mod i) + 1 at round t:
     base b owns rows ``offsets[b]`` to ``offsets[b] + periods[b] - 1`` of
-    ``slots``, and ``slot_steps`` counts each slot's updates. Round t's
-    rows are ``slot_index(t)``; ``step(t, Z, G)`` moves their ``(K, d)``
-    block by one projected forward step, each row at its own slot's step
-    size, and scatters it back. Rounds run 1, 2, ... with one step each,
-    so one ``np.divmod`` schedules the rows and update counts ``(t - 1)
-    // periods + 1`` of an aligned block of ``ROUND_BLOCK`` rounds.
+    ``slots``. Round t's rows are ``slot_index(t)``; ``step(t, Z, G)``
+    moves their ``(K, d)`` block by one projected forward step, each row
+    at its own slot's step size, and scatters it back. Rounds run 1, 2,
+    ... with one step each, so one ``np.divmod`` gives the rows and the
+    update counts ``(t - 1) // periods + 1`` of a block of rounds, and the
+    bank keeps the rows and the step sizes at those counts.
     """
 
     def __init__(self, periods, z1, schedule: StepSchedule, domain: Domain):
-        self.periods = np.atleast_1d(np.asarray(periods, dtype=np.int64))
-        if self.periods.size == 0 or np.any(self.periods < 1):
+        periods = self.periods = np.atleast_1d(np.asarray(periods, dtype=np.int64))
+        if periods.size == 0 or np.any(periods < 1):
             raise ValueError("period must be >= 1")
-        self.offsets = np.cumsum(self.periods) - self.periods
-        self.slots = np.tile(_start_point(z1, domain), (int(self.periods.sum()), 1))
-        self.slot_steps = np.zeros(len(self.slots), dtype=np.int64)
-        self.schedule, self.domain = schedule, domain
-        self._block = None, ()      # block number, its rounds' schedules
+        offsets = self.offsets = np.cumsum(periods) - periods
+        self.slots = np.tile(_start_point(z1, domain), (int(periods.sum()), 1))
+        self.schedule, self.domain, d = schedule, domain, self.slots.shape[1]
 
-    def _round(self, t: int) -> tuple:
-        """Round t's rows, their flat cells, update counts and step sizes."""
-        number, i = divmod(t - 1, ROUND_BLOCK)
-        if self._block[0] != number:
-            q, r = np.divmod(ROUND_BLOCK * number + np.arange(ROUND_BLOCK)[:, None], self.periods)
-            rows, s, d = self.offsets + r, q + 1, self.slots.shape[1]
-            rows.flags.writeable = s.flags.writeable = False
-            eta = np.broadcast_to(self.schedule.at(s[..., None]), s.shape + (1,))
-            cells = rows[..., None] * d + np.arange(d)
-            self._block = number, list(zip(rows, cells, s, eta))
-        return self._block[1][i]
+        def block(rounds: range) -> tuple:     # not of self: the bank holds no cycle
+            q, r = np.divmod(np.arange(rounds[0] - 1, rounds[-1])[:, None], periods)
+            rows = offsets + r
+            rows.flags.writeable = False
+            eta = np.broadcast_to(schedule.at(q[..., None] + 1), q.shape + (1,))
+            return rows, rows[..., None] * d + np.arange(d), eta
+
+        self._round = _round_blocks(block)      # round t's rows, flat cells, step sizes
 
     def slot_index(self, t: int) -> np.ndarray:
         """The row in ``slots`` of each base's slot at round t."""
@@ -177,10 +172,9 @@ class CyclicFBLearner:
     def step(self, t: int, Z: np.ndarray, G: np.ndarray) -> None:
         """Update round t's active slots ``Z`` with feedback ``G``, row
         by row: project(z - eta_s g) with s the slot's update count."""
-        n, cells, s, eta = self._round(t)
+        _, cells, eta = self._round(t)
         Z = Z - eta * G
         self.slots.put(cells, project(self.domain, Z) if self.domain.bounded else Z)
-        self.slot_steps[n] = s
 
     def play(self, t: int) -> np.ndarray:
         """The first base's active slot: a one-period bank's play."""

@@ -289,4 +289,9 @@ def _cross_check(cfg: ExperimentConfig) -> list:
                        ("dynamics.cell_lo", "dynamics.cell_hi")):
             if cfg.get(lo) >= cfg.get(hi):
                 errors.append(f"field {lo!r}: must be below {hi}")
+        cell_lo, cell_hi = cfg.get("dynamics.cell_lo"), cfg.get("dynamics.cell_hi")
+        width = (cell_hi - cell_lo) / cfg.get("dynamics.cells")
+        if cell_lo < cell_hi and not 0.0 < width < math.inf:
+            errors.append("field 'dynamics.cell_hi': the cell width (cell_hi - cell_lo) / "
+                          f"cells is {width!r}; it must be a positive finite float")
     return errors

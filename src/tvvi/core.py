@@ -10,7 +10,10 @@ operator's before ``fn`` runs, counts each row once and raises
 or a block's row norms are :func:`row_norms`, which neither overflows
 nor underflows to 0. Domains and operators are immutable after
 construction and safe to share across threads; the only mutable field
-is the diagnostic evaluation counter on :class:`Operator`.
+is the diagnostic evaluation counter on :class:`Operator`. Data that
+depends on the round t alone, a scripted scenario's rounds and a slot
+bank's schedule, comes from one cache of aligned blocks of
+``ROUND_BLOCK`` rounds, :func:`_round_blocks`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ SAMPLING_BOX_HALF_WIDTH = 10.0
 _ZERO_TOL = 1e-9
 _RELATIVE_TOL = 2.0 ** -44
 _FLOAT = np.dtype(float)
+
+ROUND_BLOCK = 64        # rounds whose data one block computes
 
 
 class ConfigurationError(ValueError):
@@ -293,6 +298,24 @@ def check_constants(op: Operator, mu: Optional[float], lip: Optional[float],
         lipschitz = holds(lhs <= rhs + _ZERO_TOL, lambda rows: lhs[rows] <= rhs[rows] + (
             _RELATIVE_TOL * (f_size(rows) + rhs[rows])))
     return monotone, lipschitz
+
+
+def _round_blocks(block):
+    """Round t's data as a function of t: its row of the stacked arrays
+    that ``block(rounds)`` computes for the aligned range of ROUND_BLOCK
+    rounds holding t, of which the latest is kept. ``block`` rounds each
+    round as that round alone would, so the data depend on t only, not on
+    the order of reads; a round past ``block``'s arrays raises IndexError."""
+    cached = [None, ()]     # block number, its rounds' data
+
+    def round_data(t: int) -> tuple:
+        number, i = divmod(t - 1, ROUND_BLOCK)
+        if cached[0] != number:
+            first = number * ROUND_BLOCK + 1
+            cached[:] = number, tuple(zip(*block(range(first, first + ROUND_BLOCK))))
+        return cached[1][i]
+
+    return round_data
 
 
 @dataclass

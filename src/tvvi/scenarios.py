@@ -7,7 +7,7 @@ and bound evaluators need, and the :class:`Checks` that
 :func:`verify_scenario` runs: the operators whose declared constants
 and analytic potentials it tests, and for the games the players'
 losses their pseudo-gradients are made of. Scripted rounds come from
-:func:`_periodic` or from the aligned block cache :func:`_round_blocks`.
+:func:`_periodic` or from the aligned block cache ``core._round_blocks``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .config import (MATRICES, MATRIX, Spec, _AT_LEAST_ONE, _NONNEGATIVE,
                      _POSITIVE, _field_value, _vector_field)
 from .core import (SAMPLING_BOX_HALF_WIDTH, ConfigurationError, Domain, Operator,
                    ProblemSequence, as_point, check_constants, _evaluate_block,
-                   _RELATIVE_TOL, _sample_points)
+                   _RELATIVE_TOL, _round_blocks, _sample_points)
 
 # Upper envelope of the scalar curvature factor of u -> log(1 + e^{u^2/2});
 # the true supremum is ~1.3008, so declared constants pass sampled checks.
@@ -93,27 +93,6 @@ def _half_quadratic(D: np.ndarray, A: np.ndarray) -> np.ndarray:
     return 0.5 * (D * (D @ A.T)).sum(axis=-1)
 
 
-STREAM_ROUNDS = 64      # rounds whose data one block computes
-
-
-def _round_blocks(block):
-    """Round t's data as a function of t: its row of the stacked arrays
-    that ``block(rounds)`` computes for the aligned range of STREAM_ROUNDS
-    rounds holding t, of which the latest is kept. ``block`` rounds each
-    round as that round alone would, so the data depend on t only, not on
-    the order of reads; a round past ``block``'s arrays raises IndexError."""
-    cached = [None, ()]     # block number, its rounds' data
-
-    def round_data(t: int) -> tuple:
-        number, i = divmod(t - 1, STREAM_ROUNDS)
-        if cached[0] != number:
-            first = number * STREAM_ROUNDS + 1
-            cached[:] = number, tuple(zip(*block(range(first, first + STREAM_ROUNDS))))
-        return cached[1][i]
-
-    return round_data
-
-
 def _periodic(ops) -> ProblemSequence:
     """The sequence whose round t plays ``ops[(t - 1) % len(ops)]`` and its solution."""
     k = len(ops)
@@ -161,7 +140,8 @@ def build_quadratic_drift(p: dict) -> Scenario:
 
     # prefix sums of the drift magnitudes s^{-decay}, added in round order
     # with Python floats; a block leaves out the rounds past an overflow,
-    # of a term or of the sum itself
+    # of a term or of the sum itself, and from the first round whose
+    # center or offset is not finite (both only grow with the sum) on
     prefix = [0.0]
     mu, lip = float(eigs[0]), float(eigs[-1])
 
@@ -174,8 +154,12 @@ def build_quadratic_drift(p: dict) -> Scenario:
                 prefix.append(total)
         except OverflowError:
             pass
-        C = c1 - b * np.array(prefix[rounds[0] - 1:rounds[-1]])[:, None]
-        return np.matmul(-A, C[..., None])[..., 0], C     # one gemv a round
+        with np.errstate(over="ignore", invalid="ignore"):    # tested below
+            C = c1 - b * np.array(prefix[rounds[0] - 1:rounds[-1]])[:, None]
+            offsets = np.matmul(-A, C[..., None])[..., 0]     # one gemv a round
+        finite = (np.isfinite(C) & np.isfinite(offsets)).all(axis=1)
+        n = len(C) if finite.all() else int(finite.argmin())
+        return offsets[:n], C[:n]
 
     blocks = _round_blocks(block)
 
@@ -183,6 +167,11 @@ def build_quadratic_drift(p: dict) -> Scenario:
         try:
             return blocks(t)
         except IndexError:
+            if t <= len(prefix):        # the sum is finite, the center or offset not
+                raise ConfigurationError(
+                    f"field 'scenario.b': the drift center c1 - b P_t or its offset -A c_t "
+                    f"is not finite at round {t} (scenario.b, scenario.c1, scenario.decay, "
+                    f"scenario.matrix)") from None
             raise ConfigurationError(
                 f"field 'scenario.decay': the drift s^(-decay) summed to round "
                 f"{len(prefix) + 1} passes the largest float at decay = {decay}") from None
@@ -817,32 +806,35 @@ def verify_scenario(sc: Scenario, n_samples: int = 10_000, seed: int = 0,
         rows.append({"check": check, "detail": detail, "passed": passed})
 
     checks = sc.checks
-    if checks.game:
-        # each coordinate's partial of its own player's loss: the diagonal
-        pts = _sample_points(sc.domain, min(n_fd, 50), np.random.default_rng(seed))
-        rounding = max(_fd_rounding(losses, pts, 1e-6, f"a player's loss in {sc.name}")
-                       for _, losses in checks.game)
-        err = max(np.max(np.abs(_evaluate_block(op, pts) - np.diagonal(
-            _central_differences(losses, pts, 1e-6), axis1=1, axis2=2)))
-            for op, losses in checks.game)
-        # err stays a numpy scalar, so ``passed`` is a numpy bool, written
-        # True (not true) as the benchmark's recorded reference expects
-        add("pseudo_gradient_partials", f"max_err={err:.3e}", err <= 1e-6 or err <= rounding)
-    for a in checks.secant:
-        m = rsi_grid_inequality(a)
-        add("rsi_inequality", f"a={a} min_factor={m:.4f}", m >= RSI_MU)
+    # run_tracker's floating-point policy: an overflow gives inf quietly,
+    # and the explicit finiteness tests decide what it means
+    with np.errstate(over="ignore", invalid="ignore"):
+        if checks.game:
+            # each coordinate's partial of its own player's loss: the diagonal
+            pts = _sample_points(sc.domain, min(n_fd, 50), np.random.default_rng(seed))
+            rounding = max(_fd_rounding(losses, pts, 1e-6, f"a player's loss in {sc.name}")
+                           for _, losses in checks.game)
+            err = max(np.max(np.abs(_evaluate_block(op, pts) - np.diagonal(
+                _central_differences(losses, pts, 1e-6), axis1=1, axis2=2)))
+                for op, losses in checks.game)
+            # err stays a numpy scalar, so ``passed`` is a numpy bool, written
+            # True (not true) as the benchmark's recorded reference expects
+            add("pseudo_gradient_partials", f"max_err={err:.3e}", err <= 1e-6 or err <= rounding)
+        for a in checks.secant:
+            m = rsi_grid_inequality(a)
+            add("rsi_inequality", f"a={a} min_factor={m:.4f}", m >= RSI_MU)
 
-    for idx, (label, op, mu, lip) in enumerate(checks.operators, start=1):
-        if op.potential is not None:
-            pts = _sample_points(sc.domain, n_fd, np.random.default_rng(seed + idx))
-            rounding = _fd_rounding(op.potential, pts, 1e-5,
-                                    f"the potential of {sc.name} at {label}")
-            err = float(np.max(np.abs(_evaluate_block(op, pts)
-                                      - _central_differences(op.potential, pts, 1e-5))))
-            add("gradient_fd", f"{label} max_err={err:.3e}", err <= 1e-6 or err <= rounding)
-        monotone, lipschitz = check_constants(op, mu, lip, sc.domain, n_samples, seed + idx)
-        if mu is not None:
-            add("strong_monotone", f"{label} mu={mu:.6g}", monotone)
-        if lip is not None:
-            add("lipschitz", f"{label} L={lip:.6g}", lipschitz)
+        for idx, (label, op, mu, lip) in enumerate(checks.operators, start=1):
+            if op.potential is not None:
+                pts = _sample_points(sc.domain, n_fd, np.random.default_rng(seed + idx))
+                rounding = _fd_rounding(op.potential, pts, 1e-5,
+                                        f"the potential of {sc.name} at {label}")
+                err = float(np.max(np.abs(_evaluate_block(op, pts)
+                                          - _central_differences(op.potential, pts, 1e-5))))
+                add("gradient_fd", f"{label} max_err={err:.3e}", err <= 1e-6 or err <= rounding)
+            monotone, lipschitz = check_constants(op, mu, lip, sc.domain, n_samples, seed + idx)
+            if mu is not None:
+                add("strong_monotone", f"{label} mu={mu:.6g}", monotone)
+            if lip is not None:
+                add("lipschitz", f"{label} L={lip:.6g}", lipschitz)
     return rows

@@ -203,12 +203,18 @@ class TestCyclicFB:
         assert st.slot_index(3) == 0
 
     def test_slot_update_counts(self):
-        op = affine_op([[1.0]], [0.0])
-        st = CyclicFB(2, StepSchedule.constant(0.1)).start([1.0], UNB1)
-        for t in range(1, 5):
-            st.play(t)
+        # F = 1 moves a slot by -1 / (mu s) at its s-th update, so each slot
+        # is the running sum of the step sizes of its counts, taken here in
+        # the same order: a count off by one changes the bytes
+        op, mu = affine_op([[0.0]], [1.0]), 0.3
+        st = CyclicFB(3, StepSchedule.inverse_mu_t(mu)).start([0.0], UNB1)
+        expected = [0.0, 0.0, 0.0]
+        for t in range(1, 2 * 64 + 8):     # past two blocks of the schedule
+            phase, count = (t - 1) % 3, (t - 1) // 3 + 1
+            assert st.play(t)[0] == expected[phase]
+            expected[phase] = expected[phase] - 1.0 / (mu * count)
             st.observe(t, op)
-        assert st.slot_steps.tolist() == [2, 2]
+            assert st.slots[:, 0].tolist() == expected
 
     def test_single_period_hits_center(self):
         # i = 1, eta_s = 1/s: the first update lands exactly on c
@@ -774,7 +780,6 @@ class TestMetaRoundBits:
             for name in ("weights", "cum_loss", "base_plays"):
                 assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
             assert new.bank.slots.tobytes() == ref.slots.tobytes()
-            assert new.bank.slot_steps.tobytes() == ref.slot_steps.tobytes()
             assert ops[0].evals == ops[1].evals
             assert (new.t0_passed, new.cum_gap) == (ref.t0_passed, ref.cum_gap)
 

@@ -633,6 +633,10 @@ dynamics.burn_in = 200
         (SMALL_SCAN + "dynamics.eta_lo = 9\n", "dynamics.eta_lo"),
         (SMALL_SCAN + "dynamics.cell_lo = 2\ndynamics.cell_hi = 1\n",
          "dynamics.cell_lo"),
+        (SMALL_SCAN + "dynamics.cell_lo = 0\ndynamics.cell_hi = 5e-324\ndynamics.x0 = 0\n",
+         "dynamics.cell_hi"),
+        (SMALL_SCAN + "dynamics.cell_lo = -1e308\ndynamics.cell_hi = 1e308\n",
+         "dynamics.cell_hi"),
         (MINIMAL_TRACK.replace("track", "bounds")
          + "bound.kind = contractive\nbound.c = 1.5\n", "bound.c"),
         (MINIMAL_TRACK.replace("track", "bounds")
@@ -640,8 +644,8 @@ dynamics.burn_in = 200
         (MINIMAL_TRACK + "output.path =\n", "output.path")],
         ids=["cells_0", "star_seed_-1", "verify_seed_-3", "star_box_-5", "x0_abc",
              "extra_etas_-1", "eta_lo_-4", "eta_lo_above_eta_hi",
-             "cell_lo_above_cell_hi", "bound_c_1.5", "bound_kappa_0.5",
-             "empty_path"])
+             "cell_lo_above_cell_hi", "cell_width_0", "cell_width_inf", "bound_c_1.5",
+             "bound_kappa_0.5", "empty_path"])
     def test_out_of_bounds_exit_code(self, tmp_path, capsys, text, field):
         cfg = write_cfg(tmp_path, text)
         assert main(["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
@@ -788,6 +792,27 @@ run.z1 = 1,1
             assert "field 'scenario.decay'" in err and f"round {round_} " in err, err
         else:
             assert err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("horizon, code", [(39, 0), (60, 2)])
+    def test_drift_center_past_the_float_range_exit_code(self, tmp_path, capsys, horizon,
+                                                         code):
+        # b P_t passes the largest float at round 40 at decay -100 and
+        # b = 1e150: a run of 39 rounds writes finite solutions only, and
+        # one of 60 stops at round 40, naming a field
+        out = tmp_path / "x.csv"
+        cfg = write_cfg(tmp_path, f"command = track\nscenario.name = quadratic_drift\n"
+                                  f"scenario.decay = -100\nscenario.b = 1e150\n"
+                                  f"algorithm.kind = forward\nalgorithm.eta = 0.5\n"
+                                  f"run.divergence_threshold = 1e308\nrun.z1 = 0\n"
+                                  f"run.horizon = {horizon}\n")
+        assert main(["--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert "field 'scenario.b'" in err and "round 40 " in err, err
+        else:
+            z_star = [r["z_star"] for r in read_rows(str(out))]
+            assert len(z_star) == 39 and all(math.isfinite(z) for z in z_star), z_star
 
     @pytest.mark.parametrize("scenario, algorithm, z1, code", [
         ("kelly_auction", "meta_fixed\nalgorithm.k = 2", "5,5,5", 2),

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvvi.core import (SAMPLING_BOX_HALF_WIDTH, Domain, Operator, _evaluate_block,
-                       _sample_points, analytic_solution, check_constants, evaluate,
-                       project, row_norms)
+from tvvi.core import (ROUND_BLOCK, SAMPLING_BOX_HALF_WIDTH, Domain, Operator,
+                       _evaluate_block, _round_blocks, _sample_points, analytic_solution,
+                       check_constants, evaluate, project, row_norms)
 from tvvi.scenarios import build_scenario, rsi_operator
 
 
@@ -339,3 +339,48 @@ class TestSampledChecks:
         a = check_constants(op, 1.9, None, dom, 300, seed=5)[0]
         b = check_constants(op, 1.9, None, dom, 300, seed=5)[0]
         assert a == b
+
+
+class TestRoundBlocks:
+    """The aligned-block cache of round data: one ``block`` call per
+    aligned range of ROUND_BLOCK rounds read in order, the same bytes in
+    any order of reads, and IndexError past the block's arrays."""
+
+    @staticmethod
+    def block(calls: list, last: int = None):
+        def block(rounds: range) -> tuple:
+            calls.append(rounds)
+            t = np.arange(rounds[0], min(rounds[-1], last or rounds[-1]) + 1, dtype=float)
+            return np.sqrt(t), np.stack([t, 1.0 / t], axis=-1)
+
+        return block
+
+    def test_in_order_reads_compute_each_aligned_block_once(self):
+        calls = []
+        round_data = _round_blocks(self.block(calls))
+        for t in range(1, 201):
+            root, row = round_data(t)
+            assert root == math.sqrt(t) and row.tolist() == [t, 1.0 / t]
+        assert ROUND_BLOCK == 64
+        assert calls == [range(1, 65), range(65, 129), range(129, 193), range(193, 257)]
+
+    def test_shuffled_reads_give_the_same_bytes(self):
+        def data_bytes(round_data, t):
+            return [x.tobytes() for x in round_data(t)]
+
+        in_order = _round_blocks(self.block([]))
+        expected = {t: data_bytes(in_order, t) for t in range(1, 201)}
+        shuffled = _round_blocks(self.block([]))
+        for t in np.random.default_rng(0).permutation(np.arange(1, 201)).tolist():
+            assert data_bytes(shuffled, t) == expected[t]
+
+    def test_round_past_the_arrays_raises_index_error(self):
+        calls = []
+        round_data = _round_blocks(self.block(calls, last=70))
+        assert round_data(70)[0] == math.sqrt(70)
+        with pytest.raises(IndexError):
+            round_data(71)
+        with pytest.raises(IndexError):
+            round_data(128)
+        assert round_data(1)[0] == 1.0
+        assert calls == [range(65, 129), range(1, 65)]

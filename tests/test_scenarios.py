@@ -6,6 +6,7 @@ import math
 from dataclasses import replace
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvvi.algorithms import ContractiveForward, run_tracker
-from tvvi.core import ConfigurationError, Operator, evaluate, project
+from tvvi.core import ROUND_BLOCK, ConfigurationError, Operator, evaluate, project
 from tvvi.metrics import quadratic_path_length, tracking_error
-from tvvi.scenarios import (BUILDERS, PARAMS, RSI_GRID_ROWS, STREAM_BLOCK, STREAM_ROUNDS,
+from tvvi.scenarios import (BUILDERS, PARAMS, RSI_GRID_ROWS, STREAM_BLOCK,
                             AdversaryState, Checks, OperatorCheck, _central_differences,
                             _DataStream, _gaussian_blocks, adversary_step,
                             build_scenario, periodic_quadratic, rsi_grid_inequality,
@@ -409,7 +410,7 @@ class TestStreams:
     @given(dim=st.integers(1, 5), n0=st.integers(0, 70), growth=st.integers(0, 5),
            lam=st.floats(1e-3, 1e3), noise=st.floats(0.0, 1.0),
            seed=st.integers(0, 2 ** 31 - 1),
-           more=st.lists(st.integers(1, 4 * STREAM_ROUNDS), max_size=6))
+           more=st.lists(st.integers(1, 4 * ROUND_BLOCK), max_size=6))
     def test_block_rounds_match_per_round_formula(self, dim, n0, growth, lam, noise,
                                                   seed, more):
         """Every round's (2 (G + ridge), -2 A^T b, solution, A, b) from the
@@ -430,7 +431,7 @@ class TestStreams:
         sc = build_scenario("streaming_regression", {
             "dim": dim, "n0": n0, "growth": growth, "lam_reg": lam, "noise": noise,
             "seed": seed})
-        edge = [STREAM_ROUNDS - 1, STREAM_ROUNDS, STREAM_ROUNDS + 1, 2 * STREAM_ROUNDS + 1]
+        edge = [ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1, 2 * ROUND_BLOCK + 1]
         for t in [200, 1, 2, 3] + edge + more:
             matrix, offset, solution, A, b = one_round(t)
             op = sc.seq.at(t)
@@ -496,6 +497,28 @@ class TestStreams:
                     assert sc.seq.solution_at(t).tobytes() == want[2].tobytes(), t
                 assert [x.shape for x in got] == [x.shape for x in want]
                 assert [x.tobytes() for x in got] == [x.tobytes() for x in want], t
+
+
+    @pytest.mark.parametrize("order", [[1, 39, 40, 41, 100], [100, 41, 39, 40, 1]],
+                             ids=["in_order", "reversed"])
+    def test_drift_stops_at_the_first_nonfinite_center(self, order):
+        # at decay -100 the drift's prefix sum stays finite past round
+        # 1000, but b P_t with b = 1e150 passes the largest float at round
+        # 40: rounds 1-39 read finite data and every later one is refused
+        sc = build_scenario("quadratic_drift", {"decay": -100, "b": 1e150})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in order:
+                if t < 40:
+                    op = sc.seq.at(t)
+                    assert np.isfinite(op.affine[1]).all() and np.isfinite(op.solution).all()
+                    assert sc.seq.solution_at(t).tobytes() == op.solution.tobytes()
+                    continue
+                for read in (sc.seq.at, sc.seq.solution_at):
+                    with pytest.raises(ConfigurationError, match="field 'scenario.b'"):
+                        read(t)
+        with pytest.raises(ConfigurationError, match="not finite at round 41 "):
+            sc.seq.at(41)
 
 
 class TestBatchEvaluation:
@@ -605,6 +628,16 @@ class TestVerification:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ConfigurationError, match=f"field 'scenario.name': {what} "):
             _rows(sc, checks)
+
+    def test_overflowing_potential_refused_under_warnings_as_errors(self):
+        # the potential passes the largest float on the sampling box: verify
+        # enters run_tracker's policy, so its finiteness test names a field
+        # where an overflow warning would otherwise escape
+        sc = build_scenario("quadratic_drift", {"matrix": [[1e150]], "c1": 1e150})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="field 'scenario.name'"):
+                verify_scenario(sc, n_samples=200, n_fd=20)
 
     def test_misdeclared_constants_fail(self):
         # F(z) = z - c: mu = L = 1 exactly
