@@ -14,9 +14,14 @@ their losses and weights in arrays updated in place.
 
 ``run_tracker`` drives a learner for T rounds and returns a
 ``Trajectory``. It enters the run's one floating-point policy, overflow
-and invalid values ignored, around all rounds: the divergence threshold,
-the NaN test of each evaluation and the resolvent's residual check decide
-what a nonfinite value means, and no round enters a context of its own.
+and invalid values ignored, around the learner's start and all rounds:
+the divergence threshold, the NaN test of each evaluation and the
+resolvent's residual check decide what a nonfinite value means, and no
+round enters a context of its own. What a learner reads of the policy
+it reads once, at its start (the resolvent learner picks its solve
+there), and no round reads it. The constant matrices of a round, the
+identity of a resolvent step and mu I of a fixed-rate surrogate, are
+built once per size and read-only.
 """
 
 from __future__ import annotations
@@ -97,25 +102,40 @@ def _checked_solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError("I + A is singular") from exc
 
 
-def resolvent_step(op: Operator, z) -> np.ndarray:
+def _quiet_solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The dgesv call alone: a singular M gives NaN, quietly where invalid
+    values are ignored."""
+    return _solve1(M, v, signature="dd->d")
+
+
+def _policy_solve():
+    """The resolvent's solve under the current floating-point policy: the
+    quiet dgesv call where invalid values are already ignored (as under
+    ``run_tracker``'s policy), else ``_checked_solve``."""
+    if _solve1 is not None and np.geterr()["invalid"] == "ignore":
+        return _quiet_solve
+    return _checked_solve
+
+
+def resolvent_step(op: Operator, z, solve=None) -> np.ndarray:
     """Solve z' + F(z') = z for affine F(x) = Ax + b, to a residual of
     1e-10, by ``np.linalg.solve``'s own dgesv call (so with its bits).
 
     Requires I + A invertible (always true for strongly monotone affine
     F); a singular I + A raises ``LinAlgError("I + A is singular")``.
-    Where invalid values are already ignored, as under ``run_tracker``'s
-    policy, a singular I + A solves to NaN quietly, the residual check
-    rejects it, and only then is the solve rerun under the raising policy.
+    ``solve`` is the dgesv call that ``_policy_solve()`` picks for a
+    floating-point policy; by default the current policy picks it at each
+    call, and the ``Resolvent`` learner picks it once, at its start. Where
+    invalid values are already ignored, as under ``run_tracker``'s policy,
+    a singular I + A solves to NaN quietly, the residual check rejects it,
+    and only then is the solve rerun under the raising policy.
     """
     if op.affine is None:
         raise ConfigurationError("field 'algorithm.kind': resolvent needs affine operators")
     A, b = op.affine
     z = as_point(z)
     M, v = _identity(op.dim) + A, z - b
-    if _solve1 is not None and np.geterr()["invalid"] == "ignore":
-        out = _solve1(M, v, signature="dd->d")
-    else:
-        out = _checked_solve(M, v)
+    out = (solve or _policy_solve())(M, v)
     r = out + (A @ out + b) - z
     residual = math.sqrt(r.dot(r))      # np.linalg.norm's arithmetic
     if not residual <= 1e-10:           # NaN fails too
@@ -208,13 +228,20 @@ def _evaluate_distinct(op: Operator, z: np.ndarray, Z: np.ndarray) -> tuple:
     return F[0], F[1:]
 
 
+@functools.lru_cache(maxsize=16)
+def _scaled_identity(d: int, mu: float) -> np.ndarray:
+    """mu times the d x d identity, built once per (d, mu) and read-only."""
+    A = mu * _identity(d)
+    A.flags.writeable = False
+    return A
+
+
 def make_surrogate(g, z_t, mu: float) -> Operator:
     """Affine surrogate z -> g + mu (z - z_t) built from one evaluation."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     g, z_t = as_point(g), as_point(z_t)
-    A = mu * _identity(g.size)
-    return Operator.from_affine(A, g - mu * z_t, mu=mu, lip=mu)
+    return Operator.from_affine(_scaled_identity(g.size, mu), g - mu * z_t, mu=mu, lip=mu)
 
 
 # ndarray.sum/max/min wrap these same ufunc reductions; x * -lam is -lam * x.
@@ -359,12 +386,15 @@ class ContractiveForward:
 
 @dataclass(frozen=True)
 class Resolvent:
-    """Exact resolvent steps; affine operators on unbounded domains only."""
+    """Exact resolvent steps; affine operators on unbounded domains only.
+    The floating-point policy at ``start`` picks the solve of every round."""
 
     def start(self, z1, domain: Domain) -> _SingleIterate:
         if domain.bounded:      # z' + F(z') = z has no projection
             raise ConfigurationError("field 'algorithm.kind': resolvent needs an unbounded domain")
-        return _SingleIterate(_start_point(z1, domain), lambda op, z, g: resolvent_step(op, z))
+        solve = _policy_solve()
+        return _SingleIterate(_start_point(z1, domain),
+                              lambda op, z, g: resolvent_step(op, z, solve))
 
 
 @dataclass(frozen=True)
@@ -449,22 +479,22 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
     if not hasattr(algo, "start"):
         raise ConfigurationError(f"unknown algorithm spec {algo!r}")
     z1 = as_point(z1)
-    learner = algo.start(z1, domain)
-
     d = z1.size
     plays, op_values = np.empty((T, d)), np.empty((T, d))
     # an adaptive sequence (no ``at``) names the solution in each response
     have_solutions = seq.at is None or seq.solution_at is not None
     solutions = np.empty((T, d)) if have_solutions else None
-    is_meta = hasattr(learner, "weights")   # also record the weights
-    weights = np.empty((T, len(learner.weights))) if is_meta else None
     # an infinite threshold still stops a play that is not finite
     limit = min(divergence_threshold, np.finfo(float).max)
     n, diverged_at = T, None            # rounds completed, divergence round
 
     # a play on its way to divergence may overflow: the threshold, not a
-    # warning, decides when the run stops
+    # warning, decides when the run stops. The learner starts under this
+    # policy, so what it reads of the policy it reads once.
     with np.errstate(over="ignore", invalid="ignore"):
+        learner = algo.start(z1, domain)
+        is_meta = hasattr(learner, "weights")   # also record the weights
+        weights = np.empty((T, len(learner.weights))) if is_meta else None
         for t in range(1, T + 1):
             i = t - 1
             plays[i] = play = learner.play(t)

@@ -290,8 +290,23 @@ def _cross_check(cfg: ExperimentConfig) -> list:
             if cfg.get(lo) >= cfg.get(hi):
                 errors.append(f"field {lo!r}: must be below {hi}")
         cell_lo, cell_hi = cfg.get("dynamics.cell_lo"), cfg.get("dynamics.cell_hi")
-        width = (cell_hi - cell_lo) / cfg.get("dynamics.cells")
-        if cell_lo < cell_hi and not 0.0 < width < math.inf:
-            errors.append("field 'dynamics.cell_hi': the cell width (cell_hi - cell_lo) / "
-                          f"cells is {width!r}; it must be a positive finite float")
+        if cell_lo < cell_hi:
+            try:
+                cell_width(cell_lo, cell_hi, cfg.get("dynamics.cells"))
+            except ConfigurationError as exc:
+                errors += exc.errors
     return errors
+
+
+def cell_width(cell_lo: float, cell_hi: float, cells: int) -> float:
+    """The width (cell_hi - cell_lo) / cells of a bifurcation scan's
+    cells, which must be a positive finite float; else a
+    ``ConfigurationError`` naming ``dynamics.cell_hi`` (or
+    ``dynamics.cells``, for fewer than one cell)."""
+    if cells < 1:
+        raise ConfigurationError(f"field 'dynamics.cells': must be positive, got {cells!r}")
+    width = (float(cell_hi) - float(cell_lo)) / cells
+    if not 0.0 < width < math.inf:
+        raise ConfigurationError("field 'dynamics.cell_hi': the cell width (cell_hi - cell_lo) / "
+                                 f"cells is {width!r}; it must be a positive finite float")
+    return width

@@ -11,9 +11,10 @@ or a block's row norms are :func:`row_norms`, which neither overflows
 nor underflows to 0. Domains and operators are immutable after
 construction and safe to share across threads; the only mutable field
 is the diagnostic evaluation counter on :class:`Operator`. Data that
-depends on the round t alone, a scripted scenario's rounds and a slot
+depends on the round t alone, a scripted scenario's operators and a slot
 bank's schedule, comes from one cache of aligned blocks of
-``ROUND_BLOCK`` rounds, :func:`_round_blocks`.
+``ROUND_BLOCK`` rounds, :func:`_round_blocks`: each block's data are
+built once, when a round of it is first read, and rounds are 1-based.
 """
 
 from __future__ import annotations
@@ -196,8 +197,9 @@ def evaluate(op: Operator, X) -> np.ndarray:
         if X.ndim == 0:
             X = X.reshape(1)
     out = _evaluate_block(op, X)
-    # the flattened sum of squares is NaN exactly when some coordinate is
-    if math.isnan(np.vdot(out, out)):
+    # the flat sum of squares is NaN exactly when some coordinate is
+    flat = out.ravel()
+    if math.isnan(flat.dot(flat)):
         raise FloatingPointError("operator returned NaN; invalid operator/point pair")
     return out
 
@@ -302,15 +304,18 @@ def check_constants(op: Operator, mu: Optional[float], lip: Optional[float],
 
 def _round_blocks(block):
     """Round t's data as a function of t: its row of the stacked arrays
-    that ``block(rounds)`` computes for the aligned range of ROUND_BLOCK
-    rounds holding t, of which the latest is kept. ``block`` rounds each
-    round as that round alone would, so the data depend on t only, not on
-    the order of reads; a round past ``block``'s arrays raises IndexError."""
+    (or lists) that ``block(rounds)`` computes for the aligned range of
+    ROUND_BLOCK rounds holding t, of which the latest is kept. ``block``
+    rounds each round as that round alone would, so the data depend on t
+    only, not on the order of reads. Rounds are 1-based: a round below 1
+    raises ValueError, and one past ``block``'s arrays IndexError."""
     cached = [None, ()]     # block number, its rounds' data
 
     def round_data(t: int) -> tuple:
         number, i = divmod(t - 1, ROUND_BLOCK)
         if cached[0] != number:
+            if number < 0:
+                raise ValueError(f"round {t}: rounds are numbered from 1")
             first = number * ROUND_BLOCK + 1
             cached[:] = number, tuple(zip(*block(range(first, first + ROUND_BLOCK))))
         return cached[1][i]

@@ -42,6 +42,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import cell_width
 from .core import (ConfigurationError, Domain, _evaluate_block, as_point, project,
                    row_norms)
 from .scenarios import Scenario, _central_differences
@@ -293,10 +294,12 @@ def bifurcation_scan(scenario: Scenario, x0, etas,
 
     Every step size is one row of one block stepped through the
     scenario's composed map; only the post-burn-in tail is kept. Rows
-    are emitted in step-size order.
+    are emitted in step-size order. A cell grid is checked before any
+    step, by the config's own rule (``config.cell_width``).
     """
     if burn_in >= n_steps:
         raise ValueError("burn_in must be smaller than n_steps")
+    cell_width(cell_lo, cell_hi, n_cells)
     x0 = as_point(x0)
     etas = [float(e) for e in etas]
     tails, diverged_at = _iterate(compose_map(scenario, etas),

@@ -7,7 +7,11 @@ and bound evaluators need, and the :class:`Checks` that
 :func:`verify_scenario` runs: the operators whose declared constants
 and analytic potentials it tests, and for the games the players'
 losses their pseudo-gradients are made of. Scripted rounds come from
-:func:`_periodic` or from the aligned block cache ``core._round_blocks``.
+:func:`_periodic` or from the aligned block cache ``core._round_blocks``,
+whose blocks build their rounds' operators: ``quadratic_drift``,
+``kelly_auction``, ``streaming_regression`` and ``glm`` read round t's
+operator from one block entry, ``solution_at(t)`` is its own solution,
+and rounds are 1-based.
 """
 
 from __future__ import annotations
@@ -145,6 +149,10 @@ def build_quadratic_drift(p: dict) -> Scenario:
     prefix = [0.0]
     mu, lip = float(eigs[0]), float(eigs[-1])
 
+    def make_op(offset: np.ndarray, c: np.ndarray) -> Operator:
+        return Operator.from_affine(A, offset, mu=mu, lip=lip, solution=c,
+                                    potential=lambda X: _half_quadratic(X - c, A))
+
     def block(rounds: range) -> tuple:
         try:
             while len(prefix) < rounds[-1]:
@@ -159,13 +167,13 @@ def build_quadratic_drift(p: dict) -> Scenario:
             offsets = np.matmul(-A, C[..., None])[..., 0]     # one gemv a round
         finite = (np.isfinite(C) & np.isfinite(offsets)).all(axis=1)
         n = len(C) if finite.all() else int(finite.argmin())
-        return offsets[:n], C[:n]
+        return (list(map(make_op, offsets[:n], C[:n])),)
 
     blocks = _round_blocks(block)
 
-    def round_data(t: int) -> tuple:
+    def at(t: int) -> Operator:
         try:
-            return blocks(t)
+            return blocks(t)[0]
         except IndexError:
             if t <= len(prefix):        # the sum is finite, the center or offset not
                 raise ConfigurationError(
@@ -176,16 +184,10 @@ def build_quadratic_drift(p: dict) -> Scenario:
                 f"field 'scenario.decay': the drift s^(-decay) summed to round "
                 f"{len(prefix) + 1} passes the largest float at decay = {decay}") from None
 
-    def make_op(t: int) -> Operator:
-        offset, c = round_data(t)
-        return Operator.from_affine(A, offset, mu=mu, lip=lip, solution=c,
-                                    potential=lambda X: _half_quadratic(X - c, A))
-
-    seq = ProblemSequence(at=make_op, dim=dim, solution_at=lambda t: round_data(t)[1])
+    seq = ProblemSequence(at=at, dim=dim, solution_at=lambda t: at(t).solution)
     # aperiodic: the first three rounds stand for the sequence
     return Scenario(name="quadratic_drift", seq=seq, domain=Domain.unbounded(dim),
-                    mu=mu, lip=lip,
-                    checks=Checks(_round_checks(map(make_op, (1, 2, 3)))))
+                    mu=mu, lip=lip, checks=Checks(_round_checks(map(at, (1, 2, 3)))))
 
 
 def periodic_quadratic(centers, matrix=None, domain: Domain = None) -> Scenario:
@@ -312,25 +314,29 @@ def build_kelly_auction(p: dict) -> Scenario:
     rng = np.random.default_rng(p["seed"])
     phases = rng.uniform(0, 2 * math.pi, size=n)
 
-    def market(t: int) -> tuple:
-        entry = p["entry"] * (1.0 + p["entry_amp"] * math.sin(2 * math.pi * t / k))
-        values = values0 * (1.0 + p["value_amp"] * np.sin(2 * math.pi * t / k + phases))
-        return entry, values
-
-    def make_op(t: int) -> Operator:
-        entry, values = market(t)
-
+    def make_op(entry: float, values: np.ndarray) -> Operator:
         def fn(X: np.ndarray) -> np.ndarray:
             denom = entry + X.sum(axis=-1, keepdims=True)
             return 1.0 - values * (denom - X) / denom ** 2 + lam * X
 
         return Operator(fn=fn, dim=n, mu=lam)
 
+    def block(rounds: range) -> tuple:
+        # the seasonal market: each round's entry price by math.sin, and
+        # the values by one np.sin over the stacked arguments, elementwise
+        # as one round alone
+        angles = [2 * math.pi * t / k for t in rounds]
+        entries = [p["entry"] * (1.0 + p["entry_amp"] * math.sin(a)) for a in angles]
+        values = values0 * (1.0 + p["value_amp"] * np.sin(np.array(angles)[:, None] + phases))
+        return list(map(make_op, entries, values)), entries, values
+
+    market = _round_blocks(block)       # round t's operator, entry price and values
+
     def losses(t: int):
         """The bidders' regularized losses at round t: bidder i pays
         x_i, wins the share x_i / (entry + sum x) of the value v_i, and
         is charged lam x_i^2 / 2."""
-        entry, values = market(t)
+        _, entry, values = market(t)
         return lambda X: X - values * (X / (entry + X.sum(axis=-1, keepdims=True))) \
             + 0.5 * lam * X * X
 
@@ -343,8 +349,8 @@ def build_kelly_auction(p: dict) -> Scenario:
                                  "entry * (1 - entry_amp) rounds to 0")
     # coarse sup-norm bound: |F_i| <= 1 + v_max/entry_min + lam * b_i
     gbound = math.sqrt(n) * (1.0 + v_max / entry_min + lam * float(np.max(budgets)))
-    seq = ProblemSequence(at=make_op, dim=n)
-    ops = [make_op(t) for t in range(1, k + 1)]
+    seq = ProblemSequence(at=lambda t: market(t)[0], dim=n)
+    ops = [seq.at(t) for t in range(1, k + 1)]
     # the pseudo-gradient is checked at the first, middle and last round
     game = tuple((ops[t - 1], losses(t)) for t in sorted({1, k // 2, k} - {0}))
     return Scenario(name="kelly_auction", seq=seq, domain=domain, mu=lam,
@@ -438,29 +444,28 @@ def build_streaming_regression(p: dict) -> Scenario:
     def size(t: int) -> int:
         return p["n0"] + p["growth"] * (t - 1)
 
-    def gradient(rounds: range) -> tuple:
-        # the ridge objective's gradient matrix and offset, and its
-        # minimizer from one batched solve, which runs the same LAPACK
-        # solve on each matrix as a one-round call
-        G, h = stream.block_sums([size(t) for t in rounds])
-        G = G + ridge
-        return 2.0 * G, -2.0 * h, np.linalg.solve(G, h[..., None])[..., 0]
-
-    round_data = _round_blocks(gradient)
-
-    def make_op(t: int) -> Operator:
-        n = size(t)
-
+    def make_op(n: int, matrix, offset, solution) -> Operator:
         def potential(X: np.ndarray) -> np.ndarray:
             A, b = stream.upto(n)
             return ((X @ A.T - b) ** 2).sum(axis=-1) + lam * (X * X).sum(axis=-1)
 
-        matrix, offset, solution = round_data(t)
         return Operator.from_affine(matrix, offset, solution=solution, potential=potential)
 
-    seq = ProblemSequence(at=make_op, dim=dim, solution_at=lambda t: round_data(t)[2])
+    def block(rounds: range) -> tuple:
+        # the ridge objective's gradient matrix and offset, and its
+        # minimizer from one batched solve, which runs the same LAPACK
+        # solve on each matrix as a one-round call
+        sizes = [size(t) for t in rounds]
+        G, h = stream.block_sums(sizes)
+        G = G + ridge
+        solutions = np.linalg.solve(G, h[..., None])[..., 0]
+        return (list(map(make_op, sizes, 2.0 * G, -2.0 * h, solutions)),)
+
+    blocks = _round_blocks(block)
+    seq = ProblemSequence(at=lambda t: blocks(t)[0], dim=dim,
+                          solution_at=lambda t: blocks(t)[0].solution)
     # aperiodic: the first three rounds stand for the sequence
-    checks = Checks(tuple(_spectrum_check(t, make_op(t)) for t in (1, 2, 3)))
+    checks = Checks(tuple(_spectrum_check(t, seq.at(t)) for t in (1, 2, 3)))
     return Scenario(name="streaming_regression", seq=seq,
                     domain=Domain.unbounded(dim), mu=2.0 * lam, checks=checks)
 
@@ -494,35 +499,40 @@ def build_glm(p: dict) -> Scenario:
     def size(t: int) -> int:
         return p["n0"] + p["growth"] * (t - 1)
 
-    def affine(rounds: range) -> tuple:
-        # the identity link's operator: matrix G / n + ridge, offset -h / n
-        sizes = [size(t) for t in rounds]
-        G, h = stream.block_sums(sizes)
-        n = np.array(sizes, dtype=float)
-        return G / n[:, None, None] + ridge, -h / n[:, None]
-
-    identity = p["link"] == "identity"
-    round_data = _round_blocks(affine) if identity else None
-
-    def make_op(t: int) -> Operator:
-        n = size(t)
-
+    def potential_at(n: int):
         def potential(Z: np.ndarray) -> np.ndarray:
             A, b = stream.upto(n)
             U = Z @ A.T
             return (psi(U).sum(axis=-1) - U @ b) / n + 0.5 * lam * (Z * Z).sum(axis=-1)
 
-        if identity:
-            return Operator.from_affine(*round_data(t), potential=potential)
+        return potential
+
+    def logistic(n: int) -> Operator:
         A, b = stream.upto(n)
 
         def fn(Z: np.ndarray) -> np.ndarray:
             return (phi(Z @ A.T) - b) @ A / n + lam * Z
 
-        return Operator(fn=fn, dim=dim, mu=lam if lam > 0 else None, potential=potential)
+        return Operator(fn=fn, dim=dim, mu=lam if lam > 0 else None, potential=potential_at(n))
+
+    identity = p["link"] == "identity"
+
+    def block(rounds: range) -> tuple:
+        sizes = [size(t) for t in rounds]
+        if not identity:
+            return (list(map(logistic, sizes)),)
+        # the identity link's operators: matrix G / n + ridge, offset -h / n
+        G, h = stream.block_sums(sizes)
+        n = np.array(sizes, dtype=float)
+        return ([Operator.from_affine(matrix, offset, potential=potential_at(m))
+                 for m, matrix, offset in zip(sizes, G / n[:, None, None] + ridge,
+                                              -h / n[:, None])],)
+
+    blocks = _round_blocks(block)
+    seq = ProblemSequence(at=lambda t: blocks(t)[0], dim=dim)
 
     def checked(t: int) -> OperatorCheck:
-        op = make_op(t)
+        op = seq.at(t)
         if identity:
             return _spectrum_check(t, op)
         # the link's slope is at most scale / 4
@@ -530,7 +540,6 @@ def build_glm(p: dict) -> Scenario:
         top = float(np.linalg.eigvalsh(stream.sums(n)[0])[-1])
         return OperatorCheck(f"t={t}", op, op.mu, p["scale"] / 4.0 * top / n + lam)
 
-    seq = ProblemSequence(at=make_op, dim=dim)
     # aperiodic: the first three rounds stand for the sequence
     return Scenario(name="glm", seq=seq, domain=Domain.unbounded(dim),
                     mu=lam if lam > 0 else None,

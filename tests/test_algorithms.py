@@ -194,6 +194,27 @@ class TestFloatingPointPolicy:
         assert not traj.diverged and len(traj.op_values) == 200
         assert len([m for m in entered if m.startswith("tvvi")]) <= 1
 
+    def test_resolvent_run_reads_the_policy_once(self, monkeypatch):
+        # the resolvent learner picks its solve at its start, under
+        # run_tracker's policy; no round reads np.geterr, while a library
+        # call of resolvent_step reads it each time
+        reads = []
+        geterr = np.geterr
+
+        def counting():
+            reads.append(sys._getframe(1).f_globals.get("__name__", ""))
+            return geterr()
+
+        sc = build_scenario("streaming_regression", {"seed": 4})
+        monkeypatch.setattr(np, "geterr", counting)
+        traj = run_tracker(sc.seq, Resolvent(), sc.domain, np.zeros(3), 200)
+        assert not traj.diverged and len(traj.op_values) == 200
+        assert len([m for m in reads if m.startswith("tvvi")]) <= 1
+        del reads[:]
+        for _ in range(2):
+            resolvent_step(sc.seq.at(1), np.zeros(3))
+        assert len([m for m in reads if m.startswith("tvvi")]) == 2
+
 
 class TestCyclicFB:
     def test_slot_selection(self):

@@ -384,3 +384,13 @@ class TestRoundBlocks:
             round_data(128)
         assert round_data(1)[0] == 1.0
         assert calls == [range(65, 129), range(1, 65)]
+
+    @pytest.mark.parametrize("t", [0, -1, -64])
+    def test_round_below_one_raises_value_error(self, t):
+        # rounds are 1-based: no block is computed for rounds -63..0
+        calls = []
+        round_data = _round_blocks(self.block(calls))
+        with pytest.raises(ValueError, match=f"round {t}: rounds are numbered from 1"):
+            round_data(t)
+        assert calls == []
+        assert round_data(1)[0] == 1.0

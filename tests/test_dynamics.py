@@ -432,6 +432,19 @@ class TestBifurcationScan:
                         cells.add(min(int((p[0] + 10.0) / width), 199))
             assert row.occupied_cells == tuple(sorted(cells))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cell_lo, cell_hi, n_cells, field", [
+        (0.0, 5e-324, 1000, "cell_hi"), (-1e308, 1e308, 1000, "cell_hi"),
+        (-10.0, 10.0, 0, "cells")], ids=["width_0", "width_inf", "no_cells"])
+    def test_cell_grid_the_config_refuses_is_refused(self, chaos, cell_lo, cell_hi,
+                                                     n_cells, field):
+        # the config's cell-grid rule holds for a library call too: no
+        # IndexError, ZeroDivisionError or warning, and no occupancy all
+        # in cell 0
+        with pytest.raises(ConfigurationError, match=f"field 'dynamics.{field}'"):
+            bifurcation_scan(chaos, 0.0, [8.0], n_steps=400, burn_in=200,
+                             cell_lo=cell_lo, cell_hi=cell_hi, n_cells=n_cells)
+
     @pytest.mark.parametrize("domain", [None, Domain.interval(-1.0, 1.0)],
                              ids=["unbounded", "interval"])
     def test_steps_the_scenario_given(self, domain):

@@ -521,6 +521,79 @@ class TestStreams:
             sc.seq.at(41)
 
 
+KELLY = {"period": 24, "entry": 1.5, "entry_amp": 0.4, "value_amp": 0.7, "lam_reg": 0.2}
+
+
+class TestBlockOperators:
+    """Scripted rounds are read from 64-round blocks that build their
+    rounds' operators, with the bytes of the per-round formulas they
+    replaced, in any order of reads."""
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_kelly_market_matches_per_round_formula(self, seed, n):
+        p = dict(KELLY, n=n, seed=seed, values=np.linspace(1.0, 3.0, n).tolist())
+        k, lam, values0 = p["period"], p["lam_reg"], np.array(p["values"])
+        phases = np.random.default_rng(seed).uniform(0, 2 * math.pi, size=n)
+
+        def market(t):      # the per-round market the blocks replaced
+            entry = p["entry"] * (1.0 + p["entry_amp"] * math.sin(2 * math.pi * t / k))
+            values = values0 * (1.0 + p["value_amp"] * np.sin(2 * math.pi * t / k + phases))
+            return entry, values
+
+        sc = build_scenario("kelly_auction", p)
+        X = np.random.default_rng(seed).uniform(0.0, 1.0, (5, n))
+        rounds = np.arange(1, 3 * ROUND_BLOCK + 1)
+        for t in np.random.default_rng(seed + 1).permutation(rounds).tolist():
+            entry, values = market(t)
+            op = sc.seq.at(t)
+            bound = inspect.getclosurevars(op.fn).nonlocals
+            assert bound["entry"].hex() == entry.hex(), t
+            assert bound["values"].tobytes() == values.tobytes(), t
+            denom = entry + X.sum(axis=-1, keepdims=True)
+            F = 1.0 - values * (denom - X) / denom ** 2 + lam * X
+            assert op.fn(X).tobytes() == F.tobytes(), t
+        for (op, losses), t in zip(sc.checks.game, (1, k // 2, k)):
+            entry, values = market(t)
+            assert op is sc.checks.operators[t - 1].op
+            loss = X - values * (X / (entry + X.sum(axis=-1, keepdims=True))) \
+                + 0.5 * lam * X * X
+            assert losses(X).tobytes() == loss.tobytes(), t
+
+    @pytest.mark.parametrize("name, params", [("quadratic_drift", DRIFT),
+                                              ("kelly_auction", KELLY)],
+                             ids=["drift", "kelly"])
+    def test_shuffled_reads_give_in_order_bytes(self, name, params):
+        X = np.linspace(0.1, 1.0, 12).reshape(4, 3)
+
+        def operator_bytes(order):
+            sc = build_scenario(name, params)
+            out = {}
+            for t in order:
+                op = sc.seq.at(t)
+                if sc.seq.solution_at is not None:
+                    assert sc.seq.solution_at(t) is op.solution
+                fields = [op.fn(X)] + ([] if op.affine is None else [*op.affine, op.solution])
+                out[t] = [x.tobytes() for x in fields]
+            return out
+
+        rounds = list(range(1, 201))
+        shuffled = np.random.default_rng(4).permutation(rounds).tolist()
+        assert operator_bytes(shuffled) == operator_bytes(rounds)
+
+    @pytest.mark.parametrize("name, params", [
+        ("quadratic_drift", {}), ("kelly_auction", {}), ("streaming_regression", {}),
+        ("glm", {"link": "identity"}), ("glm", {"link": "scaled_logistic"})],
+        ids=["drift", "kelly", "stream", "glm_identity", "glm_logistic"])
+    def test_round_below_one_is_refused(self, name, params):
+        # rounds are 1-based: round 0 is not a round, and no field is to blame
+        seq = build_scenario(name, params).seq
+        for read in (seq.at, seq.solution_at):
+            if read is not None:
+                with pytest.raises(ValueError, match="round 0: rounds are numbered from 1"):
+                    read(0)
+
+
 class TestBatchEvaluation:
     @pytest.mark.parametrize("name", [
         "periodic_1d", "chaos_1d", "star_2d", "quadratic_drift",
