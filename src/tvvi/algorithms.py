@@ -10,18 +10,21 @@ gathers every base's active slot, steps the block once and scatters it
 back, at rows and step sizes that ``core._round_blocks`` schedules once
 per aligned block of ``ROUND_BLOCK`` rounds. The
 meta-algorithms (``MetaLearner``) drive a bank of periods 1..K and keep
-their losses and weights in arrays updated in place.
+their losses and weights in arrays updated in place. Every forward
+step is ``core._forward``.
 
 ``run_tracker`` drives a learner for T rounds and returns a
-``Trajectory``. It enters the run's one floating-point policy, overflow
-and invalid values ignored, around the learner's start and all rounds:
-the divergence threshold, the NaN test of each evaluation and the
-resolvent's residual check decide what a nonfinite value means, and no
-round enters a context of its own. What a learner reads of the policy
-it reads once, at its start (the resolvent learner picks its solve
-there), and no round reads it. The constant matrices of a round, the
-identity of a resolvent step and mu I of a fixed-rate surrogate, are
-built once per size and read-only.
+``Trajectory``. It enters the run's one floating-point policy,
+``core._run_policy`` (overflow and invalid values ignored), around the
+learner's start and all rounds, as ``cli.run_experiment``,
+``scenarios.verify_scenario``, ``dynamics._iterate`` and the
+``quadratic_drift`` block do around theirs: the divergence threshold,
+the NaN test of each evaluation and the resolvent's residual check
+decide what a nonfinite value means, and no round enters a context of
+its own. What a learner reads of the policy it reads once, at its start
+(the resolvent learner picks its solve there). The constant matrices of
+a round, the identity of a resolvent step and mu I of a fixed-rate
+surrogate, are built once per size and read-only.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ try:
 except ImportError:     # a numpy that moves it: np.linalg.solve makes that call
     _solve1 = None
 
-from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
-                   _round_blocks, as_point, evaluate, project, row_norms)
+from .core import (ConfigurationError, Domain, Operator, ProblemSequence, _forward,
+                   _round_blocks, _run_policy, as_point, evaluate, row_norms)
 
 ARGMIN_TOL = 1e-12      # the pre-warmup argmin set's tolerance
 T0_TOL = 1e-12
@@ -56,13 +59,13 @@ class StepSchedule:
 
     @staticmethod
     def constant(eta: float) -> "StepSchedule":
-        if eta <= 0:
+        if not eta > 0:     # NaN fails too
             raise ValueError("eta must be positive")
         return StepSchedule("constant", float(eta))
 
     @staticmethod
     def inverse_mu_t(mu: float) -> "StepSchedule":
-        if mu <= 0:
+        if not mu > 0:
             raise ValueError("mu must be positive")
         return StepSchedule("inverse_mu_t", float(mu))
 
@@ -74,11 +77,11 @@ class StepSchedule:
 
 
 def forward_step(op: Operator, domain: Domain, z, eta: float) -> np.ndarray:
-    """Projected forward step: project(z - eta * F(z))."""
-    if eta <= 0:
+    """Projected forward step: project(z - eta * F(z)), by ``core._forward``."""
+    if not eta > 0:
         raise ValueError("eta must be positive")
-    z = as_point(z)
-    return project(domain, z - eta * evaluate(op, z))
+    z = _start_point(z, domain)
+    return _forward(domain, z, eta, evaluate(op, z))
 
 
 @functools.cache
@@ -90,15 +93,11 @@ def _identity(d: int) -> np.ndarray:
 
 
 def _checked_solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """x with M x = v by dgesv under np.linalg.solve's floating-point
-    policy; a singular M raises ``LinAlgError``, with no warning."""
+    """x with M x = v by ``np.linalg.solve``: a singular M raises
+    ``LinAlgError("I + A is singular")``, with no warning."""
     try:
-        if _solve1 is None:
-            return np.linalg.solve(M, v)
-        # dgesv flags a singular matrix as an invalid value
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            return _solve1(M, v, signature="dd->d")
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        return np.linalg.solve(M, v)
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("I + A is singular") from exc
 
 
@@ -123,12 +122,11 @@ def resolvent_step(op: Operator, z, solve=None) -> np.ndarray:
 
     Requires I + A invertible (always true for strongly monotone affine
     F); a singular I + A raises ``LinAlgError("I + A is singular")``.
-    ``solve`` is the dgesv call that ``_policy_solve()`` picks for a
-    floating-point policy; by default the current policy picks it at each
-    call, and the ``Resolvent`` learner picks it once, at its start. Where
-    invalid values are already ignored, as under ``run_tracker``'s policy,
-    a singular I + A solves to NaN quietly, the residual check rejects it,
-    and only then is the solve rerun under the raising policy.
+    ``solve`` is the call ``_policy_solve()`` picks, by default at each
+    call (the ``Resolvent`` learner picks it once, at its start). Where
+    invalid values are ignored, as under ``run_tracker``'s policy, a
+    singular I + A solves to NaN quietly, the residual check rejects it,
+    and only then the checked solve, ``np.linalg.solve``, names it.
     """
     if op.affine is None:
         raise ConfigurationError("field 'algorithm.kind': resolvent needs affine operators")
@@ -193,8 +191,7 @@ class CyclicFBLearner:
         """Update round t's active slots ``Z`` with feedback ``G``, row
         by row: project(z - eta_s g) with s the slot's update count."""
         _, cells, eta = self._round(t)
-        Z = Z - eta * G
-        self.slots.put(cells, project(self.domain, Z) if self.domain.bounded else Z)
+        self.slots.put(cells, _forward(self.domain, Z, eta, G))
 
     def play(self, t: int) -> np.ndarray:
         """The first base's active slot: a one-period bank's play."""
@@ -378,10 +375,10 @@ class ContractiveForward:
     eta: float
 
     def start(self, z1, domain: Domain) -> _SingleIterate:
-        z1 = _start_point(z1, domain)
-        if domain.bounded:
-            return _SingleIterate(z1, lambda op, z, g: project(domain, z - self.eta * g))
-        return _SingleIterate(z1, lambda op, z, g: z - self.eta * g)
+        if not self.eta > 0:
+            raise ValueError("eta must be positive")
+        return _SingleIterate(_start_point(z1, domain),
+                              lambda op, z, g: _forward(domain, z, self.eta, g))
 
 
 @dataclass(frozen=True)
@@ -476,6 +473,8 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
     """
     if T < 1:
         raise ValueError("T must be >= 1")
+    if not divergence_threshold > 0:    # inf is a threshold, NaN is not
+        raise ValueError("divergence_threshold must be positive")
     if not hasattr(algo, "start"):
         raise ConfigurationError(f"unknown algorithm spec {algo!r}")
     z1 = as_point(z1)
@@ -488,10 +487,9 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
     limit = min(divergence_threshold, np.finfo(float).max)
     n, diverged_at = T, None            # rounds completed, divergence round
 
-    # a play on its way to divergence may overflow: the threshold, not a
-    # warning, decides when the run stops. The learner starts under this
-    # policy, so what it reads of the policy it reads once.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the threshold, not a warning, decides when the run stops; the
+    # learner starts under the policy, so reads it once
+    with _run_policy():
         learner = algo.start(z1, domain)
         is_meta = hasattr(learner, "weights")   # also record the weights
         weights = np.empty((T, len(learner.weights))) if is_meta else None

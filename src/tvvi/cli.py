@@ -27,7 +27,7 @@ from . import algorithms as alg
 from . import dynamics, metrics
 from .config import (FIELDS, ExperimentConfig, _field_value, _vector_field,
                      parse_config)
-from .core import ConfigurationError, row_norms
+from .core import ConfigurationError, _run_policy, row_norms
 from .io import emit_rows
 from .scenarios import PARAMS, Scenario, build_scenario, verify_scenario
 
@@ -296,10 +296,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str, fmt: str,
                 "verify": _cmd_verify}
     if cfg.command not in commands:
         raise ConfigurationError(f"field 'command': unknown command {cfg.command!r}")
-    # one floating-point policy for the whole command: an overflow or an
-    # invalid operation gives inf or NaN quietly, and the divergence
-    # threshold, the residual checks and explicit finiteness tests decide
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _run_policy():
         table, flagged = commands[cfg.command](cfg)
 
     emit_rows(table, fmt, out_path)

@@ -15,6 +15,12 @@ depends on the round t alone, a scripted scenario's operators and a slot
 bank's schedule, comes from one cache of aligned blocks of
 ``ROUND_BLOCK`` rounds, :func:`_round_blocks`: each block's data are
 built once, when a round of it is first read, and rounds are 1-based.
+:func:`_forward` is the one projected forward step, of every learner and
+the composed map. :func:`_run_policy` is the one floating-point policy,
+entered by ``cli.run_experiment``, ``algorithms.run_tracker``,
+``scenarios.verify_scenario``, ``dynamics._iterate`` and the
+``quadratic_drift`` block; :func:`row_norms` and
+``dynamics._covered_segments`` only ignore overflow.
 """
 
 from __future__ import annotations
@@ -110,7 +116,7 @@ class Domain:
         lo, hi = as_point(lower), as_point(upper)
         if lo.shape != hi.shape:
             raise ValueError("box bounds must have matching dimension")
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):        # a NaN bound fails too
             raise ValueError("box requires lower <= upper componentwise")
         return Domain(kind="box", dim=lo.size, lower=lo, upper=hi)
 
@@ -147,6 +153,20 @@ def project(domain: Domain, p) -> np.ndarray:
     if domain.kind == "unbounded":
         return p
     return p.clip(domain.lower, domain.upper)
+
+
+def _forward(domain: Domain, Z: np.ndarray, eta, G: np.ndarray) -> np.ndarray:
+    """project(Z - eta G) for a point or block ``Z``, ``eta`` a float or
+    a column of per-row step sizes; unprojected on an unbounded domain."""
+    Z = Z - eta * G
+    return project(domain, Z) if domain.bounded else Z
+
+
+def _run_policy():
+    """The run's floating-point policy: overflow and invalid values give
+    inf or NaN quietly, and thresholds, the resolvent's residual check
+    and explicit finiteness tests decide what they mean."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass
@@ -202,27 +222,6 @@ def evaluate(op: Operator, X) -> np.ndarray:
     if math.isnan(flat.dot(flat)):
         raise FloatingPointError("operator returned NaN; invalid operator/point pair")
     return out
-
-
-def analytic_solution(op: Operator, domain: Domain) -> Optional[np.ndarray]:
-    """Return the exact solution when one is available.
-
-    A stored solution wins. Otherwise, an affine F(x) = Ax + b on an
-    unbounded domain with positive-definite symmetric part solves to
-    -A^{-1} b. Singular or indefinite A yields ``None``.
-    """
-    if op.solution is not None:
-        return np.array(op.solution, dtype=float)
-    if op.affine is not None and domain.kind == "unbounded":
-        A, b = op.affine
-        sym = 0.5 * (A + A.T)
-        try:
-            if np.min(np.linalg.eigvalsh(sym)) <= 0:
-                return None
-            return np.linalg.solve(A, -b)
-        except np.linalg.LinAlgError:
-            return None
-    return None
 
 
 def _sample_points(domain: Domain, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,25 +3,28 @@ problems: composed period maps, orbit analysis, bifurcation scans,
 periodic-orbit detection, stability, Li-Yorke evidence, and the
 star-attractor scan.
 
-The composed map applies the period's step maps in time order: the
-round-1 map acts first, so the orbit of the composed map started at x0
-coincides with every k-th iterate of the per-step recursion started at
-x0. The map acts on the last axis, so scans step every step size (or
-every start) as one ``(n, d)`` block in one process; one orbit is the
-one-row case of the same code. Divergence is tested once per block of
-64 map periods, on all of the block's points at once. After each block
-a bounded row whose last state repeats an earlier state of the block
-bit for bit, a fixed point or a cycle of period below 64, stops: its
-later points are copies of that cycle. A scan row equals that step
-size or start run alone, and a per-period loop without the exit, bit
-for bit when the operators' ``fn`` rounds a row the same alone and in
-a block, as the exp-quadratic catalog does; the ``X @ A.T`` of
-``Operator.from_affine`` may differ in the last bit for a non-diagonal
-``A`` in d >= 2, with the rows that share its block. The periodic-orbit
-tools evaluate their 1-D maps as blocks too (one map^3 call per level
-of the period-3 bisection), with the central differences of
-``scenarios._central_differences``: h = 1e-6 for stability, 1e-4 for
-Newton.
+The composed map applies the period's step maps in time order: the round-1
+map acts first, so the orbit of the composed map started at x0 coincides
+with every k-th iterate of the per-step recursion started at x0. Each step
+is ``core._forward``, the learners' forward step. The map acts on the last
+axis, so scans step every step size (or every start) as one ``(n, d)``
+block in one process; one orbit is the one-row case of the same code.
+``_iterate`` runs under ``core._run_policy``, the floating-point policy
+that ``cli.run_experiment``, ``algorithms.run_tracker``,
+``scenarios.verify_scenario`` and the ``quadratic_drift`` block also
+enter. Divergence is tested once per block of 64 map periods, on all of
+the block's points at once. After each block a bounded row whose last
+state repeats an earlier state of the block bit for bit, a fixed point or
+a cycle of period below 64, stops: its later points are copies of that
+cycle. A scan row equals that step size or start run alone, and a
+per-period loop without the exit, bit for bit when the operators' ``fn``
+rounds a row the same alone and in a block, as the exp-quadratic catalog
+does; the ``X @ A.T`` of ``Operator.from_affine`` may differ in the last
+bit for a non-diagonal ``A`` in d >= 2, with the rows that share its
+block. The periodic-orbit tools evaluate their 1-D maps as blocks too (one
+map^3 call per level of the period-3 bisection), with the central
+differences of ``scenarios._central_differences``: h = 1e-6 for stability,
+1e-4 for Newton.
 
 The star score has one geometry: 50 points on each scored point's
 segment to the origin, a radius of 0.05 times that point's norm, at
@@ -43,8 +46,8 @@ from typing import Optional
 import numpy as np
 
 from .config import cell_width
-from .core import (ConfigurationError, Domain, _evaluate_block, as_point, project,
-                   row_norms)
+from .core import (ConfigurationError, Domain, _evaluate_block, _forward, _run_policy,
+                   as_point, row_norms)
 from .scenarios import Scenario, _central_differences
 
 # the bifurcation protocol: orbits of 2000 steps, the first 1000 a
@@ -81,7 +84,7 @@ class GDMap:
     dim: int
 
     def _step(self, op, x: np.ndarray) -> np.ndarray:
-        return project(self.domain, x - self.eta * _evaluate_block(op, x))
+        return _forward(self.domain, x, self.eta, _evaluate_block(op, x))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         for op in self.ops:
@@ -105,7 +108,7 @@ def compose_map(scenario: Scenario, eta) -> GDMap:
         raise ConfigurationError(f"field 'scenario.name': {scenario.name!r} is not "
                                  "periodic, and a composed map needs a period")
     etas = np.asarray(eta, dtype=float)
-    if etas.ndim > 1 or np.any(etas <= 0):
+    if etas.ndim > 1 or not np.all(etas > 0):     # NaN fails too
         raise ValueError("eta must be positive (one value, or one per row)")
     ops = [scenario.seq.at(t) for t in range(1, scenario.period + 1)]
     return GDMap(ops=ops, domain=scenario.domain,
@@ -154,7 +157,7 @@ def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
     limit = min(threshold, np.finfo(float).max)     # inf still stops a non-finite row
     # a row on its way to divergence may overflow: the threshold, not a
     # warning, decides when it stops
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _run_policy():
         for s0 in range(1, n_steps + 1, _CHECK_BLOCK):
             if not live.size:
                 break
@@ -230,6 +233,8 @@ def classify_eta(gd_map: GDMap, x0) -> Classification:
 def classify_orbit(orbit: Orbit, burn_in: int) -> Classification:
     if not orbit.bounded:
         return Classification("diverged")
+    if not 0 <= burn_in < len(orbit.points):
+        raise ValueError(f"burn_in must be in [0, {len(orbit.points)}), got {burn_in}")
     return _classify_tails(orbit.points[burn_in:, None, :])[0]
 
 
@@ -297,8 +302,8 @@ def bifurcation_scan(scenario: Scenario, x0, etas,
     are emitted in step-size order. A cell grid is checked before any
     step, by the config's own rule (``config.cell_width``).
     """
-    if burn_in >= n_steps:
-        raise ValueError("burn_in must be smaller than n_steps")
+    if not 0 <= burn_in < n_steps:
+        raise ValueError(f"burn_in must be in [0, n_steps = {n_steps}), got {burn_in}")
     cell_width(cell_lo, cell_hi, n_cells)
     x0 = as_point(x0)
     etas = [float(e) for e in etas]

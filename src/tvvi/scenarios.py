@@ -28,7 +28,7 @@ from .config import (MATRICES, MATRIX, Spec, _AT_LEAST_ONE, _NONNEGATIVE,
                      _POSITIVE, _field_value, _vector_field)
 from .core import (SAMPLING_BOX_HALF_WIDTH, ConfigurationError, Domain, Operator,
                    ProblemSequence, as_point, check_constants, _evaluate_block,
-                   _RELATIVE_TOL, _round_blocks, _sample_points)
+                   _RELATIVE_TOL, _round_blocks, _run_policy, _sample_points)
 
 # Upper envelope of the scalar curvature factor of u -> log(1 + e^{u^2/2});
 # the true supremum is ~1.3008, so declared constants pass sampled checks.
@@ -162,7 +162,7 @@ def build_quadratic_drift(p: dict) -> Scenario:
                 prefix.append(total)
         except OverflowError:
             pass
-        with np.errstate(over="ignore", invalid="ignore"):    # tested below
+        with _run_policy():     # tested below
             C = c1 - b * np.array(prefix[rounds[0] - 1:rounds[-1]])[:, None]
             offsets = np.matmul(-A, C[..., None])[..., 0]     # one gemv a round
         finite = (np.isfinite(C) & np.isfinite(offsets)).all(axis=1)
@@ -815,9 +815,7 @@ def verify_scenario(sc: Scenario, n_samples: int = 10_000, seed: int = 0,
         rows.append({"check": check, "detail": detail, "passed": passed})
 
     checks = sc.checks
-    # run_tracker's floating-point policy: an overflow gives inf quietly,
-    # and the explicit finiteness tests decide what it means
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _run_policy():
         if checks.game:
             # each coordinate's partial of its own player's loss: the diagonal
             pts = _sample_points(sc.domain, min(n_fd, 50), np.random.default_rng(seed))

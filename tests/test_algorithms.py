@@ -18,6 +18,7 @@ from tvvi.algorithms import (ContractiveForward, CyclicFB, CyclicFBLearner,
                              mix_loss, resolvent_step, run_tracker)
 from tvvi.core import (ConfigurationError, Domain, Operator, ProblemSequence,
                        evaluate, project)
+from tvvi.dynamics import compose_map
 from tvvi.scenarios import build_scenario, periodic_quadratic
 
 UNB1 = Domain.unbounded(1)
@@ -916,3 +917,33 @@ class TestRunTracker:
         traj = run_tracker(sc.seq, Resolvent(), sc.domain, [5.0, -5.0], 60)
         err = np.linalg.norm(traj.plays[-1] - traj.solutions[-1])
         assert err < 0.2
+
+
+def _periodic_1d_run(algo, **kw):
+    sc = build_scenario("periodic_1d")
+    return run_tracker(sc.seq, algo, sc.domain, [1.0], 3, **kw)
+
+
+class TestStepInputChecks:
+    """A NaN or a nonpositive step size, a NaN box bound and a NaN
+    divergence threshold are refused: each check is written so that a
+    NaN fails it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: StepSchedule.constant(math.nan),
+        lambda: StepSchedule.inverse_mu_t(math.nan),
+        lambda: forward_step(affine_op([[1.0]], [0.0]), UNB1, [1.0], math.nan),
+        lambda: compose_map(build_scenario("chaos_1d"), math.nan),
+        lambda: Domain.box([math.nan], [1.0]),
+        lambda: _periodic_1d_run(ContractiveForward(-1.0)),
+        lambda: _periodic_1d_run(ContractiveForward(0.5), divergence_threshold=math.nan)],
+        ids=["constant_schedule", "inverse_mu_t_schedule", "forward_step", "compose_map",
+             "box", "forward_negative_eta", "divergence_threshold"])
+    def test_refused(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_contractive_forward_checks_eta_at_start(self):
+        spec = ContractiveForward(math.nan)
+        with pytest.raises(ValueError, match="eta must be positive"):
+            spec.start([1.0], UNB1)

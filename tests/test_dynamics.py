@@ -445,6 +445,22 @@ class TestBifurcationScan:
             bifurcation_scan(chaos, 0.0, [8.0], n_steps=400, burn_in=200,
                              cell_lo=cell_lo, cell_hi=cell_hi, n_cells=n_cells)
 
+    @pytest.mark.parametrize("burn_in", [-5, -1, 20, 21])
+    def test_burn_in_outside_the_steps_is_refused(self, chaos, burn_in):
+        # a negative burn-in read unwritten NaN rows into the tail, and
+        # classified a converging orbit bounded_aperiodic
+        with pytest.raises(ValueError, match="burn_in"):
+            bifurcation_scan(chaos, 0.0, [0.3], n_steps=20, burn_in=burn_in)
+        assert bifurcation_scan(chaos, 0.0, [0.3], n_steps=20, burn_in=0)[0] \
+            .classification.kind == "converged"
+
+    @pytest.mark.parametrize("burn_in", [-1, 21, 100])
+    def test_classify_orbit_refuses_a_burn_in_past_the_orbit(self, chaos, burn_in):
+        orbit = iterate_orbit(compose_map(chaos, 0.3), [0.0], 20)
+        with pytest.raises(ValueError, match="burn_in"):
+            classify_orbit(orbit, burn_in)
+        assert classify_orbit(orbit, 20).kind == "converged"
+
     @pytest.mark.parametrize("domain", [None, Domain.interval(-1.0, 1.0)],
                              ids=["unbounded", "interval"])
     def test_steps_the_scenario_given(self, domain):

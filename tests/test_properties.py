@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvvi.algorithms import exp_weights, forward_step, resolvent_step
+from tvvi.algorithms import (ContractiveForward, CyclicFB, StepSchedule, exp_weights,
+                             forward_step, resolvent_step)
 from tvvi.core import Domain, Operator, project
+from tvvi.dynamics import GDMap
 from tvvi.io import DIVERGED_TOKEN, emit_rows, read_rows
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -92,16 +94,60 @@ def strongly_monotone_affine(draw):
     return op, float(eigs.min()), float(np.linalg.norm(A, 2)), draw(box), draw(box)
 
 
+def learner_step(spec, op, dom, z):
+    """The point a learner plays after one round from ``z``: its start,
+    play and observe, as ``run_tracker`` drives them."""
+    learner = spec.start(z, dom)
+    learner.play(1)
+    learner.observe(1, op)
+    return learner.play(2)
+
+
 @PROPERTY
 @given(strongly_monotone_affine())
 def test_forward_step_contracts(case):
-    # eta = mu / L^2 contracts distances by sqrt(1 - (mu/L)^2)
+    # eta = mu / L^2 contracts distances by sqrt(1 - (mu/L)^2), both for
+    # the library step and for the forward learner's round
     op, mu, L, z, w = case
     dom = Domain.unbounded(op.dim)
     eta = mu / L ** 2
-    factor = math.sqrt(1.0 - (mu / L) ** 2)
+    # mu <= L, but the eigenvalue and the norm round apart (mu = 1 and
+    # L = 1 - 2^-53 for A = I), so mu / L may pass 1 by an ulp
+    factor = math.sqrt(max(0.0, 1.0 - (mu / L) ** 2))
     step = np.linalg.norm(forward_step(op, dom, z, eta) - forward_step(op, dom, w, eta))
     assert step <= factor * np.linalg.norm(z - w) + 1e-12
+    spec = ContractiveForward(eta)
+    step = np.linalg.norm(learner_step(spec, op, dom, z) - learner_step(spec, op, dom, w))
+    assert step <= factor * np.linalg.norm(z - w) + 1e-12
+
+
+@st.composite
+def forward_cases(draw):
+    """An affine F in d = 1..3, a step size, a start and a domain: the
+    box [0, 5]^d or [-5, 0]^d, each with a face at 0.0, or R^d."""
+    d = draw(st.integers(1, 3))
+    A = np.array(draw(st.lists(coord, min_size=d * d, max_size=d * d))).reshape(d, d)
+    op = Operator.from_affine(A, draw(vectors(d)))
+    eta = draw(st.floats(1e-3, 2.0))
+    kind = draw(st.sampled_from(["upper_box", "lower_box", "unbounded"]))
+    dom = {"upper_box": Domain.box(np.zeros(d), np.full(d, 5.0)),
+           "lower_box": Domain.box(np.full(d, -5.0), np.zeros(d)),
+           "unbounded": Domain.unbounded(d)}[kind]
+    return op, eta, draw(vectors(d)), dom
+
+
+@PROPERTY
+@given(forward_cases())
+def test_every_forward_path_takes_the_same_step(case):
+    # the checked step is the step that runs: the library step, a forward
+    # learner's round, a one-period cyclic bank's round under a constant
+    # schedule and one period of a one-operator map give the same bytes
+    op, eta, z, dom = case
+    want = forward_step(op, dom, z, eta).tobytes()
+    assert learner_step(ContractiveForward(eta), op, dom, z).tobytes() == want
+    bank = CyclicFB(1, StepSchedule.constant(eta))
+    assert learner_step(bank, op, dom, z).tobytes() == want
+    assert GDMap(ops=[op], domain=dom, eta=eta, dim=op.dim)(z).tobytes() == want
 
 
 @PROPERTY
