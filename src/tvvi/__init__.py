@@ -9,8 +9,8 @@ descent on periodic problems.
 
 from .algorithms import (ContractiveForward, CyclicFB, CyclicFBLearner,
                          MetaAdaptive, MetaFixed, MetaLearner, Resolvent,
-                         StepSchedule, Trajectory, forward_step,
-                         make_surrogate, resolvent_step, run_tracker)
+                         StepSchedule, Trajectory, make_surrogate, resolvent_step,
+                         run_tracker)
 from .core import (ConfigurationError, Domain, Operator, ProblemSequence,
                    check_constants, evaluate, project)
 from .dynamics import (GDMap, Orbit, bifurcation_scan, classify_eta,
@@ -31,7 +31,7 @@ __all__ = [
     "check_constants", "evaluate", "project",
     "ContractiveForward", "CyclicFB", "CyclicFBLearner", "MetaAdaptive",
     "MetaFixed", "MetaLearner", "Resolvent", "StepSchedule", "Trajectory",
-    "forward_step", "make_surrogate", "resolvent_step", "run_tracker",
+    "make_surrogate", "resolvent_step", "run_tracker",
     "adversarial_lower_bound", "aggregation_regret_bound",
     "aggregation_tracking_bound", "constant_tracking_bound",
     "contractive_bound", "cyclic_regret_bound", "dynamic_regret",

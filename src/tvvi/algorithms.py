@@ -15,16 +15,13 @@ step is ``core._forward``.
 
 ``run_tracker`` drives a learner for T rounds and returns a
 ``Trajectory``. It enters the run's one floating-point policy,
-``core._run_policy`` (overflow and invalid values ignored), around the
-learner's start and all rounds, as ``cli.run_experiment``,
-``scenarios.verify_scenario``, ``dynamics._iterate`` and the
-``quadratic_drift`` block do around theirs: the divergence threshold,
-the NaN test of each evaluation and the resolvent's residual check
-decide what a nonfinite value means, and no round enters a context of
-its own. What a learner reads of the policy it reads once, at its start
-(the resolvent learner picks its solve there). The constant matrices of
-a round, the identity of a resolvent step and mu I of a fixed-rate
-surrogate, are built once per size and read-only.
+``core._run_policy``, around the learner's start and all rounds: the
+divergence threshold, the NaN test of each evaluation and the
+resolvent's residual check decide what a nonfinite value means, and no
+round enters a context of its own. What a learner reads of the policy it
+reads once, at its start (the resolvent learner picks its solve there).
+The constant matrices of a round, the identity of a resolvent step and
+mu I of a fixed-rate surrogate, are built once per size and read-only.
 """
 
 from __future__ import annotations
@@ -43,8 +40,8 @@ try:
 except ImportError:     # a numpy that moves it: np.linalg.solve makes that call
     _solve1 = None
 
-from .core import (ConfigurationError, Domain, Operator, ProblemSequence, _forward,
-                   _round_blocks, _run_policy, as_point, evaluate, row_norms)
+from .core import (ConfigurationError, Domain, Operator, ProblemSequence, _divergence_limit,
+                   _forward, _round_blocks, _run_policy, as_point, evaluate, row_norms)
 
 ARGMIN_TOL = 1e-12      # the pre-warmup argmin set's tolerance
 T0_TOL = 1e-12
@@ -74,14 +71,6 @@ class StepSchedule:
         if self.kind == "constant":
             return self.value
         return 1.0 / (self.value * s)
-
-
-def forward_step(op: Operator, domain: Domain, z, eta: float) -> np.ndarray:
-    """Projected forward step: project(z - eta * F(z)), by ``core._forward``."""
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    z = _start_point(z, domain)
-    return _forward(domain, z, eta, evaluate(op, z))
 
 
 @functools.cache
@@ -473,8 +462,7 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    if not divergence_threshold > 0:    # inf is a threshold, NaN is not
-        raise ValueError("divergence_threshold must be positive")
+    limit = _divergence_limit(divergence_threshold)
     if not hasattr(algo, "start"):
         raise ConfigurationError(f"unknown algorithm spec {algo!r}")
     z1 = as_point(z1)
@@ -483,8 +471,6 @@ def run_tracker(seq: ProblemSequence, algo, domain: Domain, z1, T: int,
     # an adaptive sequence (no ``at``) names the solution in each response
     have_solutions = seq.at is None or seq.solution_at is not None
     solutions = np.empty((T, d)) if have_solutions else None
-    # an infinite threshold still stops a play that is not finite
-    limit = min(divergence_threshold, np.finfo(float).max)
     n, diverged_at = T, None            # rounds completed, divergence round
 
     # the threshold, not a warning, decides when the run stops; the

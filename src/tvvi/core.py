@@ -163,10 +163,20 @@ def _forward(domain: Domain, Z: np.ndarray, eta, G: np.ndarray) -> np.ndarray:
 
 
 def _run_policy():
-    """The run's floating-point policy: overflow and invalid values give
-    inf or NaN quietly, and thresholds, the resolvent's residual check
-    and explicit finiteness tests decide what they mean."""
-    return np.errstate(over="ignore", invalid="ignore")
+    """The run's floating-point policy: overflow, invalid values and
+    division by zero give inf or NaN quietly, and thresholds, the
+    resolvent's residual check and explicit finiteness tests decide what
+    they mean."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _divergence_limit(threshold: float) -> float:
+    """The norm past which a play or an orbit point has diverged: a
+    positive ``threshold`` (NaN is refused), capped at the largest float
+    so that an infinite one still stops a point that is not finite."""
+    if not threshold > 0:
+        raise ValueError(f"divergence threshold must be positive, got {threshold}")
+    return min(threshold, np.finfo(float).max)
 
 
 @dataclass
@@ -266,6 +276,8 @@ def check_constants(op: Operator, mu: Optional[float], lip: Optional[float],
     with ||F(z)|| + ||F(w)||, whose rounding F(z) - F(w) keeps, and with
     the constant's side, so the checks hold at any scale of F.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if mu is not None and mu < 0:
         raise ValueError("mu must be nonnegative")
     if lip is not None and lip < 0:

@@ -9,22 +9,21 @@ with every k-th iterate of the per-step recursion started at x0. Each step
 is ``core._forward``, the learners' forward step. The map acts on the last
 axis, so scans step every step size (or every start) as one ``(n, d)``
 block in one process; one orbit is the one-row case of the same code.
-``_iterate`` runs under ``core._run_policy``, the floating-point policy
-that ``cli.run_experiment``, ``algorithms.run_tracker``,
-``scenarios.verify_scenario`` and the ``quadratic_drift`` block also
-enter. Divergence is tested once per block of 64 map periods, on all of
-the block's points at once. After each block a bounded row whose last
-state repeats an earlier state of the block bit for bit, a fixed point or
-a cycle of period below 64, stops: its later points are copies of that
-cycle. A scan row equals that step size or start run alone, and a
-per-period loop without the exit, bit for bit when the operators' ``fn``
-rounds a row the same alone and in a block, as the exp-quadratic catalog
-does; the ``X @ A.T`` of ``Operator.from_affine`` may differ in the last
-bit for a non-diagonal ``A`` in d >= 2, with the rows that share its
-block. The periodic-orbit tools evaluate their 1-D maps as blocks too (one
-map^3 call per level of the period-3 bisection), with the central
-differences of ``scenarios._central_differences``: h = 1e-6 for stability,
-1e-4 for Newton.
+``_iterate`` runs under ``core._run_policy``, the run's floating-point
+policy, and takes its divergence limit from ``core._divergence_limit``,
+as ``run_tracker`` does. Divergence is tested once per block of 64 map
+periods, on all of the block's points at once. After each block a bounded
+row whose last state repeats an earlier state of the block bit for bit, a
+fixed point or a cycle of period below 64, stops: its later points are
+copies of that cycle. A scan row equals that step size or start run
+alone, and a per-period loop without the exit, bit for bit when the
+operators' ``fn`` rounds a row the same alone and in a block, as the
+exp-quadratic catalog does; the ``X @ A.T`` of ``Operator.from_affine``
+may differ in the last bit for a non-diagonal ``A`` in d >= 2, with the
+rows that share its block. The periodic-orbit tools evaluate their 1-D
+maps as blocks too (one map^3 call per level of the period-3 bisection),
+with the central differences of ``scenarios._central_differences``: h =
+1e-6 for stability, 1e-4 for Newton.
 
 The star score has one geometry: 50 points on each scored point's
 segment to the origin, a radius of 0.05 times that point's norm, at
@@ -46,8 +45,8 @@ from typing import Optional
 import numpy as np
 
 from .config import cell_width
-from .core import (ConfigurationError, Domain, _evaluate_block, _forward, _run_policy,
-                   as_point, row_norms)
+from .core import (ConfigurationError, Domain, _divergence_limit, _evaluate_block, _forward,
+                   _run_policy, as_point, row_norms)
 from .scenarios import Scenario, _central_differences
 
 # the bifurcation protocol: orbits of 2000 steps, the first 1000 a
@@ -147,6 +146,7 @@ def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    limit = _divergence_limit(threshold)
     n, d = x0.shape
     points = np.full((n_steps + 1 - keep_from, n, d), np.nan)
     diverged_at = np.full(n, -1)
@@ -154,7 +154,6 @@ def _iterate(gd_map: GDMap, x0: np.ndarray, n_steps: int, threshold: float,
     x = x0
     if keep_from == 0:
         points[0] = x0
-    limit = min(threshold, np.finfo(float).max)     # inf still stops a non-finite row
     # a row on its way to divergence may overflow: the threshold, not a
     # warning, decides when it stops
     with _run_policy():

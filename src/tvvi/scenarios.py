@@ -7,11 +7,11 @@ and bound evaluators need, and the :class:`Checks` that
 :func:`verify_scenario` runs: the operators whose declared constants
 and analytic potentials it tests, and for the games the players'
 losses their pseudo-gradients are made of. Scripted rounds come from
-:func:`_periodic` or from the aligned block cache ``core._round_blocks``,
-whose blocks build their rounds' operators: ``quadratic_drift``,
-``kelly_auction``, ``streaming_regression`` and ``glm`` read round t's
-operator from one block entry, ``solution_at(t)`` is its own solution,
-and rounds are 1-based.
+the aligned block cache ``core._round_blocks``, whose blocks hold their
+rounds' operators: ``quadratic_drift``, ``kelly_auction``,
+``streaming_regression``, ``glm`` and the periodic builders (through
+:func:`_periodic`) read round t's operator from one block entry,
+``solution_at(t)`` is its own solution, and rounds are 1-based.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ def _half_quadratic(D: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 def _periodic(ops) -> ProblemSequence:
     """The sequence whose round t plays ``ops[(t - 1) % len(ops)]`` and its solution."""
-    k = len(ops)
-    return ProblemSequence(at=lambda t: ops[(t - 1) % k], dim=ops[0].dim,
-                           solution_at=lambda t: ops[(t - 1) % k].solution)
+    blocks = _round_blocks(lambda rounds: ([ops[(t - 1) % len(ops)] for t in rounds],))
+    return ProblemSequence(at=lambda t: blocks(t)[0], dim=ops[0].dim,
+                           solution_at=lambda t: blocks(t)[0].solution)
 
 
 @dataclass
@@ -809,6 +809,8 @@ def verify_scenario(sc: Scenario, n_samples: int = 10_000, seed: int = 0,
                     n_fd: int = 100) -> list:
     """Run the checks the scenario's builder attached; returns rows of
     {check, detail, passed}."""
+    if n_fd < 1:
+        raise ValueError(f"n_fd must be at least 1, got {n_fd}")
     rows = []
 
     def add(check: str, detail: str, passed: bool):

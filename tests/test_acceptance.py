@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from tvvi.algorithms import (ContractiveForward, CyclicFB, MetaAdaptive,
-                             MetaFixed, StepSchedule, Trajectory, forward_step,
-                             resolvent_step, run_tracker)
+                             MetaFixed, StepSchedule, Trajectory, resolvent_step,
+                             run_tracker)
 from tvvi.core import Domain, Operator
 from tvvi.dynamics import (GDMap, bifurcation_scan, classify_eta, compose_map,
                            eta_grid, iterate_orbit, newton_periodic_orbit,
@@ -262,7 +262,7 @@ def test_criterion_14_contraction_suites():
     rng = np.random.default_rng(1414)
     bad = []
 
-    # forward step on random conditioned quadratics
+    # a forward learner's round on random conditioned quadratics
     for _ in range(4):
         d = int(rng.integers(2, 5))
         A, mu, L = random_spd(rng, d)
@@ -272,7 +272,9 @@ def test_criterion_14_contraction_suites():
         factor = math.sqrt(1.0 - (mu / L) ** 2)
         for _ in range(250):
             z = rng.uniform(-5, 5, d)
-            out = forward_step(op, dom, z, mu / L ** 2)
+            learner = ContractiveForward(mu / L ** 2).start(z, dom)
+            learner.observe(1, op)
+            out = learner.play(2)
             if np.linalg.norm(out - c) > factor * np.linalg.norm(z - c) + 1e-12:
                 bad.append("forward")
 

@@ -161,17 +161,6 @@ class TestParseConfig:
                  if not any(re.search(rf"(?<![\w.]){re.escape(key)} *=", t) for t in texts)]
         assert unset == []
 
-    def test_builders_read_exactly_their_table_keys(self):
-        # each builder reads, as p["..."], every parameter its PARAMS
-        # table defines and no other: no dead or undefined parameter
-        tree = ast.parse(Path(scenarios.__file__).read_text(encoding="utf-8"))
-        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-        for name, builder in scenarios.BUILDERS.items():
-            read = {node.slice.value for node in ast.walk(defs[builder.__name__])
-                    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
-                    and node.value.id == "p" and isinstance(node.slice, ast.Constant)}
-            assert read == set(PARAMS[name]), name
-
 
 class TestEmitRows:
     def test_empty_rows_header_only(self, tmp_path):

@@ -13,6 +13,11 @@ from tvvi.core import (ROUND_BLOCK, SAMPLING_BOX_HALF_WIDTH, Domain, Operator,
 from tvvi.scenarios import build_scenario, rsi_operator
 
 
+DOMAINS = pytest.mark.parametrize("domain", [
+    Domain.box([-1, -2], [2, 1]), Domain.interval(-3.0, 2.0), Domain.unbounded(2)],
+    ids=["box", "interval", "unbounded"])
+
+
 class TestProjection:
     def test_box_clamp(self):
         d = Domain.box([-1, -1], [1, 1])
@@ -26,11 +31,7 @@ class TestProjection:
         with pytest.raises(ValueError):
             project(Domain.box([0], [1]), [1.0, 2.0])
 
-    @pytest.mark.parametrize("domain", [
-        Domain.box([-1, -2], [2, 1]),
-        Domain.interval(-3.0, 2.0),
-        Domain.unbounded(2),
-    ], ids=["box", "interval", "unbounded"])
+    @DOMAINS
     def test_nonexpansive_and_idempotent(self, domain):
         rng = np.random.default_rng(7)
         for _ in range(1000):
@@ -40,11 +41,7 @@ class TestProjection:
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
             assert np.array_equal(project(domain, px), px)
 
-    @pytest.mark.parametrize("domain", [
-        Domain.box([-1, -2], [2, 1]),
-        Domain.interval(-3.0, 2.0),
-        Domain.unbounded(2),
-    ], ids=["box", "interval", "unbounded"])
+    @DOMAINS
     def test_block_matches_rows(self, domain):
         rng = np.random.default_rng(8)
         pts = rng.uniform(-5, 5, (1000, domain.dim))

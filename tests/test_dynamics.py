@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvvi import dynamics
+from tvvi.algorithms import ContractiveForward, run_tracker
 from tvvi.core import ConfigurationError, Domain, Operator, row_norms
 from tvvi.dynamics import (DIVERGENCE_THRESHOLD, MAX_PERIOD, PERIOD_TOL, Classification,
                            GDMap, IntervalMapError, _classify_tails, _covered_segments,
@@ -287,6 +288,26 @@ class TestIterateBlocks:
         x0 = np.array([[2.0 ** 1000, 0.0]])
         points, at = dynamics._iterate(self.gd_map([1.0]), x0, 100, np.inf)
         assert at.tolist() == [24] and points[24, 0, 0] == np.inf
+
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("entry", ["run_tracker", "iterate_orbit", "bifurcation_scan",
+                                       "star_scan"])
+    def test_a_threshold_not_positive_is_refused(self, chaos, star, monkeypatch, entry,
+                                                 threshold):
+        # one rule, core._divergence_limit: a NaN threshold would call every
+        # point diverged, as would 0 and -1
+        monkeypatch.setattr(dynamics, "STAR_THRESHOLD", threshold)
+        calls = {
+            "run_tracker": lambda: run_tracker(chaos.seq, ContractiveForward(0.3), chaos.domain,
+                                               [0.0], 20, divergence_threshold=threshold),
+            "iterate_orbit": lambda: iterate_orbit(compose_map(chaos, 0.3), [0.0], 20,
+                                                   threshold=threshold),
+            "bifurcation_scan": lambda: bifurcation_scan(chaos, 0.0, [0.3], n_steps=20,
+                                                         burn_in=0, threshold=threshold),
+            "star_scan": lambda: star_scan(star, 0.3, n_samples=4, n_steps=20)}
+        with pytest.raises(ValueError, match=f"divergence threshold must be positive, "
+                                             f"got {threshold}"):
+            calls[entry]()
 
     @staticmethod
     def cycle_map():

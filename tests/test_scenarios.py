@@ -13,14 +13,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from tvvi.algorithms import ContractiveForward, run_tracker
-from tvvi.core import ROUND_BLOCK, ConfigurationError, Operator, evaluate, project
+from tvvi.core import (ROUND_BLOCK, ConfigurationError, Operator, check_constants, evaluate,
+                       project)
 from tvvi.metrics import quadratic_path_length, tracking_error
-from tvvi.scenarios import (BUILDERS, PARAMS, RSI_GRID_ROWS, STREAM_BLOCK,
-                            AdversaryState, Checks, OperatorCheck, _central_differences,
-                            _DataStream, _gaussian_blocks, adversary_step,
+from tvvi.scenarios import (BUILDERS, PARAMS, RSI_GRID_ROWS, AdversaryState, Checks,
+                            OperatorCheck, _central_differences, adversary_step,
                             build_scenario, periodic_quadratic, rsi_grid_inequality,
                             rsi_lipschitz, verify_scenario)
+
+
+def _rsi_whole_grid(a_values, grid_n=501):
+    """The rsi Lipschitz constant from the whole grid of Jacobians at once."""
+    u = np.linspace(0.0, math.pi, grid_n)
+    x, y = u[None, :], u[:, None]
+    cos_2x, cos_2y, sin_2x, sin_2y = (f(2 * v) for f in (np.cos, np.sin) for v in (x, y))
+    sin2_x, sin2_y = np.sin(x) ** 2, np.sin(y) ** 2
+    tops = []
+    for a in set(np.atleast_1d(a_values).tolist()):
+        j11 = 2.0 + 2.0 * cos_2x * (3.0 + a * sin2_y)
+        j12 = a * sin_2x * sin_2y
+        j21 = -a * sin_2x * sin_2y
+        j22 = 2.0 + 2.0 * cos_2y * (3.0 - a * sin2_x)
+        p, q = j11 ** 2 + j21 ** 2, j12 ** 2 + j22 ** 2
+        r = j11 * j12 + j21 * j22
+        tops.append(0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * r ** 2)).max())
+    return float(np.sqrt(max(tops))) * 1.005
 
 
 class TestCatalog:
@@ -188,50 +207,20 @@ class TestCatalog:
     def test_rsi_lipschitz_matches_per_coupling_grid(self):
         # shared trig tables keep the operation order of a grid built for
         # one coupling at a time, so the constant is the same bit for bit
-        def one(a, grid_n=501):
-            u = np.linspace(0.0, math.pi, grid_n)
-            x, y = np.meshgrid(u, u)
-            j11 = 2.0 + 2.0 * np.cos(2 * x) * (3.0 + a * np.sin(y) ** 2)
-            j12 = a * np.sin(2 * x) * np.sin(2 * y)
-            j21 = -a * np.sin(2 * x) * np.sin(2 * y)
-            j22 = 2.0 + 2.0 * np.cos(2 * y) * (3.0 - a * np.sin(x) ** 2)
-            p, q = j11 ** 2 + j21 ** 2, j12 ** 2 + j22 ** 2
-            r = j11 * j12 + j21 * j22
-            top = 0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * r ** 2))
-            return float(np.sqrt(top.max())) * 1.005
-
         couplings = [0.0, 0.3, 0.5, 0.77, 1.0]
-        assert rsi_lipschitz(couplings) == max(one(a) for a in couplings)
-        assert rsi_lipschitz(0.3) == one(0.3)
+        assert rsi_lipschitz(couplings) == max(_rsi_whole_grid([a]) for a in couplings)
+        assert rsi_lipschitz(0.3) == _rsi_whole_grid([0.3])
 
     @pytest.mark.parametrize("couplings", [(0.0, 0.5, 1.0, 0.5), (0.3,),
                                            (0.9, 0.2, 0.9, 0.9, 0.2),
                                            tuple(np.linspace(0.0, 1.0, 7))])
     def test_rsi_lipschitz_matches_whole_grid_formula(self, couplings):
         # the row blocks give the constant the whole grid gave, exactly
-        def whole_grid(a_values, grid_n=501):
-            u = np.linspace(0.0, math.pi, grid_n)
-            x, y = u[None, :], u[:, None]
-            cos_2x, cos_2y, sin_2x, sin_2y = (f(2 * v) for f in (np.cos, np.sin)
-                                              for v in (x, y))
-            sin2_x, sin2_y = np.sin(x) ** 2, np.sin(y) ** 2
-            tops = []
-            for a in set(np.atleast_1d(a_values).tolist()):
-                j11 = 2.0 + 2.0 * cos_2x * (3.0 + a * sin2_y)
-                j12 = a * sin_2x * sin_2y
-                j21 = -a * sin_2x * sin_2y
-                j22 = 2.0 + 2.0 * cos_2y * (3.0 - a * sin2_x)
-                p = j11 ** 2 + j21 ** 2
-                q = j12 ** 2 + j22 ** 2
-                r = j11 * j12 + j21 * j22
-                tops.append(0.5 * (p + q + np.sqrt((p - q) ** 2 + 4.0 * r ** 2)).max())
-            return float(np.sqrt(max(tops))) * 1.005
-
-        assert rsi_lipschitz(couplings) == whole_grid(couplings)
+        assert rsi_lipschitz(couplings) == _rsi_whole_grid(couplings)
         # a grid inside one block; grids whose largest row (y = pi / 2, at
         # the middle) ends the first block or starts the second
         for n in (7, 2 * RSI_GRID_ROWS - 1, 2 * RSI_GRID_ROWS + 1):
-            assert rsi_lipschitz(couplings, grid_n=n) == whole_grid(couplings, grid_n=n)
+            assert rsi_lipschitz(couplings, grid_n=n) == _rsi_whole_grid(couplings, grid_n=n)
 
     def test_rsi_build_memory(self):
         tracemalloc.start()
@@ -291,18 +280,11 @@ class TestAdversary:
         assert tracking_error(traj) >= 0.25 * path
 
 
-def _gaussian_rows(seed, dim, n):
-    """The first n (features, noise) rows of a stream: whole 64-row
-    blocks, each drawing its features, then its noise."""
-    rng = np.random.default_rng(seed)
-    blocks = [(rng.standard_normal((64, dim)), rng.standard_normal(64))
-              for _ in range(n // 64 + 1)]
-    return (np.concatenate([a for a, _ in blocks])[:n],
-            np.concatenate([e for _, e in blocks])[:n])
+def _bytes(*arrays):
+    return [x.tobytes() for x in arrays]
 
 
-def _close(x, ref):
-    return np.linalg.norm(np.asarray(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+PERIODIC = ["periodic_1d", "chaos_1d", "star_2d", "exp_quadratic", "rsi_game"]
 
 
 ROUNDS = (1, 2, 30, 31, 32, 33, 500)
@@ -311,64 +293,54 @@ DRIFT = {"dim": 3, "matrix": [[2.0, 0.5, 0.1], [0.5, 1.5, 0.3], [0.1, 0.3, 1.0]]
          "decay": 0.75, "c1": [1.0, -2.0, 0.5], "b": [0.3, 0.1, -0.2]}
 
 
-def _one_size_sums(stream, n):
-    """The bytes of A^T A and A^T b over the first n rows by the one-size
-    formula: the whole-block prefix sums plus the products of the rest."""
-    A, b = stream.upto(n)
-    k = n // STREAM_BLOCK
-    R, r = A[k * STREAM_BLOCK:], b[k * STREAM_BLOCK:]
-    return [(stream._gram[k] + R.T @ R).tobytes(), (stream._moment[k] + R.T @ r).tobytes()]
+def _match_the_oracle(name, params, order, X):
+    """Read rounds ``order`` of a fresh build of the scenario and hold each
+    to the oracle's one round: F at X, and its affine pair and solution
+    where it has them. Returns the scenario and the oracle's parameters."""
+    sc, p = build_scenario(name, params), oracle.merged(name, params)
+    for t in order:
+        op, want = sc.seq.at(t), oracle.SCRIPTED[name](p, t)
+        assert op.fn(X).tobytes() == want.fn(X).tobytes(), t
+        if want.affine is not None:
+            assert _bytes(*op.affine) == _bytes(*want.affine), t
+        if want.solution is None:
+            assert op.solution is None, t
+        else:
+            assert op.solution.tobytes() == want.solution.tobytes(), t
+            assert sc.seq.solution_at(t) is op.solution
+    return sc, p
+
+
+def _shuffled(rounds, seed):
+    order = list(rounds)
+    np.random.default_rng(seed).shuffle(order)
+    return order
 
 
 class TestStreams:
     """The stream scenarios sum A^T A and A^T b over blocks; the sums must
-    match a from-scratch reference, whatever order rounds come in."""
+    be the oracle's from-scratch sums, whatever order rounds come in."""
 
     def test_streaming_regression_matches_from_scratch_sums(self):
         # defaults n0 = 5, growth = 2: n_t = 63 and 65 at t = 30 and 31
-        sc = build_scenario("streaming_regression", {"seed": 3})
-        w_star = np.random.default_rng(3).standard_normal(3)
-        for t in ROUNDS:
-            op = sc.seq.at(t)
-            A, e = _gaussian_rows(4, 3, 5 + 2 * (t - 1))
-            b = A @ w_star + 0.1 * e
-            G, h = A.T @ A + np.eye(3), A.T @ b
-            M, c = op.affine
-            eigs = np.linalg.eigvalsh(2.0 * G)
-            assert _close(M, 2.0 * G) and _close(c, -2.0 * h)
-            assert _close(op.solution, np.linalg.solve(G, h))
-            # only the checked rounds 1..3 carry their constants
-            assert op.mu is None and op.lip is None
-            if t <= 3:
-                check = sc.checks.operators[t - 1]
-                assert _close([check.mu, check.lip], [eigs[0], eigs[-1]])
-            assert sc.seq.solution_at(t) is op.solution
+        sc, p = _match_the_oracle("streaming_regression", {"seed": 3}, ROUNDS, np.ones(3))
+        for t in (1, 2, 3):     # only the checked rounds carry their constants
+            assert sc.seq.at(t).mu is None and sc.seq.at(t).lip is None
+            eigs = np.linalg.eigvalsh(oracle.stream_round(p, t).affine[0])
+            assert sc.checks.operators[t - 1][2:] == (eigs[0], eigs[-1])
 
     @pytest.mark.parametrize("link", ["identity", "scaled_logistic"])
     def test_glm_matches_from_scratch_sums(self, link):
         # n0 = 2, growth = 2: n_t = 62, 64 and 66 at t = 31, 32 and 33
-        sc = build_scenario("glm", {"link": link, "seed": 5, "n0": 2, "growth": 2,
-                                    "lam_reg": 0.1, "noise": 0.2})
-        phi = (lambda u: u) if link == "identity" else (lambda u: 2.0 * np.tanh(0.5 * u))
-        z_star = np.random.default_rng(5).standard_normal(2)
+        params = {"link": link, "seed": 5, "n0": 2, "growth": 2, "lam_reg": 0.1, "noise": 0.2}
         Z = np.random.default_rng(0).uniform(-2, 2, (4, 2))
-        for t in ROUNDS:
-            op = sc.seq.at(t)
-            n = 2 + 2 * (t - 1)
-            A, xi = _gaussian_rows(7, 2, n)[0], _gaussian_rows(6, 1, n)[0][:, 0]
-            b = phi(A @ z_star) + 0.2 * xi
-            check = sc.checks.operators[t - 1] if t <= 3 else None
-            if link == "identity":
-                M = A.T @ A / n + 0.1 * np.eye(2)
-                eigs = np.linalg.eigvalsh(M)
-                assert _close(op.affine[0], M) and _close(op.affine[1], -(A.T @ b) / n)
-                if check:
-                    assert _close([check.mu, check.lip], [eigs[0], eigs[-1]])
-            else:
-                if check:
-                    assert _close(check.lip, np.linalg.eigvalsh(A.T @ A)[-1] / n + 0.1)
-                assert _close(op.fn(Z), (phi(Z @ A.T) - b) @ A / n + 0.1 * Z)
+        sc, p = _match_the_oracle("glm", params, ROUNDS, Z)
+        for t, (_, op, mu, lip) in enumerate(sc.checks.operators, start=1):
             assert op.solution is None and op.lip is None
+            G = oracle.glm_data(p, 2 * t)[0]
+            eigs = np.linalg.eigvalsh(G / (2 * t) + 0.1 * np.eye(2))
+            assert (mu, lip) == ((eigs[0], eigs[-1]) if link == "identity" else
+                                 (0.1, 4.0 / 4.0 * np.linalg.eigvalsh(G)[-1] / (2 * t) + 0.1))
 
     @pytest.mark.parametrize("name, params", [
         ("streaming_regression", {"seed": 3}),
@@ -377,34 +349,13 @@ class TestStreams:
         ("quadratic_drift", DRIFT)],
         ids=["stream", "glm_identity", "glm_logistic", "drift"])
     def test_rounds_bit_identical_in_any_order(self, name, params):
-        def values(order):
-            sc = build_scenario(name, params)
-            out = {}
-            for t in order:
-                op = sc.seq.at(t)
-                out[t] = [op.mu, op.lip, op.fn(np.linspace(-1.0, 1.0, op.dim))]
-                if op.affine is not None:
-                    out[t] += [*op.affine, op.solution]
-            return out
-
-        shuffled = list(ROUNDS)
-        np.random.default_rng(1).shuffle(shuffled)
-        in_order, out_of_order = values(ROUNDS), values(shuffled)
-        for t in ROUNDS:
-            for x, y in zip(in_order[t], out_of_order[t]):
-                assert np.array_equal(x, y), (t, x, y)
+        X = np.linspace(-1.0, 1.0, 3 * build_scenario(name, params).seq.dim).reshape(3, -1)
+        _match_the_oracle(name, params, _shuffled(ROUNDS, 1), X)
 
     def test_solution_independent_of_earlier_requests(self):
-        ahead, direct = (build_scenario("streaming_regression", {"seed": 3})
-                         for _ in range(2))
-        for t in range(1, 200):
-            ahead.seq.solution_at(t)
-        assert np.array_equal(ahead.seq.solution_at(200), direct.seq.solution_at(200))
-
-        ahead, direct = (build_scenario("glm", {"seed": 3}) for _ in range(2))
-        for t in range(1, 49):
-            ahead.seq.at(t)
-        assert np.array_equal(ahead.seq.at(49).affine[1], direct.seq.at(49).affine[1])
+        # round 200 read after rounds 1-199, and glm's round 49 after 1-48
+        _match_the_oracle("streaming_regression", {"seed": 3}, range(1, 201), np.ones(3))
+        _match_the_oracle("glm", {"seed": 3}, range(1, 50), np.ones(2))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(dim=st.integers(1, 5), n0=st.integers(0, 70), growth=st.integers(0, 5),
@@ -414,90 +365,29 @@ class TestStreams:
     def test_block_rounds_match_per_round_formula(self, dim, n0, growth, lam, noise,
                                                   seed, more):
         """Every round's (2 (G + ridge), -2 A^T b, solution, A, b) from the
-        blocks is bit for bit the one-round formula's, in any order of
+        blocks is bit for bit the oracle's one round, in any order of
         rounds."""
-        w_star = np.random.default_rng(seed).standard_normal(dim)
-        reference = _DataStream(((a, a @ w_star + noise * e)
-                                 for a, e in _gaussian_blocks(seed + 1, dim)), dim)
-        ridge = lam * np.eye(dim)
-
-        def one_round(t):       # the per-round formula the blocks replaced
-            n = n0 + growth * (t - 1)
-            G, h = reference.sums(n)
-            assert [G.tobytes(), h.tobytes()] == _one_size_sums(reference, n)
-            G = G + ridge
-            return (2.0 * G, -2.0 * h, np.linalg.solve(G, h)) + reference.upto(n)
-
-        sc = build_scenario("streaming_regression", {
-            "dim": dim, "n0": n0, "growth": growth, "lam_reg": lam, "noise": noise,
-            "seed": seed})
         edge = [ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1, 2 * ROUND_BLOCK + 1]
-        for t in [200, 1, 2, 3] + edge + more:
-            matrix, offset, solution, A, b = one_round(t)
-            op = sc.seq.at(t)
-            assert op.affine[0].shape == (dim, dim)
-            assert matrix.tobytes() == op.affine[0].tobytes()
-            assert offset.tobytes() == op.affine[1].tobytes()
-            assert solution.tobytes() == op.solution.tobytes()
-            assert sc.seq.solution_at(t) is op.solution
-            X = np.linspace(-1.0, 1.0, 2 * dim).reshape(2, dim)
+        order = [200, 1, 2, 3] + edge + more
+        X = np.linspace(-1.0, 1.0, 2 * dim).reshape(2, dim)
+        sc, p = _match_the_oracle("streaming_regression", {
+            "dim": dim, "n0": n0, "growth": growth, "lam_reg": lam, "noise": noise,
+            "seed": seed}, order, X)
+        for t in order:
+            _, _, A, b = oracle.stream_data(p, n0 + growth * (t - 1))
             potential = ((X @ A.T - b) ** 2).sum(axis=-1) + lam * (X * X).sum(axis=-1)
-            assert op.potential(X).tobytes() == potential.tobytes()
+            assert sc.seq.at(t).potential(X).tobytes() == potential.tobytes()
 
     @pytest.mark.parametrize("name", ["streaming_regression", "glm", "quadratic_drift"])
     def test_block_affine_bytes_match_per_round_sums(self, name):
         """Each round's (matrix, offset) from the 64-round blocks, and a
-        drift's solution, has the bytes of the per-round formula, read in
-        order and shuffled, on both sides of a block boundary: on
-        ``_DataStream.sums(n)`` for the streams, and on the Python prefix
-        sum of the drifts for ``quadratic_drift``."""
-        dim, seed, lam, noise, n0, growth = 3, 8, 0.25, 0.3, 5, 2
-        z = np.random.default_rng(seed).standard_normal(dim)
-        if name == "streaming_regression":
-            reference = _DataStream(((a, a @ z + noise * e)
-                                     for a, e in _gaussian_blocks(seed + 1, dim)), dim)
-        elif name == "glm":
-            reference = _DataStream(((a, a @ z + noise * xi[:, 0]) for (a, _), (xi, _) in
-                                     zip(_gaussian_blocks(seed + 2, dim),
-                                         _gaussian_blocks(seed + 1, 1))), dim)
-        A, c1, b = (np.array(DRIFT[key]) for key in ("matrix", "c1", "b"))
-        prefix = [0.0]
-
-        def one_round(t):       # the per-round formula the blocks replaced
-            if name == "quadratic_drift":
-                while len(prefix) < t:
-                    prefix.append(prefix[-1] + len(prefix) ** -DRIFT["decay"])
-                c = c1 - b * prefix[t - 1]
-                return A, -A @ c, c
-            n = n0 + growth * (t - 1)
-            G, h = reference.sums(n)
-            assert [G.tobytes(), h.tobytes()] == _one_size_sums(reference, n)
-            if name == "streaming_regression":
-                G = G + lam * np.eye(dim)
-                return 2.0 * G, -2.0 * h
-            return G / n + lam * np.eye(dim), -h / n
-
+        drift's solution, has the bytes of the oracle's one round, read in
+        order and shuffled, on both sides of a block boundary."""
+        params = {"dim": 3, "seed": 8, "lam_reg": 0.25, "noise": 0.3, "n0": 5, "growth": 2}
+        params = DRIFT if name == "quadratic_drift" else params
         rounds = [1, 63, 64, 65, 128, 129, 500]
-        shuffled = list(rounds)
-        np.random.default_rng(2).shuffle(shuffled)
-        params = {"dim": dim, "seed": seed, "lam_reg": lam, "noise": noise,
-                  "n0": n0, "growth": growth}
-        if name == "glm":
-            params["link"] = "identity"
-        if name == "quadratic_drift":
-            params = DRIFT
-        for order in (rounds, shuffled):
-            sc = build_scenario(name, params)
-            for t in order:
-                want = one_round(t)
-                op = sc.seq.at(t)
-                got = list(op.affine)
-                if name == "quadratic_drift":
-                    got += [op.solution]
-                    assert sc.seq.solution_at(t).tobytes() == want[2].tobytes(), t
-                assert [x.shape for x in got] == [x.shape for x in want]
-                assert [x.tobytes() for x in got] == [x.tobytes() for x in want], t
-
+        for order in (rounds, _shuffled(rounds, 2)):
+            _match_the_oracle(name, params, order, np.ones(3))
 
     @pytest.mark.parametrize("order", [[1, 39, 40, 41, 100], [100, 41, 39, 40, 1]],
                              ids=["in_order", "reversed"])
@@ -526,35 +416,26 @@ KELLY = {"period": 24, "entry": 1.5, "entry_amp": 0.4, "value_amp": 0.7, "lam_re
 
 class TestBlockOperators:
     """Scripted rounds are read from 64-round blocks that build their
-    rounds' operators, with the bytes of the per-round formulas they
-    replaced, in any order of reads."""
+    rounds' operators, with the bytes of the oracle's one-round
+    statements, in any order of reads."""
 
     @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.parametrize("n", [2, 4])
     def test_kelly_market_matches_per_round_formula(self, seed, n):
         p = dict(KELLY, n=n, seed=seed, values=np.linspace(1.0, 3.0, n).tolist())
-        k, lam, values0 = p["period"], p["lam_reg"], np.array(p["values"])
-        phases = np.random.default_rng(seed).uniform(0, 2 * math.pi, size=n)
-
-        def market(t):      # the per-round market the blocks replaced
-            entry = p["entry"] * (1.0 + p["entry_amp"] * math.sin(2 * math.pi * t / k))
-            values = values0 * (1.0 + p["value_amp"] * np.sin(2 * math.pi * t / k + phases))
-            return entry, values
-
+        k, lam, q = p["period"], p["lam_reg"], oracle.merged("kelly_auction", p)
         sc = build_scenario("kelly_auction", p)
         X = np.random.default_rng(seed).uniform(0.0, 1.0, (5, n))
         rounds = np.arange(1, 3 * ROUND_BLOCK + 1)
         for t in np.random.default_rng(seed + 1).permutation(rounds).tolist():
-            entry, values = market(t)
+            entry, values = oracle.kelly_market(q, t)
             op = sc.seq.at(t)
             bound = inspect.getclosurevars(op.fn).nonlocals
             assert bound["entry"].hex() == entry.hex(), t
             assert bound["values"].tobytes() == values.tobytes(), t
-            denom = entry + X.sum(axis=-1, keepdims=True)
-            F = 1.0 - values * (denom - X) / denom ** 2 + lam * X
-            assert op.fn(X).tobytes() == F.tobytes(), t
+            assert op.fn(X).tobytes() == oracle.kelly_round(q, t).fn(X).tobytes(), t
         for (op, losses), t in zip(sc.checks.game, (1, k // 2, k)):
-            entry, values = market(t)
+            entry, values = oracle.kelly_market(q, t)
             assert op is sc.checks.operators[t - 1].op
             loss = X - values * (X / (entry + X.sum(axis=-1, keepdims=True))) \
                 + 0.5 * lam * X * X
@@ -564,34 +445,25 @@ class TestBlockOperators:
                                               ("kelly_auction", KELLY)],
                              ids=["drift", "kelly"])
     def test_shuffled_reads_give_in_order_bytes(self, name, params):
-        X = np.linspace(0.1, 1.0, 12).reshape(4, 3)
+        _match_the_oracle(name, params, _shuffled(range(1, 201), 4),
+                          np.linspace(0.1, 1.0, 12).reshape(4, 3))
 
-        def operator_bytes(order):
-            sc = build_scenario(name, params)
-            out = {}
-            for t in order:
-                op = sc.seq.at(t)
-                if sc.seq.solution_at is not None:
-                    assert sc.seq.solution_at(t) is op.solution
-                fields = [op.fn(X)] + ([] if op.affine is None else [*op.affine, op.solution])
-                out[t] = [x.tobytes() for x in fields]
-            return out
-
-        rounds = list(range(1, 201))
-        shuffled = np.random.default_rng(4).permutation(rounds).tolist()
-        assert operator_bytes(shuffled) == operator_bytes(rounds)
-
-    @pytest.mark.parametrize("name, params", [
-        ("quadratic_drift", {}), ("kelly_auction", {}), ("streaming_regression", {}),
-        ("glm", {"link": "identity"}), ("glm", {"link": "scaled_logistic"})],
-        ids=["drift", "kelly", "stream", "glm_identity", "glm_logistic"])
-    def test_round_below_one_is_refused(self, name, params):
+    @pytest.mark.parametrize("build", [
+        lambda: build_scenario("quadratic_drift"), lambda: build_scenario("kelly_auction"),
+        lambda: build_scenario("streaming_regression"),
+        lambda: build_scenario("glm", {"link": "identity"}),
+        lambda: build_scenario("glm", {"link": "scaled_logistic"}),
+        *(lambda name=name: build_scenario(name) for name in PERIODIC),
+        lambda: periodic_quadratic([[0.5], [-0.5]])],
+        ids=["drift", "kelly", "stream", "glm_identity", "glm_logistic", *PERIODIC,
+             "periodic_quadratic"])
+    def test_round_below_one_is_refused(self, build):
         # rounds are 1-based: round 0 is not a round, and no field is to blame
-        seq = build_scenario(name, params).seq
+        seq = build().seq
         for read in (seq.at, seq.solution_at):
-            if read is not None:
-                with pytest.raises(ValueError, match="round 0: rounds are numbered from 1"):
-                    read(0)
+            for t in (0, -3) if read is not None else ():
+                with pytest.raises(ValueError, match=f"round {t}: rounds are numbered from 1"):
+                    read(t)
 
 
 class TestBatchEvaluation:
@@ -711,6 +583,17 @@ class TestVerification:
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError, match="field 'scenario.name'"):
                 verify_scenario(sc, n_samples=200, n_fd=20)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda sc: check_constants(sc.seq.at(1), 1.0, 1.0, sc.domain, n_samples=0),
+         "n_samples"),
+        (lambda sc: verify_scenario(sc, n_samples=0), "n_samples"),
+        (lambda sc: verify_scenario(sc, n_fd=0), "n_fd")],
+        ids=["check_constants_n_samples", "verify_n_samples", "verify_n_fd"])
+    def test_sample_counts_below_one_are_refused(self, call, name):
+        # no sample would pass every check vacuously, or fail inside numpy
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+            call(build_scenario("periodic_1d"))
 
     def test_misdeclared_constants_fail(self):
         # F(z) = z - c: mu = L = 1 exactly
